@@ -23,9 +23,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import rng as _rng
-from ._pool import chunk_ranges as _chunk_ranges
-from ._pool import map_chunks as _map_chunks
-from .spaces import SpaceSpec, dual_ball_sup, norm, norms
+from .constants import _json_real
+from .simulate import map_trials
+from .spaces import SpaceSpec, dual_ball_sup, norm_rows, norms
 
 
 @dataclass(frozen=True)
@@ -246,15 +246,6 @@ class VerifyRow:
         }
 
 
-def _json_real(x):
-    xf = float(x)
-    if math.isinf(xf):
-        return "inf" if xf > 0 else "-inf"
-    if math.isnan(xf):
-        return "nan"
-    return xf
-
-
 @dataclass(frozen=True)
 class VerifyReport:
     rows: tuple[VerifyRow, ...]
@@ -303,38 +294,64 @@ class VerifyReport:
         return buf.getvalue()
 
 
-def _pilot_chunk(dist, space, n, seed, s, lo, hi):
-    d = dist.dim
-    coord_sum = np.zeros(d)
-    coord_sumsq = np.zeros(d)
-    m2 = np.zeros((d, d))
-    moment_sum = 0.0
-    final_sum = 0.0
-    final_sumsq = 0.0
-    for trial in range(lo, hi):
-        gen = _rng.substream(seed, _rng.PILOT, trial)
-        draws = dist.sample(gen, n)
-        coord_sum += draws.sum(axis=0)
-        coord_sumsq += (draws**2).sum(axis=0)
-        m2 += draws.T @ draws
-        moment_sum += float((norms(draws, space) ** s).sum())
-        fn = norm(draws.sum(axis=0), space)
-        final_sum += fn
-        final_sumsq += fn * fn
-    return coord_sum, coord_sumsq, m2, moment_sum, final_sum, final_sumsq, hi - lo
+def _fold(acc, rows):
+    """acc + rows[0] + rows[1] + ..., added strictly left to right."""
+    return np.add.accumulate(np.concatenate((np.asarray(acc)[None], rows)))[-1]
 
 
-def _main_chunk(dist, space, n, seed, lo, hi):
-    finals = np.empty(hi - lo)
-    maxes = np.empty(hi - lo)
-    for k, trial in enumerate(range(lo, hi)):
-        gen = _rng.substream(seed, _rng.MAIN, trial)
-        draws = dist.sample(gen, n)
-        path = np.cumsum(draws, axis=0)
-        pn = norms(path, space)
-        finals[k] = pn[-1]
-        maxes[k] = pn.max()
-    return finals, maxes
+class _PilotMoments:
+    """Reducer: the pilot pass's sums over whole paths (tiles hold all n steps).
+
+    Every sum is a left fold over trials in trial order, as a
+    trial-by-trial loop would add them.
+    """
+
+    def __init__(self, space: SpaceSpec, s: float):
+        self.space = space
+        self.s = s
+
+    def start(self, trials: int, dim: int) -> None:
+        self.coord_sum = np.zeros(dim)
+        self.coord_sumsq = np.zeros(dim)
+        self.m2 = np.zeros((dim, dim))
+        self.moment_sum = self.final_sum = self.final_sumsq = 0.0
+        self.trials = trials
+
+    def tile(self, x: np.ndarray, k0: int, s0: int) -> None:
+        b, n, d = x.shape
+        sums = x.sum(axis=1)
+        self.coord_sum = _fold(self.coord_sum, sums)
+        self.coord_sumsq = _fold(self.coord_sumsq, (x**2).sum(axis=1))
+        self.m2 = _fold(self.m2, np.matmul(x.transpose(0, 2, 1), x))
+        moments = (norms(x.reshape(-1, d), self.space) ** self.s).reshape(b, n).sum(axis=1)
+        self.moment_sum = _fold(self.moment_sum, moments)
+        finals = norm_rows(sums, self.space)
+        self.final_sum = _fold(self.final_sum, finals)
+        self.final_sumsq = _fold(self.final_sumsq, finals * finals)
+
+    def result(self):
+        return (self.coord_sum, self.coord_sumsq, self.m2, float(self.moment_sum),
+                float(self.final_sum), float(self.final_sumsq), self.trials)
+
+
+class _FinalAndMax:
+    """Reducer: ||S_n|| and max_k ||S_k|| per trial (tiles hold whole paths)."""
+
+    def __init__(self, space: SpaceSpec):
+        self.space = space
+
+    def start(self, trials: int, dim: int) -> None:
+        self.finals = np.empty(trials)
+        self.maxes = np.empty(trials)
+
+    def tile(self, x: np.ndarray, k0: int, s0: int) -> None:
+        b, n, d = x.shape
+        pn = norms(np.cumsum(x, axis=1).reshape(-1, d), self.space).reshape(b, n)
+        self.finals[k0 : k0 + b] = pn[:, -1]
+        self.maxes[k0 : k0 + b] = pn.max(axis=1)
+
+    def result(self):
+        return self.finals, self.maxes
 
 
 def mc_verify(
@@ -369,11 +386,7 @@ def mc_verify(
         raise ValueError("mc_verify needs a centered distribution")
 
     # pilot pass
-    parts = _map_chunks(
-        _pilot_chunk,
-        [(dist, space, n, seed, params.s, lo, hi) for lo, hi in _chunk_ranges(trials)],
-        workers,
-    )
+    parts = map_trials(dist, n, n, seed, _rng.PILOT, trials, _PilotMoments(space, params.s), workers)
     d = dist.dim
     coord_sum = sum(p[0] for p in parts)
     coord_sumsq = sum(p[1] for p in parts)
@@ -424,11 +437,7 @@ def mc_verify(
     }
 
     # main pass
-    main_parts = _map_chunks(
-        _main_chunk,
-        [(dist, space, n, seed, lo, hi) for lo, hi in _chunk_ranges(trials)],
-        workers,
-    )
+    main_parts = map_trials(dist, n, n, seed, _rng.MAIN, trials, _FinalAndMax(space), workers)
     finals = np.concatenate([p[0] for p in main_parts])
     maxes = np.concatenate([p[1] for p in main_parts])
 

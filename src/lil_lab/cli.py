@@ -405,7 +405,9 @@ def execute(spec: dict) -> int:
         artifact_path = os.path.join(run_dir, "summary.json")
     else:
         artifact_path = os.path.join(out_dir, _ARTIFACT_NAMES[spec["kind"]])
-    artifact = {"resolved_spec": spec, "seed": spec["seed"]}
+    # The worker count never changes a result, so the artifact records none:
+    # runs at any --workers write the same bytes.
+    artifact = {"resolved_spec": {**spec, "workers": None}, "seed": spec["seed"]}
     artifact.update(body)
     with open(artifact_path, "w") as fh:
         json.dump(artifact, fh, indent=2, sort_keys=True)

@@ -2,10 +2,12 @@
 from __future__ import annotations
 
 import hashlib
+import struct
 
 import numpy as np
 
 _TAG = b"lil-lab-stream-v1"
+_MASK = 0xFFFFFFFFFFFFFFFF
 
 # Purpose tags so that pilot, main, and auxiliary draws never share a stream.
 PILOT = 1
@@ -22,13 +24,61 @@ def substream(seed: int, *path: int) -> np.random.Generator:
     stream without coordinating with the others, and results do not
     depend on how trials are partitioned across workers.
     """
+    return _generator(_key(_hasher(seed, *path)))
+
+
+class TrialStreams:
+    """The substreams (seed, purpose, trial) of one (seed, purpose).
+
+    Gives the same generators as `substream(seed, purpose, trial)` but
+    hashes the (seed, purpose) prefix only once.  `reused` re-keys one
+    shared Philox through its state instead of building a new generator;
+    its draws must be taken before the next call re-keys it.
+    """
+
+    def __init__(self, seed: int, purpose: int):
+        self._prefix = _hasher(seed, purpose)
+        self._shared = np.random.Philox(key=0)
+        self._shared_gen = np.random.Generator(self._shared)
+
+    def key(self, trial: int) -> int:
+        h = self._prefix.copy()
+        h.update(_u64(trial))
+        return _key(h)
+
+    def fresh(self, trial: int) -> np.random.Generator:
+        """A generator of its own, for a trial that samples more than once."""
+        return _generator(self.key(trial))
+
+    def reused(self, trial: int) -> np.random.Generator:
+        """The shared generator, re-keyed to the trial's fresh state."""
+        key = self.key(trial)
+        self._shared.state = {
+            "bit_generator": "Philox",
+            "state": {"counter": (0, 0, 0, 0), "key": (key & _MASK, key >> 64)},
+            "buffer": (0, 0, 0, 0),
+            "buffer_pos": 4,
+            "has_uint32": 0,
+            "uinteger": 0,
+        }
+        return self._shared_gen
+
+
+def _hasher(seed: int, *path: int):
     h = hashlib.sha256(_TAG)
-    h.update(_u64(seed).tobytes())
-    for part in path:
-        h.update(_u64(part).tobytes())
-    key = int.from_bytes(h.digest()[:16], "little")
+    for part in (seed, *path):
+        h.update(_u64(part))
+    return h
+
+
+def _key(h) -> int:
+    return int.from_bytes(h.digest()[:16], "little")
+
+
+def _generator(key: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key))
 
 
-def _u64(x: int) -> np.uint64:
-    return np.uint64(int(x) & 0xFFFFFFFFFFFFFFFF)
+def _u64(x: int) -> bytes:
+    # native byte order, as numpy's uint64.tobytes() gives
+    return struct.pack("=Q", int(x) & _MASK)

@@ -1,9 +1,22 @@
-"""Monte Carlo paths of normalized partial sums.
+"""Monte Carlo paths of normalized partial sums, and the one streaming
+kernel that every Monte Carlo estimate in the package runs on.
 
-Paths stream in blocks with O(d) carried state, so N in the millions is
-fine.  Every trial owns a counter-based RNG substream keyed by
-(seed, purpose, trial): results are independent of worker count and of
-the order in which trials execute.
+`stream_trials` walks a chunk of trials in tiles of trials x steps and
+hands each tile, as one (trials, steps, dim) array of draws, to a
+reducer: checkpoint norms and the truncated twin here, the running
+maximum with the final norm and the pilot moment sums in `bounds`.
+Tile shape comes only from the path length: a path that is drawn in
+one sample call is tiled max(1, TILE // n) trials at a time; a longer
+path streams in blocks of BLOCK steps, one trial per tile, with O(d)
+carried state, so N in the millions is fine.  The worker count never
+changes a tile.
+
+Every trial still owns the counter-based RNG substream keyed by
+(seed, purpose, trial) -- stream v1, unchanged -- and draws from it
+with the same sample sizes in the same order as a trial-by-trial loop.
+Float accumulations across trials stay left folds in trial order, so
+results are bit-identical whatever the worker count, the tiling, or the
+order in which chunks execute.
 """
 from __future__ import annotations
 
@@ -15,10 +28,85 @@ import numpy as np
 from . import rng as _rng
 from ._pool import chunk_ranges, map_chunks
 from .slowvary import NormalizerSeq, SlowVaryFn
-from .spaces import SpaceSpec, norm, norms
+from .spaces import SpaceSpec, norm_rows, norms
 
 #: Steps generated per streaming block.
 BLOCK = 65536
+
+#: Increments per tile: paths drawn in one block are batched TILE // n trials at a time.
+TILE = 16384
+
+
+def stream_trials(dist, n: int, block: int, seed: int, purpose: int, lo: int, hi: int, reducer):
+    """Feed trials [lo, hi) of n steps each through `reducer`; return its result.
+
+    Trial t draws its steps from substream (seed, purpose, t) in sample
+    calls of `block` steps.  When one call covers the path, consecutive
+    trials form (trials, n, dim) tiles and share one re-keyed generator.
+    Otherwise the chunk runs block by block, each trial keeping its own
+    generator, one (1, block, dim) tile at a time.
+
+    A reducer has `start(trials, dim)`, which resets its state,
+    `tile(x, k0, s0)` for the draws of chunk trials k0, k0 + 1, ... at
+    steps s0 + 1, ..., and `result()`.
+    """
+    streams = _rng.TrialStreams(seed, purpose)
+    reducer.start(hi - lo, dist.dim)
+    if n <= block:
+        per_tile = max(1, TILE // n)
+        tile = np.empty((min(per_tile, hi - lo), n, dist.dim))
+        for t0 in range(lo, hi, per_tile):
+            b = min(per_tile, hi - t0)
+            for k in range(b):
+                tile[k] = dist.sample(streams.reused(t0 + k), n)
+            reducer.tile(tile[:b], t0 - lo, 0)
+    else:
+        gens = [streams.fresh(t) for t in range(lo, hi)]
+        for s0 in range(0, n, block):
+            m = min(block, n - s0)
+            for k, gen in enumerate(gens):
+                reducer.tile(dist.sample(gen, m)[None], k, s0)
+    return reducer.result()
+
+
+def map_trials(dist, n: int, block: int, seed: int, purpose: int, trials: int, reducer, workers: int) -> list:
+    """`stream_trials` over every chunk of `trials`, one result per chunk."""
+    return map_chunks(
+        stream_trials,
+        [(dist, n, block, seed, purpose, lo, hi, reducer) for lo, hi in chunk_ranges(trials)],
+        workers,
+    )
+
+
+def _carry_on(last: np.ndarray, carry: np.ndarray, k0: int, step: int) -> None:
+    """Store a tile's last partial sums as the carry of trials k0, k0 + 1, ..."""
+    if not np.all(np.isfinite(last)):
+        raise ArithmeticError(f"partial sum overflowed near step {step}")
+    carry[k0 : k0 + len(last)] = last
+
+
+class CheckpointNorms:
+    """Reducer: ||S_n|| at sorted checkpoints, one row per trial."""
+
+    def __init__(self, space: SpaceSpec, points):
+        self.space = space
+        self.points = np.asarray(points, dtype=np.int64)
+
+    def start(self, trials: int, dim: int) -> None:
+        self.carry = np.zeros((trials, dim))
+        self.out = np.empty((trials, len(self.points)))
+
+    def tile(self, x: np.ndarray, k0: int, s0: int) -> None:
+        b, m, d = x.shape
+        carry = self.carry[k0 : k0 + b]
+        raw = np.cumsum(x, axis=1)
+        j0, j1 = np.searchsorted(self.points, (s0, s0 + m), side="right")
+        at = raw[:, self.points[j0:j1] - s0 - 1] + carry[:, None, :]
+        self.out[k0 : k0 + b, j0:j1] = norm_rows(at.reshape(-1, d), self.space).reshape(b, j1 - j0)
+        _carry_on(raw[:, -1] + carry, self.carry, k0, s0 + m)
+
+    def result(self) -> np.ndarray:
+        return self.out
 
 
 def geometric_checkpoints(N: int, ratio: float = 1.3) -> tuple[int, ...]:
@@ -50,33 +138,6 @@ class PathConfig:
         object.__setattr__(self, "checkpoints", cps)
 
 
-def _walk_norms(dist, space, points, gen) -> np.ndarray:
-    """||S_n|| at the given sorted checkpoints, streaming in blocks."""
-    d = dist.dim
-    carry = np.zeros(d)
-    out = np.empty(len(points))
-    idx = 0
-    N = points[-1]
-    for lo in range(0, N, BLOCK):
-        hi = min(lo + BLOCK, N)
-        csum = np.cumsum(dist.sample(gen, hi - lo), axis=0)
-        csum += carry
-        carry = csum[-1].copy()
-        if not np.all(np.isfinite(carry)):
-            raise ArithmeticError(f"partial sum overflowed near step {hi}")
-        while idx < len(points) and points[idx] <= hi:
-            out[idx] = norm(csum[points[idx] - lo - 1], space)
-            idx += 1
-    return out
-
-
-def _path_chunk(dist, space, points, seed, purpose, lo, hi):
-    rows = np.empty((hi - lo, len(points)))
-    for k, trial in enumerate(range(lo, hi)):
-        rows[k] = _walk_norms(dist, space, points, _rng.substream(seed, purpose, trial))
-    return rows
-
-
 @dataclass(frozen=True)
 class PathResult:
     """Normalized checkpoint ratios ||S_n||/a_n, one row per trial."""
@@ -98,11 +159,8 @@ def run_path(dist, space: SpaceSpec, h: SlowVaryFn, config: PathConfig, workers:
     """Simulate trials of S_n and record ||S_n||/a_n at the checkpoints."""
     points = config.checkpoints
     a_vals = NormalizerSeq(h).values(np.asarray(points, dtype=float))
-    parts = map_chunks(
-        _path_chunk,
-        [(dist, space, points, config.seed, _rng.MAIN, lo, hi) for lo, hi in chunk_ranges(config.trials)],
-        workers,
-    )
+    parts = map_trials(dist, points[-1], BLOCK, config.seed, _rng.MAIN, config.trials,
+                       CheckpointNorms(space, points), workers)
     norms_mat = np.vstack(parts)
     # a_n = sqrt(n h(n)) is strictly positive for n >= 1
     return PathResult(points, norms_mat / a_vals, a_vals, config.seed)
@@ -113,45 +171,60 @@ def run_path(dist, space: SpaceSpec, h: SlowVaryFn, config: PathConfig, workers:
 # ---------------------------------------------------------------------------
 
 
-def _trunc_chunk(dist, space, c_seq, points, seed, lo, hi):
-    K = len(points)
-    gaps = np.empty((hi - lo, K))
-    last_steps = np.zeros(hi - lo, dtype=np.int64)
-    counts = np.zeros(hi - lo, dtype=np.int64)
-    gap_sups = np.empty(hi - lo)
-    c_at_points = np.asarray(c_seq.values(np.asarray(points, dtype=float)))
-    N = points[-1]
-    for k, trial in enumerate(range(lo, hi)):
-        gen = _rng.substream(seed, _rng.MAIN, trial)
-        carry = np.zeros(dist.dim)
-        carry_t = np.zeros(dist.dim)
-        idx = 0
-        for blo in range(0, N, BLOCK):
-            bhi = min(blo + BLOCK, N)
-            draws = dist.sample(gen, bhi - blo)
-            steps = np.arange(blo + 1, bhi + 1, dtype=float)
-            keep = norms(draws, space) <= c_seq.values(steps)
-            cut = np.nonzero(~keep)[0]
-            if cut.size:
-                counts[k] += cut.size
-                last_steps[k] = blo + cut[-1] + 1
-            csum = np.cumsum(draws, axis=0)
-            csum += carry
-            carry = csum[-1].copy()
-            csum_t = np.cumsum(draws * keep[:, None], axis=0)
-            csum_t += carry_t
-            carry_t = csum_t[-1].copy()
-            if not (np.all(np.isfinite(carry)) and np.all(np.isfinite(carry_t))):
-                raise ArithmeticError(f"partial sum overflowed near step {bhi}")
-            while idx < K and points[idx] <= bhi:
-                j = points[idx] - blo - 1
-                gaps[k, idx] = norm(csum[j] - csum_t[j], space)
-                idx += 1
-        delta = norm(carry - carry_t, space)
-        c_next = float(c_seq.values(np.array([float(last_steps[k] + 1)]))[0])
-        gap_sups[k] = delta / c_next if c_next > 0 else (0.0 if delta == 0 else math.inf)
-    gaps /= c_at_points
-    return gaps, last_steps, counts, gap_sups
+class TruncatedTwin:
+    """Reducer: S_n against its twin S'_n, which drops each draw with ||X_k|| > c_k.
+
+    The truncation levels of a block are evaluated once per chunk.
+    """
+
+    def __init__(self, space: SpaceSpec, c_seq, points):
+        self.space = space
+        self.c_seq = c_seq
+        self.points = np.asarray(points, dtype=np.int64)
+
+    def start(self, trials: int, dim: int) -> None:
+        self.carry = np.zeros((trials, dim))
+        self.carry_t = np.zeros((trials, dim))
+        self.gaps = np.empty((trials, len(self.points)))
+        self.last = np.zeros(trials, dtype=np.int64)
+        self.count = np.zeros(trials, dtype=np.int64)
+        self._span = self._levels = None
+
+    def levels(self, s0: int, m: int) -> np.ndarray:
+        if self._span != (s0, m):
+            self._span = (s0, m)
+            self._levels = self.c_seq.values(np.arange(s0 + 1, s0 + m + 1, dtype=float))
+        return self._levels
+
+    def tile(self, x: np.ndarray, k0: int, s0: int) -> None:
+        b, m, d = x.shape
+        k1 = k0 + b
+        keep = norms(x.reshape(-1, d), self.space).reshape(b, m) <= self.levels(s0, m)
+        cuts = m - keep.sum(axis=1)
+        self.count[k0:k1] += cuts
+        raw = np.cumsum(x, axis=1)
+        if cuts.any():
+            # step of each trial's last dropped draw
+            last = s0 + m - np.argmin(keep[:, ::-1], axis=1)
+            self.last[k0:k1] = np.where(cuts > 0, last, self.last[k0:k1])
+            raw_t = np.cumsum(x * keep[..., None], axis=1)
+        else:
+            raw_t = raw  # x * 1.0 == x, so the twin's sums are the plain ones
+        carry, carry_t = self.carry[k0:k1, None], self.carry_t[k0:k1, None]
+        j0, j1 = np.searchsorted(self.points, (s0, s0 + m), side="right")
+        at = self.points[j0:j1] - s0 - 1
+        gap = (raw[:, at] + carry) - (raw_t[:, at] + carry_t)
+        self.gaps[k0:k1, j0:j1] = norm_rows(gap.reshape(-1, d), self.space).reshape(b, j1 - j0)
+        _carry_on(raw[:, -1] + carry[:, 0], self.carry, k0, s0 + m)
+        _carry_on(raw_t[:, -1] + carry_t[:, 0], self.carry_t, k0, s0 + m)
+
+    def result(self):
+        c_at_points = np.asarray(self.c_seq.values(self.points.astype(float)))
+        delta = norm_rows(self.carry - self.carry_t, self.space)
+        c_next = np.asarray(self.c_seq.values((self.last + 1).astype(float)))
+        with np.errstate(divide="ignore", invalid="ignore"):
+            gap_sup = np.where(c_next > 0, delta / c_next, np.where(delta == 0, 0.0, math.inf))
+        return self.gaps / c_at_points, self.last, self.count, gap_sup
 
 
 @dataclass(frozen=True)
@@ -175,11 +248,8 @@ class TruncResult:
 def truncated_path(dist, space: SpaceSpec, c_seq, config: PathConfig, workers: int = 1) -> TruncResult:
     """Run S_n against its truncated twin S'_n (draws of norm above c_n dropped)."""
     points = config.checkpoints
-    parts = map_chunks(
-        _trunc_chunk,
-        [(dist, space, c_seq, points, config.seed, lo, hi) for lo, hi in chunk_ranges(config.trials)],
-        workers,
-    )
+    parts = map_trials(dist, points[-1], BLOCK, config.seed, _rng.MAIN, config.trials,
+                       TruncatedTwin(space, c_seq, points), workers)
     return TruncResult(
         checkpoints=points,
         gap_curve=np.vstack([p[0] for p in parts]),
@@ -219,11 +289,7 @@ def mean_norm_curve(dist, space: SpaceSpec, c_seq, n_grid, trials: int, seed: in
     points = tuple(int(n) for n in np.asarray(n_grid))
     if len(points) == 0 or any(b <= a for a, b in zip(points, points[1:])) or points[0] < 1:
         raise ValueError("n_grid must be strictly increasing positive integers")
-    parts = map_chunks(
-        _path_chunk,
-        [(dist, space, points, seed, _rng.CURVE, lo, hi) for lo, hi in chunk_ranges(trials)],
-        workers,
-    )
+    parts = map_trials(dist, points[-1], BLOCK, seed, _rng.CURVE, trials, CheckpointNorms(space, points), workers)
     norms_mat = np.vstack(parts)
     c_vals = np.asarray(c_seq.values(np.asarray(points, dtype=float)))
     ratios = norms_mat / c_vals

@@ -67,7 +67,27 @@ def norms(rows: np.ndarray, space: SpaceSpec) -> np.ndarray:
         return np.sqrt(np.einsum("ij,ij->i", arr, arr))
     if p == 1.0:
         return np.abs(arr).sum(axis=1)
-    return np.abs(arr).max(axis=1)
+    # column by column: exact, and much cheaper than a reduction over a short axis
+    mags = np.abs(arr)
+    out = mags[:, 0].copy()
+    for j in range(1, arr.shape[1]):
+        np.maximum(out, mags[:, j], out=out)
+    return out
+
+
+def norm_rows(rows: np.ndarray, space: SpaceSpec) -> np.ndarray:
+    """`norm` of each row of an (N, dim) array, bit for bit.
+
+    For p = 2, `norm` squares through a BLAS dot product and `norms`
+    through einsum, which round differently once dim >= 2; a stack of
+    vector products goes through the same dot as `norm`.
+    """
+    arr = np.ascontiguousarray(rows, dtype=float)
+    if space.norm_p != 2.0:
+        return norms(arr, space)
+    if arr.ndim != 2 or arr.shape[1] != space.dim:
+        raise ValueError(f"expected (N, {space.dim}) array, got shape {arr.shape}")
+    return np.sqrt(np.matmul(arr[:, None, :], arr[:, :, None])[:, 0, 0])
 
 
 def _validated_sym(matrix: np.ndarray, what: str) -> np.ndarray:

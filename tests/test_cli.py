@@ -211,6 +211,21 @@ class TestExitCodes:
             doc = json.load(fh)
         assert doc["report"]["any_violation"] is True
 
+    @pytest.mark.parametrize("argv, artifact", [
+        (["lil-sim", "--dist", "gauss:dim=1,var=1", "--space", "1,2", "--h", "2*(LL)^1",
+          "--N", "200", "--trials", "1100"], "sim.json"),
+        (["fn-verify", "--dist", "rademacher:dim=3", "--space", "3,inf", "--n", "20",
+          "--trials", "1100"], "verify.json"),
+    ])
+    def test_workers_flag_does_not_change_artifact_bytes(self, tmp_path, argv, artifact):
+        # more than one chunk of trials, so --workers 2 really starts a pool
+        written = []
+        for workers in ("1", "2"):
+            assert cli.main(argv + ["--seed", "3", "--workers", workers, "--out", str(tmp_path)]) == 0
+            written.append((tmp_path / artifact).read_bytes())
+        assert written[0] == written[1]
+        assert json.loads(written[0])["resolved_spec"]["workers"] is None
+
     def test_workers_env_does_not_change_results(self, tmp_path, monkeypatch):
         argv = [
             "lil-sim", "--dist", "gauss:dim=1,var=1", "--space", "1,2",

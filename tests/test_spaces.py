@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis.extra import numpy as hnp
 
 from lil_lab.spaces import (
     EmpiricalTSM,
@@ -12,6 +14,7 @@ from lil_lab.spaces import (
     TruncatedCov,
     dual_ball_sup,
     norm,
+    norm_rows,
     norms,
     trunc_cov_empirical,
     truncated_second_moment,
@@ -50,6 +53,23 @@ class TestNorms:
     def test_dimension_mismatch_rejected(self):
         with pytest.raises(ValueError):
             norm(np.ones(4), SpaceSpec(3, 2.0))
+
+    @given(hnp.arrays(np.float64, hnp.array_shapes(min_dims=2, max_dims=2, min_side=0, max_side=20)
+                      .filter(lambda s: s[1] >= 1)))
+    @settings(max_examples=100, deadline=None)
+    def test_sup_norms_match_reduction_bit_for_bit(self, x):
+        out = norms(x, SpaceSpec(x.shape[1], math.inf))
+        ref = np.abs(x).max(axis=1)
+        assert out.dtype == ref.dtype and out.shape == ref.shape
+        np.testing.assert_array_equal(out, ref)
+        assert np.array_equal(np.signbit(out), np.signbit(ref))
+
+    @pytest.mark.parametrize("p", [1.0, 2.0, math.inf])
+    @pytest.mark.parametrize("d", [1, 3, 7, 20])
+    def test_norm_rows_match_norm_bit_for_bit(self, p, d):
+        rows = np.random.default_rng(d).standard_normal((200, d)) * np.geomspace(1e-3, 1e3, 200)[:, None]
+        space = SpaceSpec(d, p)
+        np.testing.assert_array_equal(norm_rows(rows, space), [norm(v, space) for v in rows])
 
     def test_unsupported_exponent_rejected(self):
         with pytest.raises(ValueError):
