@@ -21,6 +21,7 @@ at the endpoints; INCONCLUSIVE probes are surfaced, never hidden.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -253,13 +254,22 @@ def _finish_bracket(lo, hi, classify, probes, note) -> Bracket:
 
 
 def c0_compute(h: SlowVaryFn, H_fn, tol: float = 0.02, probe: SeriesProbe = DEFAULT_PROBE) -> Bracket:
-    """Bracket the series threshold c0 = inf{c >= 0 : series converges}."""
-    return _threshold_bracket(lambda c: series_classify(c, h, H_fn, probe), tol)
+    """Bracket the series threshold c0 = inf{c >= 0 : series converges}.
+
+    Every probe of the search evaluates H at the same points a_n, so H is
+    evaluated once per point and reused.
+    """
+    H_once = functools.cache(H_fn)
+    return _threshold_bracket(lambda c: series_classify(c, h, H_once, probe), tol)
 
 
 def alpha0_compute(c_seq, H_fn, tol: float = 0.02, probe: SeriesProbe = DEFAULT_PROBE) -> Bracket:
-    """Bracket the divergence threshold alpha0 for a general c_n sequence."""
-    return _threshold_bracket(lambda a: alpha_series_classify(a, c_seq, H_fn, probe), tol)
+    """Bracket the divergence threshold alpha0 for a general c_n sequence.
+
+    As in `c0_compute`, H is evaluated once per probe point.
+    """
+    H_once = functools.cache(H_fn)
+    return _threshold_bracket(lambda a: alpha_series_classify(a, c_seq, H_once, probe), tol)
 
 
 # ---------------------------------------------------------------------------
@@ -290,7 +300,8 @@ def lambda_compute(h: SlowVaryFn, H_fn, x_grid=None) -> LambdaResult:
     """Estimate lambda^2 = limsup_x 2 psi_inv(x LLx) H(x) / (x^2 LLx).
 
     Evaluation is log-domain throughout; psi_inv at arguments far above
-    the float ceiling stays representable as a log.  The limsup estimate
+    the float ceiling stays representable as a log, and one call of the
+    vectorised `psi_inv_log` inverts the whole grid.  The limsup estimate
     is the running maximum of the curve over the last quarter of the
     grid; `last_value` is reported next to it so a still-climbing curve
     is visible.  A tail that keeps growing like a power of LLx flags the
@@ -306,10 +317,13 @@ def lambda_compute(h: SlowVaryFn, H_fn, x_grid=None) -> LambdaResult:
     if np.any(hv < 0):
         raise ValueError("H must be nonnegative")
     log_g = np.full(grid.shape, -np.inf)
-    pos = hv > 0
-    for i in np.nonzero(pos)[0]:
-        inv_log = psi_inv_log(h, log_x[i] + math.log(llx[i]))
-        log_g[i] = math.log(2.0) + inv_log + math.log(hv[i]) - 2.0 * log_x[i] - math.log(llx[i])
+    pos = np.nonzero(hv > 0)[0]
+    # math.log, not np.log: the curve keeps libm's bits whichever SIMD log
+    # numpy dispatches to.
+    log_llx = np.array([math.log(v) for v in llx[pos]])
+    log_hv = np.array([math.log(v) for v in hv[pos]])
+    inv_log = psi_inv_log(h, log_x[pos] + log_llx)
+    log_g[pos] = math.log(2.0) + inv_log + log_hv - 2.0 * log_x[pos] - log_llx
     with np.errstate(over="ignore"):
         curve = np.exp(log_g)
     w = max(4, grid.size // 4)

@@ -9,7 +9,6 @@ Each family exposes the same small surface:
     tail_prob_norm(t, space)  P{||X|| > t} when known in closed form, or None
     is_centered               True when E X exists and equals 0
     describe()                round-trippable text form
-    scaled(c)                 the law of c X
 
 Families without an analytic truncated covariance return None and the
 caller falls back to the empirical estimator in `spaces`.
@@ -98,9 +97,6 @@ class Gaussian:
         rows = "/".join(_vec_text(row) for row in self.cov)
         return f"gauss:cov={rows}"
 
-    def scaled(self, c: float) -> "Gaussian":
-        return Gaussian(self.cov * c * c)
-
 
 class RademacherProduct:
     """Independent signs times fixed per-coordinate scales.
@@ -137,9 +133,6 @@ class RademacherProduct:
         if np.all(self.scales == 1.0):
             return f"rademacher:dim={self.dim}"
         return f"rademacher:scales={_vec_text(self.scales)}"
-
-    def scaled(self, c: float) -> "RademacherProduct":
-        return RademacherProduct(self.scales * c)
 
 
 class RadialPareto:
@@ -194,9 +187,6 @@ class RadialPareto:
     def describe(self) -> str:
         return f"pareto:a={_fmt_num(self.a)},dim={self.dim},scale={_fmt_num(self.scale)}"
 
-    def scaled(self, c: float) -> "RadialPareto":
-        return RadialPareto(self.a, self.dim, self.scale * c)
-
 
 class PointMass:
     """Deterministic X = v.  Mostly a degenerate test fixture."""
@@ -225,9 +215,6 @@ class PointMass:
 
     def describe(self) -> str:
         return f"point:v={_vec_text(self.vector)}"
-
-    def scaled(self, c: float) -> "PointMass":
-        return PointMass(self.vector * c)
 
 
 class ScalarEmbedded:
@@ -268,9 +255,6 @@ class ScalarEmbedded:
 
     def describe(self) -> str:
         return f"embed:dim={self.dim},axis={self.axis},inner=({self.inner.describe()})"
-
-    def scaled(self, c: float) -> "ScalarEmbedded":
-        return ScalarEmbedded(self.inner.scaled(c), self.axis, self.dim)
 
 
 # ---------------------------------------------------------------------------
@@ -325,7 +309,7 @@ def parse_dist(text: str):
     """
     squeezed = text.strip().replace(" ", "")
     name, sep, body = squeezed.partition(":")
-    if not sep and name not in ():
+    if not sep:
         raise ValueError(f"distribution spec needs 'family:args', got {text!r}")
     pairs = _split_pairs(body)
 

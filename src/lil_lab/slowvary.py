@@ -22,12 +22,14 @@ cheap at any scale; this matters because the normalizer
 and its inverse are routinely evaluated at arguments near the float
 ceiling (series probes walk x past 1e36, limit-constant grids past
 1e290), so all root finding here happens on log-scale arguments.
+`psi_inv_log` is the one psi-inverse solver; it bisects a whole array of
+log-scale targets at once, each element to its own tolerance.
 """
 from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -35,10 +37,6 @@ from .spaces import SpaceSpec, norms
 
 #: Absolute bisection tolerance on log-scale arguments.
 LOG_BISECT_TOL = 1e-12
-
-#: Diagnostic grid for the slow-variation sanity ratio h(2t)/h(t).
-DIAG_GRID = tuple(10.0 ** k for k in range(1, 13))
-DIAG_TOL = 0.05
 
 
 def _fmt(x: float) -> str:
@@ -179,30 +177,6 @@ class SlowVaryFn:
             parts.append(f"exp({inner})" if coeff == 1.0 else f"exp({_fmt(coeff)}*{inner})")
         return "*".join(parts)
 
-    def slow_variation_diagnostic(self) -> "SlowVariationDiagnostic":
-        """Sanity ratio h(2t)/h(t) on the 10^k diagnostic grid.
-
-        Membership in the class is certified by construction; this check
-        only reports how close to 1 the doubling ratio has come by the
-        end of the grid.  exp((Lt)^b) members with b near 1 converge too
-        slowly to satisfy the 5% tolerance at t = 1e12, so a failed check
-        is a warning, not an error.
-        """
-        grid = np.array(DIAG_GRID)
-        ratios = np.exp(self.log_value(2 * grid) - self.log_value(grid))
-        dev = float(abs(ratios[-1] - 1.0))
-        return SlowVariationDiagnostic(
-            grid=grid, ratios=ratios, final_deviation=dev, within_tol=dev <= DIAG_TOL
-        )
-
-
-@dataclass(frozen=True)
-class SlowVariationDiagnostic:
-    grid: np.ndarray
-    ratios: np.ndarray
-    final_deviation: float
-    within_tol: bool
-
 
 # ---------------------------------------------------------------------------
 # Text form.  Grammar: product of factors separated by top-level '*', each
@@ -285,85 +259,69 @@ def psi(h: SlowVaryFn, x):
     return float(out) if np.ndim(x) == 0 else out
 
 
-def psi_inv_log(h: SlowVaryFn, log_y: float) -> float:
+def psi_inv_log(h: SlowVaryFn, log_y):
     """log of psi^{-1}(y) given log y, by bisection on the log scale.
 
-    psi is strictly increasing with d(log psi)/d(log x) >= 1/2, so the
-    root is unique.  The bracket doubles outward on the log scale and the
-    bisection runs to LOG_BISECT_TOL absolute.
+    The one psi-inverse solver: `psi_inv`, `psi_inv_array` and the lambda
+    grid all go through it.  Accepts a scalar (returns a float) or an
+    array (returns an array of the same shape).  psi is strictly
+    increasing with d(log psi)/d(log x) >= 1/2, so each root is unique.
+    Every element runs the same search on its own: the bracket [-1, 1]
+    doubles outward on the log scale, then halves until its own width is
+    at most LOG_BISECT_TOL, so an element's result does not depend on the
+    other elements.  log y = -inf (y = 0) and +inf map to themselves;
+    NaN raises ValueError.
     """
-    w = float(log_y)
-
-    def phi(u: float) -> float:
-        return 0.5 * (u + h.log_value_from_log(u))
-
-    hi = 1.0
-    while phi(hi) < w:
-        hi *= 2.0
-        if hi > 1e9:
-            raise ArithmeticError("psi_inv bracket blew up; malformed normalizer")
-    lo = -1.0
-    while phi(lo) > w:
-        lo *= 2.0
-        if lo < -1e9:
-            raise ArithmeticError("psi_inv bracket blew up; malformed normalizer")
-    while hi - lo > LOG_BISECT_TOL:
-        mid = 0.5 * (lo + hi)
-        if phi(mid) < w:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
-
-
-def psi_inv(h: SlowVaryFn, y: float) -> float:
-    """psi^{-1}(y) for y >= 0.  May overflow to inf for extreme y."""
-    if y < 0:
-        raise ValueError("psi_inv is defined for y >= 0")
-    if y == 0:
-        return 0.0
-    u = psi_inv_log(h, math.log(y))
-    return math.exp(u) if u < 709.0 else math.inf
-
-
-def psi_inv_array(h: SlowVaryFn, y: np.ndarray) -> np.ndarray:
-    """Vectorized psi^{-1} by simultaneous bisection over the array."""
-    arr = np.asarray(y, dtype=float)
-    if np.any(arr < 0):
-        raise ValueError("psi_inv is defined for y >= 0")
-    pos = arr > 0
-    out = np.zeros_like(arr)
-    if not pos.any():
-        return out
-    with np.errstate(divide="ignore"):
-        w = np.log(arr[pos])
+    w = np.asarray(log_y, dtype=float)
+    if np.isnan(w).any():
+        raise ValueError("psi_inv is undefined at NaN")
+    out = w.copy()  # keeps the infinite elements
+    fin = np.isfinite(w)
+    wf = w[fin]
 
     def phi(u: np.ndarray) -> np.ndarray:
         return 0.5 * (u + h.log_value_from_log(u))
 
-    hi = np.ones_like(w)
-    for _ in range(64):
-        need = phi(hi) < w
-        if not need.any():
-            break
+    hi = np.ones_like(wf)
+    while (need := phi(hi) < wf).any():
         hi[need] *= 2.0
-    lo = -np.ones_like(w)
-    for _ in range(64):
-        need = phi(lo) > w
-        if not need.any():
-            break
+        if hi.max() > 1e9:
+            raise ArithmeticError("psi_inv bracket blew up; malformed normalizer")
+    lo = -np.ones_like(wf)
+    while (need := phi(lo) > wf).any():
         lo[need] *= 2.0
-    # 64 halvings from any bracket reached above land below LOG_BISECT_TOL
-    # only for narrow starts, so iterate until the widest gap is done.
-    while float(np.max(hi - lo)) > LOG_BISECT_TOL:
-        mid = 0.5 * (lo + hi)
-        below = phi(mid) < w
-        lo = np.where(below, mid, lo)
-        hi = np.where(below, hi, mid)
-    u = 0.5 * (lo + hi)
+        if lo.min() < -1e9:
+            raise ArithmeticError("psi_inv bracket blew up; malformed normalizer")
+    active = np.nonzero(hi - lo > LOG_BISECT_TOL)[0]
+    while active.size:
+        left, right = lo[active], hi[active]
+        mid = 0.5 * (left + right)
+        below = phi(mid) < wf[active]
+        lo[active] = np.where(below, mid, left)
+        hi[active] = np.where(below, right, mid)
+        active = active[hi[active] - lo[active] > LOG_BISECT_TOL]
+    out[fin] = 0.5 * (lo + hi)
+    return float(out) if out.ndim == 0 else out
+
+
+def psi_inv(h: SlowVaryFn, y):
+    """psi^{-1}(y) for y >= 0, scalar or array; psi^{-1}(0) = 0.
+
+    Results past the float ceiling overflow to inf, and inf maps to inf.
+    """
+    arr = np.asarray(y, dtype=float)
+    if np.any(arr < 0):
+        raise ValueError("psi_inv is defined for y >= 0")
+    with np.errstate(divide="ignore"):
+        u = psi_inv_log(h, np.log(arr))
     with np.errstate(over="ignore"):
-        out[pos] = np.exp(u)
-    return out
+        out = np.exp(u)
+    return float(out) if np.ndim(y) == 0 else out
+
+
+def psi_inv_array(h: SlowVaryFn, y) -> np.ndarray:
+    """`psi_inv` that always returns an array."""
+    return np.asarray(psi_inv(h, y))
 
 
 # ---------------------------------------------------------------------------

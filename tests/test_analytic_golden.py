@@ -1,0 +1,75 @@
+"""Golden digests of the analytic route.
+
+Each case builds the inputs of one `lil-lab constants` scenario of the
+benchmark's analytic sweep the way the CLI does (seed 0, default tol,
+no Monte Carlo) and hashes the sorted-key JSON of `constants_report`.
+Three cases also hash the raw `lambda_compute` curve.  The digests were
+recorded from the scalar per-point psi-inverse and the uncached bracket
+searches that preceded the vectorised solver, so any change to a
+bracket, a probe verdict or the last bit of a curve value shows up here.
+"""
+
+import hashlib
+import json
+
+import numpy as np
+import pytest
+
+from lil_lab.cli import parse_space
+from lil_lab.constants import constants_report, lambda_compute, parse_tsm
+from lil_lab.distributions import parse_dist
+from lil_lab.slowvary import parse_cseq, parse_slow_vary
+
+# name: (h, H, dist, space, c_seq)
+SCENARIOS = {
+    "c1-const": ("2*(LL)^1", "const:1", None, "1,2", None),
+    "c2-const-cseq": ("2*(LL)^1", "const:1", None, "1,2", "psi:2*(LL)^1"),
+    "c3-llpow": ("2*(LL)^1.5", "llpow:0.5", None, "1,2", None),
+    "c4-llpow": ("2*(LL)^3", "llpow:2", None, "1,2", None),
+    "c5-dist-gauss1": ("2*(LL)^1", "dist", "gauss:dim=1,var=1", "1,2", "psi:2*(LL)^1"),
+    "c6-dist-gauss2": ("2*(LL)^1", "dist", "gauss:dim=2,var=1", "2,2", None),
+    "c7-dist-rademacher": ("2*(LL)^1", "dist", "rademacher:dim=5", "5,1", "pow:0.5"),
+    "c8-explog": ("exp((L)^0.5)", "const:1", None, "1,2", None),
+}
+
+REPORT_DIGESTS = {
+    "c1-const": "e2da8634105f05f430d8ae3bf36679ede4b2ea7c580c5a48ff06392e6ffc8b8e",
+    "c2-const-cseq": "cb8a7ff1de54d49337a71900b26e1d9d1b8e22d8d6858f2c499ccd7f80a255e4",
+    "c3-llpow": "e80d4198af6445e3adfb6d0be04ca64fb838b2e044b2791885b9ccd7ed517d8f",
+    "c4-llpow": "32875cf0808f17a8335920c831530615b7c80cebf2be38d3c71631b7a54dcbfc",
+    "c5-dist-gauss1": "cb8a7ff1de54d49337a71900b26e1d9d1b8e22d8d6858f2c499ccd7f80a255e4",
+    "c6-dist-gauss2": "08a31eb300e6b1d201955c2f5debf00e90b7e19a5149531f1813b146a4536b17",
+    "c7-dist-rademacher": "221fb6277661e44da5427aed0cbd22cf960cf791f579401217944015da46637d",
+    "c8-explog": "e5f6c24428e03d67ae3b0fa9d68a2992b70c6e3e58d1601e9a0f58a49537c4fe",
+}
+
+CURVE_DIGESTS = {
+    "c3-llpow": "df6df506021ee359c0c69f7e93c8a7815fdebc840e3dc8dddb3a5cf5c33f569a",
+    "c7-dist-rademacher": "2dc3bbef1b60d44ab3e66536a87e08baf1416a1fc902f35b1924db384584309e",
+    "c8-explog": "f1881e5a29f5dafb3fe52bc6575ea6403fc69e27d3662f317a12dfa4bebb2a69",
+}
+
+
+def _inputs(name):
+    h_text, H_text, dist_text, space_text, cseq_text = SCENARIOS[name]
+    space = parse_space(space_text)
+    dist = parse_dist(dist_text) if dist_text else None
+    H_fn = parse_tsm(H_text, dist=dist, space=space, rng=np.random.default_rng(0))
+    c_seq = parse_cseq(cseq_text) if cseq_text else None
+    return parse_slow_vary(h_text), H_fn, dist, space, c_seq
+
+
+@pytest.mark.parametrize("name", sorted(REPORT_DIGESTS))
+def test_constants_report_digest(name):
+    h, H_fn, dist, space, c_seq = _inputs(name)
+    doc = constants_report(h, H_fn, c_seq=c_seq, dist=dist, space=space).to_json_dict()
+    data = json.dumps(doc, sort_keys=True).encode()
+    assert hashlib.sha256(data).hexdigest() == REPORT_DIGESTS[name]
+
+
+@pytest.mark.parametrize("name", sorted(CURVE_DIGESTS))
+def test_lambda_curve_digest(name):
+    h, H_fn, *_ = _inputs(name)
+    curve = lambda_compute(h, H_fn).curve
+    assert curve.dtype == np.float64
+    assert hashlib.sha256(curve.tobytes()).hexdigest() == CURVE_DIGESTS[name]

@@ -93,6 +93,22 @@ class TestThresholdBrackets:
         cs = [p[0] for p in br.probes]
         assert all(c >= 0 for c in cs)
 
+    def test_h_evaluated_once_per_probe_point(self):
+        seen = []
+
+        def H(t):
+            seen.append(t)
+            return 1.0
+
+        br = c0_compute(parse_slow_vary("2*(LL)^1"), H)
+        assert len(br.probes) >= 4
+        assert len(seen) == len(set(seen)) == 120  # j_max probe points
+        assert br == c0_compute(parse_slow_vary("2*(LL)^1"), ConstTSM(1.0))
+        seen.clear()
+        br = alpha0_compute(parse_cseq("psi:2*(LL)^1"), H)
+        assert len(seen) == len(set(seen)) == 120
+        assert br == alpha0_compute(parse_cseq("psi:2*(LL)^1"), ConstTSM(1.0))
+
     def test_alpha_threshold_matches_scalar_variance(self):
         H = DistTSM(Gaussian(1.0), SpaceSpec(1, 2.0))
         br = alpha0_compute(parse_cseq("psi:2*(LL)^1"), H)

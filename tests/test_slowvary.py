@@ -4,11 +4,12 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from lil_lab.slowvary import (
     INCONCLUSIVE,
+    LOG_BISECT_TOL,
     MEMBER,
     NON_MEMBER,
     NormalizerSeq,
@@ -83,6 +84,18 @@ class TestParserAndAlgebra:
             parse_slow_vary("-2*(LL)^1")
 
 
+@st.composite
+def normal_forms(draw):
+    """Random members of the normal form c (Lt)^r (LLt)^p prod exp(a (Lt)^b)."""
+    terms = draw(st.lists(st.tuples(st.floats(0.05, 2.0), st.floats(0.05, 0.95)), max_size=2))
+    return SlowVaryFn(
+        const=draw(st.floats(0.1, 10.0)),
+        log_pow=draw(st.sampled_from([0.0, 0.5, 1.0, 2.5])),
+        loglog_pow=draw(st.floats(0.0, 3.0)),
+        exp_terms=tuple(terms),
+    )
+
+
 class TestPsiAndInverse:
     def test_round_trip_across_scales(self):
         h = parse_slow_vary("2*(LL)^1")
@@ -90,12 +103,74 @@ class TestPsiAndInverse:
             y = psi(h, x)
             assert psi_inv(h, y) == pytest.approx(x, rel=1e-10)
 
-    def test_vectorized_matches_scalar(self):
-        h = parse_slow_vary("0.5*(L)^1*(LL)^2")
-        ys = np.geomspace(10.0, 1e140, 13)
-        np.testing.assert_allclose(
-            psi_inv_array(h, ys), [psi_inv(h, float(y)) for y in ys], rtol=1e-10
-        )
+    @given(h=normal_forms(), w=st.floats(-30.0, 690.0))
+    @settings(max_examples=60, deadline=None)
+    def test_round_trip_property(self, h, w):
+        log_x = psi_inv_log(h, w)
+        assert log_psi(h, log_x) == pytest.approx(w, abs=1e-9)
+        x = psi_inv(h, math.exp(w))
+        if x < math.inf:
+            assert psi(h, x) == pytest.approx(math.exp(w), rel=1e-9)
+
+    @given(h=normal_forms(), ys=st.lists(st.floats(0.0, 1e300), min_size=1, max_size=12))
+    @example(h=parse_slow_vary("0.5*(L)^1*(LL)^2"), ys=list(np.geomspace(10.0, 1e140, 13)))
+    @settings(max_examples=40, deadline=None)
+    def test_vectorized_matches_scalar(self, h, ys):
+        assert np.array_equal(psi_inv_array(h, ys), [psi_inv(h, float(y)) for y in ys])
+
+    @given(h=normal_forms(), ws=st.lists(st.floats(-30.0, 690.0), min_size=1, max_size=8))
+    @settings(max_examples=30, deadline=None)
+    def test_matches_sequential_bisection(self, h, ws):
+        def phi(u):
+            return 0.5 * (u + h.log_value_from_log(np.array([u]))[0])
+
+        def sequential(w):
+            hi, lo = 1.0, -1.0
+            while phi(hi) < w:
+                hi *= 2.0
+            while phi(lo) > w:
+                lo *= 2.0
+            while hi - lo > LOG_BISECT_TOL:
+                mid = 0.5 * (lo + hi)
+                if phi(mid) < w:
+                    lo = mid
+                else:
+                    hi = mid
+            return 0.5 * (lo + hi)
+
+        assert np.array_equal(psi_inv_log(h, np.array(ws)), [sequential(w) for w in ws])
+
+    def test_nan_raises(self):
+        h = parse_slow_vary("2*(LL)^1")
+        with pytest.raises(ValueError):
+            psi_inv(h, math.nan)
+        with pytest.raises(ValueError):
+            psi_inv_log(h, math.nan)
+        with pytest.raises(ValueError):
+            psi_inv_array(h, [1.0, math.nan])
+
+    def test_infinite_arguments_map_to_infinity(self):
+        h = parse_slow_vary("2*(LL)^1")
+        assert psi_inv(h, math.inf) == math.inf
+        assert np.array_equal(psi_inv_array(h, [math.inf, 0.0, 4.0]), [math.inf, 0.0, psi_inv(h, 4.0)])
+        assert psi_inv_log(h, math.inf) == math.inf
+        assert psi_inv_log(h, -math.inf) == -math.inf
+        assert psi_inv(h, 0.0) == 0.0
+
+    def test_bracket_cap_raises_for_any_element(self):
+        h = parse_slow_vary("2*(LL)^1")
+        with pytest.raises(ArithmeticError):
+            psi_inv_log(h, 1e300)
+        with pytest.raises(ArithmeticError):
+            psi_inv_log(h, np.array([1.0, 1e300]))
+
+    def test_scalar_in_scalar_out(self):
+        h = parse_slow_vary("2*(LL)^1")
+        assert type(psi_inv_log(h, 3.0)) is float
+        assert type(psi_inv(h, 3.0)) is float
+        out = psi_inv_log(h, np.array([[3.0, 4.0]]))
+        assert out.shape == (1, 2)
+        assert out[0, 1] == psi_inv_log(h, 4.0)
 
     def test_log_form_reaches_beyond_overflow(self):
         h = parse_slow_vary("2*(LL)^1")
