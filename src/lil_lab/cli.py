@@ -3,7 +3,9 @@
 Subcommands: hclass, constants, fn-bound, fn-verify, lil-sim, report.
 Every run resolves its inputs into a flat spec dict (unknown keys are
 rejected), executes, and writes a JSON artifact that embeds the resolved
-spec and seed, so any artifact can be re-run byte-identically:
+spec and seed, so any artifact can be re-run byte-identically, plus a
+`provenance` block (library, numpy and random-stream versions) that a
+re-run ignores:
 
     lil-lab constants --h "2*(LL)^1" --H const:1 --out runs/demo
     lil-lab run runs/demo/constants.json
@@ -21,7 +23,8 @@ import sys
 
 import numpy as np
 
-from . import bounds, constants, simulate, slowvary
+from . import __version__, bounds, constants, simulate, slowvary
+from . import rng as _rng
 from .distributions import parse_dist
 from .spaces import SpaceSpec
 
@@ -391,6 +394,11 @@ _EXECUTORS = {
 }
 
 
+def _provenance() -> dict:
+    """What produced an artifact: the library, numpy and random-stream versions."""
+    return {"lil_lab": __version__, "numpy": np.__version__, "rng_stream": _rng._TAG.decode()}
+
+
 def execute(spec: dict) -> int:
     """Validate and run one resolved spec; write artifacts; return exit code."""
     spec = validate_spec(spec)
@@ -407,7 +415,7 @@ def execute(spec: dict) -> int:
         artifact_path = os.path.join(out_dir, _ARTIFACT_NAMES[spec["kind"]])
     # The worker count never changes a result, so the artifact records none:
     # runs at any --workers write the same bytes.
-    artifact = {"resolved_spec": {**spec, "workers": None}, "seed": spec["seed"]}
+    artifact = {"resolved_spec": {**spec, "workers": None}, "seed": spec["seed"], "provenance": _provenance()}
     artifact.update(body)
     with open(artifact_path, "w") as fh:
         json.dump(artifact, fh, indent=2, sort_keys=True)

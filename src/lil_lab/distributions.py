@@ -115,7 +115,7 @@ class RademacherProduct:
     is_centered = True
 
     def sample(self, rng: np.random.Generator, n: int) -> np.ndarray:
-        signs = rng.integers(0, 2, size=(n, self.dim)) * 2 - 1
+        signs = rng.integers(0, 2, size=(n, self.dim), dtype=np.int8) * 2 - 1
         return signs * self.scales
 
     def norm_bound(self, space: SpaceSpec) -> float:

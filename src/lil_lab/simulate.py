@@ -5,15 +5,19 @@ kernel that every Monte Carlo estimate in the package runs on.
 hands each tile, as one (trials, steps, dim) array of draws, to a
 reducer: checkpoint norms and the truncated twin here, the running
 maximum with the final norm and the pilot moment sums in `bounds`.
-Tile shape comes only from the path length: a path that is drawn in
-one sample call is tiled max(1, TILE // n) trials at a time; a longer
-path streams in blocks of BLOCK steps, one trial per tile, with O(d)
-carried state, so N in the millions is fine.  The worker count never
-changes a tile.
 
-Every trial still owns the counter-based RNG substream keyed by
-(seed, purpose, trial) -- stream v1, unchanged -- and draws from it
-with the same sample sizes in the same order as a trial-by-trial loop.
+Random streams are version 2 (`lil-lab-stream-v2`): the unit of a
+stream is a fixed group of consecutive trials.  A path drawn in one
+sample call belongs to a group of G(n) trials, G(n) being the largest
+power of two <= max(1, TILE // n), capped at the chunk size; group g
+draws all its G(n) * n steps in one sample call from the substream
+(seed, purpose, g) and is one tile.  A longer path has a group of one
+and streams in blocks of BLOCK steps with O(d) carried state, so N in
+the millions is fine.  G depends only on the path length, never on the
+worker count, the chunking or the number of trials, and a group that is
+cut short by the last trial or a chunk edge still draws in full, so a
+trial's draws are the same whatever else runs.
+
 Float accumulations across trials stay left folds in trial order, so
 results are bit-identical whatever the worker count, the tiling, or the
 order in which chunks execute.
@@ -26,25 +30,28 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import rng as _rng
-from ._pool import chunk_ranges, map_chunks
+from ._pool import CHUNK, chunk_ranges, map_chunks
 from .slowvary import NormalizerSeq, SlowVaryFn
 from .spaces import SpaceSpec, norm_rows, norms
 
 #: Steps generated per streaming block.
 BLOCK = 65536
 
-#: Increments per tile: paths drawn in one block are batched TILE // n trials at a time.
+#: Most increments in one stream group, which is one sample call (see group_size).
 TILE = 16384
 
 
 def stream_trials(dist, n: int, block: int, seed: int, purpose: int, lo: int, hi: int, reducer):
     """Feed trials [lo, hi) of n steps each through `reducer`; return its result.
 
-    Trial t draws its steps from substream (seed, purpose, t) in sample
-    calls of `block` steps.  When one call covers the path, consecutive
-    trials form (trials, n, dim) tiles and share one re-keyed generator.
-    Otherwise the chunk runs block by block, each trial keeping its own
-    generator, one (1, block, dim) tile at a time.
+    When one sample call of `block` steps covers the path, trials come in
+    groups of G = `group_size(n)`: group g makes one call of G * n draws
+    on substream (seed, purpose, g), which is the (G, n, dim) tile of
+    trials gG, ..., gG + G - 1.  A group that reaches past either end of
+    [lo, hi) is drawn whole and only its trials in range are kept.
+    Otherwise every trial t is its own group, keeps its own generator on
+    substream (seed, purpose, t) and runs block by block, one
+    (1, block, dim) tile at a time.
 
     A reducer has `start(trials, dim)`, which resets its state,
     `tile(x, k0, s0)` for the draws of chunk trials k0, k0 + 1, ... at
@@ -53,13 +60,11 @@ def stream_trials(dist, n: int, block: int, seed: int, purpose: int, lo: int, hi
     streams = _rng.TrialStreams(seed, purpose)
     reducer.start(hi - lo, dist.dim)
     if n <= block:
-        per_tile = max(1, TILE // n)
-        tile = np.empty((min(per_tile, hi - lo), n, dist.dim))
-        for t0 in range(lo, hi, per_tile):
-            b = min(per_tile, hi - t0)
-            for k in range(b):
-                tile[k] = dist.sample(streams.reused(t0 + k), n)
-            reducer.tile(tile[:b], t0 - lo, 0)
+        size = group_size(n)
+        for g in range(lo // size, -(-hi // size)):
+            x = dist.sample(streams.reused(g), size * n).reshape(size, n, dist.dim)
+            t0, t1 = max(lo, g * size), min(hi, (g + 1) * size)
+            reducer.tile(x[t0 - g * size : t1 - g * size], t0 - lo, 0)
     else:
         gens = [streams.fresh(t) for t in range(lo, hi)]
         for s0 in range(0, n, block):
@@ -67,6 +72,16 @@ def stream_trials(dist, n: int, block: int, seed: int, purpose: int, lo: int, hi
             for k, gen in enumerate(gens):
                 reducer.tile(dist.sample(gen, m)[None], k, s0)
     return reducer.result()
+
+
+def group_size(n: int) -> int:
+    """Trials per stream group for paths of n steps drawn in one sample call.
+
+    The largest power of two <= max(1, TILE // n), capped at CHUNK; being
+    a power of two no larger than CHUNK, it divides CHUNK, so no chunk
+    boundary splits a group.
+    """
+    return min(CHUNK, 1 << (max(1, TILE // n).bit_length() - 1))
 
 
 def map_trials(dist, n: int, block: int, seed: int, purpose: int, trials: int, reducer, workers: int) -> list:

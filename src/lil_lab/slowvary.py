@@ -138,13 +138,15 @@ class SlowVaryFn:
 
         Uses L(t) = max(log t, 1), which is exactly log(max(t, e)) and
         never needs t itself, so arguments far beyond the float ceiling
-        are fine.
+        are fine.  Powers go through the `np.power` ufunc: `**` on a numpy
+        scalar calls libm `pow`, which can round a scalar differently from
+        the same value inside an array.
         """
         u = np.maximum(np.asarray(log_t, dtype=float), 1.0)  # Lt
         ll = np.log(np.maximum(u, math.e))  # LLt >= 1
         out = math.log(self.const) + self.log_pow * np.log(u) + self.loglog_pow * np.log(ll)
         for coeff, beta in self.exp_terms:
-            out = out + coeff * u**beta
+            out = out + coeff * np.power(u, beta)
         if np.ndim(log_t) == 0:
             return float(out)
         return out

@@ -7,6 +7,7 @@ import types
 import numpy as np
 import pytest
 
+import lil_lab
 from lil_lab import bounds, cli
 
 
@@ -76,8 +77,8 @@ class TestArtifacts:
         assert rc == 0
         with open(tmp_path / "hclass.json") as fh:
             doc = json.load(fh)
-        # resolved spec plus seed plus the body, nothing volatile
-        assert set(doc) == {"resolved_spec", "seed", "report"}
+        # resolved spec, seed, provenance and the body, nothing volatile
+        assert set(doc) == {"resolved_spec", "seed", "provenance", "report"}
         assert doc["seed"] == 0
         assert doc["resolved_spec"]["kind"] == "hclass"
         assert doc["report"]["verdict"] == "MEMBER"
@@ -98,6 +99,20 @@ class TestArtifacts:
         path = tmp_path / "constants.json"
         first = path.read_bytes()
         assert cli.run(str(path)) == 0
+        assert path.read_bytes() == first
+
+    def test_provenance_block(self, tmp_path):
+        argv = ["fn-verify", "--dist", "rademacher:dim=2", "--space", "2,inf", "--n", "30",
+                "--trials", "200", "--out", str(tmp_path)]
+        assert cli.main(argv) == 0
+        path = tmp_path / "verify.json"
+        first = path.read_bytes()
+        doc = json.loads(first)
+        assert doc["provenance"] == {
+            "lil_lab": lil_lab.__version__, "numpy": np.__version__, "rng_stream": "lil-lab-stream-v2",
+        }
+        assert "provenance" not in doc["resolved_spec"]
+        assert cli.main(["run", str(path)]) == 0
         assert path.read_bytes() == first
 
     def test_run_override_changes_seed(self, tmp_path):
@@ -225,6 +240,21 @@ class TestExitCodes:
             written.append((tmp_path / artifact).read_bytes())
         assert written[0] == written[1]
         assert json.loads(written[0])["resolved_spec"]["workers"] is None
+
+    @pytest.mark.parametrize("argv, artifact", [
+        # 1100 trials: two chunks, and a last stream group of 12 trials
+        # (groups of 16 paths of 1000 steps, of 64 paths of 200 steps)
+        (["lil-sim", "--dist", "gauss:dim=2,var=1", "--space", "2,2", "--h", "2*(LL)^1",
+          "--N", "1000", "--trials", "1100"], "sim.json"),
+        (["fn-verify", "--dist", "rademacher:dim=3", "--space", "3,inf", "--n", "200",
+          "--trials", "1100"], "verify.json"),
+    ])
+    def test_run_at_other_workers_is_byte_identical(self, tmp_path, argv, artifact):
+        assert cli.main(argv + ["--seed", "8", "--workers", "1", "--out", str(tmp_path)]) == 0
+        path = tmp_path / artifact
+        first = path.read_bytes()
+        assert cli.main(["run", str(path), "--workers", "2"]) == 0
+        assert path.read_bytes() == first
 
     def test_workers_env_does_not_change_results(self, tmp_path, monkeypatch):
         argv = [

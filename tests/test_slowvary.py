@@ -164,6 +164,14 @@ class TestPsiAndInverse:
         with pytest.raises(ArithmeticError):
             psi_inv_log(h, np.array([1.0, 1e300]))
 
+    @given(h=normal_forms(), xs=st.lists(st.floats(-10.0, 1e6), min_size=1, max_size=24))
+    @settings(max_examples=60, deadline=None)
+    def test_log_value_scalar_matches_array(self, h, xs):
+        # a scalar must round exactly as the same value inside an array
+        scalars = [h.log_value_from_log(x) for x in xs]
+        assert all(type(v) is float for v in scalars)
+        assert np.array_equal(scalars, h.log_value_from_log(np.array(xs)))
+
     def test_scalar_in_scalar_out(self):
         h = parse_slow_vary("2*(LL)^1")
         assert type(psi_inv_log(h, 3.0)) is float

@@ -1,12 +1,15 @@
-"""Golden digests of the v1 random streams.
+"""Golden digests of the v2 random streams, checked against a reference loop.
 
 Each case runs a Monte Carlo entry point at a fixed seed and hashes its
-output arrays (or its report JSON).  The digests were recorded from the
-per-trial loops that preceded the tiled kernel, so any change to the
-draws, to their order, or to the order of a float accumulation shows
-up here.  Trial counts span more than one chunk (1024 trials) and more
-than one tile, and one case runs past a single streaming block.
-Identity covariances keep the Gaussian draws free of BLAS rounding.
+output arrays (or its report JSON).  The digests are those of
+`reference_stream_trials`, a plain loop over the v2 rule -- one stream
+group at a time through `rng.substream(seed, purpose, group)`, fed to
+the reducer one trial at a time -- and the tiled kernel must give the
+same, so any change to the draws, to their order, or to the order of a
+float accumulation shows up here.  Trial counts span more than one
+chunk (1024 trials) and end in a partial stream group, and one case
+runs past a single streaming block.  Identity covariances keep the
+Gaussian draws free of BLAS rounding.
 """
 
 import hashlib
@@ -16,11 +19,13 @@ import math
 import numpy as np
 import pytest
 
-from lil_lab import rng
+from lil_lab import rng, simulate
+from lil_lab._pool import CHUNK
 from lil_lab.bounds import BoundParams, _FinalAndMax, _PilotMoments, mc_verify
 from lil_lab.distributions import Gaussian, RademacherProduct, RadialPareto
 from lil_lab.simulate import (
     BLOCK,
+    TILE,
     CheckpointNorms,
     PathConfig,
     TruncatedTwin,
@@ -35,6 +40,27 @@ from lil_lab.spaces import SpaceSpec
 INF = math.inf
 H = parse_slow_vary("2*(LL)^1")
 PARAMS = BoundParams(eta=1.0, delta=1.0, s=3.0)
+
+
+def reference_stream_trials(dist, n, block, seed, purpose, lo, hi, reducer):
+    """`simulate.stream_trials` written as a plain loop over trials."""
+    reducer.start(hi - lo, dist.dim)
+    if n <= block:
+        # groups of the largest power of two <= max(1, TILE // n), at most CHUNK
+        size = 1
+        while 2 * size <= min(CHUNK, max(1, TILE // n)):
+            size *= 2
+        for t in range(lo, hi):
+            g, k = divmod(t, size)
+            if t == lo or k == 0:
+                group = dist.sample(rng.substream(seed, purpose, g), size * n).reshape(size, n, dist.dim)
+            reducer.tile(group[k : k + 1], t - lo, 0)
+    else:
+        for t in range(lo, hi):
+            gen = rng.substream(seed, purpose, t)
+            for s0 in range(0, n, block):
+                reducer.tile(dist.sample(gen, min(block, n - s0))[None], t - lo, s0)
+    return reducer.result()
 
 
 def _digest(*parts) -> str:
@@ -99,32 +125,83 @@ CASES = {
 }
 
 GOLDEN = {
-    "curve-gauss3-l2": "ad269e5008f73a56d4751a53edafe7d361d4ceab68b8dca95461de0c0ba2dc63",
-    "curve-rademacher5-linf": "09fc965e58e66b3136090c78a2d8fe1aa91a4e7b00c649a6ba41157ec784199b",
-    "path-gauss1-l2": "dcb65992b2d0b2a52ae0d6880b59593c78fad82ca62143b187e7b69088ef599b",
-    "path-gauss3-l1-long": "fcc375078c61ef38341729a29089976fc68803fd77dc2836075fccc8a792c221",
-    "path-gauss3-l2": "da1807c12ebba355c5dc9994396958eb6b2e785ad1772c0e58fd90d638c7b96e",
-    "path-pareto2-l2": "2043981f9f70b18d610a3ccfba6edcd786dd4be01932751bc89c0d925523d8f2",
-    "path-rademacher5-linf": "693964a7ccc39ba6cd62c084552b798436e03e610c33bda3764ba07bab1c1d64",
-    "trunc-gauss1-l2": "2f7c2ebf2e5749ab0cb6b6fa82efe617ac633d1e42a816833b6ad0d1f15a9406",
-    "trunc-gauss3-l1": "7ce8a5f451a2dce3e6e6d61fdb688ed21304ed950a4d35c43b3963664e380fdb",
-    "trunc-pareto2-l2-long": "7b9e4e1699b6043d7de579184c11ad69f0173faf429b6d9c5cc62a8e59c35520",
-    "verify-gauss1-l2": "a1b71a83a4ee70c7df850beedd44a34ac6e6ee39b65d50664969788d4c14ae7b",
-    "verify-gauss3-l1": "775367cad64ab6bf2af4a5a8241d91cbb68e754ab783618b679cb40e87403fd8",
-    "verify-gauss3-l2": "43b0df0e8c1040fe17d9f8abc0c89173009c422fc5fb005697c959b08c7651ba",
-    "verify-pareto2-l2": "8ef8be36e5c1cff6d4d91570cfa5d338113452ba1e5d7d83aafd2dd5a3ade326",
-    "verify-rademacher5-linf": "cb3a2e0c6e882e231bb10214b4ba97d8fd9f587e5c1dd10bbb0c9bed1994555a",
+    "curve-gauss3-l2": "de33599598d7056d2eb61629722f8610a235712c4d9959231a518aeaeecd5994",
+    "curve-rademacher5-linf": "e3bd43c2bd71a9dfadc2d78570e40f0112ce073e06376942ff735118b9e214c0",
+    "path-gauss1-l2": "61e653118b73dfb2c393e529b8fca79e332ced44ded5ff0245deacee5d926912",
+    "path-gauss3-l1-long": "b70791ad4a664d2e8d882e33586ba7bc623bce0535cd1934655454753952faf6",
+    "path-gauss3-l2": "2f483877d99b8a750cb534fa58080f28badf10167628019050476462e45bea26",
+    "path-pareto2-l2": "c3706cbae13e9f76c809b6cc00d5ff12ff5fb4d0faf09c28e70931fd5d6f94df",
+    "path-rademacher5-linf": "c225e01da6fb3c2c3c6eb3691140ba9bce00f99050d7644370c0c2a5c1ce09ab",
+    "trunc-gauss1-l2": "cfa37964c81f337149f63b37d1aa486cd81a0789d4391dbf75a245a4a9510934",
+    "trunc-gauss3-l1": "83089350b67c6a2114a9fa37bb4332f70635562b191085c0e6c7452e090b46e8",
+    "trunc-pareto2-l2-long": "e615ca9323d0453bf893eb6a9821e0fa47e0bcb4115f861c5d7e8d2e30581ddc",
+    "verify-gauss1-l2": "afd0e607e0deb37a48be47a39c3ac096b16aa2c9d3dc19618c7022cd6bd979e1",
+    "verify-gauss3-l1": "9b4e1691cd884f7c11dbd7b011dc89920191d1e10c7024887ebfb1c8017b4513",
+    "verify-gauss3-l2": "f244d2f9ab14bba6d8d51ab664f584d5a134335a15b0c8647e338078325eb978",
+    "verify-pareto2-l2": "f6b746424c91a092790c8cc6701739642616ad6fea15b526f6f806b3dd91d25a",
+    "verify-rademacher5-linf": "8d0bb3899ef6d4864a9cc3852c8065a49c5270ec56547907e25147fb094acff7",
 }
 
 
-def test_stream_tag_is_v1():
-    assert rng._TAG == b"lil-lab-stream-v1"
+def test_stream_tag_is_v2():
+    assert rng._TAG == b"lil-lab-stream-v2"
 
 
 @pytest.mark.parametrize("workers", [1, 3])
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_golden_digest(name, workers):
     assert CASES[name](workers) == GOLDEN[name]
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_reference_gives_golden_digest(name, monkeypatch):
+    monkeypatch.setattr(simulate, "stream_trials", reference_stream_trials)
+    assert CASES[name](1) == GOLDEN[name]
+
+
+def _same_result(a, b):
+    a, b = (a, b) if isinstance(a, tuple) else ((a,), (b,))
+    assert len(a) == len(b)
+    for x, y in zip(a, b):
+        assert np.array_equal(x, y)
+
+
+@pytest.mark.parametrize("reducer, n, block", [
+    (CheckpointNorms(SpaceSpec(2, 1.0), (1, 9, 300)), 300, BLOCK),
+    (TruncatedTwin(SpaceSpec(2, 2.0), parse_cseq("pow:0.6"), (3, 50, 300)), 300, BLOCK),
+    (TruncatedTwin(SpaceSpec(2, 2.0), parse_cseq("pow:0.6"), (3, 50, 230)), 230, 100),
+    (_FinalAndMax(SpaceSpec(2, INF)), 300, 300),
+    (_PilotMoments(SpaceSpec(2, 2.0), 3.0), 300, 300),
+])
+@pytest.mark.parametrize("lo, hi", [(0, 100), (37, 150), (1024, 1030)])
+def test_kernel_matches_reference(reducer, n, block, lo, hi):
+    # groups of 32 trials; the chunks start and end inside a group
+    dist = RadialPareto(1.5, 2)
+    _same_result(stream_trials(dist, n, block, 9, rng.MAIN, lo, hi, reducer),
+                 reference_stream_trials(dist, n, block, 9, rng.MAIN, lo, hi, reducer))
+
+
+def test_trial_count_does_not_change_a_trial():
+    # paths of 1000 steps come in groups of 16, so 100 trials end mid-group
+    def ratios(trials):
+        config = PathConfig(N=1000, seed=17, trials=trials)
+        return run_path(Gaussian(np.ones(2)), SpaceSpec(2, 2.0), H, config).ratios
+
+    assert np.array_equal(ratios(100), ratios(1100)[:100])
+
+
+def test_mc_verify_samples_a_group_per_call():
+    dist = RademacherProduct(np.ones(5))
+    sample, rows = dist.sample, []
+
+    def counted(gen, n):
+        rows.append(n)
+        return sample(gen, n)
+
+    dist.sample = counted
+    mc_verify(dist, SpaceSpec(5, INF), 200, 20480, [10.0, 40.0], PARAMS, seed=3, kr_points=2)
+    # two passes of 20480 trials in groups of 64 paths of 200 steps
+    assert rows == [64 * 200] * 640
 
 
 def test_trial_streams_match_substream():
