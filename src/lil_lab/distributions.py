@@ -59,13 +59,22 @@ class Gaussian:
             if w.min() < -1e-10 * max(1.0, w.max()):
                 raise ValueError("covariance is not positive semidefinite") from None
             self._root = v * np.sqrt(np.clip(w, 0.0, None))
+        # A diagonal root with every entry > 0 scales z in place, with the
+        # matmul's bits; a zero entry keeps the matmul, whose sum gives
+        # +0.0 where z * 0.0 would give -0.0 for a negative z.
+        diag = np.diagonal(self._root)
+        self._scale = diag if np.all(self._root == np.diag(diag)) and np.all(diag > 0) else None
         self.cov = sym
         self.dim = sym.shape[0]
 
     is_centered = True
 
     def sample(self, rng: np.random.Generator, n: int) -> np.ndarray:
-        return rng.standard_normal((n, self.dim)) @ self._root.T
+        z = rng.standard_normal((n, self.dim))
+        if self._scale is None:
+            return z @ self._root.T
+        z *= self._scale
+        return z
 
     def norm_bound(self, space: SpaceSpec) -> float:
         return math.inf

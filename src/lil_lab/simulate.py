@@ -18,13 +18,19 @@ worker count, the chunking or the number of trials, and a group that is
 cut short by the last trial or a chunk edge still draws in full, so a
 trial's draws are the same whatever else runs.
 
-Float accumulations across trials stay left folds in trial order, so
-results are bit-identical whatever the worker count, the tiling, or the
-order in which chunks execute.
+`map_trials` cuts the trials into chunks whose size depends only on the
+path length and runs them on `workers` threads for block-streamed paths
+(numpy's sampling, cumsum and matmul on whole blocks release the GIL)
+and on `workers` processes for grouped ones.  Float accumulations across
+trials stay left folds in trial order, so results are bit-identical
+whatever the worker count, the executor, the tiling, or the order in
+which chunks execute.
 """
 from __future__ import annotations
 
+import copy
 import math
+from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -39,6 +45,9 @@ BLOCK = 65536
 
 #: Most increments in one stream group, which is one sample call (see group_size).
 TILE = 16384
+
+#: Increments per chunk of block-streamed trials (see map_trials).
+LONG_CHUNK = CHUNK * TILE
 
 
 def stream_trials(dist, n: int, block: int, seed: int, purpose: int, lo: int, hi: int, reducer):
@@ -55,9 +64,12 @@ def stream_trials(dist, n: int, block: int, seed: int, purpose: int, lo: int, hi
 
     A reducer has `start(trials, dim)`, which resets its state,
     `tile(x, k0, s0)` for the draws of chunk trials k0, k0 + 1, ... at
-    steps s0 + 1, ..., and `result()`.
+    steps s0 + 1, ..., and `result()`.  The chunk runs on a shallow copy
+    of `reducer`, so chunks running at once on threads share no state and
+    the reducer passed in is left as it was.
     """
     streams = _rng.TrialStreams(seed, purpose)
+    reducer = copy.copy(reducer)
     reducer.start(hi - lo, dist.dim)
     if n <= block:
         size = group_size(n)
@@ -85,11 +97,23 @@ def group_size(n: int) -> int:
 
 
 def map_trials(dist, n: int, block: int, seed: int, purpose: int, trials: int, reducer, workers: int) -> list:
-    """`stream_trials` over every chunk of `trials`, one result per chunk."""
+    """`stream_trials` over every chunk of `trials`, one result per chunk.
+
+    Paths drawn in one sample call (n <= block) come in chunks of CHUNK
+    trials on `workers` processes.  Block-streamed paths come in chunks of
+    max(1, LONG_CHUNK // n) trials on `workers` threads, which share this
+    process's memory where a forked process would copy about 30 MB of it.
+    Neither the chunks nor the draws depend on `workers`.
+    """
+    if n <= block:
+        size, executor = CHUNK, ProcessPoolExecutor
+    else:
+        size, executor = max(1, LONG_CHUNK // n), ThreadPoolExecutor
     return map_chunks(
         stream_trials,
-        [(dist, n, block, seed, purpose, lo, hi, reducer) for lo, hi in chunk_ranges(trials)],
+        [(dist, n, block, seed, purpose, lo, hi, reducer) for lo, hi in chunk_ranges(trials, size)],
         workers,
+        executor,
     )
 
 

@@ -8,7 +8,8 @@ import numpy as np
 import pytest
 
 import lil_lab
-from lil_lab import bounds, cli
+from lil_lab import bounds, cli, simulate
+from lil_lab.simulate import BLOCK
 
 
 class TestValidateSpec:
@@ -204,6 +205,17 @@ class TestExitCodes:
         err = json.loads(capsys.readouterr().err.strip())
         assert err["code"] == "io_error"
 
+    def test_overflow_on_a_worker_thread_is_exit_2(self, tmp_path, monkeypatch, capsys):
+        # three one-trial chunks of block-streamed paths on two threads
+        monkeypatch.setattr(simulate, "LONG_CHUNK", BLOCK + 10)
+        rc = cli.main([
+            "lil-sim", "--dist", "point:v=1e305", "--space", "1,2", "--h", "2*(LL)^1",
+            "--N", str(BLOCK + 10), "--trials", "3", "--workers", "2", "--out", str(tmp_path),
+        ])
+        assert rc == 2
+        err = json.loads(capsys.readouterr().err.strip())
+        assert "overflowed" in err["message"]
+
     def test_violation_exit_code(self, tmp_path, monkeypatch):
         def fake_verify(*args, **kwargs):
             row = types.SimpleNamespace(violation=True)
@@ -231,6 +243,9 @@ class TestExitCodes:
           "--N", "200", "--trials", "1100"], "sim.json"),
         (["fn-verify", "--dist", "rademacher:dim=3", "--space", "3,inf", "--n", "20",
           "--trials", "1100"], "verify.json"),
+        # paths of BLOCK + 1 steps stream block by block in chunks of 255 trials
+        (["lil-sim", "--dist", "gauss:dim=1,var=1", "--space", "1,2", "--h", "2*(LL)^1",
+          "--N", str(BLOCK + 1), "--trials", "257"], "sim.json"),
     ])
     def test_workers_flag_does_not_change_artifact_bytes(self, tmp_path, argv, artifact):
         # more than one chunk of trials, so --workers 2 really starts a pool

@@ -45,6 +45,21 @@ class TestGaussian:
         space = SpaceSpec(1, 2.0)
         assert dist.tail_prob_norm(2.0, space) == pytest.approx(math.erfc(2.0 / math.sqrt(2)))
 
+    @pytest.mark.parametrize("cov", [
+        1.0, 2.5, [0.5, 3.0, 7.0],              # diagonal root > 0: scaled in place
+        0.0, [0.0, 2.0], [[2.0, 0.5], [0.5, 1.0]],  # matmul
+    ])
+    def test_sample_has_the_bits_of_the_matmul(self, cov):
+        dist = Gaussian(cov)
+        want = np.random.default_rng(6).standard_normal((5000, dist.dim)) @ dist._root.T
+        got = dist.sample(np.random.default_rng(6), 5000)
+        np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
+
+    def test_zero_variance_coordinate_is_positive_zero(self):
+        # z * 0.0 would keep the sign of a negative z as -0.0
+        x = Gaussian([0.0, 2.0]).sample(np.random.default_rng(7), 1000)
+        assert np.all(x[:, 0].view(np.uint64) == 0)
+
     def test_rejects_indefinite_covariance(self):
         with pytest.raises(ValueError):
             Gaussian(np.array([[1.0, 2.0], [2.0, 1.0]]))

@@ -5,8 +5,10 @@ import math
 import numpy as np
 import pytest
 
+from lil_lab import simulate
 from lil_lab.distributions import Gaussian, PointMass, RadialPareto
 from lil_lab.simulate import (
+    BLOCK,
     PathConfig,
     geometric_checkpoints,
     limsup_estimate,
@@ -145,6 +147,51 @@ class TestMeanNormCurve:
         assert lines[0] == "# seed=8 trials=30"
         assert lines[1] == "n,mean,ci_lo,ci_hi"
         assert len(lines) == 4
+
+
+class TestLongPathChunks:
+    """Paths longer than BLOCK, cut into chunks of 2 trials run on threads."""
+
+    N = BLOCK + 100
+
+    @pytest.fixture
+    def same_at_every_chunking(self, monkeypatch):
+        def check(run, unpack):
+            whole = unpack(run(1))  # one chunk: LONG_CHUNK // N is 255 trials
+            monkeypatch.setattr(simulate, "LONG_CHUNK", 2 * self.N)
+            for workers in (1, 3):
+                for a, b in zip(whole, unpack(run(workers))):
+                    np.testing.assert_array_equal(a, b)
+        return check
+
+    def test_run_path(self, same_at_every_chunking):
+        cfg = PathConfig(N=self.N, seed=4, trials=5)
+        same_at_every_chunking(
+            lambda w: run_path(Gaussian(np.ones(2)), SpaceSpec(2, 2.0), parse_slow_vary("2*(LL)^1"), cfg, w),
+            lambda res: (res.ratios,),
+        )
+
+    def test_truncated_path(self, same_at_every_chunking):
+        cfg = PathConfig(N=self.N, seed=5, trials=5)
+        same_at_every_chunking(
+            lambda w: truncated_path(RadialPareto(1.5, 2), SpaceSpec(2, 2.0), parse_cseq("pow:0.7"), cfg, w),
+            lambda res: (res.gap_curve, res.last_trunc, res.trunc_count, res.gap_sup),
+        )
+
+    def test_mean_norm_curve(self, same_at_every_chunking):
+        grid = np.array([10, 1000, self.N])
+        same_at_every_chunking(
+            lambda w: mean_norm_curve(Gaussian(1.0), SpaceSpec(1, 2.0), parse_cseq("pow:0.5"), grid,
+                                      trials=30, seed=6, workers=w),
+            lambda c: (c.mean, c.se, c.ci_lo, c.ci_hi),
+        )
+
+    def test_overflow_in_a_worker_thread_raises(self, monkeypatch):
+        monkeypatch.setattr(simulate, "LONG_CHUNK", self.N)
+        cfg = PathConfig(N=BLOCK + 10, seed=0, trials=3)
+        with pytest.raises(ArithmeticError, match="overflowed near step 65536"):
+            run_path(PointMass(np.array([1e305])), SpaceSpec(1, 2.0), parse_slow_vary("2*(LL)^1"), cfg,
+                     workers=2)
 
 
 class TestLimsupEstimate:

@@ -181,6 +181,20 @@ def test_kernel_matches_reference(reducer, n, block, lo, hi):
                  reference_stream_trials(dist, n, block, 9, rng.MAIN, lo, hi, reducer))
 
 
+@pytest.mark.parametrize("n, block", [(300, BLOCK), (230, 100)])
+def test_reducer_passed_in_is_left_unmodified(n, block):
+    # chunks on threads run at once, so each must work on its own copy
+    reducer = TruncatedTwin(SpaceSpec(2, 2.0), parse_cseq("pow:0.6"), (3, 50, n))
+    reducer.start(4, 2)
+    before = {k: (v, v.copy() if isinstance(v, np.ndarray) else v) for k, v in vars(reducer).items()}
+    stream_trials(RadialPareto(1.5, 2), n, block, 9, rng.MAIN, 0, 20, reducer)
+    assert vars(reducer).keys() == before.keys()
+    for k, (obj, value) in before.items():
+        assert vars(reducer)[k] is obj
+        if isinstance(obj, np.ndarray):
+            assert np.array_equal(obj, value)
+
+
 def test_trial_count_does_not_change_a_trial():
     # paths of 1000 steps come in groups of 16, so 100 trials end mid-group
     def ratios(trials):
