@@ -16,6 +16,7 @@ on stderr), 3 when a verification scenario records a violation.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -138,6 +139,8 @@ def validate_spec(raw: dict) -> dict:
             if isinstance(val, bool) or not isinstance(val, (int, float)):
                 raise SpecError(f"{key} must be a number", {key: val})
             val = float(val)
+            if not math.isfinite(val):
+                raise SpecError(f"{key} must be finite", {key: constants._json_real(val)})
         elif key in _STR_KEYS:
             if not isinstance(val, str):
                 raise SpecError(f"{key} must be a string", {key: val})
@@ -205,10 +208,9 @@ def _exec_constants(spec: dict) -> tuple[dict, dict, int]:
         h, H_fn, c_seq=c_seq, dist=dist, space=space, tol=spec["tol"],
         trials=spec["trials"], seed=spec["seed"], workers=_resolve_workers(spec),
     )
-    doc = report.to_json_dict()
-    lam = doc["lambda"]
-    print(f"constants: c0 in [{doc['c0_lo']:.4g}, {doc['c0_hi']:.4g}], lambda={lam if isinstance(lam, str) else format(lam, '.4g')}")
-    return {"report": doc}, {}, 0
+    # from the numbers, not the JSON document, where inf is the string "inf"
+    print(f"constants: c0 in [{report.c0.lo:.4g}, {report.c0.hi:.4g}], lambda={report.lam:.4g}")
+    return {"report": report.to_json_dict()}, {}, 0
 
 
 def _exec_fn_bound(spec: dict) -> tuple[dict, dict, int]:
@@ -460,7 +462,9 @@ def _add_common(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--spec", default=None, help="spec or artifact JSON to load; flags override")
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    # Built once per process: parsing reads the parser but never changes it.
     parser = argparse.ArgumentParser(prog="lil-lab", description=__doc__.splitlines()[0])
     subs = parser.add_subparsers(dest="kind", required=True)
 

@@ -18,10 +18,19 @@ c > 0 even though any fixed window's slope may sit near 1).
 All verdicts carry their diagnostics.  The bisection solvers return a
 working bracket of the decision boundary together with the raw verdicts
 at the endpoints; INCONCLUSIVE probes are surfaced, never hidden.
+
+H, the truncated weak second moment, comes from an H source: a callable
+that also evaluates a whole grid in one call, `values(ts)`, once per
+distinct point, and names its `route` ("model", "analytic" or
+"empirical").  Every stage (c0, alpha0, lambda, the ratio curve, sigma)
+evaluates its fixed grid in one `H_values` call, which also accepts a
+plain callable t -> H(t).  The report's `verdict_diagnostics` name the
+route (`h_route`), the sample behind an empirical H (`h_samples`,
+`h_max_norm`) and, per stage, the share of the grid past the sample
+range (`h_extrapolated_frac`).
 """
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass, field
 
@@ -116,6 +125,43 @@ def _probe_points(probe: SeriesProbe) -> np.ndarray:
     return np.ceil(probe.rho**j)
 
 
+def _series_args(h: SlowVaryFn, n: np.ndarray) -> np.ndarray:
+    """H arguments a_n = psi(n) of the c0 series, capped at the float ceiling."""
+    return np.exp(np.minimum(log_psi(h, np.log(n)), _LOG_FLOAT_MAX))
+
+
+def H_values(H_fn, ts) -> np.ndarray:
+    """H at every point of the 1-D grid `ts`, in one call.
+
+    An H source (see "Truncated-second-moment sources" below) evaluates
+    the grid through its `values`; a plain callable t -> H(t) is called
+    once per point.
+    """
+    ts = np.asarray(ts, dtype=float)
+    values = getattr(H_fn, "values", None)
+    if values is not None:
+        return values(ts)
+    return np.array([H_fn(t) for t in ts], dtype=float)
+
+
+class _GridMemo:
+    """H that evaluates each grid it is asked for once.
+
+    Every probe of a bracket search evaluates H on the same grid, so the
+    searches wrap their H in this.
+    """
+
+    def __init__(self, H_fn):
+        self._H_fn = H_fn
+        self._grids: dict[bytes, np.ndarray] = {}
+
+    def values(self, ts: np.ndarray) -> np.ndarray:
+        key = ts.tobytes()
+        if key not in self._grids:
+            self._grids[key] = H_values(self._H_fn, ts)
+        return self._grids[key]
+
+
 def series_classify(c: float, h: SlowVaryFn, H_fn, probe: SeriesProbe = DEFAULT_PROBE) -> SeriesVerdict:
     """Classify sum_n (1/n) exp(-c^2 h(n)/(2 H(a_n))) for a_n = psi(n).
 
@@ -128,9 +174,7 @@ def series_classify(c: float, h: SlowVaryFn, H_fn, probe: SeriesProbe = DEFAULT_
     n = _probe_points(probe)
     if c == 0.0:
         return SeriesVerdict(DIVERGES, 0.0, 0.0, 0.0, np.zeros_like(n), n, "c = 0: harmonic floor")
-    log_a = log_psi(h, np.log(n))
-    a = np.exp(np.minimum(log_a, _LOG_FLOAT_MAX))
-    hv = np.asarray([H_fn(t) for t in a], dtype=float)
+    hv = H_values(H_fn, _series_args(h, n))
     if np.any(hv < 0):
         raise ValueError("H must be nonnegative")
     with np.errstate(divide="ignore"):
@@ -141,7 +185,7 @@ def series_classify(c: float, h: SlowVaryFn, H_fn, probe: SeriesProbe = DEFAULT_
 def _alpha_exponents(c_seq, H_fn, probe: SeriesProbe) -> tuple[np.ndarray, np.ndarray]:
     n = _probe_points(probe)
     cn = np.asarray(c_seq.values(n), dtype=float)
-    hv = np.asarray([H_fn(t) for t in cn], dtype=float)
+    hv = H_values(H_fn, cn)
     if np.any(hv < 0):
         raise ValueError("H must be nonnegative")
     with np.errstate(divide="ignore", over="ignore"):
@@ -256,20 +300,20 @@ def _finish_bracket(lo, hi, classify, probes, note) -> Bracket:
 def c0_compute(h: SlowVaryFn, H_fn, tol: float = 0.02, probe: SeriesProbe = DEFAULT_PROBE) -> Bracket:
     """Bracket the series threshold c0 = inf{c >= 0 : series converges}.
 
-    Every probe of the search evaluates H at the same points a_n, so H is
-    evaluated once per point and reused.
+    Every probe of the search evaluates H on the same grid a_n, so the
+    grid is evaluated once, in one call, and reused.
     """
-    H_once = functools.cache(H_fn)
-    return _threshold_bracket(lambda c: series_classify(c, h, H_once, probe), tol)
+    H_grid = _GridMemo(H_fn)
+    return _threshold_bracket(lambda c: series_classify(c, h, H_grid, probe), tol)
 
 
 def alpha0_compute(c_seq, H_fn, tol: float = 0.02, probe: SeriesProbe = DEFAULT_PROBE) -> Bracket:
     """Bracket the divergence threshold alpha0 for a general c_n sequence.
 
-    As in `c0_compute`, H is evaluated once per probe point.
+    As in `c0_compute`, the grid c_n is evaluated once.
     """
-    H_once = functools.cache(H_fn)
-    return _threshold_bracket(lambda a: alpha_series_classify(a, c_seq, H_once, probe), tol)
+    H_grid = _GridMemo(H_fn)
+    return _threshold_bracket(lambda a: alpha_series_classify(a, c_seq, H_grid, probe), tol)
 
 
 # ---------------------------------------------------------------------------
@@ -313,7 +357,7 @@ def lambda_compute(h: SlowVaryFn, H_fn, x_grid=None) -> LambdaResult:
     log_x = np.log(grid)
     u = np.maximum(log_x, 1.0)
     llx = np.log(np.maximum(u, math.e))
-    hv = np.asarray([H_fn(x) for x in grid], dtype=float)
+    hv = H_values(H_fn, grid)
     if np.any(hv < 0):
         raise ValueError("H must be nonnegative")
     log_g = np.full(grid.shape, -np.inf)
@@ -350,18 +394,20 @@ class RatioCurve:
     last_value: float
 
 
+def _ratio_args(h: SlowVaryFn, grid: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """LLn and the H arguments a_n / LLn of the ratio curve."""
+    log_n = np.log(grid)
+    lln = np.log(np.maximum(np.maximum(log_n, 1.0), math.e))
+    return lln, np.exp(np.minimum(log_psi(h, log_n) - np.log(lln), _LOG_FLOAT_MAX))
+
+
 def lil_ratio_check(h: SlowVaryFn, H_fn, n_grid=None) -> RatioCurve:
     """Cross-check curve LLn * H(a_n / LLn) / h(n), whose limsup is lambda^2/2."""
     grid = np.asarray(n_grid if n_grid is not None else DEFAULT_X_GRID, dtype=float)
     if grid.size < 8 or np.any(np.diff(grid) <= 0):
         raise ValueError("n_grid must be increasing with at least 8 points")
-    log_n = np.log(grid)
-    u = np.maximum(log_n, 1.0)
-    lln = np.log(np.maximum(u, math.e))
-    log_a = log_psi(h, log_n)
-    t_arg = np.exp(np.minimum(log_a - np.log(lln), _LOG_FLOAT_MAX))
-    hv = np.asarray([H_fn(t) for t in t_arg], dtype=float)
-    values = lln * hv / h(grid)
+    lln, t_arg = _ratio_args(h, grid)
+    values = lln * H_values(H_fn, t_arg) / h(grid)
     w = max(4, grid.size // 4)
     return RatioCurve(grid, values, float(np.max(values[-w:])), float(values[-1]))
 
@@ -401,24 +447,35 @@ class SigmaResult:
     note: str = ""
 
 
-def sigma_compute(H_fn, t0: float = 1.0, rel_tol: float = 1e-6, t_cap: float = 1e30) -> SigmaResult:
+_SIGMA_T0, _SIGMA_CAP = 1.0, 1e30
+
+
+def _sigma_grid(t0: float, t_cap: float) -> np.ndarray:
+    """t0 * 2^k up to the first point >= t_cap, then sqrt(t0 * t_cap)."""
+    ts = [t0]
+    while ts[-1] < t_cap:
+        ts.append(ts[-1] * 2.0)
+    return np.array(ts + [math.sqrt(t_cap * t0)])
+
+
+def sigma_compute(H_fn, t0: float = _SIGMA_T0, rel_tol: float = 1e-6, t_cap: float = _SIGMA_CAP) -> SigmaResult:
     """Limit of H(t) along t = t0 * 2^k.
 
     Stops when the relative increment over one doubling falls below
     rel_tol.  If the cap is reached first, the value at the cap is
     compared against the value at sqrt(cap): growth above 5% across that
     half of the log range is taken as divergence and reported as +inf.
+    The whole doubling grid and the sqrt(cap) point are evaluated in one
+    call before the walk.
     """
     if t0 <= 0 or t_cap <= t0:
         raise ValueError("need 0 < t0 < t_cap")
-    t = t0
-    prev = float(H_fn(t))
+    grid = _sigma_grid(t0, t_cap)
+    hv = H_values(H_fn, grid)
+    prev = float(hv[0])
     settled = 0
-    doublings = 0
-    while t < t_cap:
-        t *= 2.0
-        doublings += 1
-        cur = float(H_fn(t))
+    for doublings in range(1, grid.size - 1):
+        cur = float(hv[doublings])
         if cur < prev - 1e-12 * max(1.0, abs(prev)):
             raise ValueError("H must be nondecreasing")
         if abs(cur - prev) <= rel_tol * max(abs(cur), 1e-300):
@@ -429,9 +486,9 @@ def sigma_compute(H_fn, t0: float = 1.0, rel_tol: float = 1e-6, t_cap: float = 1
         # constant near the origin, so insist on a sustained plateau well
         # away from the start before stopping early.
         if settled >= 3 and doublings >= 40:
-            return SigmaResult(cur, True, False, t)
+            return SigmaResult(cur, True, False, float(grid[doublings]))
         prev = cur
-    mid = float(H_fn(math.sqrt(t_cap * t0)))
+    t, mid = float(grid[-2]), float(hv[-1])
     if mid > 0 and prev / mid >= 1.05:
         return SigmaResult(math.inf, False, True, t, "still growing at the cap; reported infinite")
     return SigmaResult(prev, False, True, t, "cap reached before the increment test settled")
@@ -439,7 +496,22 @@ def sigma_compute(H_fn, t0: float = 1.0, rel_tol: float = 1e-6, t_cap: float = 1
 
 # ---------------------------------------------------------------------------
 # Truncated-second-moment sources usable as H_fn.
+#
+# A source is a callable t -> H(t) that also evaluates a whole 1-D grid
+# in one call, `values(ts)`, at most once per distinct point, bit for bit
+# equal to calling it point by point.  Its `route` says where H comes
+# from: "model" (a formula chosen by hand), "analytic" (a closed-form
+# truncated covariance) or "empirical" (a frozen sample; such sources also
+# carry `n_samples`, `max_norm` and an `extrapolated(ts)` mask).
 # ---------------------------------------------------------------------------
+
+
+def _distinct(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Bitwise-distinct entries along the first axis, and each entry's index among them."""
+    rows = np.ascontiguousarray(a, dtype=float).reshape(a.shape[0], math.prod(a.shape[1:]))
+    keys = rows.view(np.dtype((np.void, rows.itemsize * rows.shape[1]))).reshape(-1)
+    _, first, which = np.unique(keys, return_index=True, return_inverse=True)
+    return a[first], which
 
 
 class ConstTSM:
@@ -449,18 +521,25 @@ class ConstTSM:
     constraint H(t) <= t^2 near 0 on purpose.
     """
 
+    route = "model"
+
     def __init__(self, v: float):
         if v < 0:
             raise ValueError("constant H must be nonnegative")
         self.v = float(v)
         self.text = f"const:{self.v:g}"
 
+    def values(self, ts) -> np.ndarray:
+        return np.where(np.asarray(ts, dtype=float) > 0, self.v, 0.0)
+
     def __call__(self, t: float) -> float:
-        return self.v if t > 0 else 0.0
+        return float(self.values(np.array([t], dtype=float))[0])
 
 
 class LogLogPowTSM:
     """Model source H(t) = (LLt)^q."""
+
+    route = "model"
 
     def __init__(self, q: float):
         if q <= 0:
@@ -468,50 +547,64 @@ class LogLogPowTSM:
         self.q = float(q)
         self.text = f"llpow:{self.q:g}"
 
+    def values(self, ts) -> np.ndarray:
+        # math.log and float ** per point: results keep libm's bits, not
+        # those of whichever SIMD log numpy dispatches to.
+        return np.array([
+            0.0 if t <= 0 else max(math.log(max(math.log(t), 1.0)), 1.0) ** self.q
+            for t in np.asarray(ts, dtype=float).tolist()
+        ])
+
     def __call__(self, t: float) -> float:
-        if t <= 0:
-            return 0.0
-        u = max(math.log(t), 1.0)
-        return max(math.log(u), 1.0) ** self.q
+        return float(self.values(np.array([t], dtype=float))[0])
 
 
 class DistTSM:
-    """H from a distribution: analytic truncated covariance when the
-    family provides one, otherwise an empirical estimator on a frozen
-    sample."""
+    """H from a distribution.
+
+    The route is "analytic" when the family provides a truncated
+    covariance: `values` then computes it once per distinct t and takes
+    one stacked dual-ball supremum over the distinct matrices.  Otherwise
+    the route is "empirical": an `EmpiricalTSM` on a frozen sample.
+    """
 
     def __init__(self, dist, space: SpaceSpec, n_samples: int = 4096, rng=None):
         self.dist = dist
         self.space = space
         self._empirical = None
+        self.route = "analytic"
         if dist.truncated_cov(1.0, space) is None:
             gen = rng if rng is not None else np.random.default_rng(0)
             self._empirical = EmpiricalTSM(dist.sample(gen, n_samples), space)
+            self.route = "empirical"
+            self.n_samples, self.max_norm = self._empirical.n_samples, self._empirical.max_norm
+            self.extrapolated = self._empirical.extrapolated
         self.text = "dist"
 
-    def __call__(self, t: float) -> float:
+    def values(self, ts) -> np.ndarray:
         if self._empirical is not None:
-            return self._empirical(t)
-        return dual_ball_sup(self.dist.truncated_cov(float(t), self.space), self.space)
+            return self._empirical.values(ts)
+        d = self.space.dim
+        t_set, t_which = _distinct(np.asarray(ts, dtype=float))
+        covs = np.array([self.dist.truncated_cov(t, self.space) for t in t_set.tolist()], dtype=float)
+        m_set, m_which = _distinct(covs.reshape(-1, d, d))
+        return dual_ball_sup(m_set, self.space)[m_which][t_which]
+
+    def __call__(self, t: float) -> float:
+        return float(self.values(np.array([t], dtype=float))[0])
 
 
-class EmpiricalWrapTSM:
-    """H from a fixed sample set."""
+class EmpiricalWrapTSM(EmpiricalTSM):
+    """H from a fixed sample set: an `EmpiricalTSM` named as an H source."""
 
     def __init__(self, samples, space: SpaceSpec):
-        self._inner = EmpiricalTSM(samples, space)
-        self.space = space
-        self.text = f"empirical:{self._inner.n_samples}"
+        super().__init__(samples, space)
+        self.text = f"empirical:{self.n_samples}"
 
-    @property
-    def max_norm(self) -> float:
-        return self._inner.max_norm
-
-    def extrapolated(self, t: float) -> bool:
-        return self._inner.extrapolated(t)
-
+    # Its own __call__, not the inherited one, so per-class call counters
+    # (perfbench/tracer.py) tell the two apart.
     def __call__(self, t: float) -> float:
-        return self._inner(t)
+        return float(self.values(np.array([t], dtype=float))[0])
 
 
 def parse_tsm(text: str, dist=None, space=None, n_samples: int = 4096, rng=None):
@@ -603,6 +696,32 @@ class ConstantsReport:
         return out
 
 
+def _route_diagnostics(h: SlowVaryFn, H_fn, c_seq, probe: SeriesProbe) -> dict:
+    """The H route a report rests on, and per stage the share of the
+    stage's H grid that lies past the sample range.
+
+    Only an empirical source extrapolates.  Every stage evaluates H on a
+    fixed grid, so this costs one mask per stage.
+    """
+    route = getattr(H_fn, "route", "model")
+    frac = {"c0": 0.0, "alpha0": None if c_seq is None else 0.0, "lambda": 0.0, "ratio": 0.0, "sigma": 0.0}
+    out = {"h_route": route, "h_samples": None, "h_max_norm": None, "h_extrapolated_frac": frac}
+    if route == "empirical":
+        n = _probe_points(probe)
+        x_grid = np.asarray(DEFAULT_X_GRID, dtype=float)
+        grids = {
+            "c0": _series_args(h, n),
+            "lambda": x_grid,
+            "ratio": _ratio_args(h, x_grid)[1],
+            "sigma": _sigma_grid(_SIGMA_T0, _SIGMA_CAP),
+        }
+        if c_seq is not None:
+            grids["alpha0"] = np.asarray(c_seq.values(n), dtype=float)
+        frac.update({stage: float(np.mean(H_fn.extrapolated(ts))) for stage, ts in grids.items()})
+        out["h_samples"], out["h_max_norm"] = H_fn.n_samples, H_fn.max_norm
+    return out
+
+
 def constants_report(
     h: SlowVaryFn,
     H_fn,
@@ -665,6 +784,7 @@ def constants_report(
     }
     if alpha0 is not None:
         diagnostics["alpha0"] = alpha0.to_json_dict()
+    diagnostics.update(_route_diagnostics(h, H_fn, c_seq, probe))
     return ConstantsReport(
         c0=c0,
         lam=lam_res.lam,

@@ -13,6 +13,13 @@ three supported norms the supremum is exactly computable:
              supremum is the largest diagonal entry;
     p = 1:   dual ball is the l^inf ball (hypercube), maximised over
              the 2^d sign vertices (guarded to d <= 20).
+
+`dual_ball_sup` also takes a (k, d, d) stack and returns k suprema, each
+bit for bit the one-matrix result: every matrix is still checked for
+symmetry and PSD on its own, and one batched eigendecomposition serves
+the stack.  `EmpiricalTSM.values(ts)` evaluates tsm on a whole grid with
+one supremum per distinct sample prefix; it is the empirical H source of
+`lil_lab.constants`.
 """
 from __future__ import annotations
 
@@ -91,21 +98,25 @@ def norm_rows(rows: np.ndarray, space: SpaceSpec) -> np.ndarray:
 
 
 def _validated_sym(matrix: np.ndarray, what: str) -> np.ndarray:
+    """Symmetrised copy of one square matrix or of each matrix in a (k, d, d) stack."""
     m = np.asarray(matrix, dtype=float)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise ValueError(f"{what} must be a square matrix, got shape {m.shape}")
-    scale = max(1.0, float(np.abs(m).max(initial=0.0)))
-    if np.abs(m - m.T).max(initial=0.0) > 1e-9 * scale:
+    if m.ndim not in (2, 3) or m.shape[-1] != m.shape[-2]:
+        raise ValueError(f"{what} must be a square matrix or a stack of them, got shape {m.shape}")
+    mt = np.swapaxes(m, -1, -2)
+    scale = np.fmax(1.0, np.abs(m).max(axis=(-2, -1), initial=0.0))
+    if np.any(np.abs(m - mt).max(axis=(-2, -1), initial=0.0) > 1e-9 * scale):
         raise ValueError(f"{what} is not symmetric")
-    return 0.5 * (m + m.T)
+    return 0.5 * (m + mt)
 
 
 def _check_psd(sym: np.ndarray, what: str) -> np.ndarray:
-    """Eigenvalues of a symmetric matrix, rejecting non-PSD input."""
+    """Eigenvalues of a symmetric matrix (or a stack), rejecting non-PSD input."""
     eig = np.linalg.eigvalsh(sym)
-    tol = PSD_TOL * max(1.0, float(eig[-1]) if eig.size else 1.0)
-    if eig.size and eig[0] < -tol:
-        raise ValueError(f"{what} is not positive semidefinite (min eigenvalue {eig[0]:.3e})")
+    if eig.shape[-1]:
+        low = np.atleast_1d(eig[..., 0])
+        bad = low < -PSD_TOL * np.fmax(1.0, np.atleast_1d(eig[..., -1]))
+        if bad.any():
+            raise ValueError(f"{what} is not positive semidefinite (min eigenvalue {low[bad][0]:.3e})")
     return eig
 
 
@@ -122,6 +133,8 @@ class TruncatedCov:
     sample_count: int = 0
 
     def __post_init__(self) -> None:
+        if np.ndim(self.matrix) != 2:
+            raise ValueError(f"truncated covariance must be one matrix, got shape {np.shape(self.matrix)}")
         sym = _validated_sym(self.matrix, "truncated covariance")
         _check_psd(sym, "truncated covariance")
         object.__setattr__(self, "matrix", sym)
@@ -146,22 +159,32 @@ def trunc_cov_empirical(samples: np.ndarray, t: float, space: SpaceSpec) -> Trun
     return TruncatedCov(matrix=0.5 * (m + m.T), threshold=float(t), sample_count=n)
 
 
-def dual_ball_sup(cov: TruncatedCov | np.ndarray, space: SpaceSpec) -> float:
-    """sup of the quadratic form f^T M f over the dual unit ball of the space."""
+def dual_ball_sup(cov: TruncatedCov | np.ndarray, space: SpaceSpec):
+    """sup of the quadratic form f^T M f over the dual unit ball of the space.
+
+    `cov` is one matrix, as a `TruncatedCov` or an array, or a (k, d, d)
+    stack of matrices.  One matrix gives a float; a stack gives a
+    length-k array whose entries equal the one-matrix results bit for
+    bit.  Every matrix of a stack is checked on its own, and one batched
+    eigendecomposition serves them all.
+    """
     m = cov.matrix if isinstance(cov, TruncatedCov) else _validated_sym(cov, "matrix")
-    if m.shape[0] != space.dim:
-        raise ValueError(f"matrix dim {m.shape[0]} does not match space dim {space.dim}")
+    if m.shape[-1] != space.dim:
+        raise ValueError(f"matrix dim {m.shape[-1]} does not match space dim {space.dim}")
     eig = _check_psd(m, "matrix")
     p = space.norm_p
     if p == 2.0:
-        return float(eig[-1])
-    if p == math.inf:
-        return float(np.diag(m).max())
-    if space.dim > VERTEX_ENUM_LIMIT:
+        sup = eig[..., -1]
+    elif p == math.inf:
+        sup = np.diagonal(m, axis1=-2, axis2=-1).max(axis=-1)
+    elif space.dim > VERTEX_ENUM_LIMIT:
         raise ValueError(
             f"p=1 vertex enumeration limited to dim <= {VERTEX_ENUM_LIMIT}, got {space.dim}"
         )
-    return _sign_vertex_max(m)
+    else:
+        sup = np.array([_sign_vertex_max(mi) for mi in m.reshape(-1, space.dim, space.dim)])
+        sup = sup.reshape(m.shape[:-2])
+    return float(sup) if m.ndim == 2 else sup
 
 
 def _sign_vertex_max(sym: np.ndarray) -> float:
@@ -187,14 +210,15 @@ def _sign_vertex_max(sym: np.ndarray) -> float:
 
 
 def truncated_second_moment(source, t: float, space: SpaceSpec) -> float:
-    """tsm(t) from either an analytic provider or a raw sample set.
+    """tsm(t) from an H source, an analytic provider or a raw sample set.
 
-    `source` may be an (N, dim) sample array, an object exposing
-    `truncated_cov(t, space)` (a distribution with a closed form), or an
-    `EmpiricalTSM`.  The analytic shortcut is used whenever available.
+    `source` may be an H source (anything with `values(ts)`, such as an
+    `EmpiricalTSM`), an object exposing `truncated_cov(t, space)` (a
+    distribution with a closed form), or an (N, dim) sample array.
     """
-    if isinstance(source, EmpiricalTSM):
-        return source(t)
+    values = getattr(source, "values", None)
+    if callable(values):
+        return float(values(np.array([t], dtype=float))[0])
     tc = getattr(source, "truncated_cov", None)
     if callable(tc):
         m = tc(t, space)
@@ -211,12 +235,16 @@ def truncated_second_moment(source, t: float, space: SpaceSpec) -> float:
 class EmpiricalTSM:
     """Truncated weak second moment from a frozen sample set.
 
-    Samples are sorted by norm once; each evaluation then costs a single
-    dual-ball supremum over the prefix second-moment matrix.  Beyond the
-    largest sample norm the function is frozen at its final value and
-    `extrapolated(t)` reports True, so series probes that run past the
-    observed range see a constant tail rather than silent garbage.
+    Samples are sorted by norm once.  `values(ts)` evaluates a whole grid
+    with one `searchsorted` and one dual-ball supremum per distinct
+    sample prefix, so all grid points past the largest sample norm share
+    a single evaluation.  Beyond that norm the function is frozen at its
+    final value and `extrapolated(ts)` is True there, so series probes
+    that run past the observed range see a constant tail rather than
+    silent garbage.
     """
+
+    route = "empirical"
 
     def __init__(self, samples: np.ndarray, space: SpaceSpec):
         arr = np.asarray(samples, dtype=float)
@@ -235,12 +263,20 @@ class EmpiricalTSM:
         outer = np.einsum("ni,nj->nij", self._sorted, self._sorted)
         self._prefix = np.cumsum(outer, axis=0)
 
-    def extrapolated(self, t: float) -> bool:
-        return t > self.max_norm
+    def extrapolated(self, ts):
+        """True where t lies past the largest sample norm (elementwise)."""
+        return np.asarray(ts, dtype=float) > self.max_norm
+
+    def values(self, ts) -> np.ndarray:
+        """tsm at every point of the 1-D grid `ts`."""
+        ks = np.searchsorted(self._norms, np.asarray(ts, dtype=float), side="right")
+        distinct, which = np.unique(ks, return_inverse=True)
+        out = np.zeros(distinct.shape)
+        kept = distinct > 0
+        if kept.any():
+            m = self._prefix[distinct[kept] - 1] / self.n_samples
+            out[kept] = dual_ball_sup(0.5 * (m + np.swapaxes(m, -1, -2)), self.space)
+        return out[which]
 
     def __call__(self, t: float) -> float:
-        k = int(np.searchsorted(self._norms, t, side="right"))
-        if k == 0:
-            return 0.0
-        m = self._prefix[k - 1] / self.n_samples
-        return dual_ball_sup(0.5 * (m + m.T), self.space)
+        return float(self.values(np.array([t], dtype=float))[0])

@@ -4,9 +4,14 @@ Each case builds the inputs of one `lil-lab constants` scenario of the
 benchmark's analytic sweep the way the CLI does (seed 0, default tol,
 no Monte Carlo) and hashes the sorted-key JSON of `constants_report`.
 Three cases also hash the raw `lambda_compute` curve.  The digests were
-recorded from the scalar per-point psi-inverse and the uncached bracket
-searches that preceded the vectorised solver, so any change to a
-bracket, a probe verdict or the last bit of a curve value shows up here.
+recorded from the scalar per-point psi-inverse, the uncached bracket
+searches and the point-by-point H evaluation that preceded the
+vectorised code, so any change to a bracket, a probe verdict or the last
+bit of a curve value shows up here.
+
+`PRE_ROUTE_DIGESTS` hash each report without the H route keys that
+`verdict_diagnostics` gained later; they are the digests recorded before
+those keys existed, so no older field can move unnoticed.
 """
 
 import hashlib
@@ -33,6 +38,19 @@ SCENARIOS = {
 }
 
 REPORT_DIGESTS = {
+    "c1-const": "9d37bd59f90674f3e6113ec7c53f3c84733d5b29fa9cced7ddf446dee2548ede",
+    "c2-const-cseq": "b3b809f47b3321cfa223b4de9c8a10d8f1d78ea7610a7d80779893f720d95755",
+    "c3-llpow": "519bb2854e8d9ec6436f063ecf85aede6bb5beab15a08f0fc6ca6170ec6e05cd",
+    "c4-llpow": "0d5aae6041f8589da5c3a1a41ea624a8cd716f34dc1cff6da30a9e400b31c5fb",
+    "c5-dist-gauss1": "0985b643161a336707ac2060e68025c563b0430f0780433b8b416d50911c8e0e",
+    "c6-dist-gauss2": "636d1b115fc27b7f676cb1e5bcb4074f2b08ff70d0c08c33d92eb2a373121b3d",
+    "c7-dist-rademacher": "1ac65952fcb2df4ceff0747bc95fa442334fc4799e3469f6abcca4bfc99a9b53",
+    "c8-explog": "3acae49d609d4ae672ee9b71edce673412a36d6338b43d78dc6488cc136d58b9",
+}
+
+ROUTE_KEYS = ("h_route", "h_samples", "h_max_norm", "h_extrapolated_frac")
+
+PRE_ROUTE_DIGESTS = {
     "c1-const": "e2da8634105f05f430d8ae3bf36679ede4b2ea7c580c5a48ff06392e6ffc8b8e",
     "c2-const-cseq": "cb8a7ff1de54d49337a71900b26e1d9d1b8e22d8d6858f2c499ccd7f80a255e4",
     "c3-llpow": "e80d4198af6445e3adfb6d0be04ca64fb838b2e044b2791885b9ccd7ed517d8f",
@@ -59,12 +77,39 @@ def _inputs(name):
     return parse_slow_vary(h_text), H_fn, dist, space, c_seq
 
 
+def _report(name):
+    h, H_fn, dist, space, c_seq = _inputs(name)
+    return constants_report(h, H_fn, c_seq=c_seq, dist=dist, space=space).to_json_dict()
+
+
+def _digest(doc):
+    return hashlib.sha256(json.dumps(doc, sort_keys=True).encode()).hexdigest()
+
+
 @pytest.mark.parametrize("name", sorted(REPORT_DIGESTS))
 def test_constants_report_digest(name):
-    h, H_fn, dist, space, c_seq = _inputs(name)
-    doc = constants_report(h, H_fn, c_seq=c_seq, dist=dist, space=space).to_json_dict()
-    data = json.dumps(doc, sort_keys=True).encode()
-    assert hashlib.sha256(data).hexdigest() == REPORT_DIGESTS[name]
+    assert _digest(_report(name)) == REPORT_DIGESTS[name]
+
+
+@pytest.mark.parametrize("name", sorted(PRE_ROUTE_DIGESTS))
+def test_constants_report_without_route_keys_digest(name):
+    doc = _report(name)
+    diag = doc["verdict_diagnostics"]
+    assert set(ROUTE_KEYS) <= set(diag)
+    for key in ROUTE_KEYS:
+        del diag[key]
+    assert _digest(doc) == PRE_ROUTE_DIGESTS[name]
+
+
+def test_route_keys_name_the_empirical_fallback():
+    routes = {name: _report(name)["verdict_diagnostics"] for name in ("c1-const", "c5-dist-gauss1", "c6-dist-gauss2")}
+    assert [d["h_route"] for d in routes.values()] == ["model", "analytic", "empirical"]
+    assert routes["c1-const"]["h_samples"] is None and routes["c5-dist-gauss1"]["h_max_norm"] is None
+    c6 = routes["c6-dist-gauss2"]
+    assert c6["h_samples"] == 4096 and c6["h_max_norm"] > 0
+    # most c0 probes of the empirical fallback lie past the largest sample norm
+    assert c6["h_extrapolated_frac"]["c0"] == 0.975
+    assert c6["h_extrapolated_frac"]["alpha0"] is None
 
 
 @pytest.mark.parametrize("name", sorted(CURVE_DIGESTS))

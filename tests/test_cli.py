@@ -51,6 +51,16 @@ class TestValidateSpec:
         spec = cli.validate_spec({"kind": "hclass", "h": "2*(LL)^1", "q": 0})
         assert spec["q"] == 0.0 and isinstance(spec["q"], float)
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("key", sorted(cli._FLOAT_KEYS))
+    def test_non_finite_float_rejected_naming_the_key(self, key, value):
+        kind = next(k for k, keys in cli._KIND_KEYS.items() if key in keys)
+        with pytest.raises(cli.SpecError) as err:
+            cli.validate_spec({"kind": kind, key: value})
+        assert err.value.code == "invalid_spec"
+        assert list(err.value.context) == [key]
+        json.dumps(err.value.context, allow_nan=False)
+
 
 class TestParsers:
     def test_space(self):
@@ -179,6 +189,26 @@ class TestArtifacts:
         assert err["code"] == "missing_artifacts"
 
 
+class TestParserReuse:
+    def test_cached_parser_leaks_nothing_between_calls(self, tmp_path):
+        out = tmp_path / "run"
+        base = ["constants", "--h", "2*(LL)^1", "--H", "const:1", "--out", str(out)]
+        with_tol = [*base, "--tol", "0.1"]
+
+        def artifact(argv, fresh_parser):
+            if fresh_parser:
+                cli._build_parser.cache_clear()
+            assert cli.main(argv) == 0
+            return (out / "constants.json").read_bytes()
+
+        cli._build_parser.cache_clear()
+        one_process = [artifact(with_tol, False), artifact(base, False)]
+        assert cli._build_parser.cache_info().misses == 1
+        assert json.loads(one_process[0])["resolved_spec"]["tol"] == 0.1
+        assert json.loads(one_process[1])["resolved_spec"]["tol"] == 0.02
+        assert one_process == [artifact(with_tol, True), artifact(base, True)]
+
+
 class TestExitCodes:
     def test_validation_error_json(self, tmp_path, capsys):
         rc = cli.main(["constants", "--out", str(tmp_path)])
@@ -195,6 +225,29 @@ class TestExitCodes:
         assert rc == 2
         err = json.loads(capsys.readouterr().err.strip())
         assert err["context"] == {"dist_dim": 2, "space_dim": 1}
+
+    def test_nan_in_spec_file_is_exit_2(self, tmp_path, capsys):
+        path = tmp_path / "spec.json"
+        path.write_text('{"kind": "constants", "h": "2*(LL)^1", "tol": NaN}')
+        assert cli.main(["run", str(path), "--out", str(tmp_path)]) == 2
+        err = json.loads(capsys.readouterr().err.strip())
+        assert err["code"] == "invalid_spec" and err["context"] == {"tol": "nan"}
+        assert not (tmp_path / "constants.json").exists()
+
+    def test_overflowing_flag_is_exit_2(self, tmp_path, capsys):
+        assert cli.main(["fn-bound", "--t", "1e400", "--out", str(tmp_path)]) == 2
+        err = json.loads(capsys.readouterr().err.strip())
+        assert err["code"] == "invalid_spec" and err["context"] == {"t": "inf"}
+        assert not (tmp_path / "fn_bound.json").exists()
+
+    @pytest.mark.parametrize("dist,space", [("pareto:a=2", "1,2"), ("pareto:a=1.5,dim=2", "2,2")])
+    def test_infinite_c0_is_written(self, tmp_path, capsys, dist, space):
+        rc = cli.main(["constants", "--h", "2*(LL)^1", "--H", "dist", "--dist", dist,
+                       "--space", space, "--out", str(tmp_path)])
+        assert rc == 0
+        rep = json.loads((tmp_path / "constants.json").read_text())["report"]
+        assert rep["c0_hi"] == "inf" and rep["lambda"] == "inf"
+        assert "c0 in [" in capsys.readouterr().out
 
     def test_bad_spec_file(self, tmp_path, capsys):
         path = tmp_path / "spec.json"

@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lil_lab.constants import (
     CONVERGES,
@@ -13,6 +15,7 @@ from lil_lab.constants import (
     ConstTSM,
     DistTSM,
     EmpiricalWrapTSM,
+    H_values,
     LogLogPowTSM,
     agreement_gap,
     alpha0_compute,
@@ -26,9 +29,9 @@ from lil_lab.constants import (
     series_classify,
     sigma_compute,
 )
-from lil_lab.distributions import Gaussian, RademacherProduct
+from lil_lab.distributions import Gaussian, RademacherProduct, RadialPareto, parse_dist
 from lil_lab.slowvary import SlowVaryFn, parse_cseq, parse_slow_vary
-from lil_lab.spaces import SpaceSpec
+from lil_lab.spaces import EmpiricalTSM, SpaceSpec, dual_ball_sup
 
 
 def log_tail_oracle(a: float) -> SlowVaryFn:
@@ -266,3 +269,97 @@ class TestBeta0:
                 trials=5,
                 space=SpaceSpec(1, 2.0),
             )
+
+
+# --------------------------------------------------------------------------
+# The H protocol: values(ts) over a grid equals point-by-point evaluation.
+# --------------------------------------------------------------------------
+
+_SPACE1 = SpaceSpec(1, 2.0)
+_GAUSS2 = parse_dist("gauss:dim=2,var=1")
+
+H_SOURCES = {
+    "const": ConstTSM(1.5),
+    "llpow": LogLogPowTSM(0.7),
+    "dist-gauss1": DistTSM(Gaussian(1.0), _SPACE1),
+    "dist-rademacher-l1": DistTSM(RademacherProduct(np.array([1.0, 2.0, 0.5])), SpaceSpec(3, 1.0)),
+    "dist-rademacher-l2": DistTSM(RademacherProduct(np.array([1.0, 2.0, 0.5])), SpaceSpec(3, 2.0)),
+    "dist-rademacher-linf": DistTSM(RademacherProduct(np.array([1.0, 2.0, 0.5])), SpaceSpec(3, math.inf)),
+    "dist-pareto": DistTSM(RadialPareto(1.5, dim=2), SpaceSpec(2, 2.0)),
+    "dist-empirical-fallback": DistTSM(_GAUSS2, SpaceSpec(2, 2.0), n_samples=300, rng=np.random.default_rng(4)),
+    "empirical-wrap": EmpiricalWrapTSM(_GAUSS2.sample(np.random.default_rng(5), 300), SpaceSpec(2, 2.0)),
+}
+
+
+def _pointwise(H, t: float) -> float:
+    """H(t) the way each source computed it one point at a time before `values`."""
+    if isinstance(H, DistTSM) and H.route == "empirical":
+        H = H._empirical
+    if isinstance(H, EmpiricalTSM):
+        k = int(np.searchsorted(H._norms, t, side="right"))
+        if k == 0:
+            return 0.0
+        m = H._prefix[k - 1] / H.n_samples
+        return dual_ball_sup(0.5 * (m + m.T), H.space)
+    if isinstance(H, DistTSM):
+        return dual_ball_sup(H.dist.truncated_cov(float(t), H.space), H.space)
+    return H(t)
+
+
+# Unsorted grids with zeros, repeats, points inside the sample range of the
+# empirical sources (largest norm about 3-4) and points far beyond it.
+grids = st.lists(
+    st.one_of(
+        st.sampled_from([0.0, 1.0, 2.5]),
+        st.floats(min_value=0.0, max_value=8.0),
+        st.floats(min_value=8.0, max_value=1e300),
+    ),
+    min_size=1,
+    max_size=30,
+).map(lambda xs: np.array(xs + xs[: len(xs) // 2]))
+
+
+def _bits(values) -> np.ndarray:
+    return np.asarray(values, dtype=np.float64).view(np.uint64)
+
+
+class TestHProtocol:
+    @pytest.mark.parametrize("name", sorted(H_SOURCES))
+    @given(ts=grids)
+    @settings(max_examples=40, deadline=None)
+    def test_values_equal_pointwise_bit_for_bit(self, name, ts):
+        H = H_SOURCES[name]
+        got = H.values(ts)
+        assert got.shape == ts.shape
+        np.testing.assert_array_equal(_bits(got), _bits([H(t) for t in ts]))
+        np.testing.assert_array_equal(_bits(got), _bits([_pointwise(H, t) for t in ts]))
+        np.testing.assert_array_equal(_bits(H_values(H, ts)), _bits(got))
+
+    @given(ts=grids)
+    @settings(max_examples=40, deadline=None)
+    def test_plain_callable(self, ts):
+        def H(t):
+            return 0.0 if t <= 0 else math.log1p(t) ** 0.5
+
+        np.testing.assert_array_equal(_bits(H_values(H, ts)), _bits([H(t) for t in ts]))
+
+    def test_empty_grid(self):
+        for H in H_SOURCES.values():
+            assert H.values(np.zeros(0)).shape == (0,)
+
+    def test_routes_and_extrapolation_mask(self):
+        assert H_SOURCES["const"].route == H_SOURCES["llpow"].route == "model"
+        assert H_SOURCES["dist-gauss1"].route == "analytic"
+        for name in ("dist-empirical-fallback", "empirical-wrap"):
+            H = H_SOURCES[name]
+            assert H.route == "empirical" and H.n_samples == 300
+            ts = np.array([0.0, H.max_norm, 2 * H.max_norm])
+            np.testing.assert_array_equal(H.extrapolated(ts), [False, False, True])
+
+    def test_analytic_source_evaluates_each_distinct_point_once(self, monkeypatch):
+        H = DistTSM(RademacherProduct(np.ones(2)), SpaceSpec(2, 1.0))
+        seen = []
+        orig = H.dist.truncated_cov
+        monkeypatch.setattr(H.dist, "truncated_cov", lambda t, space: seen.append(t) or orig(t, space))
+        H.values(np.array([3.0, 0.5, 3.0, 0.5, 3.0]))
+        assert sorted(seen) == [0.5, 3.0]

@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from lil_lab.spaces import (
@@ -131,6 +132,48 @@ class TestDualBallSup:
         assert dual_ball_sup(cov, SpaceSpec(4, math.inf)) == pytest.approx(1.0)
         # l1 primal: the dual cube vertex sums all coordinates
         assert dual_ball_sup(cov, SpaceSpec(4, 1.0)) == pytest.approx(4.0)
+
+
+def _gram_with_repeat(a: np.ndarray) -> np.ndarray:
+    a = np.concatenate([a, a[:1]])
+    return a @ np.swapaxes(a, 1, 2)
+
+
+def psd_stacks(max_d: int = 6):
+    """(k, d, d) stacks of PSD matrices a a^T whose last one repeats the first."""
+    return st.tuples(st.integers(1, 6), st.integers(1, max_d)).flatmap(
+        lambda kd: hnp.arrays(np.float64, (kd[0], kd[1], kd[1]), elements=st.floats(-10, 10))
+    ).map(_gram_with_repeat)
+
+
+class TestDualBallSupStack:
+    @pytest.mark.parametrize("p", [1.0, 2.0, math.inf])
+    @given(stack=psd_stacks())
+    @settings(max_examples=60, deadline=None)
+    def test_stack_equals_per_matrix_calls_bit_for_bit(self, p, stack):
+        space = SpaceSpec(stack.shape[1], p)
+        got = dual_ball_sup(stack, space)
+        assert got.shape == (stack.shape[0],) and got.dtype == np.float64
+        ref = np.array([dual_ball_sup(m, space) for m in stack])
+        np.testing.assert_array_equal(got.view(np.uint64), ref.view(np.uint64))
+
+    @pytest.mark.parametrize("bad", ["asymmetric", "indefinite"])
+    @pytest.mark.parametrize("p", [1.0, 2.0, math.inf])
+    def test_one_bad_matrix_fails_the_stack(self, bad, p):
+        stack = np.stack([np.eye(3), 2.0 * np.eye(3), np.eye(3)])
+        if bad == "asymmetric":
+            stack[1, 0, 2] += 1.0
+        else:
+            stack[1] = np.diag([1.0, -0.5, 1.0])
+        with pytest.raises(ValueError):
+            dual_ball_sup(stack, SpaceSpec(3, p))
+
+    def test_single_matrix_still_returns_float(self):
+        assert type(dual_ball_sup(np.eye(2), SpaceSpec(2, 1.0))) is float
+
+    def test_truncated_cov_rejects_a_stack(self):
+        with pytest.raises(ValueError):
+            TruncatedCov(np.stack([np.eye(2), np.eye(2)]), 1.0)
 
 
 class TestEmpiricalTSM:
