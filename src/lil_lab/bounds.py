@@ -135,12 +135,6 @@ class FnConstants:
     C: float
     rho_formula: str = "rho(beta) = min(1, 1 / (2 * eps * D * log(1/beta)))"
 
-    def rho(self, beta: float) -> float:
-        """Truncation-level factor for a given polynomial term beta < 1."""
-        if not (0 < beta < 1):
-            raise ValueError("rho is defined for beta in (0, 1)")
-        return min(1.0, 1.0 / (2.0 * self.epsilon * self.D * math.log(1.0 / beta)))
-
 
 def fn_constants(delta: float, eta: float, s: float) -> FnConstants:
     eps = eps_from_delta(delta)

@@ -10,6 +10,10 @@ re-run ignores:
     lil-lab constants --h "2*(LL)^1" --H const:1 --out runs/demo
     lil-lab run runs/demo/constants.json
 
+Each spec key is declared once, in `SPECS` (or `_COMMON` for the keys
+every kind shares): its type and default there drive both `validate_spec`
+and the generated `--flag` (the key with `_` written `-`).
+
 Exit codes: 0 success, 2 validation error (machine-readable error JSON
 on stderr), 3 when a verification scenario records a violation.
 """
@@ -21,6 +25,8 @@ import json
 import math
 import os
 import sys
+from collections.abc import Callable
+from typing import NamedTuple
 
 import numpy as np
 
@@ -29,57 +35,33 @@ from . import rng as _rng
 from .distributions import parse_dist
 from .spaces import SpaceSpec
 
-KINDS = ("hclass", "constants", "fn-bound", "fn-verify", "lil-sim", "report")
 
-_COMMON_KEYS = {"kind", "seed", "workers", "format", "out"}
-_KIND_KEYS = {
-    "hclass": {"h", "q", "tol"},
-    "constants": {"h", "H", "space", "dist", "c_seq", "tol", "trials"},
-    "fn-bound": {"delta", "eta", "s", "t", "lambda_n", "n", "moment_s", "mean_norm", "m_bound"},
-    "fn-verify": {"dist", "space", "n", "trials", "t_grid", "delta", "eta", "s", "kr_points"},
-    "lil-sim": {"dist", "space", "h", "N", "trials", "tail_fraction", "ratio"},
-    "report": {"run_dir"},
-}
+class Key(NamedTuple):
+    """One spec key: its type (int, float or str), default and flag help."""
 
-_DEFAULTS = {
-    "seed": 0,
-    "workers": None,
-    "format": "json",
-    "out": ".",
-    "hclass": {"h": None, "q": 0.0, "tol": 0.02},
-    "constants": {
-        "h": None, "H": "const:1", "space": "1,2", "dist": None,
-        "c_seq": None, "tol": 0.02, "trials": 0,
-    },
-    "fn-bound": {
-        "delta": 1.0, "eta": 1.0, "s": 3.0, "t": None, "lambda_n": 0.0,
-        "n": 1, "moment_s": 0.0, "mean_norm": 0.0, "m_bound": 0.0,
-    },
-    "fn-verify": {
-        "dist": "rademacher:dim=5", "space": "5,inf", "n": 200, "trials": 10000,
-        "t_grid": None, "delta": 1.0, "eta": 1.0, "s": 3.0, "kr_points": 10,
-    },
-    "lil-sim": {
-        "dist": "gauss:dim=1,var=1", "space": "1,2", "h": "2*(LL)^1",
-        "N": 100000, "trials": 50, "tail_fraction": 0.5, "ratio": 1.3,
-    },
-    "report": {"run_dir": None},
-}
+    type: type
+    default: object = None
+    help: str | None = None
+    choices: tuple | None = None
+    positional: bool = False  # an optional positional argument, not a --flag
 
-_ARTIFACT_NAMES = {
-    "hclass": "hclass.json",
-    "constants": "constants.json",
-    "fn-bound": "fn_bound.json",
-    "fn-verify": "verify.json",
-    "lil-sim": "sim.json",
-}
 
-_INT_KEYS = {"seed", "workers", "trials", "n", "N", "kr_points"}
-_FLOAT_KEYS = {
-    "q", "tol", "delta", "eta", "s", "t", "lambda_n", "moment_s",
-    "mean_norm", "m_bound", "tail_fraction", "ratio",
+class Kind(NamedTuple):
+    """One subcommand: help line, executor, artifact file name, own keys."""
+
+    help: str
+    execute: Callable[[dict], tuple[dict, dict, int]]
+    artifact: str
+    keys: dict[str, Key]
+
+
+# The keys every kind accepts, in flag order.
+_COMMON = {
+    "seed": Key(int, 0),
+    "workers": Key(int),
+    "out": Key(str, "."),
+    "format": Key(str, "json", choices=("json", "csv")),
 }
-_STR_KEYS = {"kind", "format", "out", "h", "H", "space", "dist", "c_seq", "t_grid", "run_dir"}
 
 
 class SpecError(Exception):
@@ -116,37 +98,36 @@ def parse_grid(text: str) -> np.ndarray:
 
 
 def validate_spec(raw: dict) -> dict:
-    """Check keys and types against the schema and fill defaults."""
+    """Check keys and types against the kind's row of `SPECS` and fill defaults."""
     if not isinstance(raw, dict):
         raise SpecError("spec must be a JSON object")
     kind = raw.get("kind")
-    if kind not in KINDS:
-        raise SpecError(f"kind must be one of {list(KINDS)}", {"kind": kind})
-    allowed = _COMMON_KEYS | _KIND_KEYS[kind]
-    unknown = sorted(set(raw) - allowed)
+    if not isinstance(kind, str) or kind not in SPECS:
+        raise SpecError(f"kind must be one of {list(SPECS)}", {"kind": kind})
+    keys = {**_COMMON, **SPECS[kind].keys}
+    unknown = sorted(set(raw).difference(keys, ("kind",)))
     if unknown:
         raise SpecError(f"unknown spec keys for kind {kind!r}", {"unknown": unknown})
-    spec = {"kind": kind, "seed": _DEFAULTS["seed"], "workers": _DEFAULTS["workers"],
-            "format": _DEFAULTS["format"], "out": _DEFAULTS["out"]}
-    spec.update(_DEFAULTS[kind])
+    spec = {"kind": kind, **{key: k.default for key, k in keys.items()}}
     for key, val in raw.items():
         if key == "kind" or val is None:
             continue
-        if key in _INT_KEYS:
+        typ = keys[key].type
+        if typ is int:
             if not isinstance(val, int) or isinstance(val, bool):
                 raise SpecError(f"{key} must be an integer", {key: val})
-        elif key in _FLOAT_KEYS:
+        elif typ is float:
             if isinstance(val, bool) or not isinstance(val, (int, float)):
                 raise SpecError(f"{key} must be a number", {key: val})
             val = float(val)
             if not math.isfinite(val):
                 raise SpecError(f"{key} must be finite", {key: constants._json_real(val)})
-        elif key in _STR_KEYS:
-            if not isinstance(val, str):
-                raise SpecError(f"{key} must be a string", {key: val})
+        elif not isinstance(val, str):
+            raise SpecError(f"{key} must be a string", {key: val})
         spec[key] = val
-    if spec["format"] not in ("json", "csv"):
-        raise SpecError("format must be 'json' or 'csv'", {"format": spec["format"]})
+    for key, k in keys.items():
+        if k.choices and spec[key] not in k.choices:
+            raise SpecError(f"{key} must be {' or '.join(map(repr, k.choices))}", {key: spec[key]})
     return spec
 
 
@@ -159,51 +140,50 @@ def _resolve_workers(spec: dict) -> int:
     return os.cpu_count() or 1
 
 
-def _parse_h(text: str) -> slowvary.SlowVaryFn:
+def _parsed(parse, spec: dict, key: str, **kwargs):
+    """`parse(spec[key])`, a ValueError turned into a SpecError naming the key."""
     try:
-        return slowvary.parse_slow_vary(text)
+        return parse(spec[key], **kwargs)
     except ValueError as exc:
-        raise SpecError(str(exc), {"h": text}) from None
+        raise SpecError(str(exc), {key: spec[key]}) from None
+
+
+def _dist_and_space(spec: dict, need_dist: bool = True):
+    """The spec's law and space, which must agree in dimension.
+
+    The law is None when the spec names none and none is needed.
+    """
+    dist = _parsed(parse_dist, spec, "dist") if need_dist or spec["dist"] else None
+    space = parse_space(spec["space"])
+    if dist is not None and dist.dim != space.dim:
+        raise SpecError("distribution and space dimensions disagree",
+                        {"dist_dim": dist.dim, "space_dim": space.dim})
+    return dist, space
 
 
 # ---------------------------------------------------------------------------
 # Scenario executors.  Each returns (artifact dict, extra files, exit code).
+# A ValueError or ArithmeticError they raise becomes a SpecError in `execute`.
 # ---------------------------------------------------------------------------
 
 
 def _exec_hclass(spec: dict) -> tuple[dict, dict, int]:
-    if not spec.get("h"):
+    if not spec["h"]:
         raise SpecError("hclass needs --h")
-    report = slowvary.hq_classify(_parse_h(spec["h"]), spec["q"], tol=spec["tol"])
+    h = _parsed(slowvary.parse_slow_vary, spec, "h")
+    report = slowvary.hq_classify(h, spec["q"], tol=spec["tol"])
     print(f"hclass: h={spec['h']} q={spec['q']:g} -> {report.verdict}")
     return {"report": report.to_json_dict()}, {}, 0
 
 
 def _exec_constants(spec: dict) -> tuple[dict, dict, int]:
-    if not spec.get("h"):
+    if not spec["h"]:
         raise SpecError("constants needs --h")
-    h = _parse_h(spec["h"])
-    space = parse_space(spec["space"])
-    dist = None
-    if spec.get("dist"):
-        try:
-            dist = parse_dist(spec["dist"])
-        except ValueError as exc:
-            raise SpecError(str(exc), {"dist": spec["dist"]}) from None
-        if dist.dim != space.dim:
-            raise SpecError("distribution and space dimensions disagree",
-                            {"dist_dim": dist.dim, "space_dim": space.dim})
+    h = _parsed(slowvary.parse_slow_vary, spec, "h")
+    dist, space = _dist_and_space(spec, need_dist=False)
     rng = np.random.default_rng(spec["seed"])
-    try:
-        H_fn = constants.parse_tsm(spec["H"], dist=dist, space=space, rng=rng)
-    except ValueError as exc:
-        raise SpecError(str(exc), {"H": spec["H"]}) from None
-    c_seq = None
-    if spec.get("c_seq"):
-        try:
-            c_seq = slowvary.parse_cseq(spec["c_seq"])
-        except ValueError as exc:
-            raise SpecError(str(exc), {"c_seq": spec["c_seq"]}) from None
+    H_fn = _parsed(constants.parse_tsm, spec, "H", dist=dist, space=space, rng=rng)
+    c_seq = _parsed(slowvary.parse_cseq, spec, "c_seq") if spec["c_seq"] else None
     report = constants.constants_report(
         h, H_fn, c_seq=c_seq, dist=dist, space=space, tol=spec["tol"],
         trials=spec["trials"], seed=spec["seed"], workers=_resolve_workers(spec),
@@ -214,18 +194,15 @@ def _exec_constants(spec: dict) -> tuple[dict, dict, int]:
 
 
 def _exec_fn_bound(spec: dict) -> tuple[dict, dict, int]:
-    if spec.get("t") is None:
+    if spec["t"] is None:
         raise SpecError("fn-bound needs --t")
-    try:
-        params = bounds.BoundParams(eta=spec["eta"], delta=spec["delta"], s=spec["s"])
-        data = bounds.MomentData(
-            n=spec["n"], M=spec["m_bound"], lambda_n=spec["lambda_n"],
-            mean_norm=spec["mean_norm"], moment_s=spec["moment_s"], s=spec["s"],
-        )
-        consts = bounds.fn_constants(spec["delta"], spec["eta"], spec["s"])
-        value = bounds.fuk_nagaev_bound(spec["t"], params, data)
-    except ValueError as exc:
-        raise SpecError(str(exc)) from None
+    params = bounds.BoundParams(eta=spec["eta"], delta=spec["delta"], s=spec["s"])
+    data = bounds.MomentData(
+        n=spec["n"], M=spec["m_bound"], lambda_n=spec["lambda_n"],
+        mean_norm=spec["mean_norm"], moment_s=spec["moment_s"], s=spec["s"],
+    )
+    consts = bounds.fn_constants(spec["delta"], spec["eta"], spec["s"])
+    value = bounds.fuk_nagaev_bound(spec["t"], params, data)
     gauss = 0.0 if spec["lambda_n"] == 0 else math.exp(
         -spec["t"] ** 2 / ((2 + spec["delta"]) * spec["lambda_n"])
     )
@@ -233,9 +210,9 @@ def _exec_fn_bound(spec: dict) -> tuple[dict, dict, int]:
     print(f"fn-bound: t={spec['t']:g} -> {value:.6g} "
           f"(gaussian term {gauss:.6g}, polynomial term {poly:.6g}, C={consts.C:.6g})")
     doc = {
-        "bound": value,
-        "gauss_term": gauss,
-        "poly_term": poly,
+        "bound": constants._json_real(value),
+        "gauss_term": constants._json_real(gauss),
+        "poly_term": constants._json_real(poly),
         "constants": {
             "epsilon": consts.epsilon, "D": consts.D, "K_s": consts.K_s,
             "C_prime": consts.C_prime, "C_dprime": consts.C_dprime, "C": consts.C,
@@ -246,24 +223,14 @@ def _exec_fn_bound(spec: dict) -> tuple[dict, dict, int]:
 
 
 def _exec_fn_verify(spec: dict) -> tuple[dict, dict, int]:
-    try:
-        dist = parse_dist(spec["dist"])
-    except ValueError as exc:
-        raise SpecError(str(exc), {"dist": spec["dist"]}) from None
-    space = parse_space(spec["space"])
-    if dist.dim != space.dim:
-        raise SpecError("distribution and space dimensions disagree",
-                        {"dist_dim": dist.dim, "space_dim": space.dim})
+    dist, space = _dist_and_space(spec)
     n = spec["n"]
-    grid = parse_grid(spec["t_grid"]) if spec.get("t_grid") else np.geomspace(0.5 * math.sqrt(n), 5 * math.sqrt(n), 20)
-    try:
-        params = bounds.BoundParams(eta=spec["eta"], delta=spec["delta"], s=spec["s"])
-        report = bounds.mc_verify(
-            dist, space, n, spec["trials"], grid, params,
-            seed=spec["seed"], kr_points=spec["kr_points"], workers=_resolve_workers(spec),
-        )
-    except ValueError as exc:
-        raise SpecError(str(exc)) from None
+    grid = parse_grid(spec["t_grid"]) if spec["t_grid"] else np.geomspace(0.5 * math.sqrt(n), 5 * math.sqrt(n), 20)
+    params = bounds.BoundParams(eta=spec["eta"], delta=spec["delta"], s=spec["s"])
+    report = bounds.mc_verify(
+        dist, space, n, spec["trials"], grid, params,
+        seed=spec["seed"], kr_points=spec["kr_points"], workers=_resolve_workers(spec),
+    )
     n_viol = sum(r.violation for r in report.rows)
     print(f"fn-verify: {len(report.rows)} rows, {n_viol} violations")
     extra = {}
@@ -273,24 +240,14 @@ def _exec_fn_verify(spec: dict) -> tuple[dict, dict, int]:
 
 
 def _exec_lil_sim(spec: dict) -> tuple[dict, dict, int]:
-    try:
-        dist = parse_dist(spec["dist"])
-    except ValueError as exc:
-        raise SpecError(str(exc), {"dist": spec["dist"]}) from None
-    space = parse_space(spec["space"])
-    if dist.dim != space.dim:
-        raise SpecError("distribution and space dimensions disagree",
-                        {"dist_dim": dist.dim, "space_dim": space.dim})
-    h = _parse_h(spec["h"])
-    try:
-        config = simulate.PathConfig(
-            N=spec["N"], checkpoints=simulate.geometric_checkpoints(spec["N"], spec["ratio"]),
-            seed=spec["seed"], trials=spec["trials"],
-        )
-        paths = simulate.run_path(dist, space, h, config, workers=_resolve_workers(spec))
-        est = simulate.limsup_estimate(paths, spec["tail_fraction"])
-    except (ValueError, ArithmeticError) as exc:
-        raise SpecError(str(exc)) from None
+    dist, space = _dist_and_space(spec)
+    h = _parsed(slowvary.parse_slow_vary, spec, "h")
+    config = simulate.PathConfig(
+        N=spec["N"], checkpoints=simulate.geometric_checkpoints(spec["N"], spec["ratio"]),
+        seed=spec["seed"], trials=spec["trials"],
+    )
+    paths = simulate.run_path(dist, space, h, config, workers=_resolve_workers(spec))
+    est = simulate.limsup_estimate(paths, spec["tail_fraction"])
     print(f"lil-sim: tail-max median {est.median:.4g}, q10 {est.q10:.4g}, q90 {est.q90:.4g}")
     doc = {
         "checkpoints": list(paths.checkpoints),
@@ -309,11 +266,12 @@ def _exec_lil_sim(spec: dict) -> tuple[dict, dict, int]:
 
 
 def _exec_report(spec: dict) -> tuple[dict, dict, int]:
-    run_dir = spec.get("run_dir") or spec["out"]
+    run_dir = spec["run_dir"] or spec["out"]
     if not os.path.isdir(run_dir):
         raise SpecError(f"run directory not found: {run_dir}", {"run_dir": run_dir}, code="io_error")
     found, missing = {}, []
-    for kind, name in _ARTIFACT_NAMES.items():
+    artifacts = {kind: row.artifact for kind, row in SPECS.items() if kind != "report"}
+    for kind, name in artifacts.items():
         path = os.path.join(run_dir, name)
         if os.path.exists(path):
             with open(path) as fh:
@@ -386,13 +344,34 @@ print("plots written to", run_dir)
 """
 
 
-_EXECUTORS = {
-    "hclass": _exec_hclass,
-    "constants": _exec_constants,
-    "fn-bound": _exec_fn_bound,
-    "fn-verify": _exec_fn_verify,
-    "lil-sim": _exec_lil_sim,
-    "report": _exec_report,
+# One row per kind; its keys follow `_COMMON`, in flag order.
+SPECS = {
+    "hclass": Kind("slow-variation class membership", _exec_hclass, "hclass.json", {
+        "h": Key(str), "q": Key(float, 0.0), "tol": Key(float, 0.02),
+    }),
+    "constants": Kind("limit constants report", _exec_constants, "constants.json", {
+        "h": Key(str), "H": Key(str, "const:1"), "space": Key(str, "1,2"), "dist": Key(str),
+        "c_seq": Key(str), "tol": Key(float, 0.02), "trials": Key(int, 0),
+    }),
+    "fn-bound": Kind("evaluate the mixed tail bound once", _exec_fn_bound, "fn_bound.json", {
+        "delta": Key(float, 1.0), "eta": Key(float, 1.0), "s": Key(float, 3.0), "t": Key(float),
+        "lambda_n": Key(float, 0.0), "n": Key(int, 1), "moment_s": Key(float, 0.0),
+        "mean_norm": Key(float, 0.0), "m_bound": Key(float, 0.0),
+    }),
+    "fn-verify": Kind("Monte Carlo falsification harness", _exec_fn_verify, "verify.json", {
+        "dist": Key(str, "rademacher:dim=5"), "space": Key(str, "5,inf"), "n": Key(int, 200),
+        "trials": Key(int, 10000), "t_grid": Key(str, help="lo:hi:points, geometric"),
+        "delta": Key(float, 1.0), "eta": Key(float, 1.0), "s": Key(float, 3.0), "kr_points": Key(int, 10),
+    }),
+    "lil-sim": Kind("normalized partial-sum paths", _exec_lil_sim, "sim.json", {
+        "dist": Key(str, "gauss:dim=1,var=1"), "space": Key(str, "1,2"), "h": Key(str, "2*(LL)^1"),
+        "N": Key(int, 100000), "trials": Key(int, 50), "tail_fraction": Key(float, 0.5),
+        "ratio": Key(float, 1.3),
+    }),
+    # the summary is written into the run directory, not --out
+    "report": Kind("merge run artifacts into a summary", _exec_report, "summary.json", {
+        "run_dir": Key(str, positional=True),
+    }),
 }
 
 
@@ -404,26 +383,24 @@ def _provenance() -> dict:
 def execute(spec: dict) -> int:
     """Validate and run one resolved spec; write artifacts; return exit code."""
     spec = validate_spec(spec)
-    try:
-        body, extra_files, code = _EXECUTORS[spec["kind"]](spec)
-    except (ValueError, ArithmeticError) as exc:
-        raise SpecError(str(exc)) from None
-    out_dir = spec["out"]
-    os.makedirs(out_dir, exist_ok=True)
-    if spec["kind"] == "report":
-        run_dir = spec.get("run_dir") or out_dir
-        artifact_path = os.path.join(run_dir, "summary.json")
-    else:
-        artifact_path = os.path.join(out_dir, _ARTIFACT_NAMES[spec["kind"]])
+    row = SPECS[spec["kind"]]
     # The worker count never changes a result, so the artifact records none:
     # runs at any --workers write the same bytes.
     artifact = {"resolved_spec": {**spec, "workers": None}, "seed": spec["seed"], "provenance": _provenance()}
-    artifact.update(body)
+    try:
+        body, extra_files, code = row.execute(spec)
+        artifact.update(body)
+        # Serialised before any file is opened: a NaN or inf that reached
+        # the document fails here and leaves no partial artifact behind.
+        artifact_text = json.dumps(artifact, indent=2, sort_keys=True, allow_nan=False) + "\n"
+    except (ValueError, ArithmeticError) as exc:
+        raise SpecError(str(exc)) from None
+    os.makedirs(spec["out"], exist_ok=True)
+    base_dir = spec.get("run_dir") or spec["out"]
+    artifact_path = os.path.join(base_dir, row.artifact)
     with open(artifact_path, "w") as fh:
-        json.dump(artifact, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.write(artifact_text)
     print(f"wrote {artifact_path}")
-    base_dir = os.path.dirname(artifact_path)
     for name, text in extra_files.items():
         path = os.path.join(base_dir, name)
         with open(path, "w") as fh:
@@ -445,21 +422,15 @@ def run(spec_file: str, overrides: dict | None = None) -> int:
         return 2
     if isinstance(raw, dict) and "resolved_spec" in raw:
         raw = raw["resolved_spec"]
-    if overrides:
-        raw = {**raw, **{k: v for k, v in overrides.items() if v is not None}}
     try:
+        if not isinstance(raw, dict):
+            raise SpecError("spec must be a JSON object")
+        if overrides:
+            raw = {**raw, **{k: v for k, v in overrides.items() if v is not None}}
         return execute(raw)
     except SpecError as err:
         _emit_error(err)
         return 2
-
-
-def _add_common(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--seed", type=int, default=None)
-    sub.add_argument("--workers", type=int, default=None)
-    sub.add_argument("--out", default=None)
-    sub.add_argument("--format", choices=("json", "csv"), default=None)
-    sub.add_argument("--spec", default=None, help="spec or artifact JSON to load; flags override")
 
 
 @functools.cache
@@ -467,65 +438,21 @@ def _build_parser() -> argparse.ArgumentParser:
     # Built once per process: parsing reads the parser but never changes it.
     parser = argparse.ArgumentParser(prog="lil-lab", description=__doc__.splitlines()[0])
     subs = parser.add_subparsers(dest="kind", required=True)
+    spec_flag = Key(str, help="spec or artifact JSON to load; flags override")
 
-    p = subs.add_parser("hclass", help="slow-variation class membership")
-    _add_common(p)
-    p.add_argument("--h", default=None)
-    p.add_argument("--q", type=float, default=None)
-    p.add_argument("--tol", type=float, default=None)
+    def add(name: str, help_line: str, keys: dict[str, Key]) -> argparse.ArgumentParser:
+        p = subs.add_parser(name, help=help_line)
+        for key, k in [*_COMMON.items(), ("spec", spec_flag), *keys.items()]:
+            if k.positional:
+                p.add_argument(key, nargs="?")
+            else:
+                p.add_argument("--" + key.replace("_", "-"), type=None if k.type is str else k.type,
+                               choices=k.choices, help=k.help)
+        return p
 
-    p = subs.add_parser("constants", help="limit constants report")
-    _add_common(p)
-    p.add_argument("--h", default=None)
-    p.add_argument("--H", dest="H", default=None)
-    p.add_argument("--space", default=None)
-    p.add_argument("--dist", default=None)
-    p.add_argument("--c-seq", dest="c_seq", default=None)
-    p.add_argument("--tol", type=float, default=None)
-    p.add_argument("--trials", type=int, default=None)
-
-    p = subs.add_parser("fn-bound", help="evaluate the mixed tail bound once")
-    _add_common(p)
-    p.add_argument("--delta", type=float, default=None)
-    p.add_argument("--eta", type=float, default=None)
-    p.add_argument("--s", type=float, default=None)
-    p.add_argument("--t", type=float, default=None)
-    p.add_argument("--lambda-n", dest="lambda_n", type=float, default=None)
-    p.add_argument("--n", type=int, default=None)
-    p.add_argument("--moment-s", dest="moment_s", type=float, default=None)
-    p.add_argument("--mean-norm", dest="mean_norm", type=float, default=None)
-    p.add_argument("--m-bound", dest="m_bound", type=float, default=None)
-
-    p = subs.add_parser("fn-verify", help="Monte Carlo falsification harness")
-    _add_common(p)
-    p.add_argument("--dist", default=None)
-    p.add_argument("--space", default=None)
-    p.add_argument("--n", type=int, default=None)
-    p.add_argument("--trials", type=int, default=None)
-    p.add_argument("--t-grid", dest="t_grid", default=None, help="lo:hi:points, geometric")
-    p.add_argument("--delta", type=float, default=None)
-    p.add_argument("--eta", type=float, default=None)
-    p.add_argument("--s", type=float, default=None)
-    p.add_argument("--kr-points", dest="kr_points", type=int, default=None)
-
-    p = subs.add_parser("lil-sim", help="normalized partial-sum paths")
-    _add_common(p)
-    p.add_argument("--dist", default=None)
-    p.add_argument("--space", default=None)
-    p.add_argument("--h", default=None)
-    p.add_argument("--N", dest="N", type=int, default=None)
-    p.add_argument("--trials", type=int, default=None)
-    p.add_argument("--tail-fraction", dest="tail_fraction", type=float, default=None)
-    p.add_argument("--ratio", type=float, default=None)
-
-    p = subs.add_parser("report", help="merge run artifacts into a summary")
-    _add_common(p)
-    p.add_argument("run_dir", nargs="?", default=None)
-
-    p = subs.add_parser("run", help="execute a spec or artifact JSON file")
-    _add_common(p)
-    p.add_argument("spec_file")
-
+    for kind, row in SPECS.items():
+        add(kind, row.help, row.keys)
+    add("run", "execute a spec or artifact JSON file", {}).add_argument("spec_file")
     return parser
 
 

@@ -527,7 +527,6 @@ class ConstTSM:
         if v < 0:
             raise ValueError("constant H must be nonnegative")
         self.v = float(v)
-        self.text = f"const:{self.v:g}"
 
     def values(self, ts) -> np.ndarray:
         return np.where(np.asarray(ts, dtype=float) > 0, self.v, 0.0)
@@ -545,7 +544,6 @@ class LogLogPowTSM:
         if q <= 0:
             raise ValueError("llpow exponent must be positive")
         self.q = float(q)
-        self.text = f"llpow:{self.q:g}"
 
     def values(self, ts) -> np.ndarray:
         # math.log and float ** per point: results keep libm's bits, not
@@ -579,7 +577,6 @@ class DistTSM:
             self.route = "empirical"
             self.n_samples, self.max_norm = self._empirical.n_samples, self._empirical.max_norm
             self.extrapolated = self._empirical.extrapolated
-        self.text = "dist"
 
     def values(self, ts) -> np.ndarray:
         if self._empirical is not None:
@@ -596,10 +593,6 @@ class DistTSM:
 
 class EmpiricalWrapTSM(EmpiricalTSM):
     """H from a fixed sample set: an `EmpiricalTSM` named as an H source."""
-
-    def __init__(self, samples, space: SpaceSpec):
-        super().__init__(samples, space)
-        self.text = f"empirical:{self.n_samples}"
 
     # Its own __call__, not the inherited one, so per-class call counters
     # (perfbench/tracer.py) tell the two apart.

@@ -19,7 +19,6 @@ _MASK = 0xFFFFFFFFFFFFFFFF
 # Purpose tags so that pilot, main, and auxiliary draws never share a stream.
 PILOT = 1
 MAIN = 2
-MOMENT = 3
 CURVE = 4
 
 

@@ -340,9 +340,6 @@ class NormalizerSeq:
     def values(self, n) -> np.ndarray:
         return psi(self.h, np.asarray(n, dtype=float))
 
-    def log_values(self, log_n):
-        return log_psi(self.h, log_n)
-
     def describe(self) -> str:
         return f"psi:{self.h.to_text()}"
 
@@ -360,11 +357,6 @@ class PowerSeq:
         arr = np.asarray(n, dtype=float)
         out = self.coeff * arr**self.exponent
         return float(out) if np.ndim(n) == 0 else out
-
-    def log_values(self, log_n):
-        lx = np.asarray(log_n, dtype=float)
-        out = math.log(self.coeff) + self.exponent * lx
-        return float(out) if np.ndim(log_n) == 0 else out
 
     def describe(self) -> str:
         if self.coeff == 1.0:

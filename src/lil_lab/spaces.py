@@ -51,10 +51,6 @@ class SpaceSpec:
         if self.norm_p not in _VALID_P:
             raise ValueError(f"norm_p must be 1, 2 or inf, got {self.norm_p!r}")
 
-    def describe(self) -> str:
-        p = "inf" if math.isinf(self.norm_p) else f"{self.norm_p:g}"
-        return f"R^{self.dim} with l^{p}"
-
 
 def norm(v: np.ndarray, space: SpaceSpec) -> float:
     """l^p norm of a single vector in the given space."""

@@ -75,13 +75,6 @@ class TestAssembledConstants:
         assert fc.C == pytest.approx(fc.C_dprime * (1 + 9 * fc.epsilon) ** 3.0, rel=1e-12)
         assert fc.C_dprime >= 1 + fc.epsilon**-3.0
 
-    def test_merge_rate_formula(self):
-        fc = fn_constants(1.0, 1.0, 3.0)
-        assert fc.rho(1e-300) == pytest.approx(
-            1.0 / (2 * fc.epsilon * fc.D * math.log(1e300)), rel=1e-12
-        )
-        assert fc.rho(0.9999) == 1.0  # clamped at 1 for beta near 1
-
 
 class TestBoundEvaluators:
     def test_mgf_bound_substitution(self):

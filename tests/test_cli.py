@@ -1,5 +1,6 @@
 """Batch runner checks: spec validation, artifact round trips, exit codes."""
 
+import argparse
 import json
 import math
 import types
@@ -10,6 +11,20 @@ import pytest
 import lil_lab
 from lil_lab import bounds, cli, simulate
 from lil_lab.simulate import BLOCK
+
+
+def _float_key_params():
+    """(kind, key) for every float key of every kind in `cli.SPECS`.
+
+    A key's first kind has the bare key as its id, later kinds
+    `kind.key`, so the ids stay unique.
+    """
+    seen = set()
+    for kind, row in cli.SPECS.items():
+        for key, k in row.keys.items():
+            if k.type is float:
+                yield pytest.param(kind, key, id=f"{kind}.{key}" if key in seen else key)
+                seen.add(key)
 
 
 class TestValidateSpec:
@@ -52,14 +67,99 @@ class TestValidateSpec:
         assert spec["q"] == 0.0 and isinstance(spec["q"], float)
 
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
-    @pytest.mark.parametrize("key", sorted(cli._FLOAT_KEYS))
-    def test_non_finite_float_rejected_naming_the_key(self, key, value):
-        kind = next(k for k, keys in cli._KIND_KEYS.items() if key in keys)
+    @pytest.mark.parametrize("kind, key", _float_key_params())
+    def test_non_finite_float_rejected_naming_the_key(self, kind, key, value):
         with pytest.raises(cli.SpecError) as err:
             cli.validate_spec({"kind": kind, key: value})
         assert err.value.code == "invalid_spec"
         assert list(err.value.context) == [key]
         json.dumps(err.value.context, allow_nan=False)
+
+    def test_every_float_key_of_every_kind_is_checked(self):
+        pairs = [p.values for p in _float_key_params()]
+        assert len(pairs) == 16
+        assert {key for _, key in pairs} == {
+            "q", "tol", "delta", "eta", "s", "t", "lambda_n", "moment_s",
+            "mean_norm", "m_bound", "tail_fraction", "ratio",
+        }
+
+
+def _subparsers() -> dict:
+    parser = cli._build_parser()
+    return next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction)).choices
+
+
+# The CLI contract as literals: every subcommand's flags (option string,
+# dest, type, choices) in order, then its positionals (dest, nargs).
+_COMMON_FLAGS = [
+    ("--seed", "seed", int, None), ("--workers", "workers", int, None),
+    ("--out", "out", None, None), ("--format", "format", None, ("json", "csv")),
+    ("--spec", "spec", None, None),
+]
+_SUBCOMMANDS = {
+    "hclass": ([("--h", "h", None, None), ("--q", "q", float, None), ("--tol", "tol", float, None)], []),
+    "constants": ([
+        ("--h", "h", None, None), ("--H", "H", None, None), ("--space", "space", None, None),
+        ("--dist", "dist", None, None), ("--c-seq", "c_seq", None, None),
+        ("--tol", "tol", float, None), ("--trials", "trials", int, None),
+    ], []),
+    "fn-bound": ([
+        ("--delta", "delta", float, None), ("--eta", "eta", float, None), ("--s", "s", float, None),
+        ("--t", "t", float, None), ("--lambda-n", "lambda_n", float, None), ("--n", "n", int, None),
+        ("--moment-s", "moment_s", float, None), ("--mean-norm", "mean_norm", float, None),
+        ("--m-bound", "m_bound", float, None),
+    ], []),
+    "fn-verify": ([
+        ("--dist", "dist", None, None), ("--space", "space", None, None), ("--n", "n", int, None),
+        ("--trials", "trials", int, None), ("--t-grid", "t_grid", None, None),
+        ("--delta", "delta", float, None), ("--eta", "eta", float, None), ("--s", "s", float, None),
+        ("--kr-points", "kr_points", int, None),
+    ], []),
+    "lil-sim": ([
+        ("--dist", "dist", None, None), ("--space", "space", None, None), ("--h", "h", None, None),
+        ("--N", "N", int, None), ("--trials", "trials", int, None),
+        ("--tail-fraction", "tail_fraction", float, None), ("--ratio", "ratio", float, None),
+    ], []),
+    "report": ([], [("run_dir", "?")]),
+    "run": ([], [("spec_file", None)]),
+}
+_VALIDATED_DEFAULTS = {
+    "hclass": {"h": None, "q": 0.0, "tol": 0.02},
+    "constants": {"h": None, "H": "const:1", "space": "1,2", "dist": None, "c_seq": None,
+                  "tol": 0.02, "trials": 0},
+    "fn-bound": {"delta": 1.0, "eta": 1.0, "s": 3.0, "t": None, "lambda_n": 0.0, "n": 1,
+                 "moment_s": 0.0, "mean_norm": 0.0, "m_bound": 0.0},
+    "fn-verify": {"dist": "rademacher:dim=5", "space": "5,inf", "n": 200, "trials": 10000,
+                  "t_grid": None, "delta": 1.0, "eta": 1.0, "s": 3.0, "kr_points": 10},
+    "lil-sim": {"dist": "gauss:dim=1,var=1", "space": "1,2", "h": "2*(LL)^1", "N": 100000,
+                "trials": 50, "tail_fraction": 0.5, "ratio": 1.3},
+    "report": {"run_dir": None},
+}
+
+
+class TestContract:
+    def test_subcommand_names(self):
+        assert list(_subparsers()) == list(_SUBCOMMANDS)
+
+    @pytest.mark.parametrize("name", list(_SUBCOMMANDS))
+    def test_flags_and_positionals(self, name):
+        actions = [a for a in _subparsers()[name]._actions if not isinstance(a, argparse._HelpAction)]
+        flags = [(*a.option_strings, a.dest, a.type, a.choices) for a in actions if a.option_strings]
+        positionals = [(a.dest, a.nargs) for a in actions if not a.option_strings]
+        assert flags == _COMMON_FLAGS + _SUBCOMMANDS[name][0]
+        assert positionals == _SUBCOMMANDS[name][1]
+        assert all(a.default is None for a in actions)
+
+    def test_help_texts(self):
+        subs = _subparsers()
+        helps = {a.dest: a.help for a in subs["fn-verify"]._actions if a.help and a.dest != "help"}
+        assert helps == {"spec": "spec or artifact JSON to load; flags override",
+                         "t_grid": "lo:hi:points, geometric"}
+
+    @pytest.mark.parametrize("kind", list(_VALIDATED_DEFAULTS))
+    def test_validated_defaults(self, kind):
+        common = {"kind": kind, "seed": 0, "workers": None, "format": "json", "out": "."}
+        assert cli.validate_spec({"kind": kind}) == {**common, **_VALIDATED_DEFAULTS[kind]}
 
 
 class TestParsers:
@@ -248,6 +348,32 @@ class TestExitCodes:
         rep = json.loads((tmp_path / "constants.json").read_text())["report"]
         assert rep["c0_hi"] == "inf" and rep["lambda"] == "inf"
         assert "c0 in [" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("text", ["[1, 2]", "null", "3", '"constants"'], ids=["list", "null", "number", "string"])
+    @pytest.mark.parametrize("how", ["run-with-flag", "spec-flag"])
+    def test_spec_file_that_is_not_an_object_is_exit_2(self, tmp_path, capsys, text, how):
+        path = tmp_path / "spec.json"
+        path.write_text(text)
+        argv = ["run", str(path), "--seed", "3"] if how == "run-with-flag" else ["constants", "--spec", str(path)]
+        assert cli.main(argv) == 2
+        err = json.loads(capsys.readouterr().err.strip())
+        assert err == {"code": "invalid_spec", "message": "spec must be a JSON object", "context": {}}
+
+    def test_infinite_bound_term_is_written_as_a_string(self, tmp_path):
+        assert cli.main(["fn-bound", "--t", "1", "--moment-s", "1e300", "--out", str(tmp_path)]) == 0
+
+        def no_literal(name):
+            raise AssertionError(f"non-JSON literal {name} in the artifact")
+
+        doc = json.loads((tmp_path / "fn_bound.json").read_text(), parse_constant=no_literal)
+        assert doc["poly_term"] == "inf" and doc["bound"] == 1.0
+
+    def test_non_finite_artifact_value_is_exit_2_and_writes_nothing(self, tmp_path, capsys):
+        # s = 50 overflows the assembled constant C to inf
+        assert cli.main(["fn-bound", "--t", "1", "--s", "50", "--out", str(tmp_path)]) == 2
+        err = json.loads(capsys.readouterr().err.strip())
+        assert err["code"] == "invalid_spec" and "JSON compliant" in err["message"]
+        assert not (tmp_path / "fn_bound.json").exists()
 
     def test_bad_spec_file(self, tmp_path, capsys):
         path = tmp_path / "spec.json"
