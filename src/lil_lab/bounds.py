@@ -137,12 +137,21 @@ class FnConstants:
 
 
 def fn_constants(delta: float, eta: float, s: float) -> FnConstants:
+    """The assembled constants; a ValueError naming s when C is not a finite float."""
     eps = eps_from_delta(delta)
     dd = d_const(eps, eta)
-    ks = k_const(s)
-    c_prime = ks * (2.0 * dd) ** (2.0 * s)
-    c_dprime = 1.0 + c_prime + eps ** (-s)
-    c_full = c_dprime * (1.0 + 9.0 * eps) ** s
+    try:
+        ks = k_const(s)
+        c_prime = ks * (2.0 * dd) ** (2.0 * s)
+        c_dprime = 1.0 + c_prime + eps ** (-s)
+        c_full = c_dprime * (1.0 + 9.0 * eps) ** s
+    except OverflowError:
+        c_full = math.inf
+    if not math.isfinite(c_full):
+        raise ValueError(
+            f"s = {s:g} is too large at delta = {delta:g}, eta = {eta:g}: the constant C of "
+            "the mixed bound overflows to inf, and out-of-range floats are not JSON compliant"
+        )
     return FnConstants(
         delta=delta, eta=eta, s=s, epsilon=eps, D=dd, K_s=ks,
         C_prime=c_prime, C_dprime=c_dprime, C=c_full,
@@ -201,6 +210,11 @@ def fuk_nagaev_bound(t: float, params: BoundParams, data: MomentData) -> float:
     Needs moment data: P{max_k ||S_k|| >= (1+eta) mean_norm + t} is at
     most exp(-t^2/((2+delta) Lambda_n)) + C sum_i E||Z_i||^s / t^s.
     """
+    return _fn_terms(t, params, data)[0]
+
+
+def _fn_terms(t: float, params: BoundParams, data: MomentData) -> tuple[float, float, float, FnConstants]:
+    """`fuk_nagaev_bound` with its parts: (bound, Gaussian term, polynomial term, constants)."""
     if t <= 0:
         raise ValueError("t must be positive")
     if data.moment_s is None:
@@ -212,7 +226,7 @@ def fuk_nagaev_bound(t: float, params: BoundParams, data: MomentData) -> float:
     consts = fn_constants(params.delta, params.eta, params.s)
     gauss = 0.0 if data.lambda_n == 0.0 else math.exp(-t * t / ((2.0 + params.delta) * data.lambda_n))
     poly = consts.C * data.moment_s / t**params.s
-    return min(1.0, gauss + poly)
+    return min(1.0, gauss + poly), gauss, poly, consts
 
 
 # ---------------------------------------------------------------------------
@@ -313,9 +327,15 @@ class _PilotMoments:
 
     def tile(self, x: np.ndarray, k0: int, s0: int) -> None:
         b, n, d = x.shape
-        sums = x.sum(axis=1)
+        if d == 1:
+            # the step axis is innermost: numpy sums it pairwise
+            sums, sumsq = x.sum(axis=1), (x**2).sum(axis=1)
+        else:
+            # the same step-by-step folds, each over a contiguous (b, d) row
+            xt = np.ascontiguousarray(x.transpose(1, 0, 2))
+            sums, sumsq = xt.sum(axis=0), (xt**2).sum(axis=0)
         self.coord_sum = _fold(self.coord_sum, sums)
-        self.coord_sumsq = _fold(self.coord_sumsq, (x**2).sum(axis=1))
+        self.coord_sumsq = _fold(self.coord_sumsq, sumsq)
         self.m2 = _fold(self.m2, np.matmul(x.transpose(0, 2, 1), x))
         moments = (norms(x.reshape(-1, d), self.space) ** self.s).reshape(b, n).sum(axis=1)
         self.moment_sum = _fold(self.moment_sum, moments)
@@ -378,6 +398,7 @@ def mc_verify(
         raise ValueError("t_grid must be positive")
     if not getattr(dist, "is_centered", False):
         raise ValueError("mc_verify needs a centered distribution")
+    fn_constants(params.delta, params.eta, params.s)  # an overflowing C fails before any sampling
 
     # pilot pass
     parts = map_trials(dist, n, n, seed, _rng.PILOT, trials, _PilotMoments(space, params.s), workers)
@@ -437,6 +458,8 @@ def mc_verify(
 
     rows: list[VerifyRow] = []
     notes: list[str] = []
+    if not dist.finite_second_moment:
+        notes.append("the law has no finite second moment: lambda_n and the moment estimates do not converge")
     for t in tg:
         thresh = (1.0 + params.eta) * mean_norm + t
         p_hat = float(np.mean(maxes >= thresh))

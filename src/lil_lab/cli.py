@@ -201,12 +201,7 @@ def _exec_fn_bound(spec: dict) -> tuple[dict, dict, int]:
         n=spec["n"], M=spec["m_bound"], lambda_n=spec["lambda_n"],
         mean_norm=spec["mean_norm"], moment_s=spec["moment_s"], s=spec["s"],
     )
-    consts = bounds.fn_constants(spec["delta"], spec["eta"], spec["s"])
-    value = bounds.fuk_nagaev_bound(spec["t"], params, data)
-    gauss = 0.0 if spec["lambda_n"] == 0 else math.exp(
-        -spec["t"] ** 2 / ((2 + spec["delta"]) * spec["lambda_n"])
-    )
-    poly = consts.C * spec["moment_s"] / spec["t"] ** spec["s"]
+    value, gauss, poly, consts = bounds._fn_terms(spec["t"], params, data)
     print(f"fn-bound: t={spec['t']:g} -> {value:.6g} "
           f"(gaussian term {gauss:.6g}, polynomial term {poly:.6g}, C={consts.C:.6g})")
     doc = {
@@ -256,6 +251,7 @@ def _exec_lil_sim(spec: dict) -> tuple[dict, dict, int]:
         "limsup": {
             "median": est.median, "q10": est.q10, "q90": est.q90,
             "tail_fraction": est.tail_fraction,
+            "finite_second_moment": dist.finite_second_moment,
             "per_trial": [float(v) for v in est.per_trial],
         },
     }

@@ -8,6 +8,7 @@ Each family exposes the same small surface:
     truncated_cov(t, space)   analytic E[X X^T 1{||X|| <= t}], or None
     tail_prob_norm(t, space)  P{||X|| > t} when known in closed form, or None
     is_centered               True when E X exists and equals 0
+    finite_second_moment      True when E ||X||^2 < inf
     describe()                round-trippable text form
 
 Families without an analytic truncated covariance return None and the
@@ -68,6 +69,7 @@ class Gaussian:
         self.dim = sym.shape[0]
 
     is_centered = True
+    finite_second_moment = True
 
     def sample(self, rng: np.random.Generator, n: int) -> np.ndarray:
         z = rng.standard_normal((n, self.dim))
@@ -120,12 +122,27 @@ class RademacherProduct:
             raise ValueError("scales must be a nonempty finite nonnegative vector")
         self.scales = arr
         self.dim = arr.size
+        self._unit = bool(np.all(arr == 1.0))
 
     is_centered = True
+    finite_second_moment = True
 
     def sample(self, rng: np.random.Generator, n: int) -> np.ndarray:
-        signs = rng.integers(0, 2, size=(n, self.dim), dtype=np.int8) * 2 - 1
-        return signs * self.scales
+        """(n, dim) signs times scales, sign j of the call being bit 7 of byte j.
+
+        The bytes are those of the call's 32-bit stream words, low byte
+        first, with the unused bytes of the last word dropped.  These are
+        the draws of `rng.integers(0, 2, size=(n, dim), dtype=np.int8)`,
+        whose range-2 Lemire sampler never rejects, so the result equals
+        `(that * 2 - 1) * scales` bit for bit (a zero scale gives -0.0 for
+        a negative sign) and the generator is left in the same state.
+        """
+        m = n * self.dim
+        words = rng.integers(0, 2**32, size=-(-m // 4), dtype=np.uint32)
+        x = (words.astype("<u4", copy=False).view(np.uint8)[:m] >> 7) * 2.0
+        x -= 1.0
+        x = x.reshape(n, self.dim)
+        return x if self._unit else x * self.scales
 
     def norm_bound(self, space: SpaceSpec) -> float:
         return norm(self.scales, space)
@@ -166,6 +183,10 @@ class RadialPareto:
     def is_centered(self) -> bool:
         return self.a > 1
 
+    @property
+    def finite_second_moment(self) -> bool:
+        return self.a > 2
+
     def sample(self, rng: np.random.Generator, n: int) -> np.ndarray:
         r = rng.random(n) ** (-1.0 / self.a)
         g = rng.standard_normal((n, self.dim))
@@ -204,6 +225,8 @@ class PointMass:
         self.vector = np.atleast_1d(np.asarray(vector, dtype=float))
         self.dim = self.vector.size
 
+    finite_second_moment = True
+
     @property
     def is_centered(self) -> bool:
         return bool(np.all(self.vector == 0.0))
@@ -241,6 +264,10 @@ class ScalarEmbedded:
     @property
     def is_centered(self) -> bool:
         return self.inner.is_centered
+
+    @property
+    def finite_second_moment(self) -> bool:
+        return self.inner.finite_second_moment
 
     def sample(self, rng: np.random.Generator, n: int) -> np.ndarray:
         out = np.zeros((n, self.dim))

@@ -20,7 +20,7 @@ from lil_lab.bounds import (
     mc_verify,
     split_tail_bound,
 )
-from lil_lab.distributions import Gaussian, PointMass, RademacherProduct
+from lil_lab.distributions import Gaussian, PointMass, RadialPareto, RademacherProduct
 from lil_lab.spaces import SpaceSpec
 
 
@@ -141,6 +141,34 @@ class TestBoundEvaluators:
         lo, hi = sorted((t1, t2))
         assert fuk_nagaev_bound(lo, params, data) >= fuk_nagaev_bound(hi, params, data)
 
+    @given(st.floats(0.01, 100.0), st.floats(0.01, 100.0),
+           st.sampled_from([(1.0, 50.0, 4.0), (0.0, 0.0, 0.0), (math.inf, 50.0, 4.0)]))
+    @settings(max_examples=60, deadline=None)
+    def test_maximal_tail_monotone_nonincreasing(self, x1, x2, moments):
+        m, lam, mean = moments
+        data = MomentData(n=50, M=m, lambda_n=lam, mean_norm=mean)
+        lo, hi = sorted((x1, x2))
+        assert maximal_tail_bound(lo, data) >= maximal_tail_bound(hi, data)
+
+    @given(st.floats(0.01, 100.0), st.floats(0.01, 100.0),
+           st.sampled_from([(1.0, 50.0, 4.0), (0.0, 0.0, 0.0), (math.inf, 50.0, 4.0)]))
+    @settings(max_examples=60, deadline=None)
+    def test_split_tail_monotone_nonincreasing(self, y1, y2, moments):
+        m, lam, mean = moments
+        params = BoundParams(eta=0.5, delta=2.0, s=3.0)
+        data = MomentData(n=50, M=m, lambda_n=lam, mean_norm=mean)
+        lo, hi = sorted((y1, y2))
+        assert split_tail_bound(lo, params, data) >= split_tail_bound(hi, params, data)
+
+    @pytest.mark.parametrize("s", [50.0, 200.0])
+    def test_overflowing_constant_names_s(self, s):
+        # C is inf at s = 50; at s = 200 K_s itself overflows
+        with pytest.raises(ValueError, match=f"^s = {s:g} is too large"):
+            fn_constants(1.0, 1.0, s)
+        data = MomentData(n=10, M=1.0, lambda_n=10.0, mean_norm=1.0, moment_s=0.0, s=s)
+        with pytest.raises(ValueError, match=f"^s = {s:g} is too large"):
+            fuk_nagaev_bound(1.0, BoundParams(eta=1.0, delta=1.0, s=s), data)
+
     def test_gaussian_term_grows_with_delta(self):
         data = MomentData(n=50, M=1.0, lambda_n=50.0, mean_norm=4.0, moment_s=50.0, s=3.0)
         t = 40.0
@@ -228,6 +256,30 @@ class TestHarness:
         kinds = {row.kind for row in rep.rows}
         assert "fn" in kinds and "kr" not in kinds and "kr1" not in kinds
         assert any("unbounded" in note or "infinite" in note for note in rep.notes)
+
+    @pytest.mark.parametrize("a, flagged", [(1.5, True), (3.0, False)])
+    def test_law_without_second_moment_is_noted(self, a, flagged):
+        rep = mc_verify(
+            RadialPareto(a, 1),
+            SpaceSpec(1, 2.0),
+            n=20,
+            trials=200,
+            t_grid=np.array([5.0]),
+            params=BoundParams(eta=1.0, delta=1.0, s=3.0),
+            seed=5,
+        )
+        assert any("no finite second moment" in note for note in rep.notes) is flagged
+
+    def test_overflowing_constant_fails_before_sampling(self, monkeypatch):
+        dist = RademacherProduct(np.ones(2))
+
+        def no_sampling(gen, n):
+            raise AssertionError("sampled before the constants were checked")
+
+        monkeypatch.setattr(dist, "sample", no_sampling)
+        with pytest.raises(ValueError, match="^s = 50 is too large"):
+            mc_verify(dist, SpaceSpec(2, math.inf), n=20, trials=200, t_grid=np.array([4.0]),
+                      params=BoundParams(eta=1.0, delta=1.0, s=50.0))
 
     def test_csv_text_shape(self):
         rep = mc_verify(

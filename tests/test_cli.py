@@ -262,6 +262,16 @@ class TestArtifacts:
         assert lines[0].startswith("# seed=2")
         assert lines[1] == "trial,n,ratio"
 
+    @pytest.mark.parametrize("a, finite", [("1.5", False), ("3", True)])
+    def test_sim_records_whether_the_law_has_a_second_moment(self, tmp_path, a, finite):
+        rc = cli.main([
+            "lil-sim", "--dist", f"pareto:a={a}", "--space", "1,2",
+            "--h", "2*(LL)^1", "--N", "400", "--trials", "3", "--out", str(tmp_path),
+        ])
+        assert rc == 0
+        doc = json.loads((tmp_path / "sim.json").read_text())
+        assert doc["limsup"]["finite_second_moment"] is finite
+
     def test_report_merges_and_writes_plot_script(self, tmp_path):
         cli.execute({"kind": "hclass", "h": "2*(LL)^1", "out": str(tmp_path)})
         cli.main([
@@ -374,6 +384,27 @@ class TestExitCodes:
         err = json.loads(capsys.readouterr().err.strip())
         assert err["code"] == "invalid_spec" and "JSON compliant" in err["message"]
         assert not (tmp_path / "fn_bound.json").exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["fn-bound", "--t", "1", "--s", "50"],
+        ["fn-bound", "--t", "1", "--s", "200"],
+        ["fn-verify", "--dist", "rademacher:dim=2", "--space", "2,inf", "--n", "30", "--trials", "200",
+         "--s", "50"],
+    ], ids=["bound-inf-C", "bound-overflow", "verify"])
+    def test_overflowing_constant_names_s(self, tmp_path, capsys, argv):
+        assert cli.main([*argv, "--out", str(tmp_path)]) == 2
+        err = json.loads(capsys.readouterr().err.strip())
+        assert err["code"] == "invalid_spec"
+        assert err["message"].startswith(f"s = {argv[argv.index('--s') + 1]} is too large")
+        assert list(tmp_path.iterdir()) == []
+
+    def test_nan_in_an_artifact_body_is_exit_2_and_writes_nothing(self, tmp_path, monkeypatch, capsys):
+        row = cli.SPECS["hclass"]
+        monkeypatch.setitem(cli.SPECS, "hclass", row._replace(execute=lambda spec: ({"x": math.nan}, {}, 0)))
+        assert cli.main(["hclass", "--h", "2*(LL)^1", "--out", str(tmp_path)]) == 2
+        err = json.loads(capsys.readouterr().err.strip())
+        assert err["code"] == "invalid_spec" and "JSON compliant" in err["message"]
+        assert not (tmp_path / "hclass.json").exists()
 
     def test_bad_spec_file(self, tmp_path, capsys):
         path = tmp_path / "spec.json"

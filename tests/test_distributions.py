@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lil_lab.distributions import (
     Gaussian,
@@ -81,6 +83,27 @@ class TestRademacherProduct:
         np.testing.assert_allclose(dist.truncated_cov(0.5, space), np.zeros((2, 2)))
         np.testing.assert_allclose(dist.truncated_cov(1.5, space), np.eye(2))
 
+    @given(
+        key=st.integers(0, 2**128 - 1),
+        scales=st.lists(st.sampled_from([0.0, 1.0, 2.5, 1e-300]), min_size=1, max_size=6),
+        calls=st.lists(st.tuples(st.integers(0, 40), st.integers(0, 2)), min_size=1, max_size=4),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_sample_is_the_int8_sign_rule(self, key, scales, calls):
+        # the signs of an int8 integers draw, read from the stream's 32-bit words
+        dist = RademacherProduct(np.array(scales))
+        gen, ref = (np.random.Generator(np.random.Philox(key=key)) for _ in range(2))
+        for n, pairs in calls:
+            want = (ref.integers(0, 2, size=(n, dist.dim), dtype=np.int8) * 2 - 1) * dist.scales
+            got = dist.sample(gen, n)
+            assert (got.dtype, got.shape) == (want.dtype, want.shape)
+            assert got.tobytes() == want.tobytes()
+            # an odd count of uint32 draws leaves half a 64-bit Philox word buffered
+            k = 2 * pairs + 1
+            np.testing.assert_array_equal(gen.integers(0, 2**32, size=k, dtype=np.uint32),
+                                          ref.integers(0, 2**32, size=k, dtype=np.uint32))
+        assert gen.random() == ref.random()
+
 
 class TestRadialPareto:
     def test_norm_tail_matches_power_law(self):
@@ -107,11 +130,21 @@ class TestRadialPareto:
         assert RadialPareto(1.5, 1).is_centered
         assert not RadialPareto(0.9, 1).is_centered
 
+    @pytest.mark.parametrize("a, finite", [(1.5, False), (3.0, True)])
+    def test_second_moment_depends_on_tail_index(self, a, finite):
+        assert RadialPareto(a, 2).finite_second_moment is finite
+        assert ScalarEmbedded(RadialPareto(a, 1), 0, 3).finite_second_moment is finite
+
 
 class TestPointMassAndEmbedding:
     def test_point_mass_centering(self):
         assert PointMass(np.zeros(2)).is_centered
         assert not PointMass(np.array([0.0, 1.0])).is_centered
+
+    def test_bounded_and_gaussian_laws_have_a_second_moment(self):
+        for dist in (Gaussian(1.0), RademacherProduct(np.ones(2)), PointMass(np.ones(2)),
+                     ScalarEmbedded(Gaussian(1.0), 1, 2)):
+            assert dist.finite_second_moment is True
 
     def test_embedding_puts_mass_on_one_axis(self):
         inner = Gaussian(1.0)

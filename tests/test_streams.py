@@ -10,6 +10,12 @@ float accumulation shows up here.  Trial counts span more than one
 chunk (1024 trials) and end in a partial stream group, and one case
 runs past a single streaming block.  Identity covariances keep the
 Gaussian draws free of BLAS rounding.
+
+The Rademacher digests are those of the int8 sign rule, sign =
+2 * `rng.integers(0, 2, dtype=np.int8)` - 1.  `RademacherProduct.sample`
+reads the same signs from the stream's 32-bit words (bit 7 of each
+byte, low byte first), and `test_int8_sign_rule_gives_golden_digest`
+runs those cases with the int8 rule itself.
 """
 
 import hashlib
@@ -21,7 +27,7 @@ import pytest
 
 from lil_lab import rng, simulate
 from lil_lab._pool import CHUNK
-from lil_lab.bounds import BoundParams, _FinalAndMax, _PilotMoments, mc_verify
+from lil_lab.bounds import BoundParams, _FinalAndMax, _fold, _PilotMoments, mc_verify
 from lil_lab.distributions import Gaussian, RademacherProduct, RadialPareto
 from lil_lab.simulate import (
     BLOCK,
@@ -159,6 +165,16 @@ def test_reference_gives_golden_digest(name, monkeypatch):
     assert CASES[name](1) == GOLDEN[name]
 
 
+def _int8_signs(self, gen, n):
+    return (gen.integers(0, 2, size=(n, self.dim), dtype=np.int8) * 2 - 1) * self.scales
+
+
+@pytest.mark.parametrize("name", sorted(k for k in CASES if "rademacher" in k))
+def test_int8_sign_rule_gives_golden_digest(name, monkeypatch):
+    monkeypatch.setattr(RademacherProduct, "sample", _int8_signs)
+    assert CASES[name](1) == GOLDEN[name]
+
+
 def _same_result(a, b):
     a, b = (a, b) if isinstance(a, tuple) else ((a,), (b,))
     assert len(a) == len(b)
@@ -172,13 +188,27 @@ def _same_result(a, b):
     (TruncatedTwin(SpaceSpec(2, 2.0), parse_cseq("pow:0.6"), (3, 50, 230)), 230, 100),
     (_FinalAndMax(SpaceSpec(2, INF)), 300, 300),
     (_PilotMoments(SpaceSpec(2, 2.0), 3.0), 300, 300),
+    # _PilotMoments sums each path pairwise at d = 1, over a step-major copy at d > 1
+    (_PilotMoments(SpaceSpec(1, 2.0), 3.0), 300, 300),
+    (_PilotMoments(SpaceSpec(5, 2.0), 3.0), 300, 300),
 ])
 @pytest.mark.parametrize("lo, hi", [(0, 100), (37, 150), (1024, 1030)])
 def test_kernel_matches_reference(reducer, n, block, lo, hi):
     # groups of 32 trials; the chunks start and end inside a group
-    dist = RadialPareto(1.5, 2)
+    dist = RadialPareto(1.5, reducer.space.dim)
     _same_result(stream_trials(dist, n, block, 9, rng.MAIN, lo, hi, reducer),
                  reference_stream_trials(dist, n, block, 9, rng.MAIN, lo, hi, reducer))
+
+
+@pytest.mark.parametrize("dim", [2, 5])
+def test_pilot_sums_are_the_direct_sums(dim):
+    # the step-major copy folds the steps in the order x.sum(axis=1) does
+    x = RadialPareto(1.5, dim).sample(rng.substream(3, rng.PILOT, 0), 64 * 200).reshape(64, 200, dim)
+    reducer = _PilotMoments(SpaceSpec(dim, 2.0), 3.0)
+    reducer.start(64, dim)
+    reducer.tile(x, 0, 0)
+    assert np.array_equal(reducer.coord_sum, _fold(np.zeros(dim), x.sum(axis=1)))
+    assert np.array_equal(reducer.coord_sumsq, _fold(np.zeros(dim), (x**2).sum(axis=1)))
 
 
 @pytest.mark.parametrize("n, block", [(300, BLOCK), (230, 100)])
@@ -236,12 +266,14 @@ def test_trial_streams_match_substream():
     (TruncatedTwin(SpaceSpec(2, 2.0), parse_cseq("pow:0.6"), (3, 50, 230)), 230, 100),
     (_FinalAndMax(SpaceSpec(2, INF)), 1000, 1000),
     (_PilotMoments(SpaceSpec(2, 2.0), 3.0), 1000, 1000),
+    (_PilotMoments(SpaceSpec(1, 2.0), 3.0), 1000, 1000),
+    (_PilotMoments(SpaceSpec(5, 2.0), 3.0), 1000, 1000),
 ])
 def test_tiling_does_not_change_results(reducer, n, block):
     # One chunk of 40 trials against 40 one-trial chunks: with n = 1000 the
     # chunk is three tiles of at most 16 trials; with block < n every trial
     # streams block by block.
-    dist = RadialPareto(1.5, 2)
+    dist = RadialPareto(1.5, reducer.space.dim)
     tiled = stream_trials(dist, n, block, 7, rng.MAIN, 0, 40, reducer)
     singles = [stream_trials(dist, n, block, 7, rng.MAIN, t, t + 1, reducer) for t in range(40)]
     if isinstance(reducer, _PilotMoments):
