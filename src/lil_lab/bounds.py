@@ -225,7 +225,12 @@ def _fn_terms(t: float, params: BoundParams, data: MomentData) -> tuple[float, f
         raise ValueError("exponent s disagrees between params and data")
     consts = fn_constants(params.delta, params.eta, params.s)
     gauss = 0.0 if data.lambda_n == 0.0 else math.exp(-t * t / ((2.0 + params.delta) * data.lambda_n))
-    poly = consts.C * data.moment_s / t**params.s
+    t_s = t**params.s
+    if t_s > 0.0:
+        poly = consts.C * data.moment_s / t_s
+    else:
+        # t**s underflows: C * moment_s / 0+ is inf, or 0 for a zero moment
+        poly = math.inf if consts.C * data.moment_s > 0 else 0.0
     return min(1.0, gauss + poly), gauss, poly, consts
 
 
@@ -360,7 +365,7 @@ class _FinalAndMax:
 
     def tile(self, x: np.ndarray, k0: int, s0: int) -> None:
         b, n, d = x.shape
-        pn = norms(np.cumsum(x, axis=1).reshape(-1, d), self.space).reshape(b, n)
+        pn = norms(np.cumsum(x, axis=1, out=x).reshape(-1, d), self.space).reshape(b, n)
         self.finals[k0 : k0 + b] = pn[:, -1]
         self.maxes[k0 : k0 + b] = pn.max(axis=1)
 

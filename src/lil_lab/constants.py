@@ -24,14 +24,16 @@ that also evaluates a whole grid in one call, `values(ts)`, once per
 distinct point, and names its `route` ("model", "analytic" or
 "empirical").  Every stage (c0, alpha0, lambda, the ratio curve, sigma)
 evaluates its fixed grid in one `H_values` call, which also accepts a
-plain callable t -> H(t).  The report's `verdict_diagnostics` name the
-route (`h_route`), the sample behind an empirical H (`h_samples`,
-`h_max_norm`) and, per stage, the share of the grid past the sample
-range (`h_extrapolated_frac`).
+plain callable t -> H(t); a bracket search builds its probe grid once
+and each probe only rescales the exponents.  The report's
+`verdict_diagnostics` name the route (`h_route`), the sample behind an
+empirical H (`h_samples`, `h_max_norm`) and, per stage, the share of
+the grid past the sample range (`h_extrapolated_frac`).
 """
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -144,22 +146,48 @@ def H_values(H_fn, ts) -> np.ndarray:
     return np.array([H_fn(t) for t in ts], dtype=float)
 
 
-class _GridMemo:
-    """H that evaluates each grid it is asked for once.
+@dataclass(frozen=True)
+class _ProbeGrid:
+    """The probe grid of one bracket search, evaluated once.
 
-    Every probe of a bracket search evaluates H on the same grid, so the
-    searches wrap their H in this.
+    Every probe of a search classifies the same subsequence n_j with the
+    same h(n_j) (or c_n) and the same H values; only the constant in front
+    of the exponents changes.  `exponents(c)` gives x_j for one constant
+    with the bits of the per-probe formula.  A search builds its grid
+    once and passes it to the classifier in place of H.
     """
 
-    def __init__(self, H_fn):
-        self._H_fn = H_fn
-        self._grids: dict[bytes, np.ndarray] = {}
+    n: np.ndarray
+    exponents: Callable[[float], np.ndarray]
 
-    def values(self, ts: np.ndarray) -> np.ndarray:
-        key = ts.tobytes()
-        if key not in self._grids:
-            self._grids[key] = H_values(self._H_fn, ts)
-        return self._grids[key]
+
+def _H_nonnegative(H_fn, ts: np.ndarray) -> np.ndarray:
+    hv = H_values(H_fn, ts)
+    if np.any(hv < 0):
+        raise ValueError("H must be nonnegative")
+    return hv
+
+
+def _c0_grid(h: SlowVaryFn, H_fn, probe: SeriesProbe) -> _ProbeGrid:
+    """x_j = c^2 h(n_j) / (2 H(a_{n_j})) for any c."""
+    n = _probe_points(probe)
+    hn, den = h(n), 2.0 * _H_nonnegative(H_fn, _series_args(h, n))
+
+    def exponents(c: float) -> np.ndarray:
+        with np.errstate(divide="ignore"):
+            return c * c * hn / den
+
+    return _ProbeGrid(n, exponents)
+
+
+def _alpha_grid(c_seq, H_fn, probe: SeriesProbe) -> _ProbeGrid:
+    """x_j = alpha^2 c_n^2 / (2 n H(c_n)) for any alpha, at n = n_j."""
+    n = _probe_points(probe)
+    cn = np.asarray(c_seq.values(n), dtype=float)
+    hv = _H_nonnegative(H_fn, cn)
+    with np.errstate(divide="ignore", over="ignore"):
+        base = cn * cn / (2.0 * n * hv)
+    return _ProbeGrid(n, lambda alpha: alpha * alpha * base)
 
 
 def series_classify(c: float, h: SlowVaryFn, H_fn, probe: SeriesProbe = DEFAULT_PROBE) -> SeriesVerdict:
@@ -167,40 +195,29 @@ def series_classify(c: float, h: SlowVaryFn, H_fn, probe: SeriesProbe = DEFAULT_
 
     c = 0 is DIVERGES by convention (the terms cannot decay).  Probe
     points with H(a_n) = 0 contribute nothing to the series; an entirely
-    vanishing tail is CONVERGES.
+    vanishing tail is CONVERGES.  Inside `c0_compute`, `H_fn` is the
+    search's `_ProbeGrid` for this h and probe.
     """
     if c < 0:
         raise ValueError("c must be nonnegative")
-    n = _probe_points(probe)
     if c == 0.0:
+        n = _probe_points(probe)
         return SeriesVerdict(DIVERGES, 0.0, 0.0, 0.0, np.zeros_like(n), n, "c = 0: harmonic floor")
-    hv = H_values(H_fn, _series_args(h, n))
-    if np.any(hv < 0):
-        raise ValueError("H must be nonnegative")
-    with np.errstate(divide="ignore"):
-        x = c * c * h(n) / (2.0 * hv)
-    return _classify_exponents(x, probe, c, n)
-
-
-def _alpha_exponents(c_seq, H_fn, probe: SeriesProbe) -> tuple[np.ndarray, np.ndarray]:
-    n = _probe_points(probe)
-    cn = np.asarray(c_seq.values(n), dtype=float)
-    hv = H_values(H_fn, cn)
-    if np.any(hv < 0):
-        raise ValueError("H must be nonnegative")
-    with np.errstate(divide="ignore", over="ignore"):
-        base = cn * cn / (2.0 * n * hv)
-    return base, n
+    grid = H_fn if isinstance(H_fn, _ProbeGrid) else _c0_grid(h, H_fn, probe)
+    return _classify_exponents(grid.exponents(c), probe, c, grid.n)
 
 
 def alpha_series_classify(alpha: float, c_seq, H_fn, probe: SeriesProbe = DEFAULT_PROBE) -> SeriesVerdict:
-    """Same classifier for sum_n (1/n) exp(-alpha^2 c_n^2 / (2 n H(c_n)))."""
+    """Same classifier for sum_n (1/n) exp(-alpha^2 c_n^2 / (2 n H(c_n))).
+
+    Inside `alpha0_compute`, `H_fn` is the search's `_ProbeGrid`.
+    """
     if alpha < 0:
         raise ValueError("alpha must be nonnegative")
-    base, n = _alpha_exponents(c_seq, H_fn, probe)
+    grid = H_fn if isinstance(H_fn, _ProbeGrid) else _alpha_grid(c_seq, H_fn, probe)
     if alpha == 0.0:
-        return SeriesVerdict(DIVERGES, 0.0, 0.0, 0.0, np.zeros_like(n), n, "alpha = 0: harmonic floor")
-    return _classify_exponents(alpha * alpha * base, probe, alpha, n)
+        return SeriesVerdict(DIVERGES, 0.0, 0.0, 0.0, np.zeros_like(grid.n), grid.n, "alpha = 0: harmonic floor")
+    return _classify_exponents(grid.exponents(alpha), probe, alpha, grid.n)
 
 
 # ---------------------------------------------------------------------------
@@ -300,20 +317,21 @@ def _finish_bracket(lo, hi, classify, probes, note) -> Bracket:
 def c0_compute(h: SlowVaryFn, H_fn, tol: float = 0.02, probe: SeriesProbe = DEFAULT_PROBE) -> Bracket:
     """Bracket the series threshold c0 = inf{c >= 0 : series converges}.
 
-    Every probe of the search evaluates H on the same grid a_n, so the
-    grid is evaluated once, in one call, and reused.
+    n_j, h(n_j), a_n and H(a_n) are the same for every probe, so they are
+    computed once per search, H in one call, and each probe's
+    `series_classify` only scales the exponents.
     """
-    H_grid = _GridMemo(H_fn)
-    return _threshold_bracket(lambda c: series_classify(c, h, H_grid, probe), tol)
+    grid = _c0_grid(h, H_fn, probe)
+    return _threshold_bracket(lambda c: series_classify(c, h, grid, probe), tol)
 
 
 def alpha0_compute(c_seq, H_fn, tol: float = 0.02, probe: SeriesProbe = DEFAULT_PROBE) -> Bracket:
     """Bracket the divergence threshold alpha0 for a general c_n sequence.
 
-    As in `c0_compute`, the grid c_n is evaluated once.
+    As in `c0_compute`, n_j, c_n and H(c_n) are computed once per search.
     """
-    H_grid = _GridMemo(H_fn)
-    return _threshold_bracket(lambda a: alpha_series_classify(a, c_seq, H_grid, probe), tol)
+    grid = _alpha_grid(c_seq, H_fn, probe)
+    return _threshold_bracket(lambda a: alpha_series_classify(a, c_seq, grid, probe), tol)
 
 
 # ---------------------------------------------------------------------------
@@ -357,9 +375,7 @@ def lambda_compute(h: SlowVaryFn, H_fn, x_grid=None) -> LambdaResult:
     log_x = np.log(grid)
     u = np.maximum(log_x, 1.0)
     llx = np.log(np.maximum(u, math.e))
-    hv = H_values(H_fn, grid)
-    if np.any(hv < 0):
-        raise ValueError("H must be nonnegative")
+    hv = _H_nonnegative(H_fn, grid)
     log_g = np.full(grid.shape, -np.inf)
     pos = np.nonzero(hv > 0)[0]
     # math.log, not np.log: the curve keeps libm's bits whichever SIMD log
@@ -561,9 +577,10 @@ class DistTSM:
     """H from a distribution.
 
     The route is "analytic" when the family provides a truncated
-    covariance: `values` then computes it once per distinct t and takes
-    one stacked dual-ball supremum over the distinct matrices.  Otherwise
-    the route is "empirical": an `EmpiricalTSM` on a frozen sample.
+    covariance: `values` then asks for it on the grid of distinct t in
+    one grid `truncated_cov` call and takes one stacked dual-ball
+    supremum over the distinct matrices.  Otherwise the route is
+    "empirical": an `EmpiricalTSM` on a frozen sample.
     """
 
     def __init__(self, dist, space: SpaceSpec, n_samples: int = 4096, rng=None):
@@ -581,10 +598,8 @@ class DistTSM:
     def values(self, ts) -> np.ndarray:
         if self._empirical is not None:
             return self._empirical.values(ts)
-        d = self.space.dim
         t_set, t_which = _distinct(np.asarray(ts, dtype=float))
-        covs = np.array([self.dist.truncated_cov(t, self.space) for t in t_set.tolist()], dtype=float)
-        m_set, m_which = _distinct(covs.reshape(-1, d, d))
+        m_set, m_which = _distinct(self.dist.truncated_cov(t_set, self.space))
         return dual_ball_sup(m_set, self.space)[m_which][t_which]
 
     def __call__(self, t: float) -> float:
@@ -661,6 +676,10 @@ def _json_real(x):
     return xf
 
 
+#: The q grid searched for `ConstantsReport.q_used`.
+_Q_GRID = tuple(round(0.1 * k, 2) for k in range(0, 11))
+
+
 @dataclass(frozen=True)
 class ConstantsReport:
     """Bundle of computed constants with fixed serialization field names."""
@@ -734,18 +753,20 @@ def constants_report(
     alpha0 needs a c_n sequence; beta0 additionally needs a distribution,
     a space, and a trial budget.  q_used is the smallest grid q at which
     the membership classifier says MEMBER (1.0 when none does; the band
-    is then vacuous on one side).
+    is then vacuous on one side).  The per-tau verdicts do not depend on
+    q, so one scan at q = 0 decides every grid q: q is MEMBER exactly when
+    every tau active at q is.  Each stage evaluates its grids once; no
+    value is kept past the report.
     """
-    from .slowvary import MEMBER, hq_classify
+    from .slowvary import MEMBER, _tau_active, hq_classify
 
     c0 = c0_compute(h, H_fn, tol=tol, probe=probe)
     lam_res = lambda_compute(h, H_fn)
     sigma = sigma_compute(H_fn)
-    q_used = 1.0
-    for q in [round(0.1 * k, 2) for k in range(0, 11)]:
-        if hq_classify(h, q).verdict == MEMBER:
-            q_used = q
-            break
+    scan = hq_classify(h, 0.0).per_tau
+    q_used = next(
+        (q for q in _Q_GRID if all(d.verdict == MEMBER for d in scan if _tau_active(d.tau, q))), 1.0
+    )
     alpha0 = alpha0_compute(c_seq, H_fn, tol=tol, probe=probe) if c_seq is not None else None
     beta0 = None
     if dist is not None and space is not None and trials >= 30:

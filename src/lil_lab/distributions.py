@@ -5,17 +5,22 @@ Each family exposes the same small surface:
     dim                       ambient dimension
     sample(rng, n)            (n, dim) array of i.i.d. draws
     norm_bound(space)         a.s. bound on ||X|| (math.inf if unbounded)
-    truncated_cov(t, space)   analytic E[X X^T 1{||X|| <= t}], or None
+    truncated_cov(t, space)   analytic E[X X^T 1{||X|| <= t}], or None;
+                              for a 1-D grid of t, the (k, dim, dim) stack
     tail_prob_norm(t, space)  P{||X|| > t} when known in closed form, or None
     is_centered               True when E X exists and equals 0
     finite_second_moment      True when E ||X||^2 < inf
     describe()                round-trippable text form
 
 Families without an analytic truncated covariance return None and the
-caller falls back to the empirical estimator in `spaces`.
+caller falls back to the empirical estimator in `spaces`.  The grid form
+is one call for a whole grid, bit for bit the stack of the scalar calls;
+families whose formula goes through libm scalars (`math.erf`, `math.log`,
+float `**`) still evaluate those point by point inside it.
 """
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -32,6 +37,22 @@ def _vec_text(v: np.ndarray) -> str:
 def _fmt_num(x: float) -> str:
     s = repr(float(x))
     return s[:-2] if s.endswith(".0") else s
+
+
+def _grid_form(method):
+    """Let a `truncated_cov` written for a 1-D grid of t also take one t.
+
+    A grid gives the (k, dim, dim) stack, a scalar its one matrix; both
+    are None when the family has no closed form.
+    """
+
+    @functools.wraps(method)
+    def truncated_cov(self, t, space: SpaceSpec):
+        ts = np.asarray(t, dtype=float)
+        out = method(self, ts.reshape(-1), space)
+        return out if out is None or ts.ndim else out[0]
+
+    return truncated_cov
 
 
 class Gaussian:
@@ -81,15 +102,17 @@ class Gaussian:
     def norm_bound(self, space: SpaceSpec) -> float:
         return math.inf
 
-    def truncated_cov(self, t: float, space: SpaceSpec):
+    @_grid_form
+    def truncated_cov(self, ts: np.ndarray, space: SpaceSpec):
         if self.dim != 1:
             return None
         sigma2 = float(self.cov[0, 0])
         if sigma2 == 0.0:
-            return np.zeros((1, 1))
-        u = t / math.sqrt(sigma2)
-        val = sigma2 * (math.erf(u / math.sqrt(2)) - u * math.sqrt(2 / math.pi) * math.exp(-0.5 * u * u))
-        return np.array([[max(val, 0.0)]])
+            return np.zeros((ts.size, 1, 1))
+        sd, root2, c = math.sqrt(sigma2), math.sqrt(2), math.sqrt(2 / math.pi)
+        us = [t / sd for t in ts.tolist()]
+        vals = [max(sigma2 * (math.erf(u / root2) - u * c * math.exp(-0.5 * u * u)), 0.0) for u in us]
+        return np.array(vals).reshape(-1, 1, 1)
 
     def tail_prob_norm(self, t: float, space: SpaceSpec):
         if self.dim != 1:
@@ -147,10 +170,10 @@ class RademacherProduct:
     def norm_bound(self, space: SpaceSpec) -> float:
         return norm(self.scales, space)
 
-    def truncated_cov(self, t: float, space: SpaceSpec) -> np.ndarray:
-        if t >= self.norm_bound(space):
-            return np.diag(self.scales**2)
-        return np.zeros((self.dim, self.dim))
+    @_grid_form
+    def truncated_cov(self, ts: np.ndarray, space: SpaceSpec) -> np.ndarray:
+        full = ts >= self.norm_bound(space)
+        return np.where(full[:, None, None], np.diag(self.scales**2), 0.0)
 
     def tail_prob_norm(self, t: float, space: SpaceSpec) -> float:
         return 1.0 if t < self.norm_bound(space) else 0.0
@@ -197,17 +220,21 @@ class RadialPareto:
     def norm_bound(self, space: SpaceSpec) -> float:
         return math.inf
 
-    def truncated_cov(self, t: float, space: SpaceSpec):
+    @_grid_form
+    def truncated_cov(self, ts: np.ndarray, space: SpaceSpec):
         if space.norm_p != 2.0:
             return None
-        r = t / self.scale
-        if r < 1.0:
-            return np.zeros((self.dim, self.dim))
-        if self.a == 2.0:
-            m2 = 2.0 * math.log(r)
-        else:
-            m2 = self.a / (2.0 - self.a) * (r ** (2.0 - self.a) - 1.0)
-        return (self.scale**2 * m2 / self.dim) * np.eye(self.dim)
+        coef = []
+        for t in ts.tolist():
+            r = t / self.scale
+            if r < 1.0:
+                m2 = 0.0
+            elif self.a == 2.0:
+                m2 = 2.0 * math.log(r)
+            else:
+                m2 = self.a / (2.0 - self.a) * (r ** (2.0 - self.a) - 1.0)
+            coef.append(self.scale**2 * m2 / self.dim)
+        return np.array(coef)[:, None, None] * np.eye(self.dim)
 
     def tail_prob_norm(self, t: float, space: SpaceSpec):
         if space.norm_p != 2.0:
@@ -237,10 +264,10 @@ class PointMass:
     def norm_bound(self, space: SpaceSpec) -> float:
         return norm(self.vector, space)
 
-    def truncated_cov(self, t: float, space: SpaceSpec) -> np.ndarray:
-        if norm(self.vector, space) <= t:
-            return np.outer(self.vector, self.vector)
-        return np.zeros((self.dim, self.dim))
+    @_grid_form
+    def truncated_cov(self, ts: np.ndarray, space: SpaceSpec) -> np.ndarray:
+        inside = norm(self.vector, space) <= ts
+        return np.where(inside[:, None, None], np.outer(self.vector, self.vector), 0.0)
 
     def tail_prob_norm(self, t: float, space: SpaceSpec) -> float:
         return 1.0 if norm(self.vector, space) > t else 0.0
@@ -278,12 +305,13 @@ class ScalarEmbedded:
         # every l^p norm of (0,..,x,..,0) is |x|
         return self.inner.norm_bound(_SCALAR)
 
-    def truncated_cov(self, t: float, space: SpaceSpec):
-        m = self.inner.truncated_cov(t, _SCALAR)
+    @_grid_form
+    def truncated_cov(self, ts: np.ndarray, space: SpaceSpec):
+        m = self.inner.truncated_cov(ts, _SCALAR)
         if m is None:
             return None
-        out = np.zeros((self.dim, self.dim))
-        out[self.axis, self.axis] = m[0, 0]
+        out = np.zeros((ts.size, self.dim, self.dim))
+        out[:, self.axis, self.axis] = m[:, 0, 0]
         return out
 
     def tail_prob_norm(self, t: float, space: SpaceSpec):

@@ -64,9 +64,11 @@ def stream_trials(dist, n: int, block: int, seed: int, purpose: int, lo: int, hi
 
     A reducer has `start(trials, dim)`, which resets its state,
     `tile(x, k0, s0)` for the draws of chunk trials k0, k0 + 1, ... at
-    steps s0 + 1, ..., and `result()`.  The chunk runs on a shallow copy
-    of `reducer`, so chunks running at once on threads share no state and
-    the reducer passed in is left as it was.
+    steps s0 + 1, ..., and `result()`.  Nothing reads a tile after its
+    `tile` call, so a reducer may overwrite it, e.g. with its partial
+    sums.  The chunk runs on a shallow copy of `reducer`, so chunks
+    running at once on threads share no state and the reducer passed in
+    is left as it was.
     """
     streams = _rng.TrialStreams(seed, purpose)
     reducer = copy.copy(reducer)
@@ -138,7 +140,7 @@ class CheckpointNorms:
     def tile(self, x: np.ndarray, k0: int, s0: int) -> None:
         b, m, d = x.shape
         carry = self.carry[k0 : k0 + b]
-        raw = np.cumsum(x, axis=1)
+        raw = np.cumsum(x, axis=1, out=x)
         j0, j1 = np.searchsorted(self.points, (s0, s0 + m), side="right")
         at = raw[:, self.points[j0:j1] - s0 - 1] + carry[:, None, :]
         self.out[k0 : k0 + b, j0:j1] = norm_rows(at.reshape(-1, d), self.space).reshape(b, j1 - j0)

@@ -458,6 +458,11 @@ def _classify_tau(h: SlowVaryFn, tau: float, t_grid: np.ndarray, tol: float) -> 
     return TauDiagnostic(tau, t_grid, ratios, INCONCLUSIVE, "no clear trend", gamma)
 
 
+def _tau_active(tau: float, q: float) -> bool:
+    """Whether the class H_q constrains tau: 0 < tau < 1 - q (with slack)."""
+    return 0 < tau < 1 - q - 1e-12
+
+
 def hq_classify(
     h: SlowVaryFn,
     q: float,
@@ -476,7 +481,7 @@ def hq_classify(
         raise ValueError("q must lie in [0, 1]")
     grid = np.asarray(t_grid if t_grid is not None else DEFAULT_T_GRID, dtype=float)
     taus = tuple(tau_grid if tau_grid is not None else DEFAULT_TAU_GRID)
-    active = [tau for tau in taus if 0 < tau < 1 - q - 1e-12]
+    active = [tau for tau in taus if _tau_active(tau, q)]
     diags = tuple(_classify_tau(h, tau, grid, tol) for tau in active)
     if any(d.verdict == NON_MEMBER for d in diags):
         verdict = NON_MEMBER

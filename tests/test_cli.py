@@ -378,6 +378,17 @@ class TestExitCodes:
         doc = json.loads((tmp_path / "fn_bound.json").read_text(), parse_constant=no_literal)
         assert doc["poly_term"] == "inf" and doc["bound"] == 1.0
 
+    @pytest.mark.parametrize("argv,poly,bound", [
+        (["--t", "1e-200"], 0.0, 0.0),
+        (["--t", "1e-120", "--s", "3", "--moment-s", "0"], 0.0, 0.0),
+        (["--t", "1e-200", "--moment-s", "2"], "inf", 1.0),
+    ], ids=["default-moment", "zero-moment", "positive-moment"])
+    def test_underflowing_t_power_is_exit_0(self, tmp_path, argv, poly, bound):
+        # t**s underflows to 0: C * moment_s / 0+ is inf, or 0 for a zero moment
+        assert cli.main(["fn-bound", *argv, "--out", str(tmp_path)]) == 0
+        doc = json.loads((tmp_path / "fn_bound.json").read_text())
+        assert doc["poly_term"] == poly and doc["bound"] == bound
+
     def test_non_finite_artifact_value_is_exit_2_and_writes_nothing(self, tmp_path, capsys):
         # s = 50 overflows the assembled constant C to inf
         assert cli.main(["fn-bound", "--t", "1", "--s", "50", "--out", str(tmp_path)]) == 2

@@ -19,6 +19,7 @@ from lil_lab.constants import (
     LogLogPowTSM,
     agreement_gap,
     alpha0_compute,
+    alpha_series_classify,
     beta0_estimate,
     c0_compute,
     constants_report,
@@ -30,7 +31,7 @@ from lil_lab.constants import (
     sigma_compute,
 )
 from lil_lab.distributions import Gaussian, RademacherProduct, RadialPareto, parse_dist
-from lil_lab.slowvary import SlowVaryFn, parse_cseq, parse_slow_vary
+from lil_lab.slowvary import MEMBER, SlowVaryFn, hq_classify, parse_cseq, parse_slow_vary
 from lil_lab.spaces import EmpiricalTSM, SpaceSpec, dual_ball_sup
 
 
@@ -111,6 +112,18 @@ class TestThresholdBrackets:
         br = alpha0_compute(parse_cseq("psi:2*(LL)^1"), H)
         assert len(seen) == len(set(seen)) == 120
         assert br == alpha0_compute(parse_cseq("psi:2*(LL)^1"), ConstTSM(1.0))
+
+    @pytest.mark.parametrize("H", [ConstTSM(1.0), DistTSM(RademacherProduct(np.ones(3)), SpaceSpec(3, 1.0))],
+                             ids=["const", "rademacher"])
+    def test_probes_on_the_search_grid_equal_standalone_calls(self, H):
+        h, c_seq = parse_slow_vary("2*(LL)^1"), parse_cseq("pow:0.5")
+        for br, classify in [
+            (c0_compute(h, H), lambda c: series_classify(c, h, H)),
+            (alpha0_compute(c_seq, H), lambda a: alpha_series_classify(a, c_seq, H)),
+        ]:
+            for c, verdict, slope in br.probes:
+                v = classify(c)
+                assert (v.verdict, _bits(v.slope)) == (verdict, _bits(slope))
 
     def test_alpha_threshold_matches_scalar_variance(self):
         H = DistTSM(Gaussian(1.0), SpaceSpec(1, 2.0))
@@ -229,6 +242,13 @@ class TestReport:
         assert diag["sandwich_consistent"] is True
         assert diag["ratio_vs_half_lambda2"] < 0.10
         json.dumps(doc)  # must be serializable as-is
+
+    @pytest.mark.parametrize("text", ["2*(LL)^1", "exp((L)^0.5)", "(LL)^2", "exp((L)^0.9)"])
+    def test_q_used_is_the_first_member_q(self, text):
+        h = parse_slow_vary(text)
+        qs = [round(0.1 * k, 2) for k in range(0, 11)]
+        first = next((q for q in qs if hq_classify(h, q).verdict == MEMBER), 1.0)
+        assert constants_report(h, ConstTSM(1.0)).q_used == first
 
     def test_report_with_sequence_and_distribution(self):
         rep = constants_report(
@@ -360,6 +380,7 @@ class TestHProtocol:
         H = DistTSM(RademacherProduct(np.ones(2)), SpaceSpec(2, 1.0))
         seen = []
         orig = H.dist.truncated_cov
-        monkeypatch.setattr(H.dist, "truncated_cov", lambda t, space: seen.append(t) or orig(t, space))
+        monkeypatch.setattr(H.dist, "truncated_cov", lambda ts, space: seen.append(np.copy(ts)) or orig(ts, space))
         H.values(np.array([3.0, 0.5, 3.0, 0.5, 3.0]))
-        assert sorted(seen) == [0.5, 3.0]
+        # one grid call, holding each distinct point once
+        assert len(seen) == 1 and sorted(seen[0].tolist()) == [0.5, 3.0]

@@ -202,3 +202,55 @@ class TestParseGrammar:
         a = dist.sample(np.random.default_rng(42), 100)
         b = dist.sample(np.random.default_rng(42), 100)
         np.testing.assert_array_equal(a, b)
+
+
+# Every family and the branches of its formula: zero variance, no closed
+# form (d = 2 Gaussian, Pareto off l^2), a zero scale, the log (a = 2) and
+# power (a != 2) Pareto forms, and a one-dimensional law embedded in R^3.
+GRID_LAWS = {
+    "gauss-var0": (Gaussian(0.0), SpaceSpec(1, 2.0)),
+    "gauss-var2.5": (Gaussian(2.5), SpaceSpec(1, 2.0)),
+    "gauss-d2": (Gaussian(np.eye(2)), SpaceSpec(2, 2.0)),
+    "rademacher-zero-scale-l1": (RademacherProduct(np.array([1.0, 0.0, 2.0])), SpaceSpec(3, 1.0)),
+    "rademacher-linf": (RademacherProduct(np.array([0.5, 3.0])), SpaceSpec(2, math.inf)),
+    "pareto-a2": (RadialPareto(2.0, dim=2, scale=0.5), SpaceSpec(2, 2.0)),
+    "pareto-a1.5": (RadialPareto(1.5, dim=1), SpaceSpec(1, 2.0)),
+    "pareto-a3": (RadialPareto(3.0, dim=3, scale=2.0), SpaceSpec(3, 2.0)),
+    "pareto-l1": (RadialPareto(2.5, dim=2), SpaceSpec(2, 1.0)),
+    "point": (PointMass(np.array([1.0, -2.0])), SpaceSpec(2, 1.0)),
+    "embed-gauss": (ScalarEmbedded(Gaussian(1.5), axis=1, dim=3), SpaceSpec(3, math.inf)),
+    "embed-pareto": (ScalarEmbedded(RadialPareto(2.0), axis=0, dim=2), SpaceSpec(2, 2.0)),
+}
+
+# Unsorted grids with repeats, zeros, the jump points of the step laws
+# (||v||_1 = 3, ||scales||_1 = 3, r = 1) and points far out in the tail.
+t_grids = st.lists(
+    st.one_of(
+        st.sampled_from([0.0, 0.5, 1.0, 2.0, 3.0]),
+        st.floats(min_value=0.0, max_value=10.0),
+        st.floats(min_value=10.0, max_value=1e300),
+    ),
+    max_size=20,
+).map(lambda xs: np.array(xs + xs[: len(xs) // 2], dtype=float))
+
+
+class TestTruncatedCovGrid:
+    @pytest.mark.parametrize("name", sorted(GRID_LAWS))
+    @given(ts=t_grids)
+    @settings(max_examples=40, deadline=None)
+    def test_grid_is_the_stack_of_scalar_calls_bit_for_bit(self, name, ts):
+        dist, space = GRID_LAWS[name]
+        got = dist.truncated_cov(ts, space)
+        scalar = [dist.truncated_cov(t, space) for t in ts.tolist()]
+        if dist.truncated_cov(1.0, space) is None:
+            assert got is None and all(m is None for m in scalar)
+            return
+        assert got.shape == (ts.size, dist.dim, dist.dim) and got.dtype == np.float64
+        want = np.stack(scalar) if scalar else np.zeros((0, dist.dim, dist.dim))
+        np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
+
+    @pytest.mark.parametrize("name", sorted(GRID_LAWS))
+    def test_scalar_call_gives_one_matrix(self, name):
+        dist, space = GRID_LAWS[name]
+        m = dist.truncated_cov(2.5, space)
+        assert m is None or m.shape == (dist.dim, dist.dim)

@@ -1,14 +1,20 @@
-"""The benchmark's tracer still finds every name it wraps, and puts them back.
+"""The benchmark's tracer still finds every name it wraps, puts them back,
+and sees every bracket probe.
 
 `perfbench/tracer.py` swaps lil_lab functions and methods for wrappers by
-name.  A refactor that drops or renames one of them must fail here, not
-only in a traced benchmark run.
+name.  A refactor that drops or renames one of them, or that classifies a
+probe without going through the wrapped name, must fail here, not only in
+a traced benchmark run.
 """
 
+import math
 import sys
 from pathlib import Path
 
-from lil_lab import cli
+import pytest
+
+from lil_lab import cli, constants
+from lil_lab.slowvary import parse_cseq, parse_slow_vary
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -42,3 +48,35 @@ def test_install_wraps_and_uninstall_restores(monkeypatch):
     after = _snapshot()
     assert after.keys() == before.keys()
     assert [k for k, v in before.items() if after[k] is not v] == []
+
+
+@pytest.mark.parametrize("search", ["c0", "alpha0"])
+def test_every_bracket_probe_is_a_traced_classifier_call(monkeypatch, search):
+    """Each probe of a search, and each endpoint verdict, is one traced
+    `constants.series_classify` span under the search's span, and the
+    INCONCLUSIVE ones are counted."""
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    from tracer import Tracer
+
+    H = constants.ConstTSM(1.0)
+    tracer = Tracer()
+    tracer.install()
+    try:
+        tracer.begin_pass()
+        if search == "c0":
+            br = constants.c0_compute(parse_slow_vary("2*(LL)^1"), H)
+        else:
+            br = constants.alpha0_compute(parse_cseq("psi:2*(LL)^1"), H)
+    finally:
+        tracer.uninstall()
+    [top] = [i for i, s in enumerate(tracer.spans) if s.name == f"constants.{search}_compute"]
+    probes = [s for s in tracer.spans if s.name == "constants.series_classify"]
+    assert all(s.parent == top for s in probes)
+    ends = [v for x, v in ((br.lo, br.lo_verdict), (br.hi, br.hi_verdict)) if math.isfinite(x)]
+    verdicts = [p[1] for p in br.probes] + ends
+    assert len(probes) == len(verdicts)
+    inconclusive = verdicts.count(constants.INCONCLUSIVE)
+    assert inconclusive > 0
+    m = tracer.pass_metrics(0)
+    assert m["constants.series_classify.calls"] == len(verdicts)
+    assert m["constants.inconclusive_frac"] == inconclusive / len(verdicts)
