@@ -23,8 +23,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import rng as _rng
-from .constants import _json_real
 from .simulate import map_trials
+from .slowvary import _json_real
 from .spaces import SpaceSpec, dual_ball_sup, norm_rows, norms
 
 
@@ -225,7 +225,10 @@ def _fn_terms(t: float, params: BoundParams, data: MomentData) -> tuple[float, f
         raise ValueError("exponent s disagrees between params and data")
     consts = fn_constants(params.delta, params.eta, params.s)
     gauss = 0.0 if data.lambda_n == 0.0 else math.exp(-t * t / ((2.0 + params.delta) * data.lambda_n))
-    t_s = t**params.s
+    try:
+        t_s = t**params.s
+    except OverflowError:  # past the float ceiling: the polynomial term is 0
+        t_s = math.inf
     if t_s > 0.0:
         poly = consts.C * data.moment_s / t_s
     else:

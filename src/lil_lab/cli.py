@@ -121,7 +121,7 @@ def validate_spec(raw: dict) -> dict:
                 raise SpecError(f"{key} must be a number", {key: val})
             val = float(val)
             if not math.isfinite(val):
-                raise SpecError(f"{key} must be finite", {key: constants._json_real(val)})
+                raise SpecError(f"{key} must be finite", {key: slowvary._json_real(val)})
         elif not isinstance(val, str):
             raise SpecError(f"{key} must be a string", {key: val})
         spec[key] = val
@@ -205,9 +205,9 @@ def _exec_fn_bound(spec: dict) -> tuple[dict, dict, int]:
     print(f"fn-bound: t={spec['t']:g} -> {value:.6g} "
           f"(gaussian term {gauss:.6g}, polynomial term {poly:.6g}, C={consts.C:.6g})")
     doc = {
-        "bound": constants._json_real(value),
-        "gauss_term": constants._json_real(gauss),
-        "poly_term": constants._json_real(poly),
+        "bound": slowvary._json_real(value),
+        "gauss_term": slowvary._json_real(gauss),
+        "poly_term": slowvary._json_real(poly),
         "constants": {
             "epsilon": consts.epsilon, "D": consts.D, "K_s": consts.K_s,
             "C_prime": consts.C_prime, "C_dprime": consts.C_dprime, "C": consts.C,

@@ -38,8 +38,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .slowvary import NormalizerSeq, SlowVaryFn, _ols_slope, log_psi, psi_inv_log
-from .spaces import EmpiricalTSM, SpaceSpec, dual_ball_sup
+from .slowvary import NormalizerSeq, SlowVaryFn, _json_real, _ols_slope, log_psi, psi_inv_log
+from .spaces import EmpiricalTSM, SpaceSpec, _at_point, dual_ball_sup
 
 CONVERGES = "CONVERGES"
 DIVERGES = "DIVERGES"
@@ -547,8 +547,7 @@ class ConstTSM:
     def values(self, ts) -> np.ndarray:
         return np.where(np.asarray(ts, dtype=float) > 0, self.v, 0.0)
 
-    def __call__(self, t: float) -> float:
-        return float(self.values(np.array([t], dtype=float))[0])
+    __call__ = _at_point
 
 
 class LogLogPowTSM:
@@ -569,71 +568,73 @@ class LogLogPowTSM:
             for t in np.asarray(ts, dtype=float).tolist()
         ])
 
-    def __call__(self, t: float) -> float:
-        return float(self.values(np.array([t], dtype=float))[0])
+    __call__ = _at_point
 
 
 class DistTSM:
-    """H from a distribution.
+    """Analytic source: H from a law's closed-form truncated covariance.
 
-    The route is "analytic" when the family provides a truncated
-    covariance: `values` then asks for it on the grid of distinct t in
-    one grid `truncated_cov` call and takes one stacked dual-ball
-    supremum over the distinct matrices.  Otherwise the route is
-    "empirical": an `EmpiricalTSM` on a frozen sample.
+    `values` asks for the covariance on the grid of distinct t in one grid
+    `truncated_cov` call and takes one stacked dual-ball supremum over the
+    distinct matrices.  A law with no closed form in the space is refused
+    with a ValueError, never replaced: `parse_tsm` decides the route and
+    builds an empirical source for such a law.
     """
 
-    def __init__(self, dist, space: SpaceSpec, n_samples: int = 4096, rng=None):
+    route = "analytic"
+
+    def __init__(self, dist, space: SpaceSpec):
+        if dist.truncated_cov(1.0, space) is None:
+            raise ValueError(
+                f"{dist.describe()} has no analytic truncated covariance in this space; "
+                "use parse_tsm('dist', ...) or an EmpiricalTSM on a sample"
+            )
         self.dist = dist
         self.space = space
-        self._empirical = None
-        self.route = "analytic"
-        if dist.truncated_cov(1.0, space) is None:
-            gen = rng if rng is not None else np.random.default_rng(0)
-            self._empirical = EmpiricalTSM(dist.sample(gen, n_samples), space)
-            self.route = "empirical"
-            self.n_samples, self.max_norm = self._empirical.n_samples, self._empirical.max_norm
-            self.extrapolated = self._empirical.extrapolated
 
     def values(self, ts) -> np.ndarray:
-        if self._empirical is not None:
-            return self._empirical.values(ts)
         t_set, t_which = _distinct(np.asarray(ts, dtype=float))
         m_set, m_which = _distinct(self.dist.truncated_cov(t_set, self.space))
         return dual_ball_sup(m_set, self.space)[m_which][t_which]
 
-    def __call__(self, t: float) -> float:
-        return float(self.values(np.array([t], dtype=float))[0])
+    __call__ = _at_point
 
 
 class EmpiricalWrapTSM(EmpiricalTSM):
-    """H from a fixed sample set: an `EmpiricalTSM` named as an H source."""
+    """Empirical source: an `EmpiricalTSM` on a frozen sample, named as an H source.
 
-    # Its own __call__, not the inherited one, so per-class call counters
-    # (perfbench/tracer.py) tell the two apart.
-    def __call__(self, t: float) -> float:
-        return float(self.values(np.array([t], dtype=float))[0])
+    `parse_tsm` builds it for `empirical:N` and for `dist` over a law with
+    no closed-form truncated covariance.
+    """
+
+    # Bound here, not inherited, so per-class call counters
+    # (perfbench/tracer.py) tell it apart from a bare EmpiricalTSM.
+    __call__ = _at_point
 
 
 def parse_tsm(text: str, dist=None, space=None, n_samples: int = 4096, rng=None):
-    """Parse an H-source spec: const:V | llpow:Q | dist | empirical[:N]."""
+    """Parse an H-source spec: const:V | llpow:Q | dist | empirical[:N].
+
+    The one place that chooses an H route.  `dist` is analytic, a
+    `DistTSM`, when the law has a closed-form truncated covariance in
+    `space`; otherwise it is exactly `empirical:<n_samples>`.  Both
+    empirical forms draw N rows with `dist.sample(rng, N)` and wrap them
+    in one `EmpiricalWrapTSM`, whose route "empirical" the report names.
+    """
     squeezed = text.strip()
     if squeezed.startswith("const:"):
         return ConstTSM(float(squeezed[6:]))
     if squeezed.startswith("llpow:"):
         return LogLogPowTSM(float(squeezed[6:]))
-    if squeezed == "dist":
-        if dist is None or space is None:
-            raise ValueError("H source 'dist' needs a distribution and a space")
-        return DistTSM(dist, space, n_samples=n_samples, rng=rng)
-    if squeezed == "empirical" or squeezed.startswith("empirical:"):
-        if dist is None or space is None:
-            raise ValueError("H source 'empirical' needs a distribution and a space")
-        n = int(squeezed.partition(":")[2] or n_samples)
-        gen = rng if rng is not None else np.random.default_rng(0)
-        samples = dist.sample(gen, n)
-        return EmpiricalWrapTSM(samples, space)
-    raise ValueError(f"cannot parse H source {text!r}")
+    form, _, count = squeezed.partition(":")
+    if squeezed != "dist" and form != "empirical":
+        raise ValueError(f"cannot parse H source {text!r}")
+    if dist is None or space is None:
+        raise ValueError(f"H source {form!r} needs a distribution and a space")
+    if form == "dist" and dist.truncated_cov(1.0, space) is not None:
+        return DistTSM(dist, space)
+    gen = rng if rng is not None else np.random.default_rng(0)
+    return EmpiricalWrapTSM(dist.sample(gen, int(count or n_samples)), space)
 
 
 # ---------------------------------------------------------------------------
@@ -662,18 +663,6 @@ def beta0_estimate(dist, c_seq, n_grid, trials: int, space: SpaceSpec, seed: int
         ci=(float(curve.ci_lo[idx]), float(curve.ci_hi[idx])),
         curve=curve,
     )
-
-
-def _json_real(x):
-    """JSON-safe real: inf and nan become strings, everything else floats."""
-    if x is None:
-        return None
-    xf = float(x)
-    if math.isnan(xf):
-        return "nan"
-    if math.isinf(xf):
-        return "inf" if xf > 0 else "-inf"
-    return xf
 
 
 #: The q grid searched for `ConstantsReport.q_used`.

@@ -7,13 +7,13 @@ Each family exposes the same small surface:
     norm_bound(space)         a.s. bound on ||X|| (math.inf if unbounded)
     truncated_cov(t, space)   analytic E[X X^T 1{||X|| <= t}], or None;
                               for a 1-D grid of t, the (k, dim, dim) stack
-    tail_prob_norm(t, space)  P{||X|| > t} when known in closed form, or None
     is_centered               True when E X exists and equals 0
     finite_second_moment      True when E ||X||^2 < inf
     describe()                round-trippable text form
 
-Families without an analytic truncated covariance return None and the
-caller falls back to the empirical estimator in `spaces`.  The grid form
+Families without an analytic truncated covariance return None; for such
+a law `constants.parse_tsm` takes the empirical H route (an `EmpiricalTSM`
+on a sample) and `constants.DistTSM` refuses it.  The grid form
 is one call for a whole grid, bit for bit the stack of the scalar calls;
 families whose formula goes through libm scalars (`math.erf`, `math.log`,
 float `**`) still evaluate those point by point inside it.
@@ -25,6 +25,7 @@ import math
 
 import numpy as np
 
+from .slowvary import _fmt, _split_top
 from .spaces import SpaceSpec, norm
 
 _SCALAR = SpaceSpec(1, 2.0)
@@ -32,11 +33,6 @@ _SCALAR = SpaceSpec(1, 2.0)
 
 def _vec_text(v: np.ndarray) -> str:
     return ";".join(repr(float(x)).rstrip("0").rstrip(".") if "." in repr(float(x)) else repr(float(x)) for x in v)
-
-
-def _fmt_num(x: float) -> str:
-    s = repr(float(x))
-    return s[:-2] if s.endswith(".0") else s
 
 
 def _grid_form(method):
@@ -114,19 +110,11 @@ class Gaussian:
         vals = [max(sigma2 * (math.erf(u / root2) - u * c * math.exp(-0.5 * u * u)), 0.0) for u in us]
         return np.array(vals).reshape(-1, 1, 1)
 
-    def tail_prob_norm(self, t: float, space: SpaceSpec):
-        if self.dim != 1:
-            return None
-        sigma2 = float(self.cov[0, 0])
-        if sigma2 == 0.0:
-            return 0.0
-        return math.erfc(t / math.sqrt(2 * sigma2))
-
     def describe(self) -> str:
         d = np.diag(self.cov)
         if np.allclose(self.cov, np.diag(d)):
             if np.all(d == d[0]):
-                return f"gauss:dim={self.dim},var={_fmt_num(d[0])}"
+                return f"gauss:dim={self.dim},var={_fmt(d[0])}"
             return f"gauss:diag={_vec_text(d)}"
         rows = "/".join(_vec_text(row) for row in self.cov)
         return f"gauss:cov={rows}"
@@ -174,9 +162,6 @@ class RademacherProduct:
     def truncated_cov(self, ts: np.ndarray, space: SpaceSpec) -> np.ndarray:
         full = ts >= self.norm_bound(space)
         return np.where(full[:, None, None], np.diag(self.scales**2), 0.0)
-
-    def tail_prob_norm(self, t: float, space: SpaceSpec) -> float:
-        return 1.0 if t < self.norm_bound(space) else 0.0
 
     def describe(self) -> str:
         if np.all(self.scales == 1.0):
@@ -236,13 +221,8 @@ class RadialPareto:
             coef.append(self.scale**2 * m2 / self.dim)
         return np.array(coef)[:, None, None] * np.eye(self.dim)
 
-    def tail_prob_norm(self, t: float, space: SpaceSpec):
-        if space.norm_p != 2.0:
-            return None
-        return min(1.0, (t / self.scale) ** (-self.a)) if t > 0 else 1.0
-
     def describe(self) -> str:
-        return f"pareto:a={_fmt_num(self.a)},dim={self.dim},scale={_fmt_num(self.scale)}"
+        return f"pareto:a={_fmt(self.a)},dim={self.dim},scale={_fmt(self.scale)}"
 
 
 class PointMass:
@@ -268,9 +248,6 @@ class PointMass:
     def truncated_cov(self, ts: np.ndarray, space: SpaceSpec) -> np.ndarray:
         inside = norm(self.vector, space) <= ts
         return np.where(inside[:, None, None], np.outer(self.vector, self.vector), 0.0)
-
-    def tail_prob_norm(self, t: float, space: SpaceSpec) -> float:
-        return 1.0 if norm(self.vector, space) > t else 0.0
 
     def describe(self) -> str:
         return f"point:v={_vec_text(self.vector)}"
@@ -314,9 +291,6 @@ class ScalarEmbedded:
         out[:, self.axis, self.axis] = m[:, 0, 0]
         return out
 
-    def tail_prob_norm(self, t: float, space: SpaceSpec):
-        return self.inner.tail_prob_norm(t, _SCALAR)
-
     def describe(self) -> str:
         return f"embed:dim={self.dim},axis={self.axis},inner=({self.inner.describe()})"
 
@@ -329,23 +303,7 @@ class ScalarEmbedded:
 
 def _split_pairs(body: str) -> dict[str, str]:
     pairs: dict[str, str] = {}
-    depth, cur, chunks = 0, [], []
-    for ch in body:
-        if ch == "(":
-            depth += 1
-        elif ch == ")":
-            depth -= 1
-            if depth < 0:
-                raise ValueError(f"unbalanced parentheses in {body!r}")
-        if ch == "," and depth == 0:
-            chunks.append("".join(cur))
-            cur = []
-        else:
-            cur.append(ch)
-    if depth != 0:
-        raise ValueError(f"unbalanced parentheses in {body!r}")
-    chunks.append("".join(cur))
-    for chunk in chunks:
+    for chunk in _split_top(body, ","):
         if not chunk:
             continue
         key, sep, val = chunk.partition("=")

@@ -44,6 +44,18 @@ def _fmt(x: float) -> str:
     return s[:-2] if s.endswith(".0") else s
 
 
+def _json_real(x):
+    """JSON-safe real: inf and nan become strings, everything else floats."""
+    if x is None:
+        return None
+    xf = float(x)
+    if math.isnan(xf):
+        return "nan"
+    if math.isinf(xf):
+        return "inf" if xf > 0 else "-inf"
+    return xf
+
+
 @dataclass(frozen=True)
 class SlowVaryFn:
     """A slowly varying function in product normal form.
@@ -192,7 +204,8 @@ _RE_LOGLOG = re.compile(rf"^\(LL\)(?:\^({_NUM}))?$")
 _RE_EXP = re.compile(rf"^exp\((?:({_NUM})\*)?\(L\)\^({_NUM})\)$")
 
 
-def _split_product(text: str) -> list[str]:
+def _split_top(text: str, sep: str) -> list[str]:
+    """`text` split at each `sep` outside parentheses (shared with `distributions`)."""
     parts, depth, cur = [], 0, []
     for ch in text:
         if ch == "(":
@@ -201,7 +214,7 @@ def _split_product(text: str) -> list[str]:
             depth -= 1
             if depth < 0:
                 raise ValueError(f"unbalanced parentheses in {text!r}")
-        if ch == "*" and depth == 0:
+        if ch == sep and depth == 0:
             parts.append("".join(cur))
             cur = []
         else:
@@ -218,7 +231,7 @@ def parse_slow_vary(text: str) -> SlowVaryFn:
     if not squeezed:
         raise ValueError("empty slow-variation expression")
     result = SlowVaryFn()
-    for part in _split_product(squeezed):
+    for part in _split_top(squeezed, "*"):
         if _RE_NUMBER.match(part):
             result = result * SlowVaryFn.constant(float(part))
             continue
@@ -421,7 +434,7 @@ class HqReport:
                     "verdict": d.verdict,
                     "reason": d.reason,
                     "decay_exponent": d.decay_exponent,
-                    "final_ratio": float(d.ratios[-1]),
+                    "final_ratio": _json_real(d.ratios[-1]),
                 }
                 for d in self.per_tau
             ],
@@ -434,7 +447,8 @@ def _classify_tau(h: SlowVaryFn, tau: float, t_grid: np.ndarray, tol: float) -> 
     # log(t * f_tau(t)) = log t + (Lt)^tau
     shifted = u + lt**tau
     delta = h.log_value_from_log(shifted) - h.log_value_from_log(u)  # log ratio >= 0
-    ratios = np.exp(delta)
+    with np.errstate(over="ignore"):  # a ratio past the float ceiling is inf
+        ratios = np.exp(delta)
     band = math.log1p(tol)
     tail = delta[-max(4, len(delta) // 4) :]
     if float(np.max(np.abs(tail))) <= band:

@@ -161,6 +161,24 @@ class TestContract:
         common = {"kind": kind, "seed": 0, "workers": None, "format": "json", "out": "."}
         assert cli.validate_spec({"kind": kind}) == {**common, **_VALIDATED_DEFAULTS[kind]}
 
+    def test_package_exports(self):
+        exported = {n for n, v in vars(lil_lab).items() if not n.startswith("_") and not isinstance(v, types.ModuleType)}
+        assert exported == {
+            "BoundParams", "FnConstants", "MomentData", "VerifyReport", "fn_constants", "fuk_nagaev_bound",
+            "klein_rio_mgf_bound", "maximal_tail_bound", "mc_verify", "split_tail_bound",
+            "Bracket", "ConstantsReport", "SeriesProbe", "SeriesVerdict", "alpha0_compute", "beta0_estimate",
+            "c0_compute", "constants_report", "lambda_compute", "lil_ratio_check", "parse_tsm",
+            "sandwich_bounds", "series_classify", "sigma_compute",
+            "Gaussian", "PointMass", "RademacherProduct", "RadialPareto", "ScalarEmbedded", "parse_dist",
+            "PathConfig", "PathResult", "geometric_checkpoints", "limsup_estimate", "mean_norm_curve",
+            "run_path", "truncated_path",
+            "NormalizerSeq", "PowerSeq", "SlowVaryFn", "check_normalizing_conditions", "hq_classify",
+            "parse_cseq", "parse_slow_vary", "psi", "psi_inv", "psi_inv_moment",
+            "EmpiricalTSM", "SpaceSpec", "TruncatedCov", "dual_ball_sup", "norm", "norms",
+            "trunc_cov_empirical", "truncated_second_moment",
+        }
+        assert lil_lab.__version__ == "0.1.0"
+
 
 class TestParsers:
     def test_space(self):
@@ -416,6 +434,41 @@ class TestExitCodes:
         err = json.loads(capsys.readouterr().err.strip())
         assert err["code"] == "invalid_spec" and "JSON compliant" in err["message"]
         assert not (tmp_path / "hclass.json").exists()
+
+    @pytest.mark.parametrize("argv,artifact,path,expected", [
+        (["constants", "--h", "2*(LL)^1", "--H", "const:0"], "constants.json", ("report", "c0_lo"), 0.0),
+        (["constants", "--h", "2*(LL)^1", "--H", "dist", "--dist", "gauss:dim=1,var=0"], "constants.json",
+         ("report", "lambda"), 0.0),
+        (["constants", "--h", "2*(LL)^1", "--H", "dist", "--dist", "pareto:a=2"], "constants.json",
+         ("report", "c0_hi"), "inf"),
+        (["constants", "--h", "2*(LL)^1", "--H", "dist", "--dist", "pareto:a=1.5,dim=2", "--space", "2,2"],
+         "constants.json", ("report", "c0_hi"), "inf"),
+        (["constants", "--h", "1e300*(LL)^1", "--H", "const:1"], "constants.json",
+         ("report", "verdict_diagnostics", "h_route"), "model"),
+        (["constants", "--h", "exp(1e2*(L)^0.99)", "--H", "const:1"], "constants.json",
+         ("report", "verdict_diagnostics", "h_route"), "model"),
+        (["fn-bound", "--t", "1e200"], "fn_bound.json", ("poly_term",), 0.0),
+        (["fn-verify", "--dist", "gauss:dim=1,var=0", "--space", "1,2", "--n", "50", "--trials", "200"],
+         "verify.json", ("report", "any_violation"), False),
+        (["lil-sim", "--dist", "pareto:a=1.5", "--space", "1,2", "--N", "2000", "--trials", "10"], "sim.json",
+         ("limsup", "finite_second_moment"), False),
+        (["hclass", "--h", "exp(1e3*(L)^0.9)", "--q", "0"], "hclass.json",
+         ("report", "per_tau", -1, "final_ratio"), "inf"),
+    ], ids=["const-zero", "gauss-var-zero", "pareto-a2", "pareto-a1.5-dim2", "h-const-1e300",
+            "h-exp-1e2", "fn-bound-t-1e200", "fn-verify-var-zero", "lil-sim-pareto", "hclass-inf-ratio"])
+    def test_extreme_input_exits_0_with_finite_or_flagged_values(self, tmp_path, argv, artifact, path, expected):
+        # t**s overflowing (t = 1e200) or an h ratio past the float ceiling
+        # once failed here; every case must now write a strict-JSON artifact
+        assert cli.main([*argv, "--workers", "1", "--out", str(tmp_path)]) == 0
+
+        def no_literal(name):
+            raise AssertionError(f"non-JSON literal {name} in the artifact")
+
+        doc = json.loads((tmp_path / artifact).read_text(), parse_constant=no_literal)
+        node = doc
+        for key in path:
+            node = node[key]
+        assert node == expected
 
     def test_bad_spec_file(self, tmp_path, capsys):
         path = tmp_path / "spec.json"

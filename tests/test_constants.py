@@ -306,15 +306,14 @@ H_SOURCES = {
     "dist-rademacher-l2": DistTSM(RademacherProduct(np.array([1.0, 2.0, 0.5])), SpaceSpec(3, 2.0)),
     "dist-rademacher-linf": DistTSM(RademacherProduct(np.array([1.0, 2.0, 0.5])), SpaceSpec(3, math.inf)),
     "dist-pareto": DistTSM(RadialPareto(1.5, dim=2), SpaceSpec(2, 2.0)),
-    "dist-empirical-fallback": DistTSM(_GAUSS2, SpaceSpec(2, 2.0), n_samples=300, rng=np.random.default_rng(4)),
+    "dist-empirical-fallback": parse_tsm("dist", dist=_GAUSS2, space=SpaceSpec(2, 2.0), n_samples=300,
+                                         rng=np.random.default_rng(4)),
     "empirical-wrap": EmpiricalWrapTSM(_GAUSS2.sample(np.random.default_rng(5), 300), SpaceSpec(2, 2.0)),
 }
 
 
 def _pointwise(H, t: float) -> float:
     """H(t) the way each source computed it one point at a time before `values`."""
-    if isinstance(H, DistTSM) and H.route == "empirical":
-        H = H._empirical
     if isinstance(H, EmpiricalTSM):
         k = int(np.searchsorted(H._norms, t, side="right"))
         if k == 0:

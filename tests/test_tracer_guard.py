@@ -11,9 +11,10 @@ import math
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from lil_lab import cli, constants
+from lil_lab import cli, constants, spaces
 from lil_lab.slowvary import parse_cseq, parse_slow_vary
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
@@ -80,3 +81,30 @@ def test_every_bracket_probe_is_a_traced_classifier_call(monkeypatch, search):
     m = tracer.pass_metrics(0)
     assert m["constants.series_classify.calls"] == len(verdicts)
     assert m["constants.inconclusive_frac"] == inconclusive / len(verdicts)
+
+
+_ROWS = np.arange(1.0, 9.0).reshape(4, 2)
+
+
+@pytest.mark.parametrize("make,counter", [
+    (lambda: constants.ConstTSM(1.0), "constants.H"),
+    (lambda: constants.EmpiricalWrapTSM(_ROWS, spaces.SpaceSpec(2, 2.0)), "constants.H"),
+    (lambda: spaces.EmpiricalTSM(_ROWS, spaces.SpaceSpec(2, 2.0)), "spaces.empirical_tsm"),
+], ids=["const", "empirical-wrap", "empirical"])
+def test_each_h_source_call_counts_under_its_own_name(monkeypatch, make, counter):
+    """The H sources share one point-evaluation function, but each class
+    binds it itself, so the tracer counts a call once, under the class's
+    own counter."""
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    from tracer import Tracer
+
+    H = make()
+    tracer = Tracer()
+    tracer.install()
+    try:
+        tracer.begin_pass()
+        H(5.0)
+    finally:
+        tracer.uninstall()
+    calls = {k: v for k, v in tracer.cur.items() if k in ("constants.H.calls", "spaces.empirical_tsm.calls") and v}
+    assert calls == {counter + ".calls": 1}
