@@ -38,6 +38,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .rng import H_SAMPLE, substream
 from .slowvary import NormalizerSeq, SlowVaryFn, _json_real, _ols_slope, log_psi, psi_inv_log
 from .spaces import EmpiricalTSM, SpaceSpec, _at_point, dual_ball_sup
 
@@ -620,6 +621,8 @@ def parse_tsm(text: str, dist=None, space=None, n_samples: int = 4096, rng=None)
     `space`; otherwise it is exactly `empirical:<n_samples>`.  Both
     empirical forms draw N rows with `dist.sample(rng, N)` and wrap them
     in one `EmpiricalWrapTSM`, whose route "empirical" the report names.
+    `rng` defaults to the stream `rng.substream(0, rng.H_SAMPLE)`; the CLI
+    passes `substream(seed, H_SAMPLE)`.
     """
     squeezed = text.strip()
     if squeezed.startswith("const:"):
@@ -633,7 +636,7 @@ def parse_tsm(text: str, dist=None, space=None, n_samples: int = 4096, rng=None)
         raise ValueError(f"H source {form!r} needs a distribution and a space")
     if form == "dist" and dist.truncated_cov(1.0, space) is not None:
         return DistTSM(dist, space)
-    gen = rng if rng is not None else np.random.default_rng(0)
+    gen = rng if rng is not None else substream(0, H_SAMPLE)
     return EmpiricalWrapTSM(dist.sample(gen, int(count or n_samples)), space)
 
 

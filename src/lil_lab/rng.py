@@ -4,7 +4,8 @@ Stream v2 (`lil-lab-stream-v2`): the unit of a Monte Carlo stream is a
 fixed group of consecutive trials, keyed by (seed, purpose, group).
 `simulate.stream_trials` fixes the group size from the path length
 alone, so a group's draws never depend on the worker count, the
-chunking or the number of trials run.
+chunking or the number of trials run.  The sample behind an empirical H
+is one stream keyed by (seed, H_SAMPLE).
 """
 from __future__ import annotations
 
@@ -20,6 +21,7 @@ _MASK = 0xFFFFFFFFFFFFFFFF
 PILOT = 1
 MAIN = 2
 CURVE = 4
+H_SAMPLE = 8
 
 
 def substream(seed: int, *path: int) -> np.random.Generator:

@@ -33,6 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .rng import H_SAMPLE, substream
 from .spaces import SpaceSpec, norms
 
 #: Absolute bisection tolerance on log-scale arguments.
@@ -532,13 +533,15 @@ def psi_inv_moment(
 ) -> MomentEstimate:
     """Estimate E psi^{-1}(||X||) by plain Monte Carlo.
 
+    `rng` defaults to the stream `rng.substream(0, rng.H_SAMPLE)`.
+
     The HEAVY flag fires when doubling the sample (half vs. full estimate)
     moves the mean by more than 20%, the usual symptom of an infinite or
     barely finite moment.
     """
     if n_samples < 16:
         raise ValueError("n_samples too small to say anything")
-    gen = rng if rng is not None else np.random.default_rng(0)
+    gen = rng if rng is not None else substream(0, H_SAMPLE)
     draws = dist.sample(gen, n_samples)
     vals = psi_inv_array(h, norms(draws, space))
     full = float(vals.mean())

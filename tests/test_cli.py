@@ -9,8 +9,11 @@ import numpy as np
 import pytest
 
 import lil_lab
-from lil_lab import bounds, cli, simulate
+from lil_lab import bounds, cli, constants, rng, simulate
+from lil_lab.distributions import parse_dist
 from lil_lab.simulate import BLOCK
+from lil_lab.slowvary import parse_slow_vary
+from lil_lab.spaces import SpaceSpec
 
 
 def _float_key_params():
@@ -243,6 +246,18 @@ class TestArtifacts:
         assert "provenance" not in doc["resolved_spec"]
         assert cli.main(["run", str(path)]) == 0
         assert path.read_bytes() == first
+
+    def test_empirical_h_sample_is_the_h_sample_stream(self, tmp_path):
+        # the benchmark's c6: a law with no closed form, so H is empirical
+        argv = ["constants", "--h", "2*(LL)^1", "--H", "dist", "--dist", "gauss:dim=2,var=1", "--space", "2,2"]
+        assert cli.main([*argv, "--seed", "5", "--out", str(tmp_path)]) == 0
+        got = json.loads((tmp_path / "constants.json").read_text())["report"]
+        assert len({rng.PILOT, rng.MAIN, rng.CURVE, rng.H_SAMPLE}) == 4
+        dist, space = parse_dist("gauss:dim=2,var=1"), SpaceSpec(2, 2.0)
+        H = constants.EmpiricalWrapTSM(dist.sample(rng.substream(5, rng.H_SAMPLE), 4096), space)
+        want = constants.constants_report(parse_slow_vary("2*(LL)^1"), H, dist=dist, space=space)
+        assert got == json.loads(json.dumps(want.to_json_dict()))
+        assert got["verdict_diagnostics"]["h_route"] == "empirical"
 
     def test_run_override_changes_seed(self, tmp_path):
         cli.execute({"kind": "hclass", "h": "2*(LL)^1", "out": str(tmp_path)})
@@ -520,6 +535,9 @@ class TestExitCodes:
         # paths of BLOCK + 1 steps stream block by block in chunks of 255 trials
         (["lil-sim", "--dist", "gauss:dim=1,var=1", "--space", "1,2", "--h", "2*(LL)^1",
           "--N", str(BLOCK + 1), "--trials", "257"], "sim.json"),
+        # an empirical H, whose sample is drawn in the driver
+        (["constants", "--h", "2*(LL)^1", "--H", "dist", "--dist", "gauss:dim=2,var=1",
+          "--space", "2,2"], "constants.json"),
     ])
     def test_workers_flag_does_not_change_artifact_bytes(self, tmp_path, argv, artifact):
         # more than one chunk of trials, so --workers 2 really starts a pool

@@ -31,6 +31,7 @@ from lil_lab.constants import (
     sigma_compute,
 )
 from lil_lab.distributions import Gaussian, RademacherProduct, RadialPareto, parse_dist
+from lil_lab.rng import H_SAMPLE, substream
 from lil_lab.slowvary import MEMBER, SlowVaryFn, hq_classify, parse_cseq, parse_slow_vary
 from lil_lab.spaces import EmpiricalTSM, SpaceSpec, dual_ball_sup
 
@@ -214,6 +215,23 @@ class TestTsmParsing:
             rng=np.random.default_rng(1),
         )
         assert 0.5 < H(100.0) < 1.5
+
+    def test_dist_without_a_closed_form_is_refused(self):
+        with pytest.raises(ValueError, match="parse_tsm"):
+            DistTSM(parse_dist("gauss:dim=2"), SpaceSpec(2, 2.0))
+
+    def test_dist_without_a_closed_form_is_the_empirical_form(self):
+        dist, space = parse_dist("gauss:dim=2"), SpaceSpec(2, 2.0)
+        by_dist = parse_tsm("dist", dist=dist, space=space, rng=substream(3, H_SAMPLE))
+        by_count = parse_tsm("empirical:4096", dist=dist, space=space, rng=substream(3, H_SAMPLE))
+        default = parse_tsm("dist", dist=dist, space=space)
+        assert by_dist.route == by_count.route == default.route == "empirical"
+        ts = np.geomspace(1e-2, 1e3, 60)
+        np.testing.assert_array_equal(_bits(by_dist.values(ts)), _bits(by_count.values(ts)))
+        np.testing.assert_array_equal(
+            _bits(default.values(ts)),
+            _bits(parse_tsm("dist", dist=dist, space=space, rng=substream(0, H_SAMPLE)).values(ts)),
+        )
 
     def test_unknown_form_rejected(self):
         with pytest.raises(ValueError):
