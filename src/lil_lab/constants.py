@@ -575,21 +575,17 @@ class LogLogPowTSM:
 class DistTSM:
     """Analytic source: H from a law's closed-form truncated covariance.
 
-    `values` asks for the covariance on the grid of distinct t in one grid
-    `truncated_cov` call and takes one stacked dual-ball supremum over the
-    distinct matrices.  A law with no closed form in the space is refused
-    with a ValueError, never replaced: `parse_tsm` decides the route and
-    builds an empirical source for such a law.
+    `values` makes one grid `truncated_cov` call over the distinct t and
+    takes one stacked dual-ball supremum over the distinct matrices.  A
+    law with no closed form is refused, never replaced by a sample.
     """
 
     route = "analytic"
 
     def __init__(self, dist, space: SpaceSpec):
         if dist.truncated_cov(1.0, space) is None:
-            raise ValueError(
-                f"{dist.describe()} has no analytic truncated covariance in this space; "
-                "use parse_tsm('dist', ...) or an EmpiricalTSM on a sample"
-            )
+            raise ValueError(f"{dist.describe()} has no analytic truncated covariance in this space; "
+                             "use parse_tsm('dist', ...) or an EmpiricalTSM on a sample")
         self.dist = dist
         self.space = space
 
@@ -602,11 +598,7 @@ class DistTSM:
 
 
 class EmpiricalWrapTSM(EmpiricalTSM):
-    """Empirical source: an `EmpiricalTSM` on a frozen sample, named as an H source.
-
-    `parse_tsm` builds it for `empirical:N` and for `dist` over a law with
-    no closed-form truncated covariance.
-    """
+    """Empirical source: what `parse_tsm` builds on a frozen sample."""
 
     # Bound here, not inherited, so per-class call counters
     # (perfbench/tracer.py) tell it apart from a bare EmpiricalTSM.
@@ -616,13 +608,10 @@ class EmpiricalWrapTSM(EmpiricalTSM):
 def parse_tsm(text: str, dist=None, space=None, n_samples: int = 4096, rng=None):
     """Parse an H-source spec: const:V | llpow:Q | dist | empirical[:N].
 
-    The one place that chooses an H route.  `dist` is analytic, a
-    `DistTSM`, when the law has a closed-form truncated covariance in
-    `space`; otherwise it is exactly `empirical:<n_samples>`.  Both
-    empirical forms draw N rows with `dist.sample(rng, N)` and wrap them
-    in one `EmpiricalWrapTSM`, whose route "empirical" the report names.
-    `rng` defaults to the stream `rng.substream(0, rng.H_SAMPLE)`; the CLI
-    passes `substream(seed, H_SAMPLE)`.
+    The one place that chooses an H route: `dist` is a `DistTSM` when the
+    law has a closed-form truncated covariance in `space`, and otherwise
+    exactly `empirical:<n_samples>`, one `EmpiricalWrapTSM` over
+    `dist.sample(rng, N)`.  `rng` defaults to `substream(0, H_SAMPLE)`.
     """
     squeezed = text.strip()
     if squeezed.startswith("const:"):

@@ -533,11 +533,9 @@ def psi_inv_moment(
 ) -> MomentEstimate:
     """Estimate E psi^{-1}(||X||) by plain Monte Carlo.
 
-    `rng` defaults to the stream `rng.substream(0, rng.H_SAMPLE)`.
-
     The HEAVY flag fires when doubling the sample (half vs. full estimate)
     moves the mean by more than 20%, the usual symptom of an infinite or
-    barely finite moment.
+    barely finite moment.  `rng` defaults to `substream(0, H_SAMPLE)`.
     """
     if n_samples < 16:
         raise ValueError("n_samples too small to say anything")

@@ -229,11 +229,7 @@ def truncated_second_moment(source, t: float, space: SpaceSpec) -> float:
 
 
 def _at_point(source, t: float) -> float:
-    """An H source's value at one t: its `values` on a one-point grid.
-
-    Every H source binds this as its `__call__`, each in its own class
-    body, so per-class call counters can tell the sources apart.
-    """
+    """An H source's value at one t: its `values` on a one-point grid."""
     return float(source.values(np.array([t], dtype=float))[0])
 
 
