@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import io
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -100,12 +100,12 @@ def k_const(s: float) -> float:
 
 @dataclass(frozen=True)
 class BoundParams:
-    """Free parameters (eta, delta, s) with eps derived when not given."""
+    """Free parameters (eta, delta, s); epsilon is always derived from delta."""
 
     eta: float
     delta: float
     s: float
-    epsilon: float | None = None
+    epsilon: float = field(init=False)
 
     def __post_init__(self) -> None:
         if not (0 < self.eta <= 1):
@@ -114,10 +114,7 @@ class BoundParams:
             raise ValueError("delta must be positive")
         if self.s <= 2:
             raise ValueError("s must exceed 2")
-        if self.epsilon is None:
-            object.__setattr__(self, "epsilon", eps_from_delta(self.delta))
-        elif self.epsilon <= 0:
-            raise ValueError("epsilon must be positive")
+        object.__setattr__(self, "epsilon", eps_from_delta(self.delta))
 
 
 @dataclass(frozen=True)
@@ -410,7 +407,6 @@ def mc_verify(
 
     # pilot pass
     parts = map_trials(dist, n, n, seed, _rng.PILOT, trials, _PilotMoments(space, params.s), workers)
-    d = dist.dim
     coord_sum = sum(p[0] for p in parts)
     coord_sumsq = sum(p[1] for p in parts)
     m2 = sum(p[2] for p in parts)

@@ -181,8 +181,7 @@ def _exec_constants(spec: dict) -> tuple[dict, dict, int]:
         raise SpecError("constants needs --h")
     h = _parsed(slowvary.parse_slow_vary, spec, "h")
     dist, space = _dist_and_space(spec, need_dist=False)
-    H_fn = _parsed(constants.parse_tsm, spec, "H", dist=dist, space=space,
-                   rng=_rng.substream(spec["seed"], _rng.H_SAMPLE))
+    H_fn = _parsed(constants.parse_tsm, spec, "H", dist=dist, space=space, seed=spec["seed"])
     c_seq = _parsed(slowvary.parse_cseq, spec, "c_seq") if spec["c_seq"] else None
     report = constants.constants_report(
         h, H_fn, c_seq=c_seq, dist=dist, space=space, tol=spec["tol"],

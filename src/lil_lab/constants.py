@@ -19,16 +19,22 @@ All verdicts carry their diagnostics.  The bisection solvers return a
 working bracket of the decision boundary together with the raw verdicts
 at the endpoints; INCONCLUSIVE probes are surfaced, never hidden.
 
+Every grid is a read-only array built once at import (the probe points
+of `DEFAULT_PROBE`, `DEFAULT_X_GRID`, the sigma walk, the beta0 n grid);
+no stage takes a grid or a classifier setting, only the tolerance `tol`.
+
 H, the truncated weak second moment, comes from an H source: a callable
 that also evaluates a whole grid in one call, `values(ts)`, once per
 distinct point, and names its `route` ("model", "analytic" or
 "empirical").  Every stage (c0, alpha0, lambda, the ratio curve, sigma)
-evaluates its fixed grid in one `H_values` call, which also accepts a
-plain callable t -> H(t); a bracket search builds its probe grid once
-and each probe only rescales the exponents.  The report's
-`verdict_diagnostics` name the route (`h_route`), the sample behind an
-empirical H (`h_samples`, `h_max_norm`) and, per stage, the share of
-the grid past the sample range (`h_extrapolated_frac`).
+evaluates its grid in one `H_values` call, which also accepts a plain
+callable t -> H(t) and rejects a negative H; a bracket search builds its
+probe grid once and each probe only rescales the exponents.  The
+analytic and empirical sources (`DistTSM`, `EmpiricalTSM`) live in
+`lil_lab.spaces`.  The report's `verdict_diagnostics` name the route
+(`h_route`), the sample behind an empirical H (`h_samples`,
+`h_max_norm`) and, per stage, the share of the grid past the sample
+range (`h_extrapolated_frac`).
 """
 from __future__ import annotations
 
@@ -40,7 +46,7 @@ import numpy as np
 
 from .rng import H_SAMPLE, substream
 from .slowvary import NormalizerSeq, SlowVaryFn, _json_real, _ols_slope, log_psi, psi_inv_log
-from .spaces import EmpiricalTSM, SpaceSpec, _at_point, dual_ball_sup
+from .spaces import DistTSM, EmpiricalTSM, SpaceSpec, _at_point
 
 CONVERGES = "CONVERGES"
 DIVERGES = "DIVERGES"
@@ -52,7 +58,7 @@ _LOG_FLOAT_MAX = 709.0
 
 @dataclass(frozen=True)
 class SeriesProbe:
-    """Probe-subsequence settings for the series classifier."""
+    """Probe-subsequence settings; the series classifier reads `DEFAULT_PROBE`."""
 
     rho: float = 2.0
     j_max: int = 120
@@ -66,6 +72,17 @@ class SeriesProbe:
 
 
 DEFAULT_PROBE = SeriesProbe()
+
+
+def _frozen(a) -> np.ndarray:
+    """`a` as a read-only array: a grid built once at import."""
+    a = np.asarray(a)
+    a.flags.writeable = False
+    return a
+
+
+#: The probe subsequence n_j = ceil(rho^j), j = 1..j_max, of every series.
+_PROBE_N = _frozen(np.ceil(DEFAULT_PROBE.rho ** np.arange(1, DEFAULT_PROBE.j_max + 1, dtype=float)))
 
 
 @dataclass(frozen=True)
@@ -88,17 +105,18 @@ class SeriesVerdict:
         }
 
 
-def _window_slopes(x: np.ndarray, probe: SeriesProbe) -> tuple[float, float]:
+def _window_slopes(x: np.ndarray) -> tuple[float, float]:
     """OLS slopes of x_j vs log j over the last window and the one before."""
     j = np.arange(1, x.size + 1, dtype=float)
-    w = max(4, int(math.ceil(probe.window_frac * x.size)))
+    w = max(4, int(math.ceil(DEFAULT_PROBE.window_frac * x.size)))
     lo2, lo1 = x.size - w, x.size - 2 * w
     s2 = _ols_slope(np.log(j[lo2:]), x[lo2:])
     s1 = _ols_slope(np.log(j[max(lo1, 0) : lo2]), x[max(lo1, 0) : lo2])
     return s1, s2
 
 
-def _classify_exponents(x: np.ndarray, probe: SeriesProbe, c: float, probe_n: np.ndarray) -> SeriesVerdict:
+def _classify_exponents(x: np.ndarray, c: float, probe_n: np.ndarray) -> SeriesVerdict:
+    probe = DEFAULT_PROBE
     finite = np.isfinite(x)
     w = max(4, int(math.ceil(probe.window_frac * x.size)))
     tail = x[-w:]
@@ -110,7 +128,7 @@ def _classify_exponents(x: np.ndarray, probe: SeriesProbe, c: float, probe_n: np
         keep = ~np.isnan(x)
         x = x[keep]
         probe_n = probe_n[keep]
-    s1, s2 = _window_slopes(x, probe)
+    s1, s2 = _window_slopes(x)
     accel = s2 / s1 - 1.0 if abs(s1) > 1e-12 else 0.0
     if accel >= probe.trend_tol:
         return SeriesVerdict(CONVERGES, s2, accel, c, x, probe_n, "exponent growth is super-logarithmic")
@@ -123,28 +141,25 @@ def _classify_exponents(x: np.ndarray, probe: SeriesProbe, c: float, probe_n: np
     return SeriesVerdict(INCONCLUSIVE, s2, accel, c, x, probe_n, "slope inside the margin band")
 
 
-def _probe_points(probe: SeriesProbe) -> np.ndarray:
-    j = np.arange(1, probe.j_max + 1, dtype=float)
-    return np.ceil(probe.rho**j)
-
-
 def _series_args(h: SlowVaryFn, n: np.ndarray) -> np.ndarray:
     """H arguments a_n = psi(n) of the c0 series, capped at the float ceiling."""
     return np.exp(np.minimum(log_psi(h, np.log(n)), _LOG_FLOAT_MAX))
 
 
 def H_values(H_fn, ts) -> np.ndarray:
-    """H at every point of the 1-D grid `ts`, in one call.
+    """H at every point of the 1-D grid `ts`, in one call: the one H evaluator.
 
     An H source (see "Truncated-second-moment sources" below) evaluates
     the grid through its `values`; a plain callable t -> H(t) is called
-    once per point.
+    once per point.  Every stage reads H through here, so every stage
+    raises ValueError on a negative H.
     """
     ts = np.asarray(ts, dtype=float)
     values = getattr(H_fn, "values", None)
-    if values is not None:
-        return values(ts)
-    return np.array([H_fn(t) for t in ts], dtype=float)
+    hv = values(ts) if values is not None else np.array([H_fn(t) for t in ts], dtype=float)
+    if np.any(hv < 0):
+        raise ValueError("H must be nonnegative")
+    return hv
 
 
 @dataclass(frozen=True)
@@ -162,17 +177,10 @@ class _ProbeGrid:
     exponents: Callable[[float], np.ndarray]
 
 
-def _H_nonnegative(H_fn, ts: np.ndarray) -> np.ndarray:
-    hv = H_values(H_fn, ts)
-    if np.any(hv < 0):
-        raise ValueError("H must be nonnegative")
-    return hv
-
-
-def _c0_grid(h: SlowVaryFn, H_fn, probe: SeriesProbe) -> _ProbeGrid:
+def _c0_grid(h: SlowVaryFn, H_fn) -> _ProbeGrid:
     """x_j = c^2 h(n_j) / (2 H(a_{n_j})) for any c."""
-    n = _probe_points(probe)
-    hn, den = h(n), 2.0 * _H_nonnegative(H_fn, _series_args(h, n))
+    n = _PROBE_N
+    hn, den = h(n), 2.0 * H_values(H_fn, _series_args(h, n))
 
     def exponents(c: float) -> np.ndarray:
         with np.errstate(divide="ignore"):
@@ -181,44 +189,43 @@ def _c0_grid(h: SlowVaryFn, H_fn, probe: SeriesProbe) -> _ProbeGrid:
     return _ProbeGrid(n, exponents)
 
 
-def _alpha_grid(c_seq, H_fn, probe: SeriesProbe) -> _ProbeGrid:
+def _alpha_grid(c_seq, H_fn) -> _ProbeGrid:
     """x_j = alpha^2 c_n^2 / (2 n H(c_n)) for any alpha, at n = n_j."""
-    n = _probe_points(probe)
+    n = _PROBE_N
     cn = np.asarray(c_seq.values(n), dtype=float)
-    hv = _H_nonnegative(H_fn, cn)
+    hv = H_values(H_fn, cn)
     with np.errstate(divide="ignore", over="ignore"):
         base = cn * cn / (2.0 * n * hv)
     return _ProbeGrid(n, lambda alpha: alpha * alpha * base)
 
 
-def series_classify(c: float, h: SlowVaryFn, H_fn, probe: SeriesProbe = DEFAULT_PROBE) -> SeriesVerdict:
+def series_classify(c: float, h: SlowVaryFn, H_fn) -> SeriesVerdict:
     """Classify sum_n (1/n) exp(-c^2 h(n)/(2 H(a_n))) for a_n = psi(n).
 
     c = 0 is DIVERGES by convention (the terms cannot decay).  Probe
     points with H(a_n) = 0 contribute nothing to the series; an entirely
     vanishing tail is CONVERGES.  Inside `c0_compute`, `H_fn` is the
-    search's `_ProbeGrid` for this h and probe.
+    search's `_ProbeGrid` for this h.
     """
     if c < 0:
         raise ValueError("c must be nonnegative")
     if c == 0.0:
-        n = _probe_points(probe)
-        return SeriesVerdict(DIVERGES, 0.0, 0.0, 0.0, np.zeros_like(n), n, "c = 0: harmonic floor")
-    grid = H_fn if isinstance(H_fn, _ProbeGrid) else _c0_grid(h, H_fn, probe)
-    return _classify_exponents(grid.exponents(c), probe, c, grid.n)
+        return SeriesVerdict(DIVERGES, 0.0, 0.0, 0.0, np.zeros_like(_PROBE_N), _PROBE_N, "c = 0: harmonic floor")
+    grid = H_fn if isinstance(H_fn, _ProbeGrid) else _c0_grid(h, H_fn)
+    return _classify_exponents(grid.exponents(c), c, grid.n)
 
 
-def alpha_series_classify(alpha: float, c_seq, H_fn, probe: SeriesProbe = DEFAULT_PROBE) -> SeriesVerdict:
+def alpha_series_classify(alpha: float, c_seq, H_fn) -> SeriesVerdict:
     """Same classifier for sum_n (1/n) exp(-alpha^2 c_n^2 / (2 n H(c_n))).
 
     Inside `alpha0_compute`, `H_fn` is the search's `_ProbeGrid`.
     """
     if alpha < 0:
         raise ValueError("alpha must be nonnegative")
-    grid = H_fn if isinstance(H_fn, _ProbeGrid) else _alpha_grid(c_seq, H_fn, probe)
+    grid = H_fn if isinstance(H_fn, _ProbeGrid) else _alpha_grid(c_seq, H_fn)
     if alpha == 0.0:
         return SeriesVerdict(DIVERGES, 0.0, 0.0, 0.0, np.zeros_like(grid.n), grid.n, "alpha = 0: harmonic floor")
-    return _classify_exponents(grid.exponents(alpha), probe, alpha, grid.n)
+    return _classify_exponents(grid.exponents(alpha), alpha, grid.n)
 
 
 # ---------------------------------------------------------------------------
@@ -315,31 +322,34 @@ def _finish_bracket(lo, hi, classify, probes, note) -> Bracket:
     return Bracket(float(lo), float(hi), lo_v, hi_v, tuple(probes), note)
 
 
-def c0_compute(h: SlowVaryFn, H_fn, tol: float = 0.02, probe: SeriesProbe = DEFAULT_PROBE) -> Bracket:
+def c0_compute(h: SlowVaryFn, H_fn, tol: float = 0.02) -> Bracket:
     """Bracket the series threshold c0 = inf{c >= 0 : series converges}.
 
     n_j, h(n_j), a_n and H(a_n) are the same for every probe, so they are
     computed once per search, H in one call, and each probe's
     `series_classify` only scales the exponents.
     """
-    grid = _c0_grid(h, H_fn, probe)
-    return _threshold_bracket(lambda c: series_classify(c, h, grid, probe), tol)
+    grid = _c0_grid(h, H_fn)
+    return _threshold_bracket(lambda c: series_classify(c, h, grid), tol)
 
 
-def alpha0_compute(c_seq, H_fn, tol: float = 0.02, probe: SeriesProbe = DEFAULT_PROBE) -> Bracket:
+def alpha0_compute(c_seq, H_fn, tol: float = 0.02) -> Bracket:
     """Bracket the divergence threshold alpha0 for a general c_n sequence.
 
     As in `c0_compute`, n_j, c_n and H(c_n) are computed once per search.
     """
-    grid = _alpha_grid(c_seq, H_fn, probe)
-    return _threshold_bracket(lambda a: alpha_series_classify(a, c_seq, grid, probe), tol)
+    grid = _alpha_grid(c_seq, H_fn)
+    return _threshold_bracket(lambda a: alpha_series_classify(a, c_seq, grid), tol)
 
 
 # ---------------------------------------------------------------------------
 # The regular-variation limsup constant lambda.
 # ---------------------------------------------------------------------------
 
-DEFAULT_X_GRID = tuple(np.geomspace(1e4, 1e300, 241))
+#: The abscissae of the lambda curve and of the ratio curve.
+DEFAULT_X_GRID = _frozen(np.geomspace(1e4, 1e300, 241))
+#: Both curves take their limsup over the last quarter of the grid.
+_X_TAIL = DEFAULT_X_GRID.size // 4
 
 # Slack for the report's band-vs-bracket consistency flag.  At the end of
 # any double-precision grid the limsup probe still sits below its limit by
@@ -359,7 +369,7 @@ class LambdaResult:
     note: str = ""
 
 
-def lambda_compute(h: SlowVaryFn, H_fn, x_grid=None) -> LambdaResult:
+def lambda_compute(h: SlowVaryFn, H_fn) -> LambdaResult:
     """Estimate lambda^2 = limsup_x 2 psi_inv(x LLx) H(x) / (x^2 LLx).
 
     Evaluation is log-domain throughout; psi_inv at arguments far above
@@ -368,15 +378,13 @@ def lambda_compute(h: SlowVaryFn, H_fn, x_grid=None) -> LambdaResult:
     is the running maximum of the curve over the last quarter of the
     grid; `last_value` is reported next to it so a still-climbing curve
     is visible.  A tail that keeps growing like a power of LLx flags the
-    constant as infinite.
+    constant as infinite.  The grid is `DEFAULT_X_GRID`.
     """
-    grid = np.asarray(x_grid if x_grid is not None else DEFAULT_X_GRID, dtype=float)
-    if grid.size < 8 or np.any(np.diff(grid) <= 0):
-        raise ValueError("x_grid must be increasing with at least 8 points")
+    grid = DEFAULT_X_GRID
     log_x = np.log(grid)
     u = np.maximum(log_x, 1.0)
     llx = np.log(np.maximum(u, math.e))
-    hv = _H_nonnegative(H_fn, grid)
+    hv = H_values(H_fn, grid)
     log_g = np.full(grid.shape, -np.inf)
     pos = np.nonzero(hv > 0)[0]
     # math.log, not np.log: the curve keeps libm's bits whichever SIMD log
@@ -387,9 +395,8 @@ def lambda_compute(h: SlowVaryFn, H_fn, x_grid=None) -> LambdaResult:
     log_g[pos] = math.log(2.0) + inv_log + log_hv - 2.0 * log_x[pos] - log_llx
     with np.errstate(over="ignore"):
         curve = np.exp(log_g)
-    w = max(4, grid.size // 4)
-    tail = curve[-w:]
-    tail_max = float(np.max(tail))
+    w = _X_TAIL
+    tail_max = float(np.max(curve[-w:]))
     last = float(curve[-1])
     # Divergence heuristic: log g still climbing against log LLx.
     finite_tail = np.isfinite(log_g[-w:])
@@ -411,22 +418,18 @@ class RatioCurve:
     last_value: float
 
 
-def _ratio_args(h: SlowVaryFn, grid: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _ratio_args(h: SlowVaryFn) -> tuple[np.ndarray, np.ndarray]:
     """LLn and the H arguments a_n / LLn of the ratio curve."""
-    log_n = np.log(grid)
+    log_n = np.log(DEFAULT_X_GRID)
     lln = np.log(np.maximum(np.maximum(log_n, 1.0), math.e))
     return lln, np.exp(np.minimum(log_psi(h, log_n) - np.log(lln), _LOG_FLOAT_MAX))
 
 
-def lil_ratio_check(h: SlowVaryFn, H_fn, n_grid=None) -> RatioCurve:
+def lil_ratio_check(h: SlowVaryFn, H_fn) -> RatioCurve:
     """Cross-check curve LLn * H(a_n / LLn) / h(n), whose limsup is lambda^2/2."""
-    grid = np.asarray(n_grid if n_grid is not None else DEFAULT_X_GRID, dtype=float)
-    if grid.size < 8 or np.any(np.diff(grid) <= 0):
-        raise ValueError("n_grid must be increasing with at least 8 points")
-    lln, t_arg = _ratio_args(h, grid)
-    values = lln * H_values(H_fn, t_arg) / h(grid)
-    w = max(4, grid.size // 4)
-    return RatioCurve(grid, values, float(np.max(values[-w:])), float(values[-1]))
+    lln, t_arg = _ratio_args(h)
+    values = lln * H_values(H_fn, t_arg) / h(DEFAULT_X_GRID)
+    return RatioCurve(DEFAULT_X_GRID, values, float(np.max(values[-_X_TAIL:])), float(values[-1]))
 
 
 def agreement_gap(a: float, b: float) -> float:
@@ -464,30 +467,23 @@ class SigmaResult:
     note: str = ""
 
 
-_SIGMA_T0, _SIGMA_CAP = 1.0, 1e30
+#: The sigma walk: t = 2^k from 1 to the cap 2^100, the first power of two
+#: >= 1e30, then sqrt(1e30), the midpoint of the log range.
+_SIGMA_GRID = _frozen([2.0**k for k in range(101)] + [math.sqrt(1e30)])
 
 
-def _sigma_grid(t0: float, t_cap: float) -> np.ndarray:
-    """t0 * 2^k up to the first point >= t_cap, then sqrt(t0 * t_cap)."""
-    ts = [t0]
-    while ts[-1] < t_cap:
-        ts.append(ts[-1] * 2.0)
-    return np.array(ts + [math.sqrt(t_cap * t0)])
-
-
-def sigma_compute(H_fn, t0: float = _SIGMA_T0, rel_tol: float = 1e-6, t_cap: float = _SIGMA_CAP) -> SigmaResult:
-    """Limit of H(t) along t = t0 * 2^k.
+def sigma_compute(H_fn) -> SigmaResult:
+    """Limit of H(t) along t = 2^k, read off the fixed `_SIGMA_GRID`.
 
     Stops when the relative increment over one doubling falls below
-    rel_tol.  If the cap is reached first, the value at the cap is
-    compared against the value at sqrt(cap): growth above 5% across that
+    1e-6 three times in a row, 40 doublings or more from the start.  If
+    the cap 2^100 >= 1e30 is reached first, the value at the cap is
+    compared against the value at sqrt(1e30): growth above 5% across that
     half of the log range is taken as divergence and reported as +inf.
-    The whole doubling grid and the sqrt(cap) point are evaluated in one
-    call before the walk.
+    The whole grid is evaluated in one `H_values` call before the walk,
+    so a negative H raises ValueError.
     """
-    if t0 <= 0 or t_cap <= t0:
-        raise ValueError("need 0 < t0 < t_cap")
-    grid = _sigma_grid(t0, t_cap)
+    grid = _SIGMA_GRID
     hv = H_values(H_fn, grid)
     prev = float(hv[0])
     settled = 0
@@ -495,7 +491,7 @@ def sigma_compute(H_fn, t0: float = _SIGMA_T0, rel_tol: float = 1e-6, t_cap: flo
         cur = float(hv[doublings])
         if cur < prev - 1e-12 * max(1.0, abs(prev)):
             raise ValueError("H must be nondecreasing")
-        if abs(cur - prev) <= rel_tol * max(abs(cur), 1e-300):
+        if abs(cur - prev) <= 1e-6 * max(abs(cur), 1e-300):
             settled += 1
         else:
             settled = 0
@@ -517,18 +513,11 @@ def sigma_compute(H_fn, t0: float = _SIGMA_T0, rel_tol: float = 1e-6, t_cap: flo
 # A source is a callable t -> H(t) that also evaluates a whole 1-D grid
 # in one call, `values(ts)`, at most once per distinct point, bit for bit
 # equal to calling it point by point.  Its `route` says where H comes
-# from: "model" (a formula chosen by hand), "analytic" (a closed-form
-# truncated covariance) or "empirical" (a frozen sample; such sources also
-# carry `n_samples`, `max_norm` and an `extrapolated(ts)` mask).
+# from: "model" (a formula chosen by hand, defined here), "analytic" (a
+# closed-form truncated covariance, `spaces.DistTSM`) or "empirical" (a
+# frozen sample, `spaces.EmpiricalTSM`; such sources also carry
+# `n_samples`, `max_norm` and an `extrapolated(ts)` mask).
 # ---------------------------------------------------------------------------
-
-
-def _distinct(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Bitwise-distinct entries along the first axis, and each entry's index among them."""
-    rows = np.ascontiguousarray(a, dtype=float).reshape(a.shape[0], math.prod(a.shape[1:]))
-    keys = rows.view(np.dtype((np.void, rows.itemsize * rows.shape[1]))).reshape(-1)
-    _, first, which = np.unique(keys, return_index=True, return_inverse=True)
-    return a[first], which
 
 
 class ConstTSM:
@@ -572,31 +561,6 @@ class LogLogPowTSM:
     __call__ = _at_point
 
 
-class DistTSM:
-    """Analytic source: H from a law's closed-form truncated covariance.
-
-    `values` makes one grid `truncated_cov` call over the distinct t and
-    takes one stacked dual-ball supremum over the distinct matrices.  A
-    law with no closed form is refused, never replaced by a sample.
-    """
-
-    route = "analytic"
-
-    def __init__(self, dist, space: SpaceSpec):
-        if dist.truncated_cov(1.0, space) is None:
-            raise ValueError(f"{dist.describe()} has no analytic truncated covariance in this space; "
-                             "use parse_tsm('dist', ...) or an EmpiricalTSM on a sample")
-        self.dist = dist
-        self.space = space
-
-    def values(self, ts) -> np.ndarray:
-        t_set, t_which = _distinct(np.asarray(ts, dtype=float))
-        m_set, m_which = _distinct(self.dist.truncated_cov(t_set, self.space))
-        return dual_ball_sup(m_set, self.space)[m_which][t_which]
-
-    __call__ = _at_point
-
-
 class EmpiricalWrapTSM(EmpiricalTSM):
     """Empirical source: what `parse_tsm` builds on a frozen sample."""
 
@@ -605,13 +569,14 @@ class EmpiricalWrapTSM(EmpiricalTSM):
     __call__ = _at_point
 
 
-def parse_tsm(text: str, dist=None, space=None, n_samples: int = 4096, rng=None):
+def parse_tsm(text: str, dist=None, space=None, n_samples: int = 4096, seed: int = 0):
     """Parse an H-source spec: const:V | llpow:Q | dist | empirical[:N].
 
     The one place that chooses an H route: `dist` is a `DistTSM` when the
     law has a closed-form truncated covariance in `space`, and otherwise
-    exactly `empirical:<n_samples>`, one `EmpiricalWrapTSM` over
-    `dist.sample(rng, N)`.  `rng` defaults to `substream(0, H_SAMPLE)`.
+    exactly `empirical:<n_samples>`, one `EmpiricalWrapTSM` over N draws
+    from `substream(seed, H_SAMPLE)`.  Only the empirical route builds
+    that stream.
     """
     squeezed = text.strip()
     if squeezed.startswith("const:"):
@@ -625,8 +590,7 @@ def parse_tsm(text: str, dist=None, space=None, n_samples: int = 4096, rng=None)
         raise ValueError(f"H source {form!r} needs a distribution and a space")
     if form == "dist" and dist.truncated_cov(1.0, space) is not None:
         return DistTSM(dist, space)
-    gen = rng if rng is not None else substream(0, H_SAMPLE)
-    return EmpiricalWrapTSM(dist.sample(gen, int(count or n_samples)), space)
+    return EmpiricalWrapTSM(dist.sample(substream(seed, H_SAMPLE), int(count or n_samples)), space)
 
 
 # ---------------------------------------------------------------------------
@@ -656,6 +620,9 @@ def beta0_estimate(dist, c_seq, n_grid, trials: int, space: SpaceSpec, seed: int
         curve=curve,
     )
 
+
+#: The n grid of the report's beta0 curve: 64, 127, 256, ..., 65536, strictly increasing.
+_BETA0_N_GRID = _frozen(np.geomspace(64, 65536, 11).astype(int))
 
 #: The q grid searched for `ConstantsReport.q_used`.
 _Q_GRID = tuple(round(0.1 * k, 2) for k in range(0, 11))
@@ -689,27 +656,26 @@ class ConstantsReport:
         return out
 
 
-def _route_diagnostics(h: SlowVaryFn, H_fn, c_seq, probe: SeriesProbe) -> dict:
+def _route_diagnostics(h: SlowVaryFn, H_fn, c_seq) -> dict:
     """The H route a report rests on, and per stage the share of the
     stage's H grid that lies past the sample range.
 
-    Only an empirical source extrapolates.  Every stage evaluates H on a
-    fixed grid, so this costs one mask per stage.
+    Only an empirical source extrapolates.  Every stage evaluates H on
+    its fixed module grid, read here as the same object, so this costs
+    one mask per stage.
     """
     route = getattr(H_fn, "route", "model")
     frac = {"c0": 0.0, "alpha0": None if c_seq is None else 0.0, "lambda": 0.0, "ratio": 0.0, "sigma": 0.0}
     out = {"h_route": route, "h_samples": None, "h_max_norm": None, "h_extrapolated_frac": frac}
     if route == "empirical":
-        n = _probe_points(probe)
-        x_grid = np.asarray(DEFAULT_X_GRID, dtype=float)
         grids = {
-            "c0": _series_args(h, n),
-            "lambda": x_grid,
-            "ratio": _ratio_args(h, x_grid)[1],
-            "sigma": _sigma_grid(_SIGMA_T0, _SIGMA_CAP),
+            "c0": _series_args(h, _PROBE_N),
+            "lambda": DEFAULT_X_GRID,
+            "ratio": _ratio_args(h)[1],
+            "sigma": _SIGMA_GRID,
         }
         if c_seq is not None:
-            grids["alpha0"] = np.asarray(c_seq.values(n), dtype=float)
+            grids["alpha0"] = np.asarray(c_seq.values(_PROBE_N), dtype=float)
         frac.update({stage: float(np.mean(H_fn.extrapolated(ts))) for stage, ts in grids.items()})
         out["h_samples"], out["h_max_norm"] = H_fn.n_samples, H_fn.max_norm
     return out
@@ -723,9 +689,7 @@ def constants_report(
     dist=None,
     space: SpaceSpec | None = None,
     tol: float = 0.02,
-    probe: SeriesProbe = DEFAULT_PROBE,
     trials: int = 0,
-    n_grid=None,
     seed: int = 0,
     workers: int = 1,
 ) -> ConstantsReport:
@@ -741,19 +705,18 @@ def constants_report(
     """
     from .slowvary import MEMBER, _tau_active, hq_classify
 
-    c0 = c0_compute(h, H_fn, tol=tol, probe=probe)
+    c0 = c0_compute(h, H_fn, tol=tol)
     lam_res = lambda_compute(h, H_fn)
     sigma = sigma_compute(H_fn)
     scan = hq_classify(h, 0.0).per_tau
     q_used = next(
         (q for q in _Q_GRID if all(d.verdict == MEMBER for d in scan if _tau_active(d.tau, q))), 1.0
     )
-    alpha0 = alpha0_compute(c_seq, H_fn, tol=tol, probe=probe) if c_seq is not None else None
+    alpha0 = alpha0_compute(c_seq, H_fn, tol=tol) if c_seq is not None else None
     beta0 = None
     if dist is not None and space is not None and trials >= 30:
-        grid = n_grid if n_grid is not None else np.unique(np.geomspace(64, 65536, 11).astype(int))
         seq = c_seq if c_seq is not None else NormalizerSeq(h)
-        beta0 = beta0_estimate(dist, seq, grid, trials, space, seed=seed, workers=workers)
+        beta0 = beta0_estimate(dist, seq, _BETA0_N_GRID, trials, space, seed=seed, workers=workers)
     ratio = lil_ratio_check(h, H_fn)
     band = sandwich_bounds(q_used, lam_res.lam)
     diagnostics = {
@@ -779,7 +742,7 @@ def constants_report(
     }
     if alpha0 is not None:
         diagnostics["alpha0"] = alpha0.to_json_dict()
-    diagnostics.update(_route_diagnostics(h, H_fn, c_seq, probe))
+    diagnostics.update(_route_diagnostics(h, H_fn, c_seq))
     return ConstantsReport(
         c0=c0,
         lam=lam_res.lam,

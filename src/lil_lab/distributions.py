@@ -13,7 +13,7 @@ Each family exposes the same small surface:
 
 Families without an analytic truncated covariance return None; for such
 a law `constants.parse_tsm` takes the empirical H route (an `EmpiricalTSM`
-on a sample) and `constants.DistTSM` refuses it.  The grid form
+on a sample) and `spaces.DistTSM` refuses it.  The grid form
 is one call for a whole grid, bit for bit the stack of the scalar calls;
 families whose formula goes through libm scalars (`math.erf`, `math.log`,
 float `**`) still evaluate those point by point inside it.

@@ -278,8 +278,8 @@ def psi(h: SlowVaryFn, x):
 def psi_inv_log(h: SlowVaryFn, log_y):
     """log of psi^{-1}(y) given log y, by bisection on the log scale.
 
-    The one psi-inverse solver: `psi_inv`, `psi_inv_array` and the lambda
-    grid all go through it.  Accepts a scalar (returns a float) or an
+    The one psi-inverse solver: `psi_inv` and the lambda grid both go
+    through it.  Accepts a scalar (returns a float) or an
     array (returns an array of the same shape).  psi is strictly
     increasing with d(log psi)/d(log x) >= 1/2, so each root is unique.
     Every element runs the same search on its own: the bracket [-1, 1]
@@ -333,11 +333,6 @@ def psi_inv(h: SlowVaryFn, y):
     with np.errstate(over="ignore"):
         out = np.exp(u)
     return float(out) if np.ndim(y) == 0 else out
-
-
-def psi_inv_array(h: SlowVaryFn, y) -> np.ndarray:
-    """`psi_inv` that always returns an array."""
-    return np.asarray(psi_inv(h, y))
 
 
 # ---------------------------------------------------------------------------
@@ -397,8 +392,11 @@ def parse_cseq(text: str):
 # Membership in the nested classes H_q.
 # ---------------------------------------------------------------------------
 
+#: The fixed grids of the membership check: the tau values tested, and the
+#: t grid (read-only, built once) on which each ratio is read.
 DEFAULT_TAU_GRID = tuple(round(0.1 * k, 2) for k in range(1, 10))
-DEFAULT_T_GRID = tuple(np.geomspace(1e2, 1e12, 61))
+DEFAULT_T_GRID = np.geomspace(1e2, 1e12, 61)
+DEFAULT_T_GRID.flags.writeable = False
 
 MEMBER = "MEMBER"
 NON_MEMBER = "NON_MEMBER"
@@ -478,26 +476,20 @@ def _tau_active(tau: float, q: float) -> bool:
     return 0 < tau < 1 - q - 1e-12
 
 
-def hq_classify(
-    h: SlowVaryFn,
-    q: float,
-    t_grid=None,
-    tau_grid=None,
-    tol: float = 0.02,
-) -> HqReport:
+def hq_classify(h: SlowVaryFn, q: float, tol: float = 0.02) -> HqReport:
     """Class-membership check: does h(t f_tau(t))/h(t) -> 1 for all tau < 1-q?
 
-    f_tau(t) = exp((Lt)^tau).  The limit criterion is heuristic at any
-    finite scale; verdicts carry the fitted decay exponent so a reader can
-    judge how solid each one is.  q = 1 is vacuous (no tau qualifies) and
+    f_tau(t) = exp((Lt)^tau).  Every tau of `DEFAULT_TAU_GRID` below 1 - q
+    is checked on the fixed `DEFAULT_T_GRID`; only the band `tol` around
+    1 is the caller's.  The limit criterion is heuristic at any finite
+    scale; verdicts carry the fitted decay exponent so a reader can judge
+    how solid each one is.  q = 1 is vacuous (no tau qualifies) and
     returns MEMBER.
     """
     if not (0 <= q <= 1):
         raise ValueError("q must lie in [0, 1]")
-    grid = np.asarray(t_grid if t_grid is not None else DEFAULT_T_GRID, dtype=float)
-    taus = tuple(tau_grid if tau_grid is not None else DEFAULT_TAU_GRID)
-    active = [tau for tau in taus if _tau_active(tau, q)]
-    diags = tuple(_classify_tau(h, tau, grid, tol) for tau in active)
+    active = [tau for tau in DEFAULT_TAU_GRID if _tau_active(tau, q)]
+    diags = tuple(_classify_tau(h, tau, DEFAULT_T_GRID, tol) for tau in active)
     if any(d.verdict == NON_MEMBER for d in diags):
         verdict = NON_MEMBER
     elif all(d.verdict == MEMBER for d in diags):
@@ -541,7 +533,7 @@ def psi_inv_moment(
         raise ValueError("n_samples too small to say anything")
     gen = rng if rng is not None else substream(0, H_SAMPLE)
     draws = dist.sample(gen, n_samples)
-    vals = psi_inv_array(h, norms(draws, space))
+    vals = psi_inv(h, norms(draws, space))
     full = float(vals.mean())
     half = float(vals[: n_samples // 2].mean())
     heavy = abs(full - half) > 0.2 * max(abs(full), 1e-300)
@@ -566,23 +558,6 @@ class NormalizerCheck:
     re_witness: int | None
     reg_results: dict
     n_max: int
-
-    def to_json_dict(self) -> dict:
-        return {
-            "re_pass": self.re_pass,
-            "re_monotone": self.re_monotone,
-            "re_growth_ratio": self.re_growth_ratio,
-            "re_witness": self.re_witness,
-            "reg_results": {
-                str(eps): {
-                    "pass": bool(res["pass"]),
-                    "m_eps": res["m_eps"],
-                    "witnesses": [list(w) for w in res["witnesses"][:8]],
-                }
-                for eps, res in self.reg_results.items()
-            },
-            "n_max": self.n_max,
-        }
 
 
 def check_normalizing_conditions(c_seq, n_max: int = 10**6) -> NormalizerCheck:

@@ -17,9 +17,14 @@ three supported norms the supremum is exactly computable:
 `dual_ball_sup` also takes a (k, d, d) stack and returns k suprema, each
 bit for bit the one-matrix result: every matrix is still checked for
 symmetry and PSD on its own, and one batched eigendecomposition serves
-the stack.  `EmpiricalTSM.values(ts)` evaluates tsm on a whole grid with
-one supremum per distinct sample prefix; it is the empirical H source of
-`lil_lab.constants`.
+the stack.
+
+The two H sources that rest on a law live here, each evaluating a whole
+grid in one `values(ts)` call: `DistTSM` (analytic) from a law's
+closed-form truncated covariance, and `EmpiricalTSM` from a frozen
+sample, one supremum per distinct sample prefix.
+`truncated_second_moment` reads one point through them;
+`constants.parse_tsm` picks between them.
 """
 from __future__ import annotations
 
@@ -205,32 +210,42 @@ def _sign_vertex_max(sym: np.ndarray) -> float:
     return best
 
 
-def truncated_second_moment(source, t: float, space: SpaceSpec) -> float:
-    """tsm(t) from an H source, an analytic provider or a raw sample set.
-
-    `source` may be an H source (anything with `values(ts)`, such as an
-    `EmpiricalTSM`), an object exposing `truncated_cov(t, space)` (a
-    distribution with a closed form), or an (N, dim) sample array.
-    """
-    values = getattr(source, "values", None)
-    if callable(values):
-        return float(values(np.array([t], dtype=float))[0])
-    tc = getattr(source, "truncated_cov", None)
-    if callable(tc):
-        m = tc(t, space)
-        if m is None:
-            raise ValueError(
-                f"{source!r} has no analytic truncated second moment; "
-                "build an EmpiricalTSM from samples instead"
-            )
-        return dual_ball_sup(np.asarray(m, dtype=float), space)
-    cov = trunc_cov_empirical(np.asarray(source, dtype=float), t, space)
-    return dual_ball_sup(cov, space)
-
-
 def _at_point(source, t: float) -> float:
     """An H source's value at one t: its `values` on a one-point grid."""
     return float(source.values(np.array([t], dtype=float))[0])
+
+
+def _distinct(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Bitwise-distinct entries along the first axis, and each entry's index among them."""
+    rows = np.ascontiguousarray(a, dtype=float).reshape(a.shape[0], math.prod(a.shape[1:]))
+    keys = rows.view(np.dtype((np.void, rows.itemsize * rows.shape[1]))).reshape(-1)
+    _, first, which = np.unique(keys, return_index=True, return_inverse=True)
+    return a[first], which
+
+
+class DistTSM:
+    """Analytic source: H from a law's closed-form truncated covariance.
+
+    `values` makes one grid `truncated_cov` call over the distinct t and
+    takes one stacked dual-ball supremum over the distinct matrices.  A
+    law with no closed form is refused, never replaced by a sample.
+    """
+
+    route = "analytic"
+
+    def __init__(self, dist, space: SpaceSpec):
+        if dist.truncated_cov(1.0, space) is None:
+            raise ValueError(f"{dist.describe()} has no analytic truncated covariance in this space; "
+                             "use parse_tsm('dist', ...) or an EmpiricalTSM on a sample")
+        self.dist = dist
+        self.space = space
+
+    def values(self, ts) -> np.ndarray:
+        t_set, t_which = _distinct(np.asarray(ts, dtype=float))
+        m_set, m_which = _distinct(self.dist.truncated_cov(t_set, self.space))
+        return dual_ball_sup(m_set, self.space)[m_which][t_which]
+
+    __call__ = _at_point
 
 
 class EmpiricalTSM:
@@ -280,3 +295,16 @@ class EmpiricalTSM:
         return out[which]
 
     __call__ = _at_point
+
+
+def truncated_second_moment(source, t: float, space: SpaceSpec) -> float:
+    """tsm(t) from an H source, a law with a closed form or a sample array.
+
+    `source` may be an H source (anything with `values(ts)`), a law,
+    evaluated through `DistTSM` (which refuses a law with no closed form
+    in `space`), or an (N, dim) sample array, evaluated through
+    `EmpiricalTSM`.
+    """
+    if not hasattr(source, "values"):
+        source = DistTSM(source, space) if hasattr(source, "truncated_cov") else EmpiricalTSM(source, space)
+    return _at_point(source, t)

@@ -27,7 +27,6 @@ import pytest
 from lil_lab.cli import parse_space
 from lil_lab.constants import constants_report, lambda_compute, parse_tsm
 from lil_lab.distributions import parse_dist
-from lil_lab.rng import H_SAMPLE, substream
 from lil_lab.slowvary import parse_cseq, parse_slow_vary
 
 # name: (h, H, dist, space, c_seq)
@@ -77,7 +76,7 @@ def _inputs(name):
     h_text, H_text, dist_text, space_text, cseq_text = SCENARIOS[name]
     space = parse_space(space_text)
     dist = parse_dist(dist_text) if dist_text else None
-    H_fn = parse_tsm(H_text, dist=dist, space=space, rng=substream(0, H_SAMPLE))
+    H_fn = parse_tsm(H_text, dist=dist, space=space, seed=0)
     c_seq = parse_cseq(cseq_text) if cseq_text else None
     return parse_slow_vary(h_text), H_fn, dist, space, c_seq
 

@@ -180,12 +180,7 @@ class TestBoundEvaluators:
         assert loose >= tight - 1e-15  # the widened exponent dominates the C shift here
 
     def test_explicit_epsilon_taken_as_given(self):
-        # the feasibility inequality binds only the auto-derived value;
-        # an explicit epsilon is the caller's responsibility
-        loose = BoundParams(eta=1.0, delta=0.1, s=3.0, epsilon=0.5)
-        assert loose.epsilon == 0.5
-        with pytest.raises(ValueError):
-            BoundParams(eta=1.0, delta=1.0, s=3.0, epsilon=-0.01)
+        # epsilon is always derived from delta, and the derived value is feasible
         derived = BoundParams(eta=1.0, delta=1.0, s=3.0)
         assert (2 + derived.epsilon) * (1 + 9 * derived.epsilon) ** 2 <= 3.0 + 1e-10
 

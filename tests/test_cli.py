@@ -1,6 +1,8 @@
 """Batch runner checks: spec validation, artifact round trips, exit codes."""
 
 import argparse
+import dataclasses
+import inspect
 import json
 import math
 import types
@@ -9,7 +11,7 @@ import numpy as np
 import pytest
 
 import lil_lab
-from lil_lab import bounds, cli, constants, rng, simulate
+from lil_lab import bounds, cli, constants, rng, simulate, slowvary
 from lil_lab.distributions import parse_dist
 from lil_lab.simulate import BLOCK
 from lil_lab.slowvary import parse_slow_vary
@@ -181,6 +183,29 @@ class TestContract:
             "trunc_cov_empirical", "truncated_second_moment",
         }
         assert lil_lab.__version__ == "0.1.0"
+
+    def test_analytic_signatures(self):
+        # every grid and classifier setting is a module constant; only these parameters remain
+        def params(fn):
+            return list(inspect.signature(fn).parameters)
+
+        assert {fn.__name__: params(fn) for fn in (
+            constants.series_classify, constants.alpha_series_classify, constants.c0_compute,
+            constants.alpha0_compute, constants.constants_report, constants.lambda_compute,
+            constants.lil_ratio_check, constants.sigma_compute, slowvary.hq_classify,
+        )} == {
+            "series_classify": ["c", "h", "H_fn"],
+            "alpha_series_classify": ["alpha", "c_seq", "H_fn"],
+            "c0_compute": ["h", "H_fn", "tol"],
+            "alpha0_compute": ["c_seq", "H_fn", "tol"],
+            "constants_report": ["h", "H_fn", "c_seq", "dist", "space", "tol", "trials", "seed", "workers"],
+            "lambda_compute": ["h", "H_fn"],
+            "lil_ratio_check": ["h", "H_fn"],
+            "sigma_compute": ["H_fn"],
+            "hq_classify": ["h", "q", "tol"],
+        }
+        assert [f.name for f in dataclasses.fields(bounds.BoundParams)] == ["eta", "delta", "s", "epsilon"]
+        assert [f.name for f in dataclasses.fields(bounds.BoundParams) if f.init] == ["eta", "delta", "s"]
 
 
 class TestParsers:

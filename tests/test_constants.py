@@ -31,7 +31,6 @@ from lil_lab.constants import (
     sigma_compute,
 )
 from lil_lab.distributions import Gaussian, RademacherProduct, RadialPareto, parse_dist
-from lil_lab.rng import H_SAMPLE, substream
 from lil_lab.slowvary import MEMBER, SlowVaryFn, hq_classify, parse_cseq, parse_slow_vary
 from lil_lab.spaces import EmpiricalTSM, SpaceSpec, dual_ball_sup
 
@@ -62,6 +61,17 @@ class TestSeriesClassifier:
     def test_negative_h_rejected(self):
         with pytest.raises(ValueError):
             series_classify(1.0, parse_slow_vary("2*(LL)^1"), lambda t: -1.0)
+
+    @pytest.mark.parametrize("stage", [
+        lambda H: c0_compute(parse_slow_vary("2*(LL)^1"), H),
+        lambda H: alpha0_compute(parse_cseq("psi:2*(LL)^1"), H),
+        lambda H: lambda_compute(parse_slow_vary("2*(LL)^1"), H),
+        lambda H: lil_ratio_check(parse_slow_vary("2*(LL)^1"), H),
+        sigma_compute,
+    ], ids=["c0", "alpha0", "lambda", "ratio", "sigma"])
+    def test_negative_h_rejected_by_every_stage(self, stage):
+        with pytest.raises(ValueError, match="nonnegative"):
+            stage(lambda t: -1.0)
 
     def test_verdict_monotone_in_rate(self):
         h = parse_slow_vary("2*(LL)^1")
@@ -212,7 +222,7 @@ class TestTsmParsing:
             "empirical:512",
             dist=Gaussian(1.0),
             space=SpaceSpec(1, 2.0),
-            rng=np.random.default_rng(1),
+            seed=1,
         )
         assert 0.5 < H(100.0) < 1.5
 
@@ -222,15 +232,15 @@ class TestTsmParsing:
 
     def test_dist_without_a_closed_form_is_the_empirical_form(self):
         dist, space = parse_dist("gauss:dim=2"), SpaceSpec(2, 2.0)
-        by_dist = parse_tsm("dist", dist=dist, space=space, rng=substream(3, H_SAMPLE))
-        by_count = parse_tsm("empirical:4096", dist=dist, space=space, rng=substream(3, H_SAMPLE))
+        by_dist = parse_tsm("dist", dist=dist, space=space, seed=3)
+        by_count = parse_tsm("empirical:4096", dist=dist, space=space, seed=3)
         default = parse_tsm("dist", dist=dist, space=space)
         assert by_dist.route == by_count.route == default.route == "empirical"
         ts = np.geomspace(1e-2, 1e3, 60)
         np.testing.assert_array_equal(_bits(by_dist.values(ts)), _bits(by_count.values(ts)))
         np.testing.assert_array_equal(
             _bits(default.values(ts)),
-            _bits(parse_tsm("dist", dist=dist, space=space, rng=substream(0, H_SAMPLE)).values(ts)),
+            _bits(parse_tsm("dist", dist=dist, space=space, seed=0).values(ts)),
         )
 
     def test_unknown_form_rejected(self):
@@ -325,7 +335,7 @@ H_SOURCES = {
     "dist-rademacher-linf": DistTSM(RademacherProduct(np.array([1.0, 2.0, 0.5])), SpaceSpec(3, math.inf)),
     "dist-pareto": DistTSM(RadialPareto(1.5, dim=2), SpaceSpec(2, 2.0)),
     "dist-empirical-fallback": parse_tsm("dist", dist=_GAUSS2, space=SpaceSpec(2, 2.0), n_samples=300,
-                                         rng=np.random.default_rng(4)),
+                                         seed=4),
     "empirical-wrap": EmpiricalWrapTSM(_GAUSS2.sample(np.random.default_rng(5), 300), SpaceSpec(2, 2.0)),
 }
 

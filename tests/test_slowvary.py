@@ -22,7 +22,6 @@ from lil_lab.slowvary import (
     parse_slow_vary,
     psi,
     psi_inv,
-    psi_inv_array,
     psi_inv_log,
     psi_inv_moment,
 )
@@ -116,7 +115,7 @@ class TestPsiAndInverse:
     @example(h=parse_slow_vary("0.5*(L)^1*(LL)^2"), ys=list(np.geomspace(10.0, 1e140, 13)))
     @settings(max_examples=40, deadline=None)
     def test_vectorized_matches_scalar(self, h, ys):
-        assert np.array_equal(psi_inv_array(h, ys), [psi_inv(h, float(y)) for y in ys])
+        assert np.array_equal(psi_inv(h, ys), [psi_inv(h, float(y)) for y in ys])
 
     @given(h=normal_forms(), ws=st.lists(st.floats(-30.0, 690.0), min_size=1, max_size=8))
     @settings(max_examples=30, deadline=None)
@@ -147,12 +146,12 @@ class TestPsiAndInverse:
         with pytest.raises(ValueError):
             psi_inv_log(h, math.nan)
         with pytest.raises(ValueError):
-            psi_inv_array(h, [1.0, math.nan])
+            psi_inv(h, [1.0, math.nan])
 
     def test_infinite_arguments_map_to_infinity(self):
         h = parse_slow_vary("2*(LL)^1")
         assert psi_inv(h, math.inf) == math.inf
-        assert np.array_equal(psi_inv_array(h, [math.inf, 0.0, 4.0]), [math.inf, 0.0, psi_inv(h, 4.0)])
+        assert np.array_equal(psi_inv(h, [math.inf, 0.0, 4.0]), [math.inf, 0.0, psi_inv(h, 4.0)])
         assert psi_inv_log(h, math.inf) == math.inf
         assert psi_inv_log(h, -math.inf) == -math.inf
         assert psi_inv(h, 0.0) == 0.0
@@ -199,7 +198,7 @@ class TestPsiAndInverse:
     def test_monotone(self):
         h = parse_slow_vary("(L)^1")
         ys = np.geomspace(1.0, 1e50, 40)
-        xs = psi_inv_array(h, ys)
+        xs = psi_inv(h, ys)
         assert np.all(np.diff(xs) > 0)
 
 

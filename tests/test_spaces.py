@@ -9,7 +9,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from lil_lab.distributions import Gaussian, RademacherProduct, parse_dist
 from lil_lab.spaces import (
+    DistTSM,
     EmpiricalTSM,
     SpaceSpec,
     TruncatedCov,
@@ -198,3 +200,17 @@ class TestEmpiricalTSM:
         assert direct > 0
         via_tsm = truncated_second_moment(EmpiricalTSM(draws, space), 2.0, space)
         assert via_tsm == pytest.approx(direct)
+
+    @pytest.mark.parametrize("law,space", [
+        (Gaussian(1.0), SpaceSpec(1, 2.0)),
+        (RademacherProduct(np.ones(3)), SpaceSpec(3, 1.0)),
+    ], ids=["gauss-d1-l2", "rademacher-d3-l1"])
+    def test_analytic_law_is_its_dist_tsm(self, law, space):
+        H = DistTSM(law, space)
+        for t in (0.0, 0.3, 1.0, 1.7, 2.5, 40.0):
+            got = truncated_second_moment(law, t, space)
+            assert np.float64(got).view(np.uint64) == np.float64(H(t)).view(np.uint64)
+
+    def test_law_without_closed_form_refused(self):
+        with pytest.raises(ValueError, match="no analytic truncated covariance"):
+            truncated_second_moment(parse_dist("gauss:dim=2"), 1.0, SpaceSpec(2, 2.0))
