@@ -91,8 +91,6 @@ class SeriesVerdict:
     slope: float
     accel: float
     c: float
-    exponents: np.ndarray
-    probe_n: np.ndarray
     note: str = ""
 
     def to_json_dict(self) -> dict:
@@ -115,30 +113,24 @@ def _window_slopes(x: np.ndarray) -> tuple[float, float]:
     return s1, s2
 
 
-def _classify_exponents(x: np.ndarray, c: float, probe_n: np.ndarray) -> SeriesVerdict:
+def _classify_exponents(x: np.ndarray, c: float) -> SeriesVerdict:
     probe = DEFAULT_PROBE
-    finite = np.isfinite(x)
     w = max(4, int(math.ceil(probe.window_frac * x.size)))
-    tail = x[-w:]
-    if not np.isfinite(tail).any():
-        return SeriesVerdict(CONVERGES, math.inf, 0.0, c, x, probe_n, "tail terms vanish (H = 0 there)")
-    if not finite.all():
-        # mixed inf/finite exponents: classify on the finite part
-        x = np.where(finite, x, np.nan)
-        keep = ~np.isnan(x)
-        x = x[keep]
-        probe_n = probe_n[keep]
+    if not np.isfinite(x[-w:]).any():
+        return SeriesVerdict(CONVERGES, math.inf, 0.0, c, "tail terms vanish (H = 0 there)")
+    # mixed inf/finite exponents: classify on the finite part
+    x = x[np.isfinite(x)]
     s1, s2 = _window_slopes(x)
     accel = s2 / s1 - 1.0 if abs(s1) > 1e-12 else 0.0
     if accel >= probe.trend_tol:
-        return SeriesVerdict(CONVERGES, s2, accel, c, x, probe_n, "exponent growth is super-logarithmic")
+        return SeriesVerdict(CONVERGES, s2, accel, c, "exponent growth is super-logarithmic")
     if accel <= -probe.trend_tol:
-        return SeriesVerdict(DIVERGES, s2, accel, c, x, probe_n, "exponent growth is sub-logarithmic")
+        return SeriesVerdict(DIVERGES, s2, accel, c, "exponent growth is sub-logarithmic")
     if s2 >= 1.0 + probe.margin - 1e-9:
-        return SeriesVerdict(CONVERGES, s2, accel, c, x, probe_n, "")
+        return SeriesVerdict(CONVERGES, s2, accel, c, "")
     if s2 <= 1.0 - probe.margin + 1e-9:
-        return SeriesVerdict(DIVERGES, s2, accel, c, x, probe_n, "")
-    return SeriesVerdict(INCONCLUSIVE, s2, accel, c, x, probe_n, "slope inside the margin band")
+        return SeriesVerdict(DIVERGES, s2, accel, c, "")
+    return SeriesVerdict(INCONCLUSIVE, s2, accel, c, "slope inside the margin band")
 
 
 def _series_args(h: SlowVaryFn, n: np.ndarray) -> np.ndarray:
@@ -152,12 +144,12 @@ def H_values(H_fn, ts) -> np.ndarray:
     An H source (see "Truncated-second-moment sources" below) evaluates
     the grid through its `values`; a plain callable t -> H(t) is called
     once per point.  Every stage reads H through here, so every stage
-    raises ValueError on a negative H.
+    raises ValueError on a negative or NaN H.
     """
     ts = np.asarray(ts, dtype=float)
     values = getattr(H_fn, "values", None)
     hv = values(ts) if values is not None else np.array([H_fn(t) for t in ts], dtype=float)
-    if np.any(hv < 0):
+    if not np.all(hv >= 0):
         raise ValueError("H must be nonnegative")
     return hv
 
@@ -173,7 +165,6 @@ class _ProbeGrid:
     once and passes it to the classifier in place of H.
     """
 
-    n: np.ndarray
     exponents: Callable[[float], np.ndarray]
 
 
@@ -186,7 +177,7 @@ def _c0_grid(h: SlowVaryFn, H_fn) -> _ProbeGrid:
         with np.errstate(divide="ignore"):
             return c * c * hn / den
 
-    return _ProbeGrid(n, exponents)
+    return _ProbeGrid(exponents)
 
 
 def _alpha_grid(c_seq, H_fn) -> _ProbeGrid:
@@ -196,7 +187,7 @@ def _alpha_grid(c_seq, H_fn) -> _ProbeGrid:
     hv = H_values(H_fn, cn)
     with np.errstate(divide="ignore", over="ignore"):
         base = cn * cn / (2.0 * n * hv)
-    return _ProbeGrid(n, lambda alpha: alpha * alpha * base)
+    return _ProbeGrid(lambda alpha: alpha * alpha * base)
 
 
 def series_classify(c: float, h: SlowVaryFn, H_fn) -> SeriesVerdict:
@@ -210,9 +201,9 @@ def series_classify(c: float, h: SlowVaryFn, H_fn) -> SeriesVerdict:
     if c < 0:
         raise ValueError("c must be nonnegative")
     if c == 0.0:
-        return SeriesVerdict(DIVERGES, 0.0, 0.0, 0.0, np.zeros_like(_PROBE_N), _PROBE_N, "c = 0: harmonic floor")
+        return SeriesVerdict(DIVERGES, 0.0, 0.0, 0.0, "c = 0: harmonic floor")
     grid = H_fn if isinstance(H_fn, _ProbeGrid) else _c0_grid(h, H_fn)
-    return _classify_exponents(grid.exponents(c), c, grid.n)
+    return _classify_exponents(grid.exponents(c), c)
 
 
 def alpha_series_classify(alpha: float, c_seq, H_fn) -> SeriesVerdict:
@@ -224,8 +215,8 @@ def alpha_series_classify(alpha: float, c_seq, H_fn) -> SeriesVerdict:
         raise ValueError("alpha must be nonnegative")
     grid = H_fn if isinstance(H_fn, _ProbeGrid) else _alpha_grid(c_seq, H_fn)
     if alpha == 0.0:
-        return SeriesVerdict(DIVERGES, 0.0, 0.0, 0.0, np.zeros_like(grid.n), grid.n, "alpha = 0: harmonic floor")
-    return _classify_exponents(grid.exponents(alpha), alpha, grid.n)
+        return SeriesVerdict(DIVERGES, 0.0, 0.0, 0.0, "alpha = 0: harmonic floor")
+    return _classify_exponents(grid.exponents(alpha), alpha)
 
 
 # ---------------------------------------------------------------------------
@@ -363,7 +354,6 @@ class LambdaResult:
     lam2: float
     tail_max: float
     last_value: float
-    grid: np.ndarray
     curve: np.ndarray
     diverging: bool
     note: str = ""
@@ -407,12 +397,11 @@ def lambda_compute(h: SlowVaryFn, H_fn) -> LambdaResult:
     lam2 = math.inf if diverging else tail_max
     lam = math.sqrt(lam2) if math.isfinite(lam2) else math.inf
     note = "tail of the curve is still growing; constant flagged infinite" if diverging else ""
-    return LambdaResult(lam, lam2, tail_max, last, grid, curve, diverging, note)
+    return LambdaResult(lam, lam2, tail_max, last, curve, diverging, note)
 
 
 @dataclass(frozen=True)
 class RatioCurve:
-    grid: np.ndarray
     values: np.ndarray
     tail_max: float
     last_value: float
@@ -429,7 +418,7 @@ def lil_ratio_check(h: SlowVaryFn, H_fn) -> RatioCurve:
     """Cross-check curve LLn * H(a_n / LLn) / h(n), whose limsup is lambda^2/2."""
     lln, t_arg = _ratio_args(h)
     values = lln * H_values(H_fn, t_arg) / h(DEFAULT_X_GRID)
-    return RatioCurve(DEFAULT_X_GRID, values, float(np.max(values[-_X_TAIL:])), float(values[-1]))
+    return RatioCurve(values, float(np.max(values[-_X_TAIL:])), float(values[-1]))
 
 
 def agreement_gap(a: float, b: float) -> float:
@@ -462,8 +451,6 @@ def sandwich_bounds(q: float, lam: float) -> tuple[float, float]:
 class SigmaResult:
     sigma2: float
     converged: bool
-    cap_hit: bool
-    t_stop: float
     note: str = ""
 
 
@@ -499,12 +486,12 @@ def sigma_compute(H_fn) -> SigmaResult:
         # constant near the origin, so insist on a sustained plateau well
         # away from the start before stopping early.
         if settled >= 3 and doublings >= 40:
-            return SigmaResult(cur, True, False, float(grid[doublings]))
+            return SigmaResult(cur, True)
         prev = cur
-    t, mid = float(grid[-2]), float(hv[-1])
+    mid = float(hv[-1])
     if mid > 0 and prev / mid >= 1.05:
-        return SigmaResult(math.inf, False, True, t, "still growing at the cap; reported infinite")
-    return SigmaResult(prev, False, True, t, "cap reached before the increment test settled")
+        return SigmaResult(math.inf, False, "still growing at the cap; reported infinite")
+    return SigmaResult(prev, False, "cap reached before the increment test settled")
 
 
 # ---------------------------------------------------------------------------
@@ -530,7 +517,7 @@ class ConstTSM:
     route = "model"
 
     def __init__(self, v: float):
-        if v < 0:
+        if not v >= 0:
             raise ValueError("constant H must be nonnegative")
         self.v = float(v)
 

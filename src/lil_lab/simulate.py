@@ -5,6 +5,8 @@ kernel that every Monte Carlo estimate in the package runs on.
 hands each tile, as one (trials, steps, dim) array of draws, to a
 reducer: checkpoint norms and the truncated twin here, the running
 maximum with the final norm and the pilot moment sums in `bounds`.
+`CheckpointNorms` is the one partial-sum tracker; the twin feeds it the
+draws it drops.
 
 Random streams are version 2 (`lil-lab-stream-v2`): the unit of a
 stream is a fixed group of consecutive trials.  A path drawn in one
@@ -119,13 +121,6 @@ def map_trials(dist, n: int, block: int, seed: int, purpose: int, trials: int, r
     )
 
 
-def _carry_on(last: np.ndarray, carry: np.ndarray, k0: int, step: int) -> None:
-    """Store a tile's last partial sums as the carry of trials k0, k0 + 1, ..."""
-    if not np.all(np.isfinite(last)):
-        raise ArithmeticError(f"partial sum overflowed near step {step}")
-    carry[k0 : k0 + len(last)] = last
-
-
 class CheckpointNorms:
     """Reducer: ||S_n|| at sorted checkpoints, one row per trial."""
 
@@ -144,7 +139,10 @@ class CheckpointNorms:
         j0, j1 = np.searchsorted(self.points, (s0, s0 + m), side="right")
         at = raw[:, self.points[j0:j1] - s0 - 1] + carry[:, None, :]
         self.out[k0 : k0 + b, j0:j1] = norm_rows(at.reshape(-1, d), self.space).reshape(b, j1 - j0)
-        _carry_on(raw[:, -1] + carry, self.carry, k0, s0 + m)
+        last = raw[:, -1] + carry
+        if not np.all(np.isfinite(last)):
+            raise ArithmeticError(f"partial sum overflowed near step {s0 + m}")
+        carry[:] = last
 
     def result(self) -> np.ndarray:
         return self.out
@@ -215,7 +213,9 @@ def run_path(dist, space: SpaceSpec, h: SlowVaryFn, config: PathConfig, workers:
 class TruncatedTwin:
     """Reducer: S_n against its twin S'_n, which drops each draw with ||X_k|| > c_k.
 
-    The truncation levels of a block are evaluated once per chunk.
+    S_n - S'_n is the partial sum of the dropped draws, which alone go to
+    a `CheckpointNorms` of the twin's own.  The truncation levels of a
+    block are evaluated once per chunk.
     """
 
     def __init__(self, space: SpaceSpec, c_seq, points):
@@ -224,9 +224,8 @@ class TruncatedTwin:
         self.points = np.asarray(points, dtype=np.int64)
 
     def start(self, trials: int, dim: int) -> None:
-        self.carry = np.zeros((trials, dim))
-        self.carry_t = np.zeros((trials, dim))
-        self.gaps = np.empty((trials, len(self.points)))
+        self.dropped = CheckpointNorms(self.space, self.points)
+        self.dropped.start(trials, dim)
         self.last = np.zeros(trials, dtype=np.int64)
         self.count = np.zeros(trials, dtype=np.int64)
         self._span = self._levels = None
@@ -240,42 +239,34 @@ class TruncatedTwin:
     def tile(self, x: np.ndarray, k0: int, s0: int) -> None:
         b, m, d = x.shape
         k1 = k0 + b
-        keep = norms(x.reshape(-1, d), self.space).reshape(b, m) <= self.levels(s0, m)
-        cuts = m - keep.sum(axis=1)
+        # ~(<=), not >, so that a NaN norm counts as a dropped draw
+        cut = ~(norms(x.reshape(-1, d), self.space).reshape(b, m) <= self.levels(s0, m))
+        cuts = cut.sum(axis=1)
         self.count[k0:k1] += cuts
-        raw = np.cumsum(x, axis=1)
         if cuts.any():
             # step of each trial's last dropped draw
-            last = s0 + m - np.argmin(keep[:, ::-1], axis=1)
+            last = s0 + m - np.argmax(cut[:, ::-1], axis=1)
             self.last[k0:k1] = np.where(cuts > 0, last, self.last[k0:k1])
-            raw_t = np.cumsum(x * keep[..., None], axis=1)
-        else:
-            raw_t = raw  # x * 1.0 == x, so the twin's sums are the plain ones
-        carry, carry_t = self.carry[k0:k1, None], self.carry_t[k0:k1, None]
-        j0, j1 = np.searchsorted(self.points, (s0, s0 + m), side="right")
-        at = self.points[j0:j1] - s0 - 1
-        gap = (raw[:, at] + carry) - (raw_t[:, at] + carry_t)
-        self.gaps[k0:k1, j0:j1] = norm_rows(gap.reshape(-1, d), self.space).reshape(b, j1 - j0)
-        _carry_on(raw[:, -1] + carry[:, 0], self.carry, k0, s0 + m)
-        _carry_on(raw_t[:, -1] + carry_t[:, 0], self.carry_t, k0, s0 + m)
+        self.dropped.tile(x * cut[..., None], k0, s0)
 
     def result(self):
         c_at_points = np.asarray(self.c_seq.values(self.points.astype(float)))
-        delta = norm_rows(self.carry - self.carry_t, self.space)
+        delta = norm_rows(self.dropped.carry, self.space)
         c_next = np.asarray(self.c_seq.values((self.last + 1).astype(float)))
         with np.errstate(divide="ignore", invalid="ignore"):
             gap_sup = np.where(c_next > 0, delta / c_next, np.where(delta == 0, 0.0, math.inf))
-        return self.gaps / c_at_points, self.last, self.count, gap_sup
+        return self.dropped.result() / c_at_points, self.last, self.count, gap_sup
 
 
 @dataclass(frozen=True)
 class TruncResult:
     """Coupled plain/truncated paths on shared draws.
 
-    gap_curve holds ||S_n - S'_n||/c_n at the checkpoints; last_trunc is
-    the last step whose draw was truncated (0 when none were), and
-    gap_sup the supremum of the normalized gap beyond that step, which
-    for a nondecreasing c_n is the gap at last_trunc + 1.
+    gap_curve holds ||S_n - S'_n||/c_n at the checkpoints, S_n - S'_n
+    being the sum of the dropped draws; last_trunc is the last step whose
+    draw was truncated (0 when none were), and gap_sup the supremum of
+    the normalized gap beyond that step, which for a nondecreasing c_n is
+    the gap at last_trunc + 1.
     """
 
     checkpoints: tuple[int, ...]

@@ -406,7 +406,6 @@ INCONCLUSIVE = "INCONCLUSIVE"
 @dataclass(frozen=True)
 class TauDiagnostic:
     tau: float
-    t_grid: np.ndarray
     ratios: np.ndarray
     verdict: str
     reason: str
@@ -440,8 +439,8 @@ class HqReport:
         }
 
 
-def _classify_tau(h: SlowVaryFn, tau: float, t_grid: np.ndarray, tol: float) -> TauDiagnostic:
-    u = np.log(t_grid)  # log t; grids stay well inside float range
+def _classify_tau(h: SlowVaryFn, tau: float, tol: float) -> TauDiagnostic:
+    u = np.log(DEFAULT_T_GRID)  # log t; grids stay well inside float range
     lt = np.maximum(u, 1.0)
     # log(t * f_tau(t)) = log t + (Lt)^tau
     shifted = u + lt**tau
@@ -451,7 +450,7 @@ def _classify_tau(h: SlowVaryFn, tau: float, t_grid: np.ndarray, tol: float) -> 
     band = math.log1p(tol)
     tail = delta[-max(4, len(delta) // 4) :]
     if float(np.max(np.abs(tail))) <= band:
-        return TauDiagnostic(tau, t_grid, ratios, MEMBER, "within band", None)
+        return TauDiagnostic(tau, ratios, MEMBER, "within band", None)
     # Fit the decay exponent of the log-ratio over the second half of the
     # grid: delta ~ C * (log t)^gamma.  gamma < 0 means the ratio is still
     # drifting toward 1 and the limit is taken as 1; gamma > 0 with the
@@ -459,16 +458,16 @@ def _classify_tau(h: SlowVaryFn, tau: float, t_grid: np.ndarray, tol: float) -> 
     half = len(delta) // 2
     mask = delta[half:] > 1e-300
     if mask.sum() < 4:
-        return TauDiagnostic(tau, t_grid, ratios, MEMBER, "ratio collapsed to 1", None)
+        return TauDiagnostic(tau, ratios, MEMBER, "ratio collapsed to 1", None)
     xs = np.log(lt[half:][mask])
     ys = np.log(delta[half:][mask])
     gamma = _ols_slope(xs, ys)
     if gamma <= -0.02:
-        return TauDiagnostic(tau, t_grid, ratios, MEMBER, "log-ratio decaying to 0", gamma)
+        return TauDiagnostic(tau, ratios, MEMBER, "log-ratio decaying to 0", gamma)
     increasing = bool(np.all(np.diff(delta[half:]) >= -1e-12))
     if gamma >= 0.02 and increasing:
-        return TauDiagnostic(tau, t_grid, ratios, NON_MEMBER, "monotone drift away from 1", gamma)
-    return TauDiagnostic(tau, t_grid, ratios, INCONCLUSIVE, "no clear trend", gamma)
+        return TauDiagnostic(tau, ratios, NON_MEMBER, "monotone drift away from 1", gamma)
+    return TauDiagnostic(tau, ratios, INCONCLUSIVE, "no clear trend", gamma)
 
 
 def _tau_active(tau: float, q: float) -> bool:
@@ -489,7 +488,7 @@ def hq_classify(h: SlowVaryFn, q: float, tol: float = 0.02) -> HqReport:
     if not (0 <= q <= 1):
         raise ValueError("q must lie in [0, 1]")
     active = [tau for tau in DEFAULT_TAU_GRID if _tau_active(tau, q)]
-    diags = tuple(_classify_tau(h, tau, DEFAULT_T_GRID, tol) for tau in active)
+    diags = tuple(_classify_tau(h, tau, tol) for tau in active)
     if any(d.verdict == NON_MEMBER for d in diags):
         verdict = NON_MEMBER
     elif all(d.verdict == MEMBER for d in diags):

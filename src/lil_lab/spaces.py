@@ -146,18 +146,12 @@ class TruncatedCov:
 
 
 def trunc_cov_empirical(samples: np.ndarray, t: float, space: SpaceSpec) -> TruncatedCov:
-    """Empirical truncated second moment (1/N) sum x x^T 1{||x|| <= t}."""
+    """(1/N) sum x x^T 1{||x|| <= t}, read off `EmpiricalTSM`'s prefix sums."""
     arr = np.asarray(samples, dtype=float)
-    if arr.ndim == 1:
-        arr = arr[None, :]
-    if arr.shape[1] != space.dim:
-        raise ValueError(f"samples have dim {arr.shape[1]}, space has dim {space.dim}")
-    n = arr.shape[0]
-    if n == 0:
-        raise ValueError("need at least one sample")
-    kept = arr[norms(arr, space) <= t]
-    m = kept.T @ kept / n if kept.size else np.zeros((space.dim, space.dim))
-    return TruncatedCov(matrix=0.5 * (m + m.T), threshold=float(t), sample_count=n)
+    tsm = EmpiricalTSM(arr[None, :] if arr.ndim == 1 else arr, space)
+    k = int(np.searchsorted(tsm._norms, t, side="right"))
+    m = tsm._prefix[k - 1] / tsm.n_samples if k else np.zeros((space.dim, space.dim))
+    return TruncatedCov(matrix=m, threshold=float(t), sample_count=tsm.n_samples)
 
 
 def dual_ball_sup(cov: TruncatedCov | np.ndarray, space: SpaceSpec):
@@ -274,8 +268,8 @@ class EmpiricalTSM:
         self._norms = norms(self._sorted, space)
         self.max_norm = float(self._norms[-1])
         self.n_samples = arr.shape[0]
-        # Prefix sums of outer products; N * d^2 floats, fine at the sample
-        # sizes this is used with (<= a few 1e4 samples, d <= 20).
+        # Prefix sums of outer products, exactly symmetric; N * d^2 floats, fine
+        # at the sample sizes this is used with (<= a few 1e4 samples, d <= 20).
         outer = np.einsum("ni,nj->nij", self._sorted, self._sorted)
         self._prefix = np.cumsum(outer, axis=0)
 
@@ -290,8 +284,7 @@ class EmpiricalTSM:
         out = np.zeros(distinct.shape)
         kept = distinct > 0
         if kept.any():
-            m = self._prefix[distinct[kept] - 1] / self.n_samples
-            out[kept] = dual_ball_sup(0.5 * (m + np.swapaxes(m, -1, -2)), self.space)
+            out[kept] = dual_ball_sup(self._prefix[distinct[kept] - 1] / self.n_samples, self.space)
         return out[which]
 
     __call__ = _at_point

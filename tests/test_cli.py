@@ -206,6 +206,18 @@ class TestContract:
         }
         assert [f.name for f in dataclasses.fields(bounds.BoundParams)] == ["eta", "delta", "s", "epsilon"]
         assert [f.name for f in dataclasses.fields(bounds.BoundParams) if f.init] == ["eta", "delta", "s"]
+        # result types keep only the fields some caller reads
+        assert {cls.__name__: [f.name for f in dataclasses.fields(cls)] for cls in (
+            constants.SeriesVerdict, constants.LambdaResult, constants.RatioCurve, constants.SigmaResult,
+            slowvary.TauDiagnostic, simulate.TruncResult,
+        )} == {
+            "SeriesVerdict": ["verdict", "slope", "accel", "c", "note"],
+            "LambdaResult": ["lam", "lam2", "tail_max", "last_value", "curve", "diverging", "note"],
+            "RatioCurve": ["values", "tail_max", "last_value"],
+            "SigmaResult": ["sigma2", "converged", "note"],
+            "TauDiagnostic": ["tau", "ratios", "verdict", "reason", "decay_exponent"],
+            "TruncResult": ["checkpoints", "gap_curve", "last_trunc", "trunc_count", "gap_sup", "seed"],
+        }
 
 
 class TestParsers:
@@ -509,6 +521,13 @@ class TestExitCodes:
         for key in path:
             node = node[key]
         assert node == expected
+
+    def test_nan_h_is_exit_2_and_writes_nothing(self, tmp_path, capsys):
+        # NaN passes a plain `< 0` check, so a NaN H must be refused on its own
+        assert cli.main(["constants", "--h", "2*(LL)^1", "--H", "const:nan", "--out", str(tmp_path)]) == 2
+        err = json.loads(capsys.readouterr().err.strip())
+        assert err["code"] == "invalid_spec" and err["context"] == {"H": "const:nan"}
+        assert not (tmp_path / "constants.json").exists()
 
     def test_bad_spec_file(self, tmp_path, capsys):
         path = tmp_path / "spec.json"

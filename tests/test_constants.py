@@ -70,8 +70,9 @@ class TestSeriesClassifier:
         sigma_compute,
     ], ids=["c0", "alpha0", "lambda", "ratio", "sigma"])
     def test_negative_h_rejected_by_every_stage(self, stage):
-        with pytest.raises(ValueError, match="nonnegative"):
-            stage(lambda t: -1.0)
+        for bad in (-1.0, math.nan):
+            with pytest.raises(ValueError, match="nonnegative"):
+                stage(lambda t: bad)
 
     def test_verdict_monotone_in_rate(self):
         h = parse_slow_vary("2*(LL)^1")

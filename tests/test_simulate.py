@@ -10,6 +10,7 @@ from lil_lab.distributions import Gaussian, PointMass, RadialPareto
 from lil_lab.simulate import (
     BLOCK,
     PathConfig,
+    TruncatedTwin,
     geometric_checkpoints,
     limsup_estimate,
     mean_norm_curve,
@@ -97,6 +98,21 @@ class TestTruncatedPath:
         res = truncated_path(RadialPareto(1.2, 2, 1.0), SpaceSpec(2, 2.0), parse_cseq("pow:0.7"), cfg)
         assert float(np.mean(res.trunc_count)) > 1.0
         assert float(np.median(res.gap_sup)) > 0.0
+
+    def test_gap_is_the_dropped_draw_exactly(self):
+        # S_n - S'_n is the one dropped draw; subtracting the two paths would
+        # leave a rounding error of the 0.1 steps in it
+        points = (1, 2, 10, 100, 1000)
+        x = np.full((1, 1000, 1), 0.1)
+        x[0, 0, 0] = 3e7
+        c_seq = parse_cseq("pow:1,1e7")
+        twin = TruncatedTwin(SpaceSpec(1, 2.0), c_seq, points)
+        twin.start(1, 1)
+        twin.tile(x, 0, 0)
+        gap_curve, last, count, gap_sup = twin.result()
+        assert gap_curve.tolist() == [[3e7 / c_seq.values(float(n)) for n in points]]
+        assert last.tolist() == [1] and count.tolist() == [1]
+        assert gap_sup.tolist() == [3e7 / c_seq.values(2.0)]
 
     def test_light_tail_rarely_truncates(self):
         cfg = PathConfig(N=4096, seed=5, trials=100)

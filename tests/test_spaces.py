@@ -105,6 +105,12 @@ class TestTruncatedCov:
         eigs = np.linalg.eigvalsh(large - small)
         assert eigs.min() >= -1e-12
 
+    @pytest.mark.parametrize("t", [0.05, 0.5, 2.0, 50.0])
+    def test_empirical_is_the_empirical_tsm_bit_for_bit(self, t):
+        draws = np.random.default_rng(10).normal(size=(400, 2))
+        space = SpaceSpec(2, 2.0)
+        assert dual_ball_sup(trunc_cov_empirical(draws, t, space), space) == EmpiricalTSM(draws, space)(t)
+
 
 class TestDualBallSup:
     @pytest.mark.parametrize("d", [1, 2, 3, 5, 8])

@@ -138,9 +138,9 @@ GOLDEN = {
     "path-gauss3-l2": "2f483877d99b8a750cb534fa58080f28badf10167628019050476462e45bea26",
     "path-pareto2-l2": "c3706cbae13e9f76c809b6cc00d5ff12ff5fb4d0faf09c28e70931fd5d6f94df",
     "path-rademacher5-linf": "c225e01da6fb3c2c3c6eb3691140ba9bce00f99050d7644370c0c2a5c1ce09ab",
-    "trunc-gauss1-l2": "cfa37964c81f337149f63b37d1aa486cd81a0789d4391dbf75a245a4a9510934",
-    "trunc-gauss3-l1": "83089350b67c6a2114a9fa37bb4332f70635562b191085c0e6c7452e090b46e8",
-    "trunc-pareto2-l2-long": "e615ca9323d0453bf893eb6a9821e0fa47e0bcb4115f861c5d7e8d2e30581ddc",
+    "trunc-gauss1-l2": "df00af5ea6cfb1acb96394fcfdf7fc689b10783ca39760ab24e9f7bce745e156",
+    "trunc-gauss3-l1": "53a678e08928d4b9d9a827250b49628bf20fecdcd3cd7acc5742789b09c258e2",
+    "trunc-pareto2-l2-long": "e32a5152fe5a7648294f02f771f58d1e816ecc077d2d7aa733800504ecf64583",
     "verify-gauss1-l2": "afd0e607e0deb37a48be47a39c3ac096b16aa2c9d3dc19618c7022cd6bd979e1",
     "verify-gauss3-l1": "9b4e1691cd884f7c11dbd7b011dc89920191d1e10c7024887ebfb1c8017b4513",
     "verify-gauss3-l2": "f244d2f9ab14bba6d8d51ab664f584d5a134335a15b0c8647e338078325eb978",
