@@ -315,8 +315,9 @@ def _fold(acc, rows):
 class _PilotMoments:
     """Reducer: the pilot pass's sums over whole paths (tiles hold all n steps).
 
-    Every sum is a left fold over trials in trial order, as a
-    trial-by-trial loop would add them.
+    `tile` writes each trial's sums, sums of squares, m2 and s-th moment
+    sum into per-trial rows; `result` folds each left over trials in
+    trial order, as a trial-by-trial loop would add them, once per chunk.
     """
 
     def __init__(self, space: SpaceSpec, s: float):
@@ -324,33 +325,31 @@ class _PilotMoments:
         self.s = s
 
     def start(self, trials: int, dim: int) -> None:
-        self.coord_sum = np.zeros(dim)
-        self.coord_sumsq = np.zeros(dim)
-        self.m2 = np.zeros((dim, dim))
-        self.moment_sum = self.final_sum = self.final_sumsq = 0.0
-        self.trials = trials
+        self.sums = np.empty((trials, dim))
+        self.sumsq = np.empty((trials, dim))
+        self.m2 = np.empty((trials, dim, dim))
+        self.moments = np.empty(trials)
 
     def tile(self, x: np.ndarray, k0: int, s0: int) -> None:
         b, n, d = x.shape
+        rows = slice(k0, k0 + b)
         if d == 1:
             # the step axis is innermost: numpy sums it pairwise
-            sums, sumsq = x.sum(axis=1), (x**2).sum(axis=1)
+            self.sums[rows], self.sumsq[rows] = x.sum(axis=1), (x**2).sum(axis=1)
         else:
-            # the same step-by-step folds, each over a contiguous (b, d) row
+            # the same step-by-step folds, each over a contiguous (b, d) row;
+            # at b = 1 xt is x itself, so its square must be a new array
             xt = np.ascontiguousarray(x.transpose(1, 0, 2))
-            sums, sumsq = xt.sum(axis=0), (xt**2).sum(axis=0)
-        self.coord_sum = _fold(self.coord_sum, sums)
-        self.coord_sumsq = _fold(self.coord_sumsq, sumsq)
-        self.m2 = _fold(self.m2, np.matmul(x.transpose(0, 2, 1), x))
-        moments = (norms(x.reshape(-1, d), self.space) ** self.s).reshape(b, n).sum(axis=1)
-        self.moment_sum = _fold(self.moment_sum, moments)
-        finals = norm_rows(sums, self.space)
-        self.final_sum = _fold(self.final_sum, finals)
-        self.final_sumsq = _fold(self.final_sumsq, finals * finals)
+            self.sums[rows], self.sumsq[rows] = xt.sum(axis=0), (xt**2).sum(axis=0)
+        np.matmul(x.transpose(0, 2, 1), x, out=self.m2[rows])
+        self.moments[rows] = (norms(x.reshape(-1, d), self.space) ** self.s).reshape(b, n).sum(axis=1)
 
     def result(self):
-        return (self.coord_sum, self.coord_sumsq, self.m2, float(self.moment_sum),
-                float(self.final_sum), float(self.final_sumsq), self.trials)
+        trials, d = self.sums.shape
+        finals = norm_rows(self.sums, self.space)
+        return (_fold(np.zeros(d), self.sums), _fold(np.zeros(d), self.sumsq),
+                _fold(np.zeros((d, d)), self.m2), float(_fold(0.0, self.moments)),
+                float(_fold(0.0, finals)), float(_fold(0.0, finals * finals)), trials)
 
 
 class _FinalAndMax:
@@ -392,7 +391,9 @@ def mc_verify(
     from 0 in any coordinate.  The main pass records ||S_n|| and
     max_k ||S_k|| per trial and compares tail frequencies and the
     empirical mgf against the bounds; `violation` means the estimate is
-    above the bound by more than 3 standard errors.
+    above the bound by more than 3 standard errors.  Both passes are
+    sampled in one `map_trials` call, hence on one pool, so the pilot's
+    centering check runs after the main pass's sampling too.
     """
     if trials < 100:
         raise ValueError("trials too small for stable pilot estimates")
@@ -405,8 +406,11 @@ def mc_verify(
         raise ValueError("mc_verify needs a centered distribution")
     fn_constants(params.delta, params.eta, params.s)  # an overflowing C fails before any sampling
 
-    # pilot pass
-    parts = map_trials(dist, n, n, seed, _rng.PILOT, trials, _PilotMoments(space, params.s), workers)
+    # both passes in one submission: the main pass reads nothing of the pilot's
+    parts, main_parts = map_trials(
+        dist, n, n, seed, trials,
+        [(_rng.PILOT, _PilotMoments(space, params.s)), (_rng.MAIN, _FinalAndMax(space))], workers,
+    )
     coord_sum = sum(p[0] for p in parts)
     coord_sumsq = sum(p[1] for p in parts)
     m2 = sum(p[2] for p in parts)
@@ -456,7 +460,6 @@ def mc_verify(
     }
 
     # main pass
-    main_parts = map_trials(dist, n, n, seed, _rng.MAIN, trials, _FinalAndMax(space), workers)
     finals = np.concatenate([p[0] for p in main_parts])
     maxes = np.concatenate([p[1] for p in main_parts])
 

@@ -23,16 +23,16 @@ trial's draws are the same whatever else runs.
 `map_trials` cuts the trials into chunks whose size depends only on the
 path length and runs them on `workers` threads for block-streamed paths
 (numpy's sampling, cumsum and matmul on whole blocks release the GIL)
-and on `workers` processes for grouped ones.  Float accumulations across
-trials stay left folds in trial order, so results are bit-identical
-whatever the worker count, the executor, the tiling, or the order in
-which chunks execute.
+and on `workers` processes for grouped ones; the chunks of several
+passes over the same trials share one submission, hence one pool.
+Float accumulations across trials stay left folds in trial order, so
+results are bit-identical whatever the worker count, the executor, the
+tiling, or the order in which chunks execute.
 """
 from __future__ import annotations
 
 import copy
 import math
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -100,25 +100,30 @@ def group_size(n: int) -> int:
     return min(CHUNK, 1 << (max(1, TILE // n).bit_length() - 1))
 
 
-def map_trials(dist, n: int, block: int, seed: int, purpose: int, trials: int, reducer, workers: int) -> list:
-    """`stream_trials` over every chunk of `trials`, one result per chunk.
+def map_trials(dist, n: int, block: int, seed: int, trials: int, passes, workers: int) -> list[list]:
+    """`stream_trials` over every chunk of `trials` for each (purpose, reducer)
+    of `passes`: one list of chunk results per pass.
 
     Paths drawn in one sample call (n <= block) come in chunks of CHUNK
     trials on `workers` processes.  Block-streamed paths come in chunks of
     max(1, LONG_CHUNK // n) trials on `workers` threads, which share this
     process's memory where a forked process would copy about 30 MB of it.
-    Neither the chunks nor the draws depend on `workers`.
+    The chunks of all passes go to `map_chunks` in one call, so one pool
+    serves them; no pass may read another's results.  Neither the chunks
+    nor the draws depend on `workers`.
     """
     if n <= block:
-        size, executor = CHUNK, ProcessPoolExecutor
+        size, executor = CHUNK, "process"
     else:
-        size, executor = max(1, LONG_CHUNK // n), ThreadPoolExecutor
-    return map_chunks(
+        size, executor = max(1, LONG_CHUNK // n), "thread"
+    ranges = chunk_ranges(trials, size)
+    parts = map_chunks(
         stream_trials,
-        [(dist, n, block, seed, purpose, lo, hi, reducer) for lo, hi in chunk_ranges(trials, size)],
+        [(dist, n, block, seed, purpose, lo, hi, reducer) for purpose, reducer in passes for lo, hi in ranges],
         workers,
         executor,
     )
+    return [parts[i : i + len(ranges)] for i in range(0, len(parts), len(ranges))]
 
 
 class CheckpointNorms:
@@ -143,6 +148,13 @@ class CheckpointNorms:
         if not np.all(np.isfinite(last)):
             raise ArithmeticError(f"partial sum overflowed near step {s0 + m}")
         carry[:] = last
+
+    def hold(self, k0: int, b: int, s0: int, m: int) -> None:
+        """`tile` for b trials of m zero draws: the checkpoints in steps
+        s0 + 1, ..., s0 + m read the carry, which stays as it is."""
+        j0, j1 = np.searchsorted(self.points, (s0, s0 + m), side="right")
+        if j1 > j0:
+            self.out[k0 : k0 + b, j0:j1] = norm_rows(self.carry[k0 : k0 + b], self.space)[:, None]
 
     def result(self) -> np.ndarray:
         return self.out
@@ -198,8 +210,8 @@ def run_path(dist, space: SpaceSpec, h: SlowVaryFn, config: PathConfig, workers:
     """Simulate trials of S_n and record ||S_n||/a_n at the checkpoints."""
     points = config.checkpoints
     a_vals = NormalizerSeq(h).values(np.asarray(points, dtype=float))
-    parts = map_trials(dist, points[-1], BLOCK, config.seed, _rng.MAIN, config.trials,
-                       CheckpointNorms(space, points), workers)
+    [parts] = map_trials(dist, points[-1], BLOCK, config.seed, config.trials,
+                         [(_rng.MAIN, CheckpointNorms(space, points))], workers)
     norms_mat = np.vstack(parts)
     # a_n = sqrt(n h(n)) is strictly positive for n >= 1
     return PathResult(points, norms_mat / a_vals, a_vals, config.seed)
@@ -214,7 +226,8 @@ class TruncatedTwin:
     """Reducer: S_n against its twin S'_n, which drops each draw with ||X_k|| > c_k.
 
     S_n - S'_n is the partial sum of the dropped draws, which alone go to
-    a `CheckpointNorms` of the twin's own.  The truncation levels of a
+    a `CheckpointNorms` of the twin's own; a tile that drops nothing only
+    reads its checkpoints off the carry.  The truncation levels of a
     block are evaluated once per chunk.
     """
 
@@ -247,7 +260,11 @@ class TruncatedTwin:
             # step of each trial's last dropped draw
             last = s0 + m - np.argmax(cut[:, ::-1], axis=1)
             self.last[k0:k1] = np.where(cuts > 0, last, self.last[k0:k1])
-        self.dropped.tile(x * cut[..., None], k0, s0)
+            self.dropped.tile(x * cut[..., None], k0, s0)
+        else:
+            # a kept draw adds +-0.0, which leaves the carry (never -0.0,
+            # as a dropped draw is nonzero) and every norm as they are
+            self.dropped.hold(k0, b, s0, m)
 
     def result(self):
         c_at_points = np.asarray(self.c_seq.values(self.points.astype(float)))
@@ -280,8 +297,8 @@ class TruncResult:
 def truncated_path(dist, space: SpaceSpec, c_seq, config: PathConfig, workers: int = 1) -> TruncResult:
     """Run S_n against its truncated twin S'_n (draws of norm above c_n dropped)."""
     points = config.checkpoints
-    parts = map_trials(dist, points[-1], BLOCK, config.seed, _rng.MAIN, config.trials,
-                       TruncatedTwin(space, c_seq, points), workers)
+    [parts] = map_trials(dist, points[-1], BLOCK, config.seed, config.trials,
+                         [(_rng.MAIN, TruncatedTwin(space, c_seq, points))], workers)
     return TruncResult(
         checkpoints=points,
         gap_curve=np.vstack([p[0] for p in parts]),
@@ -321,7 +338,8 @@ def mean_norm_curve(dist, space: SpaceSpec, c_seq, n_grid, trials: int, seed: in
     points = tuple(int(n) for n in np.asarray(n_grid))
     if len(points) == 0 or any(b <= a for a, b in zip(points, points[1:])) or points[0] < 1:
         raise ValueError("n_grid must be strictly increasing positive integers")
-    parts = map_trials(dist, points[-1], BLOCK, seed, _rng.CURVE, trials, CheckpointNorms(space, points), workers)
+    [parts] = map_trials(dist, points[-1], BLOCK, seed, trials,
+                         [(_rng.CURVE, CheckpointNorms(space, points))], workers)
     norms_mat = np.vstack(parts)
     c_vals = np.asarray(c_seq.values(np.asarray(points, dtype=float)))
     ratios = norms_mat / c_vals

@@ -1,5 +1,6 @@
 """Tail-bound evaluators, assembled constants, and the falsification harness."""
 
+import concurrent.futures
 import math
 
 import numpy as np
@@ -185,6 +186,16 @@ class TestBoundEvaluators:
         assert (2 + derived.epsilon) * (1 + 9 * derived.epsilon) ** 2 <= 3.0 + 1e-10
 
 
+class _OffCenter:
+    """Claims to be centered, but coordinate 1 has mean 0.5."""
+
+    dim = 2
+    is_centered = True
+
+    def sample(self, rng, n):
+        return Gaussian(np.ones(2)).sample(rng, n) + [0.0, 0.5]
+
+
 class TestHarness:
     def test_zero_law_never_violates(self):
         rep = mc_verify(
@@ -237,6 +248,31 @@ class TestHarness:
                 t_grid=np.array([1.0]),
                 params=BoundParams(eta=1.0, delta=1.0, s=3.0),
             )
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_pilot_rejects_an_off_center_sample_mean(self, workers):
+        # both passes are sampled before the pilot's check raises
+        with pytest.raises(ValueError) as err:
+            mc_verify(_OffCenter(), SpaceSpec(2, 2.0), n=20, trials=1100, t_grid=np.array([1.0]),
+                      params=BoundParams(eta=1.0, delta=1.0, s=3.0), seed=6, workers=workers)
+        assert str(err.value) == (
+            "pilot sample mean is not centered: coordinate 1 has mean 0.509 with standard error 0.00667"
+        )
+
+    @pytest.mark.parametrize("workers, pools", [(1, 0), (2, 1)])
+    def test_one_pool_serves_both_passes(self, monkeypatch, workers, pools):
+        built = []
+
+        class Counting(concurrent.futures.ProcessPoolExecutor):
+            def __init__(self, *args, **kwargs):
+                built.append(kwargs)
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Counting)
+        mc_verify(RademacherProduct(np.ones(2)), SpaceSpec(2, math.inf), n=30, trials=2200,
+                  t_grid=np.array([5.0]), params=BoundParams(eta=1.0, delta=1.0, s=3.0), seed=9,
+                  kr_points=2, workers=workers)
+        assert built == [{"max_workers": workers}] * pools
 
     def test_unbounded_law_skips_mgf_rows(self):
         rep = mc_verify(

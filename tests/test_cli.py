@@ -5,7 +5,11 @@ import dataclasses
 import inspect
 import json
 import math
+import os
+import subprocess
+import sys
 import types
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -620,3 +624,13 @@ class TestExitCodes:
         assert a["resolved_spec"]["workers"] is None
         assert b["resolved_spec"]["workers"] is None
         assert a["ratios"] == b["ratios"]
+
+
+def test_cli_import_leaves_the_process_pool_out():
+    # the pool modules load only when a Monte Carlo run starts a process pool
+    src = str(Path(lil_lab.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = ("import sys, lil_lab.cli; "
+            "print([m for m in ('multiprocessing', 'concurrent.futures.process') if m in sys.modules])")
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"

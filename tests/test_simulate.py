@@ -18,7 +18,7 @@ from lil_lab.simulate import (
     truncated_path,
 )
 from lil_lab.slowvary import NormalizerSeq, parse_cseq, parse_slow_vary
-from lil_lab.spaces import SpaceSpec
+from lil_lab.spaces import SpaceSpec, norm_rows
 
 
 class TestCheckpoints:
@@ -113,6 +113,33 @@ class TestTruncatedPath:
         assert gap_curve.tolist() == [[3e7 / c_seq.values(float(n)) for n in points]]
         assert last.tolist() == [1] and count.tolist() == [1]
         assert gap_sup.tolist() == [3e7 / c_seq.values(2.0)]
+
+    def test_checkpoints_in_a_block_without_drops_match_a_plain_loop(self):
+        # Blocks of 100 steps.  Trial 0 drops its draw at step 150 only, so
+        # blocks 1 and 3 drop nothing: checkpoint 50 comes before any drop,
+        # where the kept negative draws times 0 are -0.0, and checkpoints 250
+        # and 300 read a nonzero carry.  Trial 1 drops nothing.
+        space, c_seq, points = SpaceSpec(2, 2.0), parse_cseq("pow:0.5"), (50, 120, 180, 250, 300)
+        x = np.full((2, 300, 2), -0.25)
+        x[0, 149] = [30.0, -40.0]
+        twin = TruncatedTwin(space, c_seq, points)
+        twin.start(2, 2)
+        for s0 in range(0, 300, 100):
+            twin.tile(x[:, s0 : s0 + 100].copy(), 0, s0)
+        gap_curve, last, count, gap_sup = twin.result()
+
+        want = np.empty((2, len(points)))
+        for t in range(2):
+            dropped = np.zeros(2)
+            for k in range(300):
+                if not np.linalg.norm(x[t, k]) <= c_seq.values(float(k + 1)):
+                    dropped = dropped + x[t, k]
+                if k + 1 in points:
+                    want[t, points.index(k + 1)] = norm_rows(dropped[None], space)[0] / c_seq.values(float(k + 1))
+        np.testing.assert_array_equal(gap_curve, want)
+        assert gap_curve[0, 0] == 0.0 and gap_curve[0, -1] == 50.0 / c_seq.values(300.0)
+        assert last.tolist() == [150, 0] and count.tolist() == [1, 0]
+        assert gap_sup.tolist() == [50.0 / c_seq.values(151.0), 0.0]
 
     def test_light_tail_rarely_truncates(self):
         cfg = PathConfig(N=4096, seed=5, trials=100)

@@ -207,8 +207,14 @@ def test_pilot_sums_are_the_direct_sums(dim):
     reducer = _PilotMoments(SpaceSpec(dim, 2.0), 3.0)
     reducer.start(64, dim)
     reducer.tile(x, 0, 0)
-    assert np.array_equal(reducer.coord_sum, _fold(np.zeros(dim), x.sum(axis=1)))
-    assert np.array_equal(reducer.coord_sumsq, _fold(np.zeros(dim), (x**2).sum(axis=1)))
+    whole = reducer.result()
+    assert np.array_equal(whole[0], _fold(np.zeros(dim), x.sum(axis=1)))
+    assert np.array_equal(whole[1], _fold(np.zeros(dim), (x**2).sum(axis=1)))
+    # one-trial tiles, whose step-major copy is a view of x itself
+    reducer.start(64, dim)
+    for k in range(64):
+        reducer.tile(x[k : k + 1], k, 0)
+    _same_result(reducer.result(), whole)
 
 
 @pytest.mark.parametrize("n, block", [(300, BLOCK), (230, 100)])

@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from lil_lab import cli, constants, spaces
+from lil_lab import cli, constants, simulate, spaces
 from lil_lab.slowvary import parse_cseq, parse_slow_vary
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
@@ -43,6 +43,8 @@ def test_install_wraps_and_uninstall_restores(monkeypatch):
     tracer.install()
     try:
         assert cli.main is not before[("lil_lab.cli", "main")]
+        # map_trials looks the pool map up in simulate, where the span must wrap it
+        assert simulate.map_chunks is not before[("lil_lab.simulate", "map_chunks")]
         assert tracer._undo
     finally:
         tracer.uninstall()
