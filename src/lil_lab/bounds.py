@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import io
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -170,7 +170,10 @@ def klein_rio_mgf_bound(s: float, data: MomentData) -> float:
     if data.M > 0 and s >= 2.0 / (3.0 * data.M):
         raise ValueError(f"s must stay below 2/(3M) = {2.0 / (3.0 * data.M):g}")
     beta_n = 2.0 * data.M * data.mean_norm + data.lambda_n
-    return math.exp(s * data.mean_norm + beta_n * s * s / (2.0 - 3.0 * data.M * s))
+    try:
+        return math.exp(s * data.mean_norm + beta_n * s * s / (2.0 - 3.0 * data.M * s))
+    except OverflowError:  # past the float ceiling the bound is vacuous
+        return math.inf
 
 
 def maximal_tail_bound(x: float, data: MomentData) -> float:
@@ -241,22 +244,21 @@ def _fn_terms(t: float, params: BoundParams, data: MomentData) -> tuple[float, f
 
 @dataclass(frozen=True)
 class VerifyRow:
+    """One grid point of `mc_verify`; `violation` is derived: the estimate
+    minus three standard errors still exceeds the bound."""
+
     kind: str  # "fn" (tail vs mixed bound), "kr1" (tail vs maximal bound), "kr" (mgf)
     x: float
     p_hat: float
     se: float
     bound: float
-    violation: bool
+    violation: bool = field(init=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "violation", self.p_hat - 3.0 * self.se > self.bound)
 
     def to_json_dict(self) -> dict:
-        return {
-            "kind": self.kind,
-            "x": self.x,
-            "p_hat": self.p_hat,
-            "se": self.se,
-            "bound": _json_real(self.bound),
-            "violation": self.violation,
-        }
+        return {**asdict(self), "bound": _json_real(self.bound)}
 
 
 @dataclass(frozen=True)
@@ -279,12 +281,7 @@ class VerifyReport:
             "n": self.n,
             "trials": self.trials,
             "seed": self.seed,
-            "params": {
-                "eta": self.params.eta,
-                "delta": self.params.delta,
-                "s": self.params.s,
-                "epsilon": self.params.epsilon,
-            },
+            "params": asdict(self.params),
             "data": {
                 "M": _json_real(self.data.M),
                 "lambda_n": self.data.lambda_n,
@@ -308,16 +305,17 @@ class VerifyReport:
 
 
 def _fold(acc, rows):
-    """acc + rows[0] + rows[1] + ..., added strictly left to right."""
-    return np.add.accumulate(np.concatenate((np.asarray(acc)[None], rows)))[-1]
+    """acc + rows[0] + rows[1] + ..., added strictly left to right; a copy, not a view of the partial sums."""
+    return np.add.accumulate(np.concatenate((np.asarray(acc)[None], rows)))[-1].copy()
 
 
 class _PilotMoments:
     """Reducer: the pilot pass's sums over whole paths (tiles hold all n steps).
 
-    `tile` writes each trial's sums, sums of squares, m2 and s-th moment
-    sum into per-trial rows; `result` folds each left over trials in
-    trial order, as a trial-by-trial loop would add them, once per chunk.
+    `tile` writes each trial's coordinate sums and s-th moment sum into
+    per-trial rows and folds each trial's x^T x into one (d, d) matrix
+    `m2`; `result` folds the rows.  Every fold adds left to right in trial
+    order, as a trial-by-trial loop would, wherever the tile edges fall.
     """
 
     def __init__(self, space: SpaceSpec, s: float):
@@ -326,29 +324,25 @@ class _PilotMoments:
 
     def start(self, trials: int, dim: int) -> None:
         self.sums = np.empty((trials, dim))
-        self.sumsq = np.empty((trials, dim))
-        self.m2 = np.empty((trials, dim, dim))
         self.moments = np.empty(trials)
+        self.m2 = np.zeros((dim, dim))
 
     def tile(self, x: np.ndarray, k0: int, s0: int) -> None:
         b, n, d = x.shape
         rows = slice(k0, k0 + b)
         if d == 1:
             # the step axis is innermost: numpy sums it pairwise
-            self.sums[rows], self.sumsq[rows] = x.sum(axis=1), (x**2).sum(axis=1)
+            self.sums[rows] = x.sum(axis=1)
         else:
-            # the same step-by-step folds, each over a contiguous (b, d) row;
-            # at b = 1 xt is x itself, so its square must be a new array
-            xt = np.ascontiguousarray(x.transpose(1, 0, 2))
-            self.sums[rows], self.sumsq[rows] = xt.sum(axis=0), (xt**2).sum(axis=0)
-        np.matmul(x.transpose(0, 2, 1), x, out=self.m2[rows])
+            # the same step-by-step folds, each over a contiguous (b, d) row
+            self.sums[rows] = np.ascontiguousarray(x.transpose(1, 0, 2)).sum(axis=0)
+        self.m2 = _fold(self.m2, np.matmul(x.transpose(0, 2, 1), x))
         self.moments[rows] = (norms(x.reshape(-1, d), self.space) ** self.s).reshape(b, n).sum(axis=1)
 
     def result(self):
         trials, d = self.sums.shape
         finals = norm_rows(self.sums, self.space)
-        return (_fold(np.zeros(d), self.sums), _fold(np.zeros(d), self.sumsq),
-                _fold(np.zeros((d, d)), self.m2), float(_fold(0.0, self.moments)),
+        return (_fold(np.zeros(d), self.sums), self.m2, float(_fold(0.0, self.moments)),
                 float(_fold(0.0, finals)), float(_fold(0.0, finals * finals)), trials)
 
 
@@ -390,10 +384,10 @@ def mc_verify(
     distribution whose sample mean sits further than 5 standard errors
     from 0 in any coordinate.  The main pass records ||S_n|| and
     max_k ||S_k|| per trial and compares tail frequencies and the
-    empirical mgf against the bounds; `violation` means the estimate is
-    above the bound by more than 3 standard errors.  Both passes are
-    sampled in one `map_trials` call, hence on one pool, so the pilot's
-    centering check runs after the main pass's sampling too.
+    empirical mgf against the bounds, one `VerifyRow` (which derives its
+    `violation`) per grid point.  Both passes are sampled in one
+    `map_trials` call, hence on one pool, so the pilot's centering check
+    runs after the main pass's sampling too.
     """
     if trials < 100:
         raise ValueError("trials too small for stable pilot estimates")
@@ -411,16 +405,11 @@ def mc_verify(
         dist, n, n, seed, trials,
         [(_rng.PILOT, _PilotMoments(space, params.s)), (_rng.MAIN, _FinalAndMax(space))], workers,
     )
-    coord_sum = sum(p[0] for p in parts)
-    coord_sumsq = sum(p[1] for p in parts)
-    m2 = sum(p[2] for p in parts)
-    moment_sum = sum(p[3] for p in parts)
-    final_sum = sum(p[4] for p in parts)
-    final_sumsq = sum(p[5] for p in parts)
+    coord_sum, m2, moment_sum, final_sum, final_sumsq, _ = (sum(col) for col in zip(*parts))
     n_draws = trials * n
 
     coord_mean = coord_sum / n_draws
-    coord_var = np.maximum(coord_sumsq / n_draws - coord_mean**2, 0.0)
+    coord_var = np.maximum(np.diagonal(m2) / n_draws - coord_mean**2, 0.0)
     coord_se = np.sqrt(coord_var / n_draws)
     off = np.abs(coord_mean) > 5.0 * coord_se
     if off.any():
@@ -435,12 +424,9 @@ def mc_verify(
     lam_hat = n * dual_ball_sup(m2 / n_draws, space)
     # batch split for the weak-variance standard error
     n_batches = min(10, len(parts))
-    batch_vals = []
-    for b in range(n_batches):
-        group = parts[b::n_batches]
-        bm2 = sum(p[2] for p in group)
-        bcount = sum(p[6] for p in group) * n
-        batch_vals.append(n * dual_ball_sup(bm2 / bcount, space))
+    groups = [parts[b::n_batches] for b in range(n_batches)]
+    batch_m2 = np.stack([sum(p[1] for p in g) / (sum(p[5] for p in g) * n) for g in groups])
+    batch_vals = n * dual_ball_sup(batch_m2, space)
     lam_se = float(np.std(batch_vals, ddof=1) / math.sqrt(n_batches)) if n_batches > 1 else 0.0
     moment_hat = n * moment_sum / n_draws
 
@@ -467,20 +453,16 @@ def mc_verify(
     notes: list[str] = []
     if not dist.finite_second_moment:
         notes.append("the law has no finite second moment: lambda_n and the moment estimates do not converge")
-    for t in tg:
-        thresh = (1.0 + params.eta) * mean_norm + t
-        p_hat = float(np.mean(maxes >= thresh))
-        se = math.sqrt(p_hat * (1.0 - p_hat) / trials)
-        bound = fuk_nagaev_bound(float(t), params, data)
-        rows.append(VerifyRow("fn", float(t), p_hat, se, bound, p_hat - 3.0 * se > bound))
 
+    def tail_row(kind: str, x: float, thresh: float, bound: float) -> VerifyRow:
+        p_hat = float(np.mean(maxes >= thresh))
+        return VerifyRow(kind, x, p_hat, math.sqrt(p_hat * (1.0 - p_hat) / trials), bound)
+
+    for t in map(float, tg):
+        rows.append(tail_row("fn", t, (1.0 + params.eta) * mean_norm + t, fuk_nagaev_bound(t, params, data)))
     if math.isfinite(m_bound):
-        for x in tg:
-            thresh = mean_norm + x
-            p_hat = float(np.mean(maxes >= thresh))
-            se = math.sqrt(p_hat * (1.0 - p_hat) / trials)
-            bound = maximal_tail_bound(float(x), data)
-            rows.append(VerifyRow("kr1", float(x), p_hat, se, bound, p_hat - 3.0 * se > bound))
+        for x in map(float, tg):
+            rows.append(tail_row("kr1", x, mean_norm + x, maximal_tail_bound(x, data)))
         s_cap = 2.0 / (3.0 * m_bound) if m_bound > 0 else 1.0
         for i in range(1, kr_points + 1):
             sv = s_cap * i / (kr_points + 1)
@@ -488,8 +470,7 @@ def mc_verify(
                 vals = np.exp(sv * finals)
             mgf_hat = float(vals.mean())
             mgf_se = float(vals.std(ddof=1) / math.sqrt(trials))
-            bound = klein_rio_mgf_bound(sv, data)
-            rows.append(VerifyRow("kr", sv, mgf_hat, mgf_se, bound, mgf_hat - 3.0 * mgf_se > bound))
+            rows.append(VerifyRow("kr", sv, mgf_hat, mgf_se, klein_rio_mgf_bound(sv, data)))
     else:
         notes.append("increment norm is unbounded: mgf and maximal rows skipped")
 

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from lil_lab.bounds import (
     BoundParams,
     MomentData,
+    VerifyRow,
     d_const,
     eps_from_delta,
     fn_constants,
@@ -92,6 +93,11 @@ class TestBoundEvaluators:
             klein_rio_mgf_bound(2.0 / 3.0, data)
         with pytest.raises(ValueError):
             klein_rio_mgf_bound(-0.1, data)
+
+    def test_mgf_bound_past_the_float_range_is_inf(self):
+        # lambda_n near n puts the exponent past the float ceiling: the bound is vacuous
+        data = MomentData(n=400, M=1.0, lambda_n=400.0, mean_norm=40.0)
+        assert klein_rio_mgf_bound(0.606, data) == math.inf
 
     def test_maximal_tail_substitution(self):
         data = MomentData(n=4, M=1.0, lambda_n=1.0, mean_norm=0.0)
@@ -194,6 +200,21 @@ class _OffCenter:
 
     def sample(self, rng, n):
         return Gaussian(np.ones(2)).sample(rng, n) + [0.0, 0.5]
+
+
+class TestVerifyRow:
+    def test_violation_is_three_standard_errors_above_the_bound(self):
+        assert VerifyRow("fn", 1.0, 0.5, 0.1, 0.2).violation is False
+        assert VerifyRow("fn", 1.0, 0.5, 0.1, 0.19).violation is True
+
+    def test_violation_is_not_an_argument(self):
+        with pytest.raises(TypeError):
+            VerifyRow("fn", 1.0, 0.5, 0.1, 0.2, violation=True)
+
+    def test_json_row_writes_an_infinite_bound_as_text(self):
+        assert VerifyRow("kr", 0.5, 2.0, 0.1, math.inf).to_json_dict() == {
+            "kind": "kr", "x": 0.5, "p_hat": 2.0, "se": 0.1, "bound": "inf", "violation": False,
+        }
 
 
 class TestHarness:

@@ -510,11 +510,13 @@ class TestExitCodes:
          ("limsup", "finite_second_moment"), False),
         (["hclass", "--h", "exp(1e3*(L)^0.9)", "--q", "0"], "hclass.json",
          ("report", "per_tau", -1, "final_ratio"), "inf"),
+        (["fn-verify", "--n", "400", "--trials", "200"], "verify.json", ("report", "rows", -1, "bound"), "inf"),
     ], ids=["const-zero", "gauss-var-zero", "pareto-a2", "pareto-a1.5-dim2", "h-const-1e300",
-            "h-exp-1e2", "fn-bound-t-1e200", "fn-verify-var-zero", "lil-sim-pareto", "hclass-inf-ratio"])
+            "h-exp-1e2", "fn-bound-t-1e200", "fn-verify-var-zero", "lil-sim-pareto", "hclass-inf-ratio",
+            "fn-verify-mgf-bound-past-float-range"])
     def test_extreme_input_exits_0_with_finite_or_flagged_values(self, tmp_path, argv, artifact, path, expected):
-        # t**s overflowing (t = 1e200) or an h ratio past the float ceiling
-        # once failed here; every case must now write a strict-JSON artifact
+        # t**s overflowing (t = 1e200), an h ratio or a Klein-Rio mgf bound past the
+        # float ceiling once failed here; every case must now write a strict-JSON artifact
         assert cli.main([*argv, "--workers", "1", "--out", str(tmp_path)]) == 0
 
         def no_literal(name):

@@ -209,12 +209,25 @@ def test_pilot_sums_are_the_direct_sums(dim):
     reducer.tile(x, 0, 0)
     whole = reducer.result()
     assert np.array_equal(whole[0], _fold(np.zeros(dim), x.sum(axis=1)))
-    assert np.array_equal(whole[1], _fold(np.zeros(dim), (x**2).sum(axis=1)))
+    # one (d, d) second-moment matrix; its diagonal holds the coordinate sums of squares
+    assert np.array_equal(whole[1], _fold(np.zeros((dim, dim)), np.matmul(x.transpose(0, 2, 1), x)))
+    np.testing.assert_allclose(np.diagonal(whole[1]), (x**2).sum(axis=(0, 1)), rtol=1e-12)
     # one-trial tiles, whose step-major copy is a view of x itself
     reducer.start(64, dim)
     for k in range(64):
         reducer.tile(x[k : k + 1], k, 0)
     _same_result(reducer.result(), whole)
+
+
+def test_pilot_memory_is_per_trial_rows_and_one_matrix():
+    # per-trial sums and moment rows plus one (d, d) matrix, never a (trials, d, d) stack
+    reducer = _PilotMoments(SpaceSpec(64, 2.0), 3.0)
+    reducer.start(1024, 64)
+    held = sum(v.nbytes for v in vars(reducer).values() if isinstance(v, np.ndarray))
+    assert held <= 8 * (1024 * 65 + 64**2)
+    # the folded matrix owns its memory rather than viewing a tile's stack of partial sums
+    reducer.tile(np.ones((8, 3, 64)), 0, 0)
+    assert reducer.m2.base is None and reducer.m2.shape == (64, 64)
 
 
 @pytest.mark.parametrize("n, block", [(300, BLOCK), (230, 100)])
