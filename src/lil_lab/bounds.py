@@ -385,9 +385,10 @@ def mc_verify(
     from 0 in any coordinate.  The main pass records ||S_n|| and
     max_k ||S_k|| per trial and compares tail frequencies and the
     empirical mgf against the bounds, one `VerifyRow` (which derives its
-    `violation`) per grid point.  Both passes are sampled in one
-    `map_trials` call, hence on one pool, so the pilot's centering check
-    runs after the main pass's sampling too.
+    `violation`) per grid point; a `kr` point whose empirical mgf or its
+    standard error overflows gets no row, only a count in `notes`.  Both
+    passes are sampled in one `map_trials` call, hence on one pool, so the
+    pilot's centering check runs after the main pass's sampling too.
     """
     if trials < 100:
         raise ValueError("trials too small for stable pilot estimates")
@@ -464,13 +465,19 @@ def mc_verify(
         for x in map(float, tg):
             rows.append(tail_row("kr1", x, mean_norm + x, maximal_tail_bound(x, data)))
         s_cap = 2.0 / (3.0 * m_bound) if m_bound > 0 else 1.0
+        skipped = []
         for i in range(1, kr_points + 1):
             sv = s_cap * i / (kr_points + 1)
             with np.errstate(over="ignore"):
                 vals = np.exp(sv * finals)
-            mgf_hat = float(vals.mean())
-            mgf_se = float(vals.std(ddof=1) / math.sqrt(trials))
-            rows.append(VerifyRow("kr", sv, mgf_hat, mgf_se, klein_rio_mgf_bound(sv, data)))
+                mgf = (float(vals.mean()), float(vals.std(ddof=1) / math.sqrt(trials)))
+            if all(map(math.isfinite, mgf)):
+                rows.append(VerifyRow("kr", sv, *mgf, klein_rio_mgf_bound(sv, data)))
+            else:
+                skipped.append(sv)
+        if skipped:
+            notes.append(f"{len(skipped)} kr rows skipped: the empirical mgf or its standard error "
+                         f"overflows from s = {skipped[0]:.6g}")
     else:
         notes.append("increment norm is unbounded: mgf and maximal rows skipped")
 

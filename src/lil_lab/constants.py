@@ -17,7 +17,8 @@ c > 0 even though any fixed window's slope may sit near 1).
 
 All verdicts carry their diagnostics.  The bisection solvers return a
 working bracket of the decision boundary together with the raw verdicts
-at the endpoints; INCONCLUSIVE probes are surfaced, never hidden.
+at the endpoints, those of its own probes; INCONCLUSIVE probes are
+surfaced, never hidden.
 
 Every grid is a read-only array built once at import (the probe points
 of `DEFAULT_PROBE`, `DEFAULT_X_GRID`, the sigma walk, the beta0 n grid);
@@ -45,12 +46,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .rng import H_SAMPLE, substream
-from .slowvary import NormalizerSeq, SlowVaryFn, _json_real, _ols_slope, log_psi, psi_inv_log
+from .slowvary import INCONCLUSIVE, NormalizerSeq, SlowVaryFn, _json_real, _ols_slope, log_psi, psi_inv_log
 from .spaces import DistTSM, EmpiricalTSM, SpaceSpec, _at_point
 
 CONVERGES = "CONVERGES"
 DIVERGES = "DIVERGES"
-INCONCLUSIVE = "INCONCLUSIVE"
 
 #: Exponent cap corresponding to exp(709) ~ 8e307, just under the float max.
 _LOG_FLOAT_MAX = 709.0
@@ -190,20 +190,27 @@ def _alpha_grid(c_seq, H_fn) -> _ProbeGrid:
     return _ProbeGrid(lambda alpha: alpha * alpha * base)
 
 
+def _classify(name: str, c: float, build, seq, H_fn) -> SeriesVerdict:
+    """Both series classifiers: a negative or NaN constant raises, 0 is
+    DIVERGES by convention (the terms cannot decay) before H is read, and
+    any other constant is classified on `H_fn` if it is a search's probe
+    grid, else on `build(seq, H_fn)`."""
+    if not c >= 0:
+        raise ValueError(f"{name} must be nonnegative")
+    if c == 0.0:
+        return SeriesVerdict(DIVERGES, 0.0, 0.0, 0.0, f"{name} = 0: harmonic floor")
+    grid = H_fn if isinstance(H_fn, _ProbeGrid) else build(seq, H_fn)
+    return _classify_exponents(grid.exponents(c), c)
+
+
 def series_classify(c: float, h: SlowVaryFn, H_fn) -> SeriesVerdict:
     """Classify sum_n (1/n) exp(-c^2 h(n)/(2 H(a_n))) for a_n = psi(n).
 
-    c = 0 is DIVERGES by convention (the terms cannot decay).  Probe
-    points with H(a_n) = 0 contribute nothing to the series; an entirely
-    vanishing tail is CONVERGES.  Inside `c0_compute`, `H_fn` is the
-    search's `_ProbeGrid` for this h.
+    Probe points with H(a_n) = 0 contribute nothing to the series; an
+    entirely vanishing tail is CONVERGES.  Inside `c0_compute`, `H_fn` is
+    the search's `_ProbeGrid` for this h.
     """
-    if c < 0:
-        raise ValueError("c must be nonnegative")
-    if c == 0.0:
-        return SeriesVerdict(DIVERGES, 0.0, 0.0, 0.0, "c = 0: harmonic floor")
-    grid = H_fn if isinstance(H_fn, _ProbeGrid) else _c0_grid(h, H_fn)
-    return _classify_exponents(grid.exponents(c), c)
+    return _classify("c", c, _c0_grid, h, H_fn)
 
 
 def alpha_series_classify(alpha: float, c_seq, H_fn) -> SeriesVerdict:
@@ -211,12 +218,7 @@ def alpha_series_classify(alpha: float, c_seq, H_fn) -> SeriesVerdict:
 
     Inside `alpha0_compute`, `H_fn` is the search's `_ProbeGrid`.
     """
-    if alpha < 0:
-        raise ValueError("alpha must be nonnegative")
-    grid = H_fn if isinstance(H_fn, _ProbeGrid) else _alpha_grid(c_seq, H_fn)
-    if alpha == 0.0:
-        return SeriesVerdict(DIVERGES, 0.0, 0.0, 0.0, "alpha = 0: harmonic floor")
-    return _classify_exponents(grid.exponents(alpha), alpha)
+    return _classify("alpha", alpha, _alpha_grid, c_seq, H_fn)
 
 
 # ---------------------------------------------------------------------------
@@ -228,12 +230,13 @@ def alpha_series_classify(alpha: float, c_seq, H_fn) -> SeriesVerdict:
 class Bracket:
     """Working bracket [lo, hi] for a series threshold constant.
 
-    `lo_verdict` and `hi_verdict` are the raw classifier verdicts at the
-    endpoints.  When the classifier's INCONCLUSIVE band is wider than the
-    requested tolerance the bracket is driven by the decision rule
-    (CONVERGES, or INCONCLUSIVE with slope >= 1, counts as the converging
-    side) and the endpoint verdicts record what the classifier actually
-    said.  `probes` lists every (c, verdict, slope) consulted.
+    `lo_verdict` and `hi_verdict` are the raw verdicts of the search's
+    probes at the endpoints (0 is DIVERGES and inf CONVERGES by convention).
+    When the classifier's INCONCLUSIVE band is wider than the requested
+    tolerance the bracket is driven by the decision rule (CONVERGES, or
+    INCONCLUSIVE with slope >= 1, counts as the converging side) and the
+    endpoint verdicts record what the classifier actually said.  `probes`
+    lists every (c, verdict, slope) consulted.
     """
 
     lo: float
@@ -265,52 +268,44 @@ _BISECT_CAP = 1e6
 
 def _threshold_bracket(classify, tol: float) -> Bracket:
     """Bisection on c of the converging-side decision of `classify`."""
-    if tol <= 0:
+    if not tol > 0:
         raise ValueError("tol must be positive")
     probes: list[tuple[float, str, float]] = []
 
     def side(cv: float) -> bool:
         v = classify(cv)
         probes.append((cv, v.verdict, v.slope))
-        if v.verdict == CONVERGES:
-            return True
-        if v.verdict == INCONCLUSIVE and v.slope >= 1.0:
-            return True
-        return False
+        return v.verdict == CONVERGES or (v.verdict == INCONCLUSIVE and v.slope >= 1.0)
 
-    lo, hi = 0.0, 1.0
     if side(1.0):
-        hi = 1.0
-        lo = 0.5
-        while lo > 0.25 * tol and side(lo):
-            hi = lo
-            lo *= 0.5
-        if lo <= 0.25 * tol and side(lo):
-            return _finish_bracket(0.0, lo, classify, probes, "threshold is 0 within tolerance")
+        lo, hi = 0.5, 1.0
+        while side(lo):
+            if lo <= 0.25 * tol:
+                return _finish_bracket(0.0, lo, probes, "threshold is 0 within tolerance")
+            lo, hi = 0.5 * lo, lo
     else:
-        lo = 1.0
-        hi = 2.0
+        lo, hi = 1.0, 2.0
         while not side(hi):
-            lo = hi
-            hi *= 2.0
+            lo, hi = hi, 2.0 * hi
             if hi > _BISECT_CAP:
-                return _finish_bracket(lo, math.inf, classify, probes, f"no converging c up to {_BISECT_CAP:g}")
+                return _finish_bracket(lo, math.inf, probes, f"no converging c up to {_BISECT_CAP:g}")
     while hi - lo > tol:
         mid = 0.5 * (lo + hi)
         if side(mid):
             hi = mid
         else:
             lo = mid
-    return _finish_bracket(lo, hi, classify, probes, "")
+    return _finish_bracket(lo, hi, probes, "")
 
 
-def _finish_bracket(lo, hi, classify, probes, note) -> Bracket:
-    lo_v = classify(lo).verdict if math.isfinite(lo) else INCONCLUSIVE
-    hi_v = classify(hi).verdict if math.isfinite(hi) else CONVERGES
-    inconclusive = [p for p in probes if p[1] == INCONCLUSIVE]
+def _finish_bracket(lo, hi, probes, note) -> Bracket:
+    """The bracket with its probes' verdicts at lo and hi: the search probes
+    every finite endpoint but 0, DIVERGES by convention as inf CONVERGES."""
+    verdict = {0.0: DIVERGES, math.inf: CONVERGES, **{c: v for c, v, _ in probes}}
+    inconclusive = sum(v == INCONCLUSIVE for _, v, _ in probes)
     if inconclusive and not note:
-        note = f"{len(inconclusive)} INCONCLUSIVE probes inside the search"
-    return Bracket(float(lo), float(hi), lo_v, hi_v, tuple(probes), note)
+        note = f"{inconclusive} INCONCLUSIVE probes inside the search"
+    return Bracket(float(lo), float(hi), verdict[lo], verdict[hi], tuple(probes), note)
 
 
 def c0_compute(h: SlowVaryFn, H_fn, tol: float = 0.02) -> Bracket:
@@ -339,6 +334,9 @@ def alpha0_compute(c_seq, H_fn, tol: float = 0.02) -> Bracket:
 
 #: The abscissae of the lambda curve and of the ratio curve.
 DEFAULT_X_GRID = _frozen(np.geomspace(1e4, 1e300, 241))
+#: log x and LLx = log(max(log x, e)) on that grid.
+_LOG_X = _frozen(np.log(DEFAULT_X_GRID))
+_LLX = _frozen(np.log(np.maximum(_LOG_X, math.e)))
 #: Both curves take their limsup over the last quarter of the grid.
 _X_TAIL = DEFAULT_X_GRID.size // 4
 
@@ -370,19 +368,15 @@ def lambda_compute(h: SlowVaryFn, H_fn) -> LambdaResult:
     is visible.  A tail that keeps growing like a power of LLx flags the
     constant as infinite.  The grid is `DEFAULT_X_GRID`.
     """
-    grid = DEFAULT_X_GRID
-    log_x = np.log(grid)
-    u = np.maximum(log_x, 1.0)
-    llx = np.log(np.maximum(u, math.e))
-    hv = H_values(H_fn, grid)
-    log_g = np.full(grid.shape, -np.inf)
+    hv = H_values(H_fn, DEFAULT_X_GRID)
+    log_g = np.full(DEFAULT_X_GRID.shape, -np.inf)
     pos = np.nonzero(hv > 0)[0]
     # math.log, not np.log: the curve keeps libm's bits whichever SIMD log
     # numpy dispatches to.
-    log_llx = np.array([math.log(v) for v in llx[pos]])
+    log_llx = np.array([math.log(v) for v in _LLX[pos]])
     log_hv = np.array([math.log(v) for v in hv[pos]])
-    inv_log = psi_inv_log(h, log_x[pos] + log_llx)
-    log_g[pos] = math.log(2.0) + inv_log + log_hv - 2.0 * log_x[pos] - log_llx
+    inv_log = psi_inv_log(h, _LOG_X[pos] + log_llx)
+    log_g[pos] = math.log(2.0) + inv_log + log_hv - 2.0 * _LOG_X[pos] - log_llx
     with np.errstate(over="ignore"):
         curve = np.exp(log_g)
     w = _X_TAIL
@@ -392,7 +386,7 @@ def lambda_compute(h: SlowVaryFn, H_fn) -> LambdaResult:
     finite_tail = np.isfinite(log_g[-w:])
     diverging = False
     if finite_tail.sum() >= 4:
-        gamma = _ols_slope(np.log(llx[-w:][finite_tail]), log_g[-w:][finite_tail])
+        gamma = _ols_slope(np.log(_LLX[-w:][finite_tail]), log_g[-w:][finite_tail])
         diverging = gamma >= 0.5
     lam2 = math.inf if diverging else tail_max
     lam = math.sqrt(lam2) if math.isfinite(lam2) else math.inf
@@ -407,17 +401,14 @@ class RatioCurve:
     last_value: float
 
 
-def _ratio_args(h: SlowVaryFn) -> tuple[np.ndarray, np.ndarray]:
-    """LLn and the H arguments a_n / LLn of the ratio curve."""
-    log_n = np.log(DEFAULT_X_GRID)
-    lln = np.log(np.maximum(np.maximum(log_n, 1.0), math.e))
-    return lln, np.exp(np.minimum(log_psi(h, log_n) - np.log(lln), _LOG_FLOAT_MAX))
+def _ratio_args(h: SlowVaryFn) -> np.ndarray:
+    """The H arguments a_n / LLn of the ratio curve."""
+    return np.exp(np.minimum(log_psi(h, _LOG_X) - np.log(_LLX), _LOG_FLOAT_MAX))
 
 
 def lil_ratio_check(h: SlowVaryFn, H_fn) -> RatioCurve:
     """Cross-check curve LLn * H(a_n / LLn) / h(n), whose limsup is lambda^2/2."""
-    lln, t_arg = _ratio_args(h)
-    values = lln * H_values(H_fn, t_arg) / h(DEFAULT_X_GRID)
+    values = _LLX * H_values(H_fn, _ratio_args(h)) / h(DEFAULT_X_GRID)
     return RatioCurve(values, float(np.max(values[-_X_TAIL:])), float(values[-1]))
 
 
@@ -658,7 +649,7 @@ def _route_diagnostics(h: SlowVaryFn, H_fn, c_seq) -> dict:
         grids = {
             "c0": _series_args(h, _PROBE_N),
             "lambda": DEFAULT_X_GRID,
-            "ratio": _ratio_args(h)[1],
+            "ratio": _ratio_args(h),
             "sigma": _SIGMA_GRID,
         }
         if c_seq is not None:

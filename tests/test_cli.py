@@ -360,6 +360,36 @@ class TestArtifacts:
         assert "median" in doc["simulation"]
         assert (tmp_path / "plot_script.py").exists()
 
+    def test_report_summarises_all_five_artifact_kinds(self, tmp_path):
+        out = ["--workers", "1", "--out", str(tmp_path)]
+        for argv in (
+            ["hclass", "--h", "2*(LL)^1"],
+            ["constants", "--h", "2*(LL)^1", "--H", "const:1"],
+            ["fn-bound", "--t", "10", "--lambda-n", "4.0", "--n", "100", "--m-bound", "1", "--moment-s", "0"],
+            ["fn-verify", "--dist", "gauss:dim=1,var=0", "--space", "1,2", "--n", "50", "--trials", "200"],
+            ["lil-sim", "--dist", "gauss:dim=1,var=1", "--space", "1,2", "--N", "400", "--trials", "3"],
+        ):
+            assert cli.main([*argv, *out]) == 0
+        assert cli.main(["report", str(tmp_path)]) == 0
+        doc = json.loads((tmp_path / "summary.json").read_text())
+        assert doc["present"] == ["constants", "fn-bound", "fn-verify", "hclass", "lil-sim"]
+        assert doc["missing"] == []
+
+        def artifact(name):
+            return json.loads((tmp_path / name).read_text())
+
+        assert doc["constants"] == artifact("constants.json")["report"]
+        verify = artifact("verify.json")["report"]
+        assert doc["verification"] == {
+            "any_violation": verify["any_violation"],
+            "rows": len(verify["rows"]),
+            "violations": [r for r in verify["rows"] if r["violation"]],
+        }
+        assert doc["verification"]["rows"] > 0
+        bound = artifact("fn_bound.json")
+        assert doc["fn_bound"] == {k: bound[k] for k in ("bound", "gauss_term", "poly_term")}
+        assert doc["fn_bound"]["bound"] is not None
+
     def test_report_missing_dir(self, tmp_path, capsys):
         rc = cli.main(["report", str(tmp_path / "nope")])
         assert rc == 2
@@ -511,12 +541,16 @@ class TestExitCodes:
         (["hclass", "--h", "exp(1e3*(L)^0.9)", "--q", "0"], "hclass.json",
          ("report", "per_tau", -1, "final_ratio"), "inf"),
         (["fn-verify", "--n", "400", "--trials", "200"], "verify.json", ("report", "rows", -1, "bound"), "inf"),
+        (["fn-verify", "--dist", "rademacher:dim=1", "--space", "1,2", "--n", "150000", "--trials", "100"],
+         "verify.json", ("report", "notes", -1),
+         "5 kr rows skipped: the empirical mgf or its standard error overflows from s = 0.363636"),
     ], ids=["const-zero", "gauss-var-zero", "pareto-a2", "pareto-a1.5-dim2", "h-const-1e300",
             "h-exp-1e2", "fn-bound-t-1e200", "fn-verify-var-zero", "lil-sim-pareto", "hclass-inf-ratio",
-            "fn-verify-mgf-bound-past-float-range"])
+            "fn-verify-mgf-bound-past-float-range", "fn-verify-empirical-mgf-past-float-range"])
     def test_extreme_input_exits_0_with_finite_or_flagged_values(self, tmp_path, argv, artifact, path, expected):
-        # t**s overflowing (t = 1e200), an h ratio or a Klein-Rio mgf bound past the
-        # float ceiling once failed here; every case must now write a strict-JSON artifact
+        # t**s overflowing (t = 1e200), an h ratio, a Klein-Rio mgf bound or an empirical
+        # mgf past the float ceiling once failed here; every case must now write a
+        # strict-JSON artifact
         assert cli.main([*argv, "--workers", "1", "--out", str(tmp_path)]) == 0
 
         def no_literal(name):

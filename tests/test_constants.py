@@ -62,6 +62,17 @@ class TestSeriesClassifier:
         with pytest.raises(ValueError):
             series_classify(1.0, parse_slow_vary("2*(LL)^1"), lambda t: -1.0)
 
+    @pytest.mark.parametrize("classify", [
+        lambda c, H: series_classify(c, parse_slow_vary("2*(LL)^1"), H),
+        lambda c, H: alpha_series_classify(c, parse_cseq("psi:2*(LL)^1"), H),
+    ], ids=["c0", "alpha0"])
+    def test_zero_is_decided_before_h_is_read_and_nan_is_refused(self, classify):
+        # 0 is DIVERGES by convention, so even a negative H is never read
+        assert classify(0.0, lambda t: -1.0).verdict == DIVERGES
+        for bad in (-1.0, math.nan):
+            with pytest.raises(ValueError, match="must be nonnegative"):
+                classify(bad, ConstTSM(1.0))
+
     @pytest.mark.parametrize("stage", [
         lambda H: c0_compute(parse_slow_vary("2*(LL)^1"), H),
         lambda H: alpha0_compute(parse_cseq("psi:2*(LL)^1"), H),
@@ -102,6 +113,15 @@ class TestThresholdBrackets:
     def test_tolerance_is_respected(self):
         br = c0_compute(parse_slow_vary("2*(LL)^1"), ConstTSM(1.0), tol=0.1)
         assert br.width <= 0.1
+
+    @pytest.mark.parametrize("search", [
+        lambda tol: c0_compute(parse_slow_vary("2*(LL)^1"), ConstTSM(1.0), tol=tol),
+        lambda tol: alpha0_compute(parse_cseq("psi:2*(LL)^1"), ConstTSM(1.0), tol=tol),
+    ], ids=["c0", "alpha0"])
+    def test_nonpositive_or_nan_tolerance_is_refused(self, search):
+        for bad in (0.0, -0.1, math.nan):
+            with pytest.raises(ValueError, match="tol must be positive"):
+                search(bad)
 
     def test_probes_are_recorded(self):
         br = c0_compute(parse_slow_vary("2*(LL)^1"), ConstTSM(1.0))

@@ -7,7 +7,6 @@ probe without going through the wrapped name, must fail here, not only in
 a traced benchmark run.
 """
 
-import math
 import sys
 from pathlib import Path
 
@@ -55,9 +54,10 @@ def test_install_wraps_and_uninstall_restores(monkeypatch):
 
 @pytest.mark.parametrize("search", ["c0", "alpha0"])
 def test_every_bracket_probe_is_a_traced_classifier_call(monkeypatch, search):
-    """Each probe of a search, and each endpoint verdict, is one traced
-    `constants.series_classify` span under the search's span, and the
-    INCONCLUSIVE ones are counted."""
+    """Each probe of a search is exactly one traced `constants.series_classify`
+    span under the search's span, the endpoint verdicts are the probes'
+    verdicts at lo and hi (no endpoint is classified again), and the
+    INCONCLUSIVE probes are counted."""
     monkeypatch.syspath_prepend(str(PERFBENCH))
     from tracer import Tracer
 
@@ -73,11 +73,12 @@ def test_every_bracket_probe_is_a_traced_classifier_call(monkeypatch, search):
     finally:
         tracer.uninstall()
     [top] = [i for i, s in enumerate(tracer.spans) if s.name == f"constants.{search}_compute"]
-    probes = [s for s in tracer.spans if s.name == "constants.series_classify"]
-    assert all(s.parent == top for s in probes)
-    ends = [v for x, v in ((br.lo, br.lo_verdict), (br.hi, br.hi_verdict)) if math.isfinite(x)]
-    verdicts = [p[1] for p in br.probes] + ends
-    assert len(probes) == len(verdicts)
+    spans = [s for s in tracer.spans if s.name == "constants.series_classify"]
+    assert all(s.parent == top for s in spans)
+    assert len(spans) == len(br.probes)
+    at = {c: v for c, v, _ in br.probes}
+    assert (br.lo_verdict, br.hi_verdict) == (at[br.lo], at[br.hi])
+    verdicts = [v for _, v, _ in br.probes]
     inconclusive = verdicts.count(constants.INCONCLUSIVE)
     assert inconclusive > 0
     m = tracer.pass_metrics(0)
