@@ -5,7 +5,8 @@ Every run resolves its inputs into a flat spec dict (unknown keys are
 rejected), executes, and writes a JSON artifact that embeds the resolved
 spec and seed, so any artifact can be re-run byte-identically, plus a
 `provenance` block (library, numpy and random-stream versions) that a
-re-run ignores:
+re-run ignores, except to note a random-stream version other than its
+own:
 
     lil-lab constants --h "2*(LL)^1" --H const:1 --out runs/demo
     lil-lab run runs/demo/constants.json
@@ -404,6 +405,15 @@ def execute(spec: dict) -> int:
     return code
 
 
+def _note_stream_change(provenance) -> None:
+    """Say so when an artifact's random streams are not this library's."""
+    old = provenance.get("rng_stream") if isinstance(provenance, dict) else None
+    new = _rng._TAG.decode()
+    if old is not None and old != new:
+        print(f"note: the artifact was drawn from random stream {old}; this run draws from {new}, "
+              "which gives different numbers at the same seed")
+
+
 def run(spec_file: str, overrides: dict | None = None) -> int:
     """Load a spec (or a previously written artifact) and execute it."""
     try:
@@ -416,6 +426,7 @@ def run(spec_file: str, overrides: dict | None = None) -> int:
         _emit_error(SpecError(f"spec is not valid JSON: {exc}"))
         return 2
     if isinstance(raw, dict) and "resolved_spec" in raw:
+        _note_stream_change(raw.get("provenance"))
         raw = raw["resolved_spec"]
     try:
         if not isinstance(raw, dict):

@@ -291,6 +291,8 @@ def _threshold_bracket(classify, tol: float) -> Bracket:
                 return _finish_bracket(lo, math.inf, probes, f"no converging c up to {_BISECT_CAP:g}")
     while hi - lo > tol:
         mid = 0.5 * (lo + hi)
+        if mid == lo or mid == hi:  # adjacent floats: tol is below their spacing
+            break
         if side(mid):
             hi = mid
         else:

@@ -1,11 +1,18 @@
-"""Counter-based random streams for reproducible parallel Monte Carlo.
+"""Hash-keyed random streams for reproducible parallel Monte Carlo.
 
-Stream v2 (`lil-lab-stream-v2`): the unit of a Monte Carlo stream is a
+Stream v3 (`lil-lab-stream-v3`): the unit of a Monte Carlo stream is a
 fixed group of consecutive trials, keyed by (seed, purpose, group).
 `simulate.stream_trials` fixes the group size from the path length
 alone, so a group's draws never depend on the worker count, the
 chunking or the number of trials run.  The sample behind an empirical H
 is one stream keyed by (seed, H_SAMPLE).
+
+A stream is an SFC64 generator seeded from the SHA-256 hash of
+(tag, seed, *path) as numpy seeds SFC64 from a seed sequence: state
+words a, b, c are the first 24 digest bytes (little-endian), the
+counter starts at 1, and the first 12 outputs are discarded.  Stream v2
+used Philox keyed by the same hash and gives different numbers at the
+same seed.
 """
 from __future__ import annotations
 
@@ -14,7 +21,7 @@ import struct
 
 import numpy as np
 
-_TAG = b"lil-lab-stream-v2"
+_TAG = b"lil-lab-stream-v3"
 _MASK = 0xFFFFFFFFFFFFFFFF
 
 # Purpose tags so that pilot, main, and auxiliary draws never share a stream.
@@ -27,12 +34,12 @@ H_SAMPLE = 8
 def substream(seed: int, *path: int) -> np.random.Generator:
     """Independent generator keyed by (seed, *path).
 
-    Streams are Philox counter-based: the key is a SHA-256 hash of the
-    seed and the path integers, so any worker can recreate trial group
-    g's stream without coordinating with the others, and results do not
-    depend on how trials are partitioned across workers.
+    The stream is SFC64 seeded from a SHA-256 hash of the seed and the
+    path integers, so any worker can recreate trial group g's stream
+    without coordinating with the others, and results do not depend on
+    how trials are partitioned across workers.
     """
-    return _generator(_key(_hasher(seed, *path)))
+    return _generator(_hasher(seed, *path).digest())
 
 
 class TrialStreams:
@@ -40,37 +47,28 @@ class TrialStreams:
 
     The index is a trial group's index (a trial's, for groups of one).
     Gives the same generators as `substream(seed, purpose, index)` but
-    hashes the (seed, purpose) prefix only once.  `reused` re-keys one
-    shared Philox through its state instead of building a new generator;
-    its draws must be taken before the next call re-keys it.
+    hashes the (seed, purpose) prefix only once.  `reused` re-seeds one
+    shared SFC64 through its state instead of building a new generator;
+    its draws must be taken before the next call re-seeds it.
     """
 
     def __init__(self, seed: int, purpose: int):
         self._prefix = _hasher(seed, purpose)
-        self._shared = np.random.Philox(key=0)
-        self._shared_gen = np.random.Generator(self._shared)
+        self._shared = np.random.Generator(np.random.SFC64(0))
 
-    def key(self, index: int) -> int:
+    def digest(self, index: int) -> bytes:
         h = self._prefix.copy()
         h.update(_u64(index))
-        return _key(h)
+        return h.digest()
 
     def fresh(self, index: int) -> np.random.Generator:
         """A generator of its own, for a stream that samples more than once."""
-        return _generator(self.key(index))
+        return _generator(self.digest(index))
 
     def reused(self, index: int) -> np.random.Generator:
-        """The shared generator, re-keyed to the stream's fresh state."""
-        key = self.key(index)
-        self._shared.state = {
-            "bit_generator": "Philox",
-            "state": {"counter": (0, 0, 0, 0), "key": (key & _MASK, key >> 64)},
-            "buffer": (0, 0, 0, 0),
-            "buffer_pos": 4,
-            "has_uint32": 0,
-            "uinteger": 0,
-        }
-        return self._shared_gen
+        """The shared generator, re-seeded to the stream's fresh state."""
+        _seed(self._shared.bit_generator, self.digest(index))
+        return self._shared
 
 
 def _hasher(seed: int, *path: int):
@@ -80,12 +78,20 @@ def _hasher(seed: int, *path: int):
     return h
 
 
-def _key(h) -> int:
-    return int.from_bytes(h.digest()[:16], "little")
+def _generator(digest: bytes) -> np.random.Generator:
+    gen = np.random.Generator(np.random.SFC64(0))
+    _seed(gen.bit_generator, digest)
+    return gen
 
 
-def _generator(key: int) -> np.random.Generator:
-    return np.random.Generator(np.random.Philox(key=key))
+def _seed(bit_gen: np.random.SFC64, digest: bytes) -> None:
+    """Seed `bit_gen` as numpy seeds SFC64 from three words, here the digest's.
+
+    A plain state write, so that re-seeding costs no seed sequence.
+    """
+    a, b, c = struct.unpack_from("<3Q", digest)
+    bit_gen.state = {"bit_generator": "SFC64", "state": {"state": (a, b, c, 1)}, "has_uint32": 0, "uinteger": 0}
+    bit_gen.random_raw(12)
 
 
 def _u64(x: int) -> bytes:

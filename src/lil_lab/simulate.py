@@ -8,12 +8,12 @@ maximum with the final norm and the pilot moment sums in `bounds`.
 `CheckpointNorms` is the one partial-sum tracker; the twin feeds it the
 draws it drops.
 
-Random streams are version 2 (`lil-lab-stream-v2`): the unit of a
-stream is a fixed group of consecutive trials.  A path drawn in one
-sample call belongs to a group of G(n) trials, G(n) being the largest
-power of two <= max(1, TILE // n), capped at the chunk size; group g
-draws all its G(n) * n steps in one sample call from the substream
-(seed, purpose, g) and is one tile.  A longer path has a group of one
+Random streams are version 3 (`lil-lab-stream-v3`, SFC64 seeded from a
+SHA-256 hash; see `rng`): the unit of a stream is a fixed group of
+consecutive trials.  A path drawn in one sample call belongs to a group
+of G(n) trials, G(n) being the largest power of two <= max(1, TILE // n),
+capped at the chunk size; group g draws all its G(n) * n steps in one
+sample call from the substream (seed, purpose, g) and is one tile.  A longer path has a group of one
 and streams in blocks of BLOCK steps with O(d) carried state, so N in
 the millions is fine.  G depends only on the path length, never on the
 worker count, the chunking or the number of trials, and a group that is

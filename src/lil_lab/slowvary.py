@@ -284,9 +284,11 @@ def psi_inv_log(h: SlowVaryFn, log_y):
     increasing with d(log psi)/d(log x) >= 1/2, so each root is unique.
     Every element runs the same search on its own: the bracket [-1, 1]
     doubles outward on the log scale, then halves until its own width is
-    at most LOG_BISECT_TOL, so an element's result does not depend on the
-    other elements.  log y = -inf (y = 0) and +inf map to themselves;
-    NaN raises ValueError.
+    at most LOG_BISECT_TOL or its midpoint no longer moves (equals an
+    end, as for roots past 2^13, where the float spacing exceeds the
+    tolerance), so an element's result does not depend on the other
+    elements.  log y = -inf (y = 0) and +inf map to themselves; NaN
+    raises ValueError.
     """
     w = np.asarray(log_y, dtype=float)
     if np.isnan(w).any():
@@ -312,10 +314,11 @@ def psi_inv_log(h: SlowVaryFn, log_y):
     while active.size:
         left, right = lo[active], hi[active]
         mid = 0.5 * (left + right)
+        moves = (left < mid) & (mid < right)
         below = phi(mid) < wf[active]
-        lo[active] = np.where(below, mid, left)
-        hi[active] = np.where(below, right, mid)
-        active = active[hi[active] - lo[active] > LOG_BISECT_TOL]
+        left, right = np.where(below, mid, left), np.where(below, right, mid)
+        lo[active], hi[active] = left, right
+        active = active[(right - left > LOG_BISECT_TOL) & moves]
     out[fin] = 0.5 * (lo + hi)
     return float(out) if out.ndim == 0 else out
 

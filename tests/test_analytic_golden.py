@@ -15,7 +15,8 @@ those keys existed, so no older field can move unnoticed.
 
 c6's H is empirical.  Both of its digests were recorded again when its
 sample moved from numpy's PCG64 to the versioned stream
-`substream(seed, H_SAMPLE)`, which the CLI also draws from.
+`substream(seed, H_SAMPLE)`, which the CLI also draws from, and again
+when that stream moved from v2 (Philox) to v3 (SFC64).
 """
 
 import hashlib
@@ -47,7 +48,7 @@ REPORT_DIGESTS = {
     "c3-llpow": "519bb2854e8d9ec6436f063ecf85aede6bb5beab15a08f0fc6ca6170ec6e05cd",
     "c4-llpow": "0d5aae6041f8589da5c3a1a41ea624a8cd716f34dc1cff6da30a9e400b31c5fb",
     "c5-dist-gauss1": "0985b643161a336707ac2060e68025c563b0430f0780433b8b416d50911c8e0e",
-    "c6-dist-gauss2": "0564fdafe23d8fa5a9396bd6f0210b6d5836fb98b1b985eb1d3b5f0ff67f7906",
+    "c6-dist-gauss2": "18d50b294ba6349130a705c5a6b57b2db8c31e9d27632b826c6029810d3e3ddc",
     "c7-dist-rademacher": "1ac65952fcb2df4ceff0747bc95fa442334fc4799e3469f6abcca4bfc99a9b53",
     "c8-explog": "3acae49d609d4ae672ee9b71edce673412a36d6338b43d78dc6488cc136d58b9",
 }
@@ -60,7 +61,7 @@ PRE_ROUTE_DIGESTS = {
     "c3-llpow": "e80d4198af6445e3adfb6d0be04ca64fb838b2e044b2791885b9ccd7ed517d8f",
     "c4-llpow": "32875cf0808f17a8335920c831530615b7c80cebf2be38d3c71631b7a54dcbfc",
     "c5-dist-gauss1": "cb8a7ff1de54d49337a71900b26e1d9d1b8e22d8d6858f2c499ccd7f80a255e4",
-    "c6-dist-gauss2": "d4382aec39a95f4f8f37caa66e4b488d8715127ae0ab4b6056a5586275e31af3",
+    "c6-dist-gauss2": "742f0c955b60d905ccc66fcca7ceb7fd39dc58d4c93ce4a1a2739abdfc746868",
     "c7-dist-rademacher": "221fb6277661e44da5427aed0cbd22cf960cf791f579401217944015da46637d",
     "c8-explog": "e5f6c24428e03d67ae3b0fa9d68a2992b70c6e3e58d1601e9a0f58a49537c4fe",
 }

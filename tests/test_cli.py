@@ -274,6 +274,25 @@ class TestArtifacts:
         assert cli.run(str(path)) == 0
         assert path.read_bytes() == first
 
+    def test_rerun_of_another_stream_version_is_noted(self, tmp_path, capsys):
+        argv = ["fn-verify", "--dist", "rademacher:dim=2", "--space", "2,inf", "--n", "30",
+                "--trials", "200", "--out", str(tmp_path)]
+        assert cli.main(argv) == 0
+        path = tmp_path / "verify.json"
+        fresh = path.read_bytes()
+        capsys.readouterr()
+        assert cli.main(["run", str(path)]) == 0
+        assert "note" not in capsys.readouterr().out
+        doc = json.loads(fresh)
+        doc["provenance"]["rng_stream"] = "lil-lab-stream-v2"
+        path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+        assert cli.main(["run", str(path)]) == 0
+        notes = [line for line in capsys.readouterr().out.splitlines() if line.startswith("note:")]
+        assert len(notes) == 1
+        assert "lil-lab-stream-v2" in notes[0] and "lil-lab-stream-v3" in notes[0]
+        # the re-run writes what a fresh run writes
+        assert path.read_bytes() == fresh
+
     def test_provenance_block(self, tmp_path):
         argv = ["fn-verify", "--dist", "rademacher:dim=2", "--space", "2,inf", "--n", "30",
                 "--trials", "200", "--out", str(tmp_path)]
@@ -282,7 +301,7 @@ class TestArtifacts:
         first = path.read_bytes()
         doc = json.loads(first)
         assert doc["provenance"] == {
-            "lil_lab": lil_lab.__version__, "numpy": np.__version__, "rng_stream": "lil-lab-stream-v2",
+            "lil_lab": lil_lab.__version__, "numpy": np.__version__, "rng_stream": "lil-lab-stream-v3",
         }
         assert "provenance" not in doc["resolved_spec"]
         assert cli.main(["run", str(path)]) == 0
@@ -544,9 +563,12 @@ class TestExitCodes:
         (["fn-verify", "--dist", "rademacher:dim=1", "--space", "1,2", "--n", "150000", "--trials", "100"],
          "verify.json", ("report", "notes", -1),
          "5 kr rows skipped: the empirical mgf or its standard error overflows from s = 0.363636"),
+        (["constants", "--h", "2*(LL)^1", "--tol", "1e-17"], "constants.json", ("report", "c0_hi"),
+         1.0000000000000007),
     ], ids=["const-zero", "gauss-var-zero", "pareto-a2", "pareto-a1.5-dim2", "h-const-1e300",
             "h-exp-1e2", "fn-bound-t-1e200", "fn-verify-var-zero", "lil-sim-pareto", "hclass-inf-ratio",
-            "fn-verify-mgf-bound-past-float-range", "fn-verify-empirical-mgf-past-float-range"])
+            "fn-verify-mgf-bound-past-float-range", "fn-verify-empirical-mgf-past-float-range",
+            "constants-tol-below-float-spacing"])
     def test_extreme_input_exits_0_with_finite_or_flagged_values(self, tmp_path, argv, artifact, path, expected):
         # t**s overflowing (t = 1e200), an h ratio, a Klein-Rio mgf bound or an empirical
         # mgf past the float ceiling once failed here; every case must now write a

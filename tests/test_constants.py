@@ -98,6 +98,13 @@ class TestSeriesClassifier:
         assert set(d) == {"verdict", "slope", "accel", "c", "note"}
 
 
+# the two bracket searches, each as a function of its tolerance
+_BOTH_SEARCHES = pytest.mark.parametrize("search", [
+    lambda tol: c0_compute(parse_slow_vary("2*(LL)^1"), ConstTSM(1.0), tol=tol),
+    lambda tol: alpha0_compute(parse_cseq("psi:2*(LL)^1"), ConstTSM(1.0), tol=tol),
+], ids=["c0", "alpha0"])
+
+
 class TestThresholdBrackets:
     def test_loglog_model_brackets_one(self):
         br = c0_compute(parse_slow_vary("2*(LL)^1"), ConstTSM(1.0))
@@ -114,14 +121,18 @@ class TestThresholdBrackets:
         br = c0_compute(parse_slow_vary("2*(LL)^1"), ConstTSM(1.0), tol=0.1)
         assert br.width <= 0.1
 
-    @pytest.mark.parametrize("search", [
-        lambda tol: c0_compute(parse_slow_vary("2*(LL)^1"), ConstTSM(1.0), tol=tol),
-        lambda tol: alpha0_compute(parse_cseq("psi:2*(LL)^1"), ConstTSM(1.0), tol=tol),
-    ], ids=["c0", "alpha0"])
+    @_BOTH_SEARCHES
     def test_nonpositive_or_nan_tolerance_is_refused(self, search):
         for bad in (0.0, -0.1, math.nan):
             with pytest.raises(ValueError, match="tol must be positive"):
                 search(bad)
+
+    @_BOTH_SEARCHES
+    def test_tolerance_below_float_spacing_stops_at_adjacent_floats(self, search):
+        # once lo and hi are adjacent floats the midpoint equals one of them
+        for tol in (1e-17, 1e-300):
+            br = search(tol)
+            assert br.hi == math.nextafter(br.lo, math.inf)
 
     def test_probes_are_recorded(self):
         br = c0_compute(parse_slow_vary("2*(LL)^1"), ConstTSM(1.0))

@@ -15,6 +15,7 @@ from lil_lab.distributions import (
     ScalarEmbedded,
     parse_dist,
 )
+from lil_lab.rng import MAIN, TrialStreams, substream
 from lil_lab.spaces import SpaceSpec, norms
 
 
@@ -79,21 +80,23 @@ class TestRademacherProduct:
         np.testing.assert_allclose(dist.truncated_cov(1.5, space), np.eye(2))
 
     @given(
-        key=st.integers(0, 2**128 - 1),
+        seed=st.integers(0, 2**64 - 1),
+        index=st.integers(0, 2**64 - 1),
         scales=st.lists(st.sampled_from([0.0, 1.0, 2.5, 1e-300]), min_size=1, max_size=6),
         calls=st.lists(st.tuples(st.integers(0, 40), st.integers(0, 2)), min_size=1, max_size=4),
     )
     @settings(max_examples=200, deadline=None)
-    def test_sample_is_the_int8_sign_rule(self, key, scales, calls):
+    def test_sample_is_the_int8_sign_rule(self, seed, index, scales, calls):
         # the signs of an int8 integers draw, read from the stream's 32-bit words
         dist = RademacherProduct(np.array(scales))
-        gen, ref = (np.random.Generator(np.random.Philox(key=key)) for _ in range(2))
+        gen = TrialStreams(seed, MAIN).reused(index)
+        ref = substream(seed, MAIN, index)
         for n, pairs in calls:
             want = (ref.integers(0, 2, size=(n, dist.dim), dtype=np.int8) * 2 - 1) * dist.scales
             got = dist.sample(gen, n)
             assert (got.dtype, got.shape) == (want.dtype, want.shape)
             assert got.tobytes() == want.tobytes()
-            # an odd count of uint32 draws leaves half a 64-bit Philox word buffered
+            # an odd count of uint32 draws leaves half a 64-bit SFC64 word buffered
             k = 2 * pairs + 1
             np.testing.assert_array_equal(gen.integers(0, 2**32, size=k, dtype=np.uint32),
                                           ref.integers(0, 2**32, size=k, dtype=np.uint32))

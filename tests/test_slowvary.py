@@ -171,6 +171,17 @@ class TestPsiAndInverse:
         assert all(type(v) is float for v in scalars)
         assert np.array_equal(scalars, h.log_value_from_log(np.array(xs)))
 
+    def test_roots_past_the_tolerance_spacing_finish(self):
+        # past 2^13 adjacent floats lie more than LOG_BISECT_TOL apart, so the
+        # search stops when its midpoint equals an end; with h = 1, psi(x) = sqrt(x)
+        h = SlowVaryFn()
+        ws = [3000.0, 4500.0, 1e6]
+        got = [psi_inv_log(h, w) for w in ws]
+        assert got == [6000.0, 9000.0, 2e6]
+        assert np.array_equal(psi_inv_log(h, np.array(ws)), got)
+        with pytest.raises(ArithmeticError):
+            psi_inv_log(h, 6e8)
+
     def test_scalar_in_scalar_out(self):
         h = parse_slow_vary("2*(LL)^1")
         assert type(psi_inv_log(h, 3.0)) is float

@@ -1,14 +1,17 @@
-"""Golden digests of the v2 random streams, checked against a reference loop.
+"""Golden digests of the v3 random streams, checked against a reference loop.
 
 Each case runs a Monte Carlo entry point at a fixed seed and hashes its
 output arrays (or its report JSON).  The digests are those of
-`reference_stream_trials`, a plain loop over the v2 rule -- one stream
+`reference_stream_trials`, a plain loop over the v3 rule -- one stream
 group at a time through `rng.substream(seed, purpose, group)`, fed to
 the reducer one trial at a time -- and the tiled kernel must give the
 same, so any change to the draws, to their order, or to the order of a
-float accumulation shows up here.  Trial counts span more than one
-chunk (1024 trials) and end in a partial stream group, and one case
-runs past a single streaming block.  Identity covariances keep the
+float accumulation shows up here.  A v3 stream is SFC64 seeded from
+the SHA-256 hash of (tag, seed, purpose, group), and
+`test_streams_are_numpy_sfc64_seeded_from_the_hash` checks that seeding
+against numpy's own SFC64 seeding from the digest's first three words.
+Trial counts span more than one chunk (1024 trials) and end in a
+partial stream group, and one case runs past a single streaming block.  Identity covariances keep the
 Gaussian draws free of BLAS rounding.
 
 The Rademacher digests are those of the int8 sign rule, sign =
@@ -24,6 +27,7 @@ import math
 
 import numpy as np
 import pytest
+from numpy.random.bit_generator import ISeedSequence
 
 from lil_lab import rng, simulate
 from lil_lab._pool import CHUNK
@@ -131,26 +135,26 @@ CASES = {
 }
 
 GOLDEN = {
-    "curve-gauss3-l2": "de33599598d7056d2eb61629722f8610a235712c4d9959231a518aeaeecd5994",
-    "curve-rademacher5-linf": "e3bd43c2bd71a9dfadc2d78570e40f0112ce073e06376942ff735118b9e214c0",
-    "path-gauss1-l2": "61e653118b73dfb2c393e529b8fca79e332ced44ded5ff0245deacee5d926912",
-    "path-gauss3-l1-long": "b70791ad4a664d2e8d882e33586ba7bc623bce0535cd1934655454753952faf6",
-    "path-gauss3-l2": "2f483877d99b8a750cb534fa58080f28badf10167628019050476462e45bea26",
-    "path-pareto2-l2": "c3706cbae13e9f76c809b6cc00d5ff12ff5fb4d0faf09c28e70931fd5d6f94df",
-    "path-rademacher5-linf": "c225e01da6fb3c2c3c6eb3691140ba9bce00f99050d7644370c0c2a5c1ce09ab",
-    "trunc-gauss1-l2": "df00af5ea6cfb1acb96394fcfdf7fc689b10783ca39760ab24e9f7bce745e156",
-    "trunc-gauss3-l1": "53a678e08928d4b9d9a827250b49628bf20fecdcd3cd7acc5742789b09c258e2",
-    "trunc-pareto2-l2-long": "e32a5152fe5a7648294f02f771f58d1e816ecc077d2d7aa733800504ecf64583",
-    "verify-gauss1-l2": "afd0e607e0deb37a48be47a39c3ac096b16aa2c9d3dc19618c7022cd6bd979e1",
-    "verify-gauss3-l1": "9b4e1691cd884f7c11dbd7b011dc89920191d1e10c7024887ebfb1c8017b4513",
-    "verify-gauss3-l2": "f244d2f9ab14bba6d8d51ab664f584d5a134335a15b0c8647e338078325eb978",
-    "verify-pareto2-l2": "f6b746424c91a092790c8cc6701739642616ad6fea15b526f6f806b3dd91d25a",
-    "verify-rademacher5-linf": "8d0bb3899ef6d4864a9cc3852c8065a49c5270ec56547907e25147fb094acff7",
+    "curve-gauss3-l2": "6cd775ec75ba6174ca6fa00ab7fd3d52d753d652950b28c093c834c363b67c69",
+    "curve-rademacher5-linf": "57e3271b0a4b4e0b9961104e0e96fcda5a80e796ad206f31bd44e363c79036ce",
+    "path-gauss1-l2": "9d38a0baff20e6b69152f78fe184b211091623956d8762d31f63e8c28deb88b8",
+    "path-gauss3-l1-long": "0702b729364d8dc57005b5bfea1ce1a2d385fd97d2e333c323ac18ce3ccf6b92",
+    "path-gauss3-l2": "976d51e1c57f1097b021741022b43f0359f6ba10e3f7853f35c7a6d85323c775",
+    "path-pareto2-l2": "2ebfeb707fa4a4b1869c0d7877daaa376d62a65647b22044246889f31172297e",
+    "path-rademacher5-linf": "a4d21450695e77af006689faf426b5afd56505a4f9457021b0fadd7292867d7f",
+    "trunc-gauss1-l2": "9f0d5d665345a4a6f65392aaa98b658808f7142f53e94a694b327be070934238",
+    "trunc-gauss3-l1": "a7e979624bc029477f484ea49420c4a42571c9754bcabd46bd1ef06efdecace1",
+    "trunc-pareto2-l2-long": "94eda9b1b2ef76a2837872e61dc58c817cf09acd11b6abff10e01f800dd590de",
+    "verify-gauss1-l2": "0330f301a709061558740ac4264fc8c7d8e371c446164f9ae8050edc678050d7",
+    "verify-gauss3-l1": "c1071b2fca18517688228e60c7179e3cefe8c62ee6b3ef3db8296661e29118cf",
+    "verify-gauss3-l2": "4c5e1e4f9122c11b8f3b547f4dac6691f4c74a655fd3760bbd83a0705877a3a0",
+    "verify-pareto2-l2": "2295e1b7baf5b74afe0c07d8e60ba4e3b1804de06c23c1ca7939e06ca2f44f7f",
+    "verify-rademacher5-linf": "9108136a25b10933477eaf3a9b9d1732102fc25c4ba2e533d6d860a8a07339b7",
 }
 
 
-def test_stream_tag_is_v2():
-    assert rng._TAG == b"lil-lab-stream-v2"
+def test_stream_tag_is_v3():
+    assert rng._TAG == b"lil-lab-stream-v3"
 
 
 @pytest.mark.parametrize("workers", [1, 3])
@@ -276,6 +280,36 @@ def test_trial_streams_match_substream():
             got = (gen.integers(0, 2, size=7), gen.standard_normal(3), gen.random(2))
             for a, b in zip(got, ref):
                 np.testing.assert_array_equal(a, b)
+
+
+class _HashWords(ISeedSequence):
+    """numpy's SFC64 seeding, fed the SHA-256 digest of (tag, seed, *path) as its words."""
+
+    def __init__(self, seed, *path):
+        h = hashlib.sha256(b"lil-lab-stream-v3")
+        for part in (seed, *path):
+            h.update(np.uint64(part).tobytes())
+        self.words = np.frombuffer(h.digest(), "<u8", 3).astype(np.uint64)
+
+    def generate_state(self, n_words, dtype=np.uint64):
+        assert (n_words, np.dtype(dtype)) == (3, np.uint64)
+        return self.words
+
+
+def test_streams_are_numpy_sfc64_seeded_from_the_hash():
+    streams = rng.TrialStreams(5, rng.PILOT)
+    for path in ((5, rng.PILOT, 0), (5, rng.PILOT, 1), (5, rng.PILOT, 1023), (5, rng.PILOT, 2**40), (7,)):
+        want = np.random.SFC64(_HashWords(*path)).state
+        gens = [rng.substream(*path)]
+        if len(path) == 3:
+            gens += [streams.fresh(path[2]), streams.reused(path[2])]
+        for gen in gens:
+            state = gen.bit_generator.state
+            assert state["bit_generator"] == want["bit_generator"] == "SFC64"
+            assert np.array_equal(state["state"]["state"], want["state"]["state"])
+            assert (state["has_uint32"], state["uinteger"]) == (want["has_uint32"], want["uinteger"]) == (0, 0)
+            # leaves half a 64-bit word buffered, which the next re-seed must drop
+            gen.integers(0, 2**32, size=3, dtype=np.uint32)
 
 
 @pytest.mark.parametrize("reducer, n, block", [
