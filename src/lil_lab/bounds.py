@@ -52,7 +52,8 @@ class MomentData:
             raise ValueError("M, lambda_n, mean_norm must be nonnegative")
         if not math.isfinite(self.lambda_n) or not math.isfinite(self.mean_norm):
             raise ValueError("lambda_n and mean_norm must be finite")
-        if math.isfinite(self.M) and self.lambda_n > self.n * self.M**2 * (1 + 1e-9):
+        # M * M, not M**2, which raises OverflowError past M = 1.3e154 where this gives inf
+        if math.isfinite(self.M) and self.lambda_n > self.n * (self.M * self.M) * (1 + 1e-9):
             raise ValueError("lambda_n cannot exceed n * M^2")
         if (self.moment_s is None) != (self.s is None):
             raise ValueError("moment_s and s come together")
@@ -310,12 +311,12 @@ def _fold(acc, rows):
 
 
 class _PilotMoments:
-    """Reducer: the pilot pass's sums over whole paths (tiles hold all n steps).
+    """Reducer: the pilot pass's sums over the paths of a chunk.
 
-    `tile` writes each trial's coordinate sums and s-th moment sum into
-    per-trial rows and folds each trial's x^T x into one (d, d) matrix
-    `m2`; `result` folds the rows.  Every fold adds left to right in trial
-    order, as a trial-by-trial loop would, wherever the tile edges fall.
+    `tile` adds each trial's coordinate sums and s-th moment sum into
+    zero-initialised per-trial rows and folds each trial's x^T x into one
+    (d, d) matrix `m2`; `result` folds the rows.  Every fold adds left to
+    right in the order `stream_trials` hands over the tiles.
     """
 
     def __init__(self, space: SpaceSpec, s: float):
@@ -323,21 +324,21 @@ class _PilotMoments:
         self.s = s
 
     def start(self, trials: int, dim: int) -> None:
-        self.sums = np.empty((trials, dim))
-        self.moments = np.empty(trials)
+        self.sums = np.zeros((trials, dim))
+        self.moments = np.zeros(trials)
         self.m2 = np.zeros((dim, dim))
 
     def tile(self, x: np.ndarray, k0: int, s0: int) -> None:
-        b, n, d = x.shape
+        b, m, d = x.shape
         rows = slice(k0, k0 + b)
         if d == 1:
             # the step axis is innermost: numpy sums it pairwise
-            self.sums[rows] = x.sum(axis=1)
+            self.sums[rows] += x.sum(axis=1)
         else:
             # the same step-by-step folds, each over a contiguous (b, d) row
-            self.sums[rows] = np.ascontiguousarray(x.transpose(1, 0, 2)).sum(axis=0)
+            self.sums[rows] += np.ascontiguousarray(x.transpose(1, 0, 2)).sum(axis=0)
         self.m2 = _fold(self.m2, np.matmul(x.transpose(0, 2, 1), x))
-        self.moments[rows] = (norms(x.reshape(-1, d), self.space) ** self.s).reshape(b, n).sum(axis=1)
+        self.moments[rows] += (norms(x.reshape(-1, d), self.space) ** self.s).reshape(b, m).sum(axis=1)
 
     def result(self):
         trials, d = self.sums.shape
@@ -347,20 +348,30 @@ class _PilotMoments:
 
 
 class _FinalAndMax:
-    """Reducer: ||S_n|| and max_k ||S_k|| per trial (tiles hold whole paths)."""
+    """Reducer: ||S_n|| and max_k ||S_k|| per trial.
+
+    A trial's carried S is added into the first step of its next tile, so
+    the cumulative sum continues sequentially: S_k has the same bits
+    however the path is cut into blocks.
+    """
 
     def __init__(self, space: SpaceSpec):
         self.space = space
 
     def start(self, trials: int, dim: int) -> None:
+        self.carry = np.zeros((trials, dim))
         self.finals = np.empty(trials)
-        self.maxes = np.empty(trials)
+        self.maxes = np.zeros(trials)
 
     def tile(self, x: np.ndarray, k0: int, s0: int) -> None:
-        b, n, d = x.shape
-        pn = norms(np.cumsum(x, axis=1, out=x).reshape(-1, d), self.space).reshape(b, n)
-        self.finals[k0 : k0 + b] = pn[:, -1]
-        self.maxes[k0 : k0 + b] = pn.max(axis=1)
+        b, m, d = x.shape
+        rows = slice(k0, k0 + b)
+        x[:, 0] += self.carry[rows]
+        partial = np.cumsum(x, axis=1, out=x)
+        self.carry[rows] = partial[:, -1]
+        pn = norms(partial.reshape(-1, d), self.space).reshape(b, m)
+        self.finals[rows] = pn[:, -1]
+        np.maximum(self.maxes[rows], pn.max(axis=1), out=self.maxes[rows])
 
     def result(self):
         return self.finals, self.maxes
@@ -388,7 +399,10 @@ def mc_verify(
     `violation`) per grid point; a `kr` point whose empirical mgf or its
     standard error overflows gets no row, only a count in `notes`.  Both
     passes are sampled in one `map_trials` call, hence on one pool, so the
-    pilot's centering check runs after the main pass's sampling too.
+    pilot's centering check runs after the main pass's sampling too.  A
+    path longer than `simulate.BLOCK` streams block by block on threads,
+    as in every other estimator; its finals and maxima have the bits of
+    an uncut path, its pilot sums are folded block by block.
     """
     if trials < 100:
         raise ValueError("trials too small for stable pilot estimates")
@@ -403,7 +417,7 @@ def mc_verify(
 
     # both passes in one submission: the main pass reads nothing of the pilot's
     parts, main_parts = map_trials(
-        dist, n, n, seed, trials,
+        dist, n, seed, trials,
         [(_rng.PILOT, _PilotMoments(space, params.s)), (_rng.MAIN, _FinalAndMax(space))], workers,
     )
     coord_sum, m2, moment_sum, final_sum, final_sumsq, _ = (sum(col) for col in zip(*parts))

@@ -246,13 +246,13 @@ def _exec_lil_sim(spec: dict) -> tuple[dict, dict, int]:
     print(f"lil-sim: tail-max median {est.median:.4g}, q10 {est.q10:.4g}, q90 {est.q90:.4g}")
     doc = {
         "checkpoints": list(paths.checkpoints),
-        "a_values": [float(a) for a in paths.a_values],
-        "ratios": [[float(r) for r in row] for row in paths.ratios],
+        "a_values": paths.a_values.tolist(),
+        "ratios": paths.ratios.tolist(),
         "limsup": {
             "median": est.median, "q10": est.q10, "q90": est.q90,
             "tail_fraction": est.tail_fraction,
             "finite_second_moment": dist.finite_second_moment,
-            "per_trial": [float(v) for v in est.per_trial],
+            "per_trial": est.per_trial.tolist(),
         },
     }
     extra = {}

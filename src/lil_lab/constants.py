@@ -533,10 +533,14 @@ class LogLogPowTSM:
     def values(self, ts) -> np.ndarray:
         # math.log and float ** per point: results keep libm's bits, not
         # those of whichever SIMD log numpy dispatches to.
-        return np.array([
-            0.0 if t <= 0 else max(math.log(max(math.log(t), 1.0)), 1.0) ** self.q
-            for t in np.asarray(ts, dtype=float).tolist()
-        ])
+        return np.array([0.0 if t <= 0 else self._power(t) for t in np.asarray(ts, dtype=float).tolist()])
+
+    def _power(self, t: float) -> float:
+        try:
+            return max(math.log(max(math.log(t), 1.0)), 1.0) ** self.q
+        except OverflowError:
+            raise ValueError(f"H source llpow:{self.q:g} overflows: (LLt)^{self.q:g} "
+                             f"exceeds the float range at t = {t:.3g}") from None
 
     __call__ = _at_point
 

@@ -6,16 +6,18 @@ hands each tile, as one (trials, steps, dim) array of draws, to a
 reducer: checkpoint norms and the truncated twin here, the running
 maximum with the final norm and the pilot moment sums in `bounds`.
 `CheckpointNorms` is the one partial-sum tracker; the twin feeds it the
-draws it drops.
+draws it drops.  A tile may be part of a path, so every reducer carries
+its per-trial state from one tile of a path to the next.
 
 Random streams are version 3 (`lil-lab-stream-v3`, SFC64 seeded from a
 SHA-256 hash; see `rng`): the unit of a stream is a fixed group of
-consecutive trials.  A path drawn in one sample call belongs to a group
+consecutive trials.  A path of at most BLOCK steps belongs to a group
 of G(n) trials, G(n) being the largest power of two <= max(1, TILE // n),
 capped at the chunk size; group g draws all its G(n) * n steps in one
-sample call from the substream (seed, purpose, g) and is one tile.  A longer path has a group of one
-and streams in blocks of BLOCK steps with O(d) carried state, so N in
-the millions is fine.  G depends only on the path length, never on the
+sample call from the substream (seed, purpose, g) and is one tile.  Every
+longer path, whichever estimator asks for it, has a group of one and
+streams in blocks of BLOCK steps with O(d) carried state, so N in the
+millions is fine.  G depends only on the path length, never on the
 worker count, the chunking or the number of trials, and a group that is
 cut short by the last trial or a chunk edge still draws in full, so a
 trial's draws are the same whatever else runs.
@@ -25,9 +27,10 @@ path length and runs them on `workers` threads for block-streamed paths
 (numpy's sampling, cumsum and matmul on whole blocks release the GIL)
 and on `workers` processes for grouped ones; the chunks of several
 passes over the same trials share one submission, hence one pool.
-Float accumulations across trials stay left folds in trial order, so
-results are bit-identical whatever the worker count, the executor, the
-tiling, or the order in which chunks execute.
+Float accumulations across trials stay left folds in a fixed order
+within a chunk, and chunk results are folded in chunk order, so results
+are bit-identical whatever the worker count, the executor, or the order
+in which chunks execute.
 """
 from __future__ import annotations
 
@@ -52,30 +55,32 @@ TILE = 16384
 LONG_CHUNK = CHUNK * TILE
 
 
-def stream_trials(dist, n: int, block: int, seed: int, purpose: int, lo: int, hi: int, reducer):
+def stream_trials(dist, n: int, seed: int, purpose: int, lo: int, hi: int, reducer):
     """Feed trials [lo, hi) of n steps each through `reducer`; return its result.
 
-    When one sample call of `block` steps covers the path, trials come in
+    When one sample call of BLOCK steps covers the path, trials come in
     groups of G = `group_size(n)`: group g makes one call of G * n draws
     on substream (seed, purpose, g), which is the (G, n, dim) tile of
     trials gG, ..., gG + G - 1.  A group that reaches past either end of
     [lo, hi) is drawn whole and only its trials in range are kept.
     Otherwise every trial t is its own group, keeps its own generator on
-    substream (seed, purpose, t) and runs block by block, one
-    (1, block, dim) tile at a time.
+    substream (seed, purpose, t) and runs block by block: the chunk's
+    trials get one (1, BLOCK, dim) tile each, in trial order, before any
+    trial gets its next block.  BLOCK is read at call time.
 
     A reducer has `start(trials, dim)`, which resets its state,
     `tile(x, k0, s0)` for the draws of chunk trials k0, k0 + 1, ... at
-    steps s0 + 1, ..., and `result()`.  Nothing reads a tile after its
-    `tile` call, so a reducer may overwrite it, e.g. with its partial
-    sums.  The chunk runs on a shallow copy of `reducer`, so chunks
-    running at once on threads share no state and the reducer passed in
-    is left as it was.
+    steps s0 + 1, ..., and `result()`.  A tile may be part of a path, so
+    a reducer carries each trial's state from one tile to the next.
+    Nothing reads a tile after its `tile` call, so a reducer may
+    overwrite it, e.g. with its partial sums.  The chunk runs on a
+    shallow copy of `reducer`, so chunks running at once on threads share
+    no state and the reducer passed in is left as it was.
     """
     streams = _rng.TrialStreams(seed, purpose)
     reducer = copy.copy(reducer)
     reducer.start(hi - lo, dist.dim)
-    if n <= block:
+    if n <= BLOCK:
         size = group_size(n)
         for g in range(lo // size, -(-hi // size)):
             x = dist.sample(streams.reused(g), size * n).reshape(size, n, dist.dim)
@@ -83,8 +88,8 @@ def stream_trials(dist, n: int, block: int, seed: int, purpose: int, lo: int, hi
             reducer.tile(x[t0 - g * size : t1 - g * size], t0 - lo, 0)
     else:
         gens = [streams.fresh(t) for t in range(lo, hi)]
-        for s0 in range(0, n, block):
-            m = min(block, n - s0)
+        for s0 in range(0, n, BLOCK):
+            m = min(BLOCK, n - s0)
             for k, gen in enumerate(gens):
                 reducer.tile(dist.sample(gen, m)[None], k, s0)
     return reducer.result()
@@ -100,11 +105,11 @@ def group_size(n: int) -> int:
     return min(CHUNK, 1 << (max(1, TILE // n).bit_length() - 1))
 
 
-def map_trials(dist, n: int, block: int, seed: int, trials: int, passes, workers: int) -> list[list]:
+def map_trials(dist, n: int, seed: int, trials: int, passes, workers: int) -> list[list]:
     """`stream_trials` over every chunk of `trials` for each (purpose, reducer)
     of `passes`: one list of chunk results per pass.
 
-    Paths drawn in one sample call (n <= block) come in chunks of CHUNK
+    Paths drawn in one sample call (n <= BLOCK) come in chunks of CHUNK
     trials on `workers` processes.  Block-streamed paths come in chunks of
     max(1, LONG_CHUNK // n) trials on `workers` threads, which share this
     process's memory where a forked process would copy about 30 MB of it.
@@ -112,14 +117,14 @@ def map_trials(dist, n: int, block: int, seed: int, trials: int, passes, workers
     serves them; no pass may read another's results.  Neither the chunks
     nor the draws depend on `workers`.
     """
-    if n <= block:
+    if n <= BLOCK:
         size, executor = CHUNK, "process"
     else:
         size, executor = max(1, LONG_CHUNK // n), "thread"
     ranges = chunk_ranges(trials, size)
     parts = map_chunks(
         stream_trials,
-        [(dist, n, block, seed, purpose, lo, hi, reducer) for purpose, reducer in passes for lo, hi in ranges],
+        [(dist, n, seed, purpose, lo, hi, reducer) for purpose, reducer in passes for lo, hi in ranges],
         workers,
         executor,
     )
@@ -210,7 +215,11 @@ def run_path(dist, space: SpaceSpec, h: SlowVaryFn, config: PathConfig, workers:
     """Simulate trials of S_n and record ||S_n||/a_n at the checkpoints."""
     points = config.checkpoints
     a_vals = NormalizerSeq(h).values(np.asarray(points, dtype=float))
-    [parts] = map_trials(dist, points[-1], BLOCK, config.seed, config.trials,
+    bad = np.flatnonzero(~np.isfinite(a_vals))
+    if bad.size:
+        raise ValueError(f"a_n = psi(n) for h = {h.to_text()} is not finite at checkpoint "
+                         f"n = {points[bad[0]]}, so ||S_n||/a_n cannot be formed")
+    [parts] = map_trials(dist, points[-1], config.seed, config.trials,
                          [(_rng.MAIN, CheckpointNorms(space, points))], workers)
     norms_mat = np.vstack(parts)
     # a_n = sqrt(n h(n)) is strictly positive for n >= 1
@@ -297,7 +306,7 @@ class TruncResult:
 def truncated_path(dist, space: SpaceSpec, c_seq, config: PathConfig, workers: int = 1) -> TruncResult:
     """Run S_n against its truncated twin S'_n (draws of norm above c_n dropped)."""
     points = config.checkpoints
-    [parts] = map_trials(dist, points[-1], BLOCK, config.seed, config.trials,
+    [parts] = map_trials(dist, points[-1], config.seed, config.trials,
                          [(_rng.MAIN, TruncatedTwin(space, c_seq, points))], workers)
     return TruncResult(
         checkpoints=points,
@@ -338,7 +347,7 @@ def mean_norm_curve(dist, space: SpaceSpec, c_seq, n_grid, trials: int, seed: in
     points = tuple(int(n) for n in np.asarray(n_grid))
     if len(points) == 0 or any(b <= a for a, b in zip(points, points[1:])) or points[0] < 1:
         raise ValueError("n_grid must be strictly increasing positive integers")
-    [parts] = map_trials(dist, points[-1], BLOCK, seed, trials,
+    [parts] = map_trials(dist, points[-1], seed, trials,
                          [(_rng.CURVE, CheckpointNorms(space, points))], workers)
     norms_mat = np.vstack(parts)
     c_vals = np.asarray(c_seq.values(np.asarray(points, dtype=float)))

@@ -16,6 +16,7 @@ import pytest
 
 import lil_lab
 from lil_lab import bounds, cli, constants, rng, simulate, slowvary
+from lil_lab._pool import map_chunks
 from lil_lab.distributions import parse_dist
 from lil_lab.simulate import BLOCK
 from lil_lab.slowvary import parse_slow_vary
@@ -553,6 +554,7 @@ class TestExitCodes:
         (["constants", "--h", "exp(1e2*(L)^0.99)", "--H", "const:1"], "constants.json",
          ("report", "verdict_diagnostics", "h_route"), "model"),
         (["fn-bound", "--t", "1e200"], "fn_bound.json", ("poly_term",), 0.0),
+        (["fn-bound", "--t", "1", "--m-bound", "1e200"], "fn_bound.json", ("bound",), 0.0),
         (["fn-verify", "--dist", "gauss:dim=1,var=0", "--space", "1,2", "--n", "50", "--trials", "200"],
          "verify.json", ("report", "any_violation"), False),
         (["lil-sim", "--dist", "pareto:a=1.5", "--space", "1,2", "--N", "2000", "--trials", "10"], "sim.json",
@@ -566,13 +568,14 @@ class TestExitCodes:
         (["constants", "--h", "2*(LL)^1", "--tol", "1e-17"], "constants.json", ("report", "c0_hi"),
          1.0000000000000007),
     ], ids=["const-zero", "gauss-var-zero", "pareto-a2", "pareto-a1.5-dim2", "h-const-1e300",
-            "h-exp-1e2", "fn-bound-t-1e200", "fn-verify-var-zero", "lil-sim-pareto", "hclass-inf-ratio",
+            "h-exp-1e2", "fn-bound-t-1e200", "fn-bound-m-1e200", "fn-verify-var-zero", "lil-sim-pareto",
+            "hclass-inf-ratio",
             "fn-verify-mgf-bound-past-float-range", "fn-verify-empirical-mgf-past-float-range",
             "constants-tol-below-float-spacing"])
     def test_extreme_input_exits_0_with_finite_or_flagged_values(self, tmp_path, argv, artifact, path, expected):
-        # t**s overflowing (t = 1e200), an h ratio, a Klein-Rio mgf bound or an empirical
-        # mgf past the float ceiling once failed here; every case must now write a
-        # strict-JSON artifact
+        # t**s overflowing (t = 1e200), M**2 overflowing (M = 1e200), an h ratio, a
+        # Klein-Rio mgf bound or an empirical mgf past the float ceiling once failed
+        # here; every case must now write a strict-JSON artifact
         assert cli.main([*argv, "--workers", "1", "--out", str(tmp_path)]) == 0
 
         def no_literal(name):
@@ -590,6 +593,28 @@ class TestExitCodes:
         err = json.loads(capsys.readouterr().err.strip())
         assert err["code"] == "invalid_spec" and err["context"] == {"H": "const:nan"}
         assert not (tmp_path / "constants.json").exists()
+
+    def test_overflowing_llpow_h_is_exit_2_and_says_why(self, tmp_path, capsys):
+        # (LLt)^400 passes the float ceiling inside the H grid
+        assert cli.main(["constants", "--h", "2*(LL)^1", "--H", "llpow:400", "--out", str(tmp_path)]) == 2
+        err = json.loads(capsys.readouterr().err.strip())
+        assert err["code"] == "invalid_spec"
+        assert err["message"].startswith("H source llpow:400 overflows: (LLt)^400 exceeds the float range at t = ")
+        assert list(tmp_path.iterdir()) == []
+
+    def test_nonfinite_normalizer_is_refused_before_sampling(self, tmp_path, monkeypatch, capsys):
+        # a_n = sqrt(n (log n)^1000) passes the float ceiling from n = 62 on; the
+        # checkpoints go 59, 77, ...
+        def no_sampling(*args):
+            raise AssertionError("sampled paths that cannot be normalized")
+
+        monkeypatch.setattr(simulate, "map_trials", no_sampling)
+        rc = cli.main(["lil-sim", "--h", "(L)^1000", "--N", "1000", "--trials", "2", "--out", str(tmp_path)])
+        assert rc == 2
+        err = json.loads(capsys.readouterr().err.strip())
+        assert err["code"] == "invalid_spec"
+        assert err["message"].startswith("a_n = psi(n) for h = (L)^1000 is not finite at checkpoint n = 77")
+        assert list(tmp_path.iterdir()) == []
 
     def test_bad_spec_file(self, tmp_path, capsys):
         path = tmp_path / "spec.json"
@@ -653,6 +678,27 @@ class TestExitCodes:
             written.append((tmp_path / artifact).read_bytes())
         assert written[0] == written[1]
         assert json.loads(written[0])["resolved_spec"]["workers"] is None
+
+    def test_fn_verify_cut_into_blocks_is_the_same_at_any_workers(self, tmp_path, monkeypatch):
+        # paths of 1000 steps cut into blocks of 300, in four chunks of 64
+        # trials per pass on threads
+        monkeypatch.setattr(simulate, "BLOCK", 300)
+        monkeypatch.setattr(simulate, "LONG_CHUNK", 64 * 1000)
+        executors = []
+
+        def recording(fn, args_list, workers, executor):
+            executors.append(executor)
+            return map_chunks(fn, args_list, workers, executor)
+
+        monkeypatch.setattr(simulate, "map_chunks", recording)
+        argv = ["fn-verify", "--dist", "gauss:dim=2,var=1", "--space", "2,2", "--n", "1000",
+                "--trials", "200", "--kr-points", "3", "--format", "csv", "--seed", "4", "--out", str(tmp_path)]
+        written = []
+        for workers in ("1", "2"):
+            assert cli.main(argv + ["--workers", workers]) == 0
+            written.append([(tmp_path / name).read_bytes() for name in ("verify.json", "verify.csv")])
+        assert written[0] == written[1]
+        assert executors == ["thread", "thread"]
 
     @pytest.mark.parametrize("argv, artifact", [
         # 1100 trials: two chunks, and a last stream group of 12 trials

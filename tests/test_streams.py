@@ -21,6 +21,7 @@ byte, low byte first), and `test_int8_sign_rule_gives_golden_digest`
 runs those cases with the int8 rule itself.
 """
 
+import functools
 import hashlib
 import json
 import math
@@ -29,7 +30,7 @@ import numpy as np
 import pytest
 from numpy.random.bit_generator import ISeedSequence
 
-from lil_lab import rng, simulate
+from lil_lab import bounds, rng, simulate
 from lil_lab._pool import CHUNK
 from lil_lab.bounds import BoundParams, _FinalAndMax, _fold, _PilotMoments, mc_verify
 from lil_lab.distributions import Gaussian, RademacherProduct, RadialPareto
@@ -53,7 +54,13 @@ PARAMS = BoundParams(eta=1.0, delta=1.0, s=3.0)
 
 
 def reference_stream_trials(dist, n, block, seed, purpose, lo, hi, reducer):
-    """`simulate.stream_trials` written as a plain loop over trials."""
+    """`simulate.stream_trials` written as a plain loop over trials, with
+    `block` in place of `simulate.BLOCK`.
+
+    Paths longer than `block` go block by block, each block through every
+    trial in order before the next: the order in which the kernel hands
+    over tiles, which a fold across trials (the pilot's x^T x) follows.
+    """
     reducer.start(hi - lo, dist.dim)
     if n <= block:
         # groups of the largest power of two <= max(1, TILE // n), at most CHUNK
@@ -66,11 +73,16 @@ def reference_stream_trials(dist, n, block, seed, purpose, lo, hi, reducer):
                 group = dist.sample(rng.substream(seed, purpose, g), size * n).reshape(size, n, dist.dim)
             reducer.tile(group[k : k + 1], t - lo, 0)
     else:
-        for t in range(lo, hi):
-            gen = rng.substream(seed, purpose, t)
-            for s0 in range(0, n, block):
-                reducer.tile(dist.sample(gen, min(block, n - s0))[None], t - lo, s0)
+        gens = [rng.substream(seed, purpose, t) for t in range(lo, hi)]
+        for s0 in range(0, n, block):
+            for t in range(lo, hi):
+                reducer.tile(dist.sample(gens[t - lo], min(block, n - s0))[None], t - lo, s0)
     return reducer.result()
+
+
+def _reference_kernel(dist, n, seed, purpose, lo, hi, reducer):
+    """`reference_stream_trials` with the kernel's signature and BLOCK."""
+    return reference_stream_trials(dist, n, simulate.BLOCK, seed, purpose, lo, hi, reducer)
 
 
 def _digest(*parts) -> str:
@@ -165,7 +177,7 @@ def test_golden_digest(name, workers):
 
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_reference_gives_golden_digest(name, monkeypatch):
-    monkeypatch.setattr(simulate, "stream_trials", reference_stream_trials)
+    monkeypatch.setattr(simulate, "stream_trials", _reference_kernel)
     assert CASES[name](1) == GOLDEN[name]
 
 
@@ -195,12 +207,18 @@ def _same_result(a, b):
     # _PilotMoments sums each path pairwise at d = 1, over a step-major copy at d > 1
     (_PilotMoments(SpaceSpec(1, 2.0), 3.0), 300, 300),
     (_PilotMoments(SpaceSpec(5, 2.0), 3.0), 300, 300),
+    # paths cut into blocks of 300, 300, 300 and 100 steps
+    (_FinalAndMax(SpaceSpec(2, INF)), 1000, 300),
+    (_FinalAndMax(SpaceSpec(3, 2.0)), 1000, 300),
+    (_PilotMoments(SpaceSpec(1, 2.0), 3.0), 1000, 300),
+    (_PilotMoments(SpaceSpec(5, 2.0), 3.0), 1000, 300),
 ])
 @pytest.mark.parametrize("lo, hi", [(0, 100), (37, 150), (1024, 1030)])
-def test_kernel_matches_reference(reducer, n, block, lo, hi):
+def test_kernel_matches_reference(reducer, n, block, lo, hi, monkeypatch):
     # groups of 32 trials; the chunks start and end inside a group
+    monkeypatch.setattr(simulate, "BLOCK", block)
     dist = RadialPareto(1.5, reducer.space.dim)
-    _same_result(stream_trials(dist, n, block, 9, rng.MAIN, lo, hi, reducer),
+    _same_result(stream_trials(dist, n, 9, rng.MAIN, lo, hi, reducer),
                  reference_stream_trials(dist, n, block, 9, rng.MAIN, lo, hi, reducer))
 
 
@@ -235,12 +253,13 @@ def test_pilot_memory_is_per_trial_rows_and_one_matrix():
 
 
 @pytest.mark.parametrize("n, block", [(300, BLOCK), (230, 100)])
-def test_reducer_passed_in_is_left_unmodified(n, block):
+def test_reducer_passed_in_is_left_unmodified(n, block, monkeypatch):
     # chunks on threads run at once, so each must work on its own copy
+    monkeypatch.setattr(simulate, "BLOCK", block)
     reducer = TruncatedTwin(SpaceSpec(2, 2.0), parse_cseq("pow:0.6"), (3, 50, n))
     reducer.start(4, 2)
     before = {k: (v, v.copy() if isinstance(v, np.ndarray) else v) for k, v in vars(reducer).items()}
-    stream_trials(RadialPareto(1.5, 2), n, block, 9, rng.MAIN, 0, 20, reducer)
+    stream_trials(RadialPareto(1.5, 2), n, 9, rng.MAIN, 0, 20, reducer)
     assert vars(reducer).keys() == before.keys()
     for k, (obj, value) in before.items():
         assert vars(reducer)[k] is obj
@@ -269,6 +288,42 @@ def test_mc_verify_samples_a_group_per_call():
     mc_verify(dist, SpaceSpec(5, INF), 200, 20480, [10.0, 40.0], PARAMS, seed=3, kr_points=2)
     # two passes of 20480 trials in groups of 64 paths of 200 steps
     assert rows == [64 * 200] * 640
+
+
+@pytest.mark.parametrize("dist, space", [
+    (Gaussian(np.ones(3)), SpaceSpec(3, 2.0)),
+    (RademacherProduct(np.ones(5)), SpaceSpec(5, INF)),
+], ids=["gauss3-l2", "rademacher5-linf"])
+def test_mc_verify_cut_into_blocks_keeps_finals_and_maxima(dist, space, monkeypatch):
+    # Paths of more than TILE steps are groups of one trial, drawn from the
+    # trial's own stream uncut or cut into blocks.  The carry continues the
+    # sequential cumulative sum, and a Gaussian or Rademacher stream splits
+    # into blocks draw for draw (Rademacher signs while each block fills
+    # whole 32-bit words), so cutting the path leaves the main pass bit for
+    # bit as it was.
+    main, rows = [], []
+
+    def spy(*args):
+        parts = simulate.map_trials(*args)
+        main.append((np.concatenate([p[0] for p in parts[1]]), np.concatenate([p[1] for p in parts[1]])))
+        return parts
+
+    def counted(gen, n, sample=dist.sample):
+        rows.append(n)
+        return sample(gen, n)
+
+    monkeypatch.setattr(bounds, "map_trials", spy)
+    monkeypatch.setattr(dist, "sample", counted)
+    n = 20000  # > TILE
+    run = functools.partial(mc_verify, dist, space, n, 100, [100.0, 300.0], PARAMS, seed=6, kr_points=2)
+    run()
+    assert set(rows) == {n}
+    rows.clear()
+    monkeypatch.setattr(simulate, "BLOCK", 6000)
+    run()
+    assert set(rows) == {6000, 2000}
+    (finals, maxes), (cut_finals, cut_maxes) = main
+    assert np.array_equal(finals, cut_finals) and np.array_equal(maxes, cut_maxes)
 
 
 def test_trial_streams_match_substream():
@@ -322,13 +377,14 @@ def test_streams_are_numpy_sfc64_seeded_from_the_hash():
     (_PilotMoments(SpaceSpec(1, 2.0), 3.0), 1000, 1000),
     (_PilotMoments(SpaceSpec(5, 2.0), 3.0), 1000, 1000),
 ])
-def test_tiling_does_not_change_results(reducer, n, block):
+def test_tiling_does_not_change_results(reducer, n, block, monkeypatch):
     # One chunk of 40 trials against 40 one-trial chunks: with n = 1000 the
-    # chunk is three tiles of at most 16 trials; with block < n every trial
+    # chunk is three tiles of at most 16 trials; with BLOCK < n every trial
     # streams block by block.
+    monkeypatch.setattr(simulate, "BLOCK", block)
     dist = RadialPareto(1.5, reducer.space.dim)
-    tiled = stream_trials(dist, n, block, 7, rng.MAIN, 0, 40, reducer)
-    singles = [stream_trials(dist, n, block, 7, rng.MAIN, t, t + 1, reducer) for t in range(40)]
+    tiled = stream_trials(dist, n, 7, rng.MAIN, 0, 40, reducer)
+    singles = [stream_trials(dist, n, 7, rng.MAIN, t, t + 1, reducer) for t in range(40)]
     if isinstance(reducer, _PilotMoments):
         # chunk results are summed left to right, as mc_verify does
         for j, part in enumerate(tiled):
