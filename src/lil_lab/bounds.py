@@ -23,7 +23,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from . import rng as _rng
-from .simulate import map_trials
+from .simulate import finite_sums, map_trials
 from .slowvary import _json_real
 from .spaces import SpaceSpec, dual_ball_sup, norm_rows, norms
 
@@ -331,12 +331,14 @@ class _PilotMoments:
     def tile(self, x: np.ndarray, k0: int, s0: int) -> None:
         b, m, d = x.shape
         rows = slice(k0, k0 + b)
-        if d == 1:
-            # the step axis is innermost: numpy sums it pairwise
-            self.sums[rows] += x.sum(axis=1)
-        else:
-            # the same step-by-step folds, each over a contiguous (b, d) row
-            self.sums[rows] += np.ascontiguousarray(x.transpose(1, 0, 2)).sum(axis=0)
+        with np.errstate(over="ignore", invalid="ignore"):
+            if d == 1:
+                # the step axis is innermost: numpy sums it pairwise
+                self.sums[rows] += x.sum(axis=1)
+            else:
+                # the same step-by-step folds, each over a contiguous (b, d) row
+                self.sums[rows] += np.ascontiguousarray(x.transpose(1, 0, 2)).sum(axis=0)
+            finite_sums(self.sums[rows], s0 + m)
         self.m2 = _fold(self.m2, np.matmul(x.transpose(0, 2, 1), x))
         self.moments[rows] += (norms(x.reshape(-1, d), self.space) ** self.s).reshape(b, m).sum(axis=1)
 
@@ -366,9 +368,10 @@ class _FinalAndMax:
     def tile(self, x: np.ndarray, k0: int, s0: int) -> None:
         b, m, d = x.shape
         rows = slice(k0, k0 + b)
-        x[:, 0] += self.carry[rows]
-        partial = np.cumsum(x, axis=1, out=x)
-        self.carry[rows] = partial[:, -1]
+        with np.errstate(over="ignore", invalid="ignore"):
+            x[:, 0] += self.carry[rows]
+            partial = np.cumsum(x, axis=1, out=x)
+            self.carry[rows] = finite_sums(partial[:, -1], s0 + m)
         pn = norms(partial.reshape(-1, d), self.space).reshape(b, m)
         self.finals[rows] = pn[:, -1]
         np.maximum(self.maxes[rows], pn.max(axis=1), out=self.maxes[rows])
@@ -437,12 +440,16 @@ def mc_verify(
     mean_norm = final_sum / trials
     mean_norm_se = math.sqrt(max(final_sumsq / trials - mean_norm**2, 0.0) / trials)
     lam_hat = n * dual_ball_sup(m2 / n_draws, space)
-    # batch split for the weak-variance standard error
+    notes: list[str] = []
+    # batch split for the weak-variance standard error, over at most 10 groups of pilot chunks
     n_batches = min(10, len(parts))
-    groups = [parts[b::n_batches] for b in range(n_batches)]
-    batch_m2 = np.stack([sum(p[1] for p in g) / (sum(p[5] for p in g) * n) for g in groups])
-    batch_vals = n * dual_ball_sup(batch_m2, space)
-    lam_se = float(np.std(batch_vals, ddof=1) / math.sqrt(n_batches)) if n_batches > 1 else 0.0
+    lam_se = None
+    if n_batches > 1:
+        groups = [parts[b::n_batches] for b in range(n_batches)]
+        batch_m2 = np.stack([sum(p[1] for p in g) / (sum(p[5] for p in g) * n) for g in groups])
+        lam_se = float(np.std(n * dual_ball_sup(batch_m2, space), ddof=1) / math.sqrt(n_batches))
+    else:
+        notes.append("lambda_n_se is null: its batch standard error needs at least two pilot chunks")
     moment_hat = n * moment_sum / n_draws
 
     m_bound = dist.norm_bound(space)
@@ -465,7 +472,6 @@ def mc_verify(
     maxes = np.concatenate([p[1] for p in main_parts])
 
     rows: list[VerifyRow] = []
-    notes: list[str] = []
     if not dist.finite_second_moment:
         notes.append("the law has no finite second moment: lambda_n and the moment estimates do not converge")
 
@@ -482,7 +488,7 @@ def mc_verify(
         skipped = []
         for i in range(1, kr_points + 1):
             sv = s_cap * i / (kr_points + 1)
-            with np.errstate(over="ignore"):
+            with np.errstate(over="ignore", invalid="ignore"):
                 vals = np.exp(sv * finals)
                 mgf = (float(vals.mean()), float(vals.std(ddof=1) / math.sqrt(trials)))
             if all(map(math.isfinite, mgf)):

@@ -15,8 +15,18 @@ Each spec key is declared once, in `SPECS` (or `_COMMON` for the keys
 every kind shares): its type and default there drive both `validate_spec`
 and the generated `--flag` (the key with `_` written `-`).
 
-Exit codes: 0 success, 2 validation error (machine-readable error JSON
-on stderr), 3 when a verification scenario records a violation.
+Exit codes: 0 success, 3 when a verification scenario records a
+violation, 2 on any failure, with one `{code, message, context}` JSON
+line on stderr; `_guarded` is the one place that writes it.  The codes:
+
+    invalid_spec       a bad input, or one past the float range:
+                       `--workers 0`, `--t 1e400`, a partial sum that
+                       overflows (`--dist rademacher:scales=1e307`)
+    io_error           a file that cannot be read or written; `context`
+                       names the path (`--out` below a regular file)
+    missing_artifacts  `report` on a directory with no artifact in it
+    internal_error     any other exception, a fault of the program;
+                       `context` names its type (`{"type": "KeyError"}`)
 """
 from __future__ import annotations
 
@@ -72,11 +82,6 @@ class SpecError(Exception):
         self.context = context or {}
 
 
-def _emit_error(err: SpecError) -> None:
-    doc = {"code": err.code, "message": str(err), "context": err.context}
-    print(json.dumps(doc, sort_keys=True), file=sys.stderr)
-
-
 def parse_space(text: str) -> SpaceSpec:
     bits = text.split(",")
     if len(bits) != 2:
@@ -129,16 +134,23 @@ def validate_spec(raw: dict) -> dict:
     for key, k in keys.items():
         if k.choices and spec[key] not in k.choices:
             raise SpecError(f"{key} must be {' or '.join(map(repr, k.choices))}", {key: spec[key]})
+    if spec["workers"] is not None and spec["workers"] < 1:
+        raise SpecError("workers must be at least 1", {"workers": spec["workers"]})
     return spec
 
 
 def _resolve_workers(spec: dict) -> int:
-    if spec.get("workers"):
-        return int(spec["workers"])
+    """--workers, else LIL_LAB_WORKERS, else the CPU count."""
     env = os.environ.get("LIL_LAB_WORKERS")
-    if env:
-        return int(env)
-    return os.cpu_count() or 1
+    if spec["workers"] is not None or not env:
+        return spec["workers"] or os.cpu_count() or 1
+    try:
+        workers = int(env)
+    except ValueError:
+        workers = 0
+    if workers < 1:
+        raise SpecError("LIL_LAB_WORKERS must be an integer of at least 1", {"LIL_LAB_WORKERS": env})
+    return workers
 
 
 def _parsed(parse, spec: dict, key: str, **kwargs):
@@ -164,7 +176,7 @@ def _dist_and_space(spec: dict, need_dist: bool = True):
 
 # ---------------------------------------------------------------------------
 # Scenario executors.  Each returns (artifact dict, extra files, exit code).
-# A ValueError or ArithmeticError they raise becomes a SpecError in `execute`.
+# What they raise becomes exit 2 in `_guarded`.
 # ---------------------------------------------------------------------------
 
 
@@ -377,20 +389,20 @@ def _provenance() -> dict:
 
 
 def execute(spec: dict) -> int:
-    """Validate and run one resolved spec; write artifacts; return exit code."""
+    """Validate and run one resolved spec; write artifacts; return exit code.
+
+    Failures are raised, not reported: `main` and `run` map them to exit 2.
+    """
     spec = validate_spec(spec)
     row = SPECS[spec["kind"]]
     # The worker count never changes a result, so the artifact records none:
     # runs at any --workers write the same bytes.
     artifact = {"resolved_spec": {**spec, "workers": None}, "seed": spec["seed"], "provenance": _provenance()}
-    try:
-        body, extra_files, code = row.execute(spec)
-        artifact.update(body)
-        # Serialised before any file is opened: a NaN or inf that reached
-        # the document fails here and leaves no partial artifact behind.
-        artifact_text = json.dumps(artifact, indent=2, sort_keys=True, allow_nan=False) + "\n"
-    except (ValueError, ArithmeticError) as exc:
-        raise SpecError(str(exc)) from None
+    body, extra_files, code = row.execute(spec)
+    artifact.update(body)
+    # Serialised before any file is opened: a NaN or inf that reached the
+    # document fails here and leaves no partial artifact behind.
+    artifact_text = json.dumps(artifact, indent=2, sort_keys=True, allow_nan=False) + "\n"
     os.makedirs(spec["out"], exist_ok=True)
     base_dir = spec.get("run_dir") or spec["out"]
     artifact_path = os.path.join(base_dir, row.artifact)
@@ -405,6 +417,23 @@ def execute(spec: dict) -> int:
     return code
 
 
+def _guarded(command, *args) -> int:
+    """`command(*args)`, its exception mapped to exit 2 and one JSON line on stderr."""
+    try:
+        return command(*args)
+    except SpecError as exc:
+        err = exc
+    except OSError as exc:
+        err = SpecError(str(exc), {"path": exc.filename}, code="io_error")
+    except (ValueError, ArithmeticError) as exc:
+        err = SpecError(str(exc))
+    except Exception as exc:
+        err = SpecError(str(exc), {"type": type(exc).__name__}, code="internal_error")
+    doc = {"code": err.code, "message": str(err), "context": err.context}
+    print(json.dumps(doc, sort_keys=True), file=sys.stderr)
+    return 2
+
+
 def _note_stream_change(provenance) -> None:
     """Say so when an artifact's random streams are not this library's."""
     old = provenance.get("rng_stream") if isinstance(provenance, dict) else None
@@ -414,29 +443,23 @@ def _note_stream_change(provenance) -> None:
               "which gives different numbers at the same seed")
 
 
-def run(spec_file: str, overrides: dict | None = None) -> int:
-    """Load a spec (or a previously written artifact) and execute it."""
-    try:
-        with open(spec_file) as fh:
+def _execute_file(spec_file: str, overrides: dict) -> int:
+    """`execute` on the spec (or the artifact's spec) in `spec_file`, `overrides` on top."""
+    with open(spec_file) as fh:
+        try:
             raw = json.load(fh)
-    except OSError as exc:
-        _emit_error(SpecError(f"cannot read spec: {exc}", code="io_error"))
-        return 2
-    except json.JSONDecodeError as exc:
-        _emit_error(SpecError(f"spec is not valid JSON: {exc}"))
-        return 2
+        except json.JSONDecodeError as exc:
+            raise SpecError(f"spec is not valid JSON: {exc}") from None
     if isinstance(raw, dict) and "resolved_spec" in raw:
         _note_stream_change(raw.get("provenance"))
         raw = raw["resolved_spec"]
-    try:
-        if not isinstance(raw, dict):
-            raise SpecError("spec must be a JSON object")
-        if overrides:
-            raw = {**raw, **{k: v for k, v in overrides.items() if v is not None}}
-        return execute(raw)
-    except SpecError as err:
-        _emit_error(err)
-        return 2
+    # anything but an object is refused by `validate_spec`
+    return execute({**raw, **overrides} if isinstance(raw, dict) else raw)
+
+
+def run(spec_file: str, overrides: dict | None = None) -> int:
+    """Load a spec (or a previously written artifact), execute it and return the exit code."""
+    return _guarded(_execute_file, spec_file, {k: v for k, v in (overrides or {}).items() if v is not None})
 
 
 @functools.cache
@@ -468,16 +491,10 @@ def main(argv=None) -> int:
     spec_file = args.pop("spec", None)
     if kind == "run":
         spec_file = args.pop("spec_file")
-        return run(spec_file, {k: v for k, v in args.items() if v is not None})
+    else:
+        args["kind"] = kind
     overrides = {k: v for k, v in args.items() if v is not None}
-    overrides["kind"] = kind
-    if spec_file:
-        return run(spec_file, overrides)
-    try:
-        return execute(overrides)
-    except SpecError as err:
-        _emit_error(err)
-        return 2
+    return run(spec_file, overrides) if spec_file else _guarded(execute, overrides)
 
 
 if __name__ == "__main__":

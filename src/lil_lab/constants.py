@@ -169,25 +169,32 @@ class _ProbeGrid:
 
 
 def _c0_grid(h: SlowVaryFn, H_fn) -> _ProbeGrid:
-    """x_j = c^2 h(n_j) / (2 H(a_{n_j})) for any c."""
+    """x_j = c^2 h(n_j) / (2 H(a_{n_j})) for any c; +inf where H = 0."""
     n = _PROBE_N
     hn, den = h(n), 2.0 * H_values(H_fn, _series_args(h, n))
 
     def exponents(c: float) -> np.ndarray:
-        with np.errstate(divide="ignore"):
-            return c * c * hn / den
+        # where c^2 underflows, 0 / 0 would be NaN
+        with np.errstate(divide="ignore", invalid="ignore"):
+            return np.where(den > 0, c * c * hn / den, np.inf)
 
     return _ProbeGrid(exponents)
 
 
 def _alpha_grid(c_seq, H_fn) -> _ProbeGrid:
-    """x_j = alpha^2 c_n^2 / (2 n H(c_n)) for any alpha, at n = n_j."""
+    """x_j = alpha^2 c_n^2 / (2 n H(c_n)) for any alpha, at n = n_j; +inf where H = 0."""
     n = _PROBE_N
     cn = np.asarray(c_seq.values(n), dtype=float)
     hv = H_values(H_fn, cn)
-    with np.errstate(divide="ignore", over="ignore"):
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         base = cn * cn / (2.0 * n * hv)
-    return _ProbeGrid(lambda alpha: alpha * alpha * base)
+
+    def exponents(alpha: float) -> np.ndarray:
+        # where alpha^2 underflows, 0 * inf would be NaN
+        with np.errstate(invalid="ignore"):
+            return np.where(hv > 0, alpha * alpha * base, np.inf)
+
+    return _ProbeGrid(exponents)
 
 
 def _classify(name: str, c: float, build, seq, H_fn) -> SeriesVerdict:

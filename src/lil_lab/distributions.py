@@ -31,10 +31,6 @@ from .spaces import SpaceSpec, norm
 _SCALAR = SpaceSpec(1, 2.0)
 
 
-def _vec_text(v: np.ndarray) -> str:
-    return ";".join(repr(float(x)).rstrip("0").rstrip(".") if "." in repr(float(x)) else repr(float(x)) for x in v)
-
-
 def _grid_form(method):
     """Let a `truncated_cov` written for a 1-D grid of t also take one t.
 
@@ -112,11 +108,12 @@ class Gaussian:
 
     def describe(self) -> str:
         d = np.diag(self.cov)
-        if np.allclose(self.cov, np.diag(d)):
+        # exact, so that no off-diagonal entry is dropped
+        if np.array_equal(self.cov, np.diag(d)):
             if np.all(d == d[0]):
                 return f"gauss:dim={self.dim},var={_fmt(d[0])}"
-            return f"gauss:diag={_vec_text(d)}"
-        rows = "/".join(_vec_text(row) for row in self.cov)
+            return f"gauss:diag={';'.join(map(_fmt, d))}"
+        rows = "/".join(";".join(map(_fmt, row)) for row in self.cov)
         return f"gauss:cov={rows}"
 
 
@@ -166,7 +163,7 @@ class RademacherProduct:
     def describe(self) -> str:
         if np.all(self.scales == 1.0):
             return f"rademacher:dim={self.dim}"
-        return f"rademacher:scales={_vec_text(self.scales)}"
+        return f"rademacher:scales={';'.join(map(_fmt, self.scales))}"
 
 
 class RadialPareto:
@@ -250,7 +247,7 @@ class PointMass:
         return np.where(inside[:, None, None], np.outer(self.vector, self.vector), 0.0)
 
     def describe(self) -> str:
-        return f"point:v={_vec_text(self.vector)}"
+        return f"point:v={';'.join(map(_fmt, self.vector))}"
 
 
 class ScalarEmbedded:

@@ -131,6 +131,20 @@ def map_trials(dist, n: int, seed: int, trials: int, passes, workers: int) -> li
     return [parts[i : i + len(ranges)] for i in range(0, len(parts), len(ranges))]
 
 
+def finite_sums(sums: np.ndarray, step: int) -> np.ndarray:
+    """`sums`, a reducer's carried partial sums after `step`, checked finite.
+
+    Every reducer that sums draws calls this once per tile, before it
+    reads anything else off the sums.  An overflowed sum is inf or NaN
+    from then on, so the carry alone shows an overflow anywhere in the
+    tile; the reducer sums under `np.errstate`, so the overflow raises
+    this ArithmeticError instead of a RuntimeWarning.
+    """
+    if not np.isfinite(sums).all():
+        raise ArithmeticError(f"partial sum overflowed near step {step}")
+    return sums
+
+
 class CheckpointNorms:
     """Reducer: ||S_n|| at sorted checkpoints, one row per trial."""
 
@@ -145,13 +159,12 @@ class CheckpointNorms:
     def tile(self, x: np.ndarray, k0: int, s0: int) -> None:
         b, m, d = x.shape
         carry = self.carry[k0 : k0 + b]
-        raw = np.cumsum(x, axis=1, out=x)
+        with np.errstate(over="ignore", invalid="ignore"):
+            raw = np.cumsum(x, axis=1, out=x)
+            last = finite_sums(raw[:, -1] + carry, s0 + m)
         j0, j1 = np.searchsorted(self.points, (s0, s0 + m), side="right")
         at = raw[:, self.points[j0:j1] - s0 - 1] + carry[:, None, :]
         self.out[k0 : k0 + b, j0:j1] = norm_rows(at.reshape(-1, d), self.space).reshape(b, j1 - j0)
-        last = raw[:, -1] + carry
-        if not np.all(np.isfinite(last)):
-            raise ArithmeticError(f"partial sum overflowed near step {s0 + m}")
         carry[:] = last
 
     def hold(self, k0: int, b: int, s0: int, m: int) -> None:

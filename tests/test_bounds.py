@@ -1,6 +1,7 @@
 """Tail-bound evaluators, assembled constants, and the falsification harness."""
 
 import concurrent.futures
+import json
 import math
 
 import numpy as np
@@ -258,6 +259,19 @@ class TestHarness:
         b = mc_verify(RademacherProduct(np.ones(2)), SpaceSpec(2, math.inf), workers=3, **kwargs)
         for ra, rb in zip(a.rows, b.rows):
             assert (ra.kind, ra.x, ra.p_hat, ra.se, ra.bound) == (rb.kind, rb.x, rb.p_hat, rb.se, rb.bound)
+
+    @pytest.mark.parametrize("trials, one_chunk", [(400, True), (1100, False)], ids=["one-chunk", "two-chunks"])
+    def test_weak_variance_se_needs_two_pilot_chunks(self, trials, one_chunk):
+        # the batch standard error of lambda_n is taken over pilot chunks of 1,024 trials
+        rep = mc_verify(Gaussian(np.ones(2)), SpaceSpec(2, 2.0), n=20, trials=trials,
+                        t_grid=np.array([5.0]), params=BoundParams(eta=1.0, delta=1.0, s=3.0), seed=3)
+        note = "lambda_n_se is null: its batch standard error needs at least two pilot chunks"
+        assert (note in rep.notes) == one_chunk
+        if one_chunk:
+            assert rep.pilot["lambda_n_se"] is None
+            assert '"lambda_n_se": null' in json.dumps(rep.to_json_dict())
+        else:
+            assert rep.pilot["lambda_n_se"] > 0
 
     def test_off_center_law_rejected(self):
         with pytest.raises(ValueError):

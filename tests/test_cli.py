@@ -565,13 +565,18 @@ class TestExitCodes:
         (["fn-verify", "--dist", "rademacher:dim=1", "--space", "1,2", "--n", "150000", "--trials", "100"],
          "verify.json", ("report", "notes", -1),
          "5 kr rows skipped: the empirical mgf or its standard error overflows from s = 0.363636"),
+        # here the mgf's standard deviation meets inf - inf
+        (["fn-verify", "--dist", "rademacher:dim=1", "--space", "1,2", "--n", "150000", "--trials", "100",
+          "--seed", "2"], "verify.json", ("report", "notes", -1),
+         "7 kr rows skipped: the empirical mgf or its standard error overflows from s = 0.242424"),
         (["constants", "--h", "2*(LL)^1", "--tol", "1e-17"], "constants.json", ("report", "c0_hi"),
          1.0000000000000007),
     ], ids=["const-zero", "gauss-var-zero", "pareto-a2", "pareto-a1.5-dim2", "h-const-1e300",
             "h-exp-1e2", "fn-bound-t-1e200", "fn-bound-m-1e200", "fn-verify-var-zero", "lil-sim-pareto",
             "hclass-inf-ratio",
             "fn-verify-mgf-bound-past-float-range", "fn-verify-empirical-mgf-past-float-range",
-            "constants-tol-below-float-spacing"])
+            "fn-verify-empirical-mgf-std-past-float-range", "constants-tol-below-float-spacing"])
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_extreme_input_exits_0_with_finite_or_flagged_values(self, tmp_path, argv, artifact, path, expected):
         # t**s overflowing (t = 1e200), M**2 overflowing (M = 1e200), an h ratio, a
         # Klein-Rio mgf bound or an empirical mgf past the float ceiling once failed
@@ -625,6 +630,7 @@ class TestExitCodes:
         err = json.loads(capsys.readouterr().err.strip())
         assert err["code"] == "io_error"
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_overflow_on_a_worker_thread_is_exit_2(self, tmp_path, monkeypatch, capsys):
         # three one-trial chunks of block-streamed paths on two threads
         monkeypatch.setattr(simulate, "LONG_CHUNK", BLOCK + 10)
@@ -635,6 +641,57 @@ class TestExitCodes:
         assert rc == 2
         err = json.loads(capsys.readouterr().err.strip())
         assert "overflowed" in err["message"]
+
+    @pytest.mark.parametrize("argv, env, code, context, message", [
+        (["fn-verify", "--dist", "rademacher:scales=1e307", "--space", "1,2", "--n", "200", "--trials", "100",
+          "--workers", "1"], {}, "invalid_spec", {}, "partial sum overflowed near step 200"),
+        (["fn-verify", "--dist", "rademacher:scales=1e307", "--space", "1,2", "--n", "200", "--trials", "100",
+          "--workers", "2"], {}, "invalid_spec", {}, "partial sum overflowed near step 200"),
+        (["hclass", "--h", "2*(LL)^1", "--out", "{tmp}/file/sub"], {}, "io_error", {"path": "{tmp}/file/sub"},
+         "Not a directory"),
+        (["lil-sim", "--N", "100", "--trials", "2", "--workers", "0"], {}, "invalid_spec", {"workers": 0},
+         "workers must be at least 1"),
+        (["lil-sim", "--N", "100", "--trials", "2", "--workers", "-3"], {}, "invalid_spec", {"workers": -3},
+         "workers must be at least 1"),
+        (["lil-sim", "--N", "100", "--trials", "2"], {"LIL_LAB_WORKERS": "0"}, "invalid_spec",
+         {"LIL_LAB_WORKERS": "0"}, "LIL_LAB_WORKERS must be an integer of at least 1"),
+        (["lil-sim", "--N", "100", "--trials", "2"], {"LIL_LAB_WORKERS": "abc"}, "invalid_spec",
+         {"LIL_LAB_WORKERS": "abc"}, "LIL_LAB_WORKERS must be an integer of at least 1"),
+    ], ids=["overflow-workers-1", "overflow-workers-2", "out-below-a-file", "workers-0", "workers-negative",
+            "env-workers-0", "env-workers-not-a-number"])
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_failure_is_exit_2_one_json_line_and_no_artifact(self, tmp_path, monkeypatch, capfd,
+                                                             argv, env, code, context, message):
+        # captured at the file descriptors, so a pool worker's output counts too
+        (tmp_path / "file").write_text("a regular file")
+        for name, value in env.items():
+            monkeypatch.setenv(name, value)
+        argv = [a.format(tmp=tmp_path) for a in argv]
+        if "--out" not in argv:
+            argv += ["--out", str(tmp_path / "runs")]
+        assert cli.main(argv) == 2
+        err = capfd.readouterr().err
+        assert "Traceback" not in err and len(err.splitlines()) == 1
+        doc = json.loads(err)
+        assert doc["code"] == code and message in doc["message"]
+        assert doc["context"] == {k: v.format(tmp=tmp_path) if isinstance(v, str) else v for k, v in context.items()}
+        assert [p.name for p in tmp_path.iterdir()] == ["file"]
+
+    @pytest.mark.parametrize("how", ["main", "run"])
+    def test_unexpected_exception_is_an_internal_error(self, tmp_path, monkeypatch, capfd, how):
+        def broken(spec):
+            raise KeyError("h")
+
+        monkeypatch.setitem(cli.SPECS, "hclass", cli.SPECS["hclass"]._replace(execute=broken))
+        out = str(tmp_path / "runs")
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps({"kind": "hclass", "h": "2*(LL)^1", "out": out}))
+        rc = cli.run(str(spec)) if how == "run" else cli.main(["hclass", "--h", "2*(LL)^1", "--out", out])
+        assert rc == 2
+        err = capfd.readouterr().err
+        assert json.loads(err) == {"code": "internal_error", "message": "'h'", "context": {"type": "KeyError"}}
+        assert len(err.splitlines()) == 1
+        assert [p.name for p in tmp_path.iterdir()] == ["spec.json"]
 
     def test_violation_exit_code(self, tmp_path, monkeypatch):
         def fake_verify(*args, **kwargs):

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from lil_lab import constants
 from lil_lab.constants import (
     CONVERGES,
     DIVERGES,
@@ -57,6 +58,40 @@ class TestSeriesClassifier:
         # H identically 0 drives every exponent to +inf
         v = series_classify(1.0, parse_slow_vary("2*(LL)^1"), ConstTSM(0.0))
         assert v.verdict == CONVERGES
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("c", [1e-170, 1e-300, 1.0, 1e170])
+    @pytest.mark.parametrize("classify", [
+        lambda c, H: series_classify(c, parse_slow_vary("2*(LL)^1"), H),
+        lambda c, H: alpha_series_classify(c, parse_cseq("pow:0.5"), H),
+    ], ids=["c0", "alpha0"])
+    def test_zero_h_converges_at_any_constant_without_a_warning(self, classify, c):
+        # c^2 underflows to 0 below c = 1e-162, where 0 / 0 or 0 * inf would be NaN
+        v = classify(c, ConstTSM(0.0))
+        assert v.verdict == CONVERGES and v.note == "tail terms vanish (H = 0 there)"
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("c", [1e-170, 0.3, 1.0, 7.5])
+    def test_probe_exponents_are_inf_where_h_is_zero_and_keep_their_bits_elsewhere(self, c):
+        # H vanishes below t = 1e3, so on the first probes only
+        def H(t):
+            return 0.0 if t < 1e3 else 1.0 + 1.0 / math.log(t)
+
+        h, c_seq = parse_slow_vary("2*(LL)^1"), parse_cseq("pow:0.5")
+        n = constants._PROBE_N
+        hv = H_values(H, constants._series_args(h, n))
+        pos = hv > 0
+        x = constants._c0_grid(h, H).exponents(c)
+        assert 0 < np.count_nonzero(pos) < n.size
+        assert np.all(x[~pos] == math.inf)
+        np.testing.assert_array_equal(x[pos], c * c * h(n)[pos] / (2.0 * hv[pos]))
+        cn = c_seq.values(n)
+        hv = H_values(H, cn)
+        pos = hv > 0
+        x = constants._alpha_grid(c_seq, H).exponents(c)
+        assert 0 < np.count_nonzero(pos) < n.size
+        assert np.all(x[~pos] == math.inf)
+        np.testing.assert_array_equal(x[pos], c * c * (cn[pos] * cn[pos] / (2.0 * n[pos] * hv[pos])))
 
     def test_negative_h_rejected(self):
         with pytest.raises(ValueError):

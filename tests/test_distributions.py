@@ -178,6 +178,38 @@ class TestParseGrammar:
             rng1, rng2 = np.random.default_rng(3), np.random.default_rng(3)
             np.testing.assert_allclose(dist.sample(rng1, 50), again.sample(rng2, 50))
 
+    @pytest.mark.parametrize("dist, text", [
+        (RademacherProduct([2.5e-10, 1]), "rademacher:scales=2.5e-10;1"),
+        (Gaussian([1.5e20, 2]), "gauss:diag=1.5e+20;2"),
+        (Gaussian([[2.0, 1e-12], [1e-12, 1.0]]), "gauss:cov=2;1e-12/1e-12;1"),
+        (PointMass([1e-300, 0.5]), "point:v=1e-300;0.5"),
+    ], ids=["exponent-ends-in-0", "positive-exponent", "tiny-off-diagonal", "point"])
+    def test_describe_writes_every_digit(self, dist, text):
+        assert dist.describe() == text
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        kind=st.sampled_from(["rademacher", "diag", "cov", "point"]),
+        # at most 1e307, so that the symmetrised covariance 0.5 (A + A^T) does not overflow
+        values=st.lists(st.floats(min_value=5e-324, max_value=1e307), min_size=3, max_size=3),
+        r=st.floats(min_value=0.0, max_value=0.9),
+    )
+    def test_describe_round_trips_bit_for_bit(self, kind, values, r):
+        a, b, c = values
+        if kind == "rademacher":
+            dist, field = RademacherProduct([a, b, c]), "scales"
+        elif kind == "diag":
+            dist, field = Gaussian([a, b, c]), "cov"
+        elif kind == "cov":
+            # positive definite: |off-diagonal| <= 0.9 sqrt(a c)
+            off = r * math.sqrt(a) * math.sqrt(c)
+            dist, field = Gaussian([[a, off], [off, c]]), "cov"
+        else:
+            dist, field = PointMass([a, b, c]), "vector"
+        again = parse_dist(dist.describe())
+        assert type(again) is type(dist)
+        assert getattr(again, field).tobytes() == getattr(dist, field).tobytes()
+
     @pytest.mark.parametrize(
         "bad",
         [

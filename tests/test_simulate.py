@@ -229,6 +229,7 @@ class TestLongPathChunks:
             lambda c: (c.mean, c.se, c.ci_lo, c.ci_hi),
         )
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_overflow_in_a_worker_thread_raises(self, monkeypatch):
         monkeypatch.setattr(simulate, "LONG_CHUNK", self.N)
         cfg = PathConfig(N=BLOCK + 10, seed=0, trials=3)

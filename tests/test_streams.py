@@ -252,6 +252,33 @@ def test_pilot_memory_is_per_trial_rows_and_one_matrix():
     assert reducer.m2.base is None and reducer.m2.shape == (64, 64)
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("reducer", [
+    CheckpointNorms(SpaceSpec(2, 2.0), (3, 10)),
+    _FinalAndMax(SpaceSpec(2, 2.0)),
+    _PilotMoments(SpaceSpec(2, 2.0), 3.0),
+    _PilotMoments(SpaceSpec(1, 2.0), 3.0),
+], ids=["checkpoint-norms", "final-and-max", "pilot-d2", "pilot-d1"])
+def test_every_summing_reducer_checks_its_carry_with_the_one_helper(reducer, monkeypatch):
+    # a finite tile is checked once; an overflowing one raises before any
+    # norm or product of the sums is formed, so numpy never warns
+    checked, check = [], simulate.finite_sums
+
+    def recording(sums, step):
+        checked.append(step)
+        return check(sums, step)
+
+    monkeypatch.setattr(simulate, "finite_sums", recording)
+    monkeypatch.setattr(bounds, "finite_sums", recording)
+    d = reducer.space.dim
+    reducer.start(3, d)
+    reducer.tile(np.ones((3, 5, d)), 0, 0)
+    assert checked == [5]
+    with pytest.raises(ArithmeticError, match=r"^partial sum overflowed near step 10$"):
+        reducer.tile(np.full((3, 5, d), 1e308), 0, 5)
+    assert checked == [5, 10]
+
+
 @pytest.mark.parametrize("n, block", [(300, BLOCK), (230, 100)])
 def test_reducer_passed_in_is_left_unmodified(n, block, monkeypatch):
     # chunks on threads run at once, so each must work on its own copy
