@@ -31,6 +31,7 @@ line on stderr; `_guarded` is the one place that writes it.  The codes:
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import json
 import math
@@ -388,6 +389,16 @@ def _provenance() -> dict:
     return {"lil_lab": __version__, "numpy": np.__version__, "rng_stream": _rng._TAG.decode()}
 
 
+def _missing_dirs(path: str) -> list[str]:
+    """The directories `os.makedirs(path)` would create, outermost first."""
+    missing = []
+    path = os.path.abspath(path)
+    while not os.path.exists(path):
+        missing.append(path)
+        path = os.path.dirname(path)
+    return missing[::-1]
+
+
 def execute(spec: dict) -> int:
     """Validate and run one resolved spec; write artifacts; return exit code.
 
@@ -398,12 +409,21 @@ def execute(spec: dict) -> int:
     # The worker count never changes a result, so the artifact records none:
     # runs at any --workers write the same bytes.
     artifact = {"resolved_spec": {**spec, "workers": None}, "seed": spec["seed"], "provenance": _provenance()}
-    body, extra_files, code = row.execute(spec)
-    artifact.update(body)
-    # Serialised before any file is opened: a NaN or inf that reached the
-    # document fails here and leaves no partial artifact behind.
-    artifact_text = json.dumps(artifact, indent=2, sort_keys=True, allow_nan=False) + "\n"
+    # --out is made before the run, so an unusable one fails before any
+    # work; a run that fails removes the directories made for it.
+    made = _missing_dirs(spec["out"])
     os.makedirs(spec["out"], exist_ok=True)
+    try:
+        body, extra_files, code = row.execute(spec)
+        artifact.update(body)
+        # Serialised before any file is opened: a NaN or inf that reached
+        # the document fails here and leaves no partial artifact behind.
+        artifact_text = json.dumps(artifact, indent=2, sort_keys=True, allow_nan=False) + "\n"
+    except BaseException:
+        for path in reversed(made):
+            with contextlib.suppress(OSError):
+                os.rmdir(path)
+        raise
     base_dir = spec.get("run_dir") or spec["out"]
     artifact_path = os.path.join(base_dir, row.artifact)
     with open(artifact_path, "w") as fh:

@@ -39,6 +39,7 @@ range (`h_extrapolated_frac`).
 """
 from __future__ import annotations
 
+import functools
 import math
 from collections.abc import Callable
 from dataclasses import dataclass, field
@@ -46,7 +47,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .rng import H_SAMPLE, substream
-from .slowvary import INCONCLUSIVE, NormalizerSeq, SlowVaryFn, _json_real, _ols_slope, log_psi, psi_inv_log
+from .slowvary import INCONCLUSIVE, NormalizerSeq, SlowVaryFn, _centred, _json_real, _ols_slope, log_psi, psi_inv_log
 from .spaces import DistTSM, EmpiricalTSM, SpaceSpec, _at_point
 
 CONVERGES = "CONVERGES"
@@ -103,14 +104,23 @@ class SeriesVerdict:
         }
 
 
+@functools.lru_cache(maxsize=None)
+def _window_fits(size: int) -> tuple[int, int, tuple, tuple]:
+    """Where the earlier window of `_window_slopes` starts and the last one
+    starts for an x of this size, and the x side (`_centred` log j) of each
+    window's fit.  They depend on the size alone, which is at most
+    `j_max`, so each is built once and kept read-only."""
+    j = np.arange(1, size + 1, dtype=float)
+    w = max(4, int(math.ceil(DEFAULT_PROBE.window_frac * size)))
+    lo2, lo1 = size - w, max(size - 2 * w, 0)
+    (xc1, d1), (xc2, d2) = _centred(np.log(j[lo1:lo2])), _centred(np.log(j[lo2:]))
+    return lo1, lo2, (_frozen(xc1), d1), (_frozen(xc2), d2)
+
+
 def _window_slopes(x: np.ndarray) -> tuple[float, float]:
     """OLS slopes of x_j vs log j over the last window and the one before."""
-    j = np.arange(1, x.size + 1, dtype=float)
-    w = max(4, int(math.ceil(DEFAULT_PROBE.window_frac * x.size)))
-    lo2, lo1 = x.size - w, x.size - 2 * w
-    s2 = _ols_slope(np.log(j[lo2:]), x[lo2:])
-    s1 = _ols_slope(np.log(j[max(lo1, 0) : lo2]), x[max(lo1, 0) : lo2])
-    return s1, s2
+    lo1, lo2, fit1, fit2 = _window_fits(x.size)
+    return _ols_slope(fit1, x[lo1:lo2]), _ols_slope(fit2, x[lo2:])
 
 
 def _classify_exponents(x: np.ndarray, c: float) -> SeriesVerdict:
@@ -395,7 +405,7 @@ def lambda_compute(h: SlowVaryFn, H_fn) -> LambdaResult:
     finite_tail = np.isfinite(log_g[-w:])
     diverging = False
     if finite_tail.sum() >= 4:
-        gamma = _ols_slope(np.log(_LLX[-w:][finite_tail]), log_g[-w:][finite_tail])
+        gamma = _ols_slope(_centred(np.log(_LLX[-w:][finite_tail])), log_g[-w:][finite_tail])
         diverging = gamma >= 0.5
     lam2 = math.inf if diverging else tail_max
     lam = math.sqrt(lam2) if math.isfinite(lam2) else math.inf

@@ -24,6 +24,14 @@ ceiling (series probes walk x past 1e36, limit-constant grids past
 1e290), so all root finding here happens on log-scale arguments.
 `psi_inv_log` is the one psi-inverse solver; it bisects a whole array of
 log-scale targets at once, each element to its own tolerance.
+
+Both hot paths here, `psi_inv_log` and `hq_classify`, are bound by
+numpy's per-call overhead on small arrays, so each makes few calls, and
+both keep the bits of their plain per-step and per-tau loops by
+construction.  The inverse speculates its bisection steps and keeps only
+those it has checked are the loop's own (`_speculate`).  The membership
+check stacks every tau's shifted grid into one log-h call, whose
+elementwise results do not depend on the stacking.
 """
 from __future__ import annotations
 
@@ -275,6 +283,66 @@ def psi(h: SlowVaryFn, x):
     return float(out) if np.ndim(x) == 0 else out
 
 
+#: The bracket ends the doubling search may reach: +-2^k below the 1e9 cap.
+_POW2 = np.ldexp(1.0, np.arange(30))
+_POW2.flags.writeable = False
+#: Bisection steps speculated per element, for calls of at most
+#: `_SPEC_MAX_SIZE` finite targets.  Speculation pays while numpy's
+#: per-call overhead dominates; past a few hundred elements the loop's
+#: one-step arrays are cheaper than (steps x elements) ones.
+_SPEC_STEPS = 44
+_SPEC_MAX_SIZE = 320
+
+
+def _root_guess(phi, w: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """A guess at each root of phi(u) = w in [lo, hi]: secant steps from u = 2w.
+
+    phi(u) = (u + log h(u)) / 2 has slope near 1/2, hence the start and
+    the first step.  `_speculate` checks every step the guess predicts,
+    so the guess only decides how many steps are skipped, never a result.
+    """
+    u0 = 2.0 * w
+    f0 = phi(u0) - w
+    u1 = u0 - 2.0 * f0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for _ in range(3):
+            f1 = phi(u1) - w
+            slope = (f1 - f0) / (u1 - u0)
+            u0, u1, f0 = u1, np.where(slope > 0, u1 - f1 / slope, u1), f1
+    return np.clip(u1, lo, hi)
+
+
+def _speculate(phi, w: np.ndarray, lo: np.ndarray, hi: np.ndarray):
+    """The brackets after the bisection steps toward `_root_guess` that
+    the loop of `psi_inv_log` would take too, from [lo, hi] = [-2^a, 2^b].
+
+    Halving a bracket of width W toward a point at fraction t of it gives,
+    after k steps, lo + W floor(t 2^k) / 2^k plus [0, W / 2^k]; row k of
+    (left, right) holds that state.  All `_SPEC_STEPS` steps are checked
+    in one pass and one phi call: the midpoint 0.5 * (left + right) moves,
+    phi there picks the predicted side, and the next row is the loop's
+    update of this one.  An element keeps its steps up to its first
+    failed check, or up to the step that narrows it to LOG_BISECT_TOL.
+    """
+    width = hi - lo
+    t = np.clip((_root_guess(phi, w, lo, hi) - lo) / width, 0.0, 1.0)  # a NaN fails every check
+    scale = np.ldexp(1.0, np.arange(_SPEC_STEPS + 1))[:, None]
+    j = np.floor(t * scale)
+    step = width / scale
+    left, right = lo + step * j, lo + step * (j + 1.0)
+    left[0], right[0] = lo, hi
+    old_l, old_r, new_l, new_r = left[:-1], right[:-1], left[1:], right[1:]
+    mid = 0.5 * (old_l + old_r)
+    up = j[1:] != 2.0 * j[:-1]  # the guess lies above mid
+    # step k is the loop's: it is still running, mid moves, phi picks the
+    # predicted side, and the next row is [mid, right] above, [left, mid] below
+    ok = (old_r - old_l > LOG_BISECT_TOL) & (old_l < mid) & (mid < old_r) & ((phi(mid) < w) == up)
+    ok &= (up & (new_l == mid) & (new_r == old_r)) | (~up & (new_l == old_l) & (new_r == mid))
+    taken = np.where(ok.all(axis=0), _SPEC_STEPS, ok.argmin(axis=0))  # steps up to the first failed one
+    cols = np.arange(w.size)
+    return left[taken, cols], right[taken, cols]
+
+
 def psi_inv_log(h: SlowVaryFn, log_y):
     """log of psi^{-1}(y) given log y, by bisection on the log scale.
 
@@ -289,6 +357,16 @@ def psi_inv_log(h: SlowVaryFn, log_y):
     tolerance), so an element's result does not depend on the other
     elements.  log y = -inf (y = 0) and +inf map to themselves; NaN
     raises ValueError.
+
+    The search takes few numpy calls and keeps the bits of the plain
+    loop by construction.  The doubling evaluates phi once at every end
+    it may reach, +-2^k below the 1e9 cap, and picks each element's
+    first end that passes, as the loop would.  Calls of up to
+    `_SPEC_MAX_SIZE` targets then speculate the first halvings toward a
+    guessed root and keep only the steps that are checked to be the
+    loop's own (`_speculate`); the loop resumes from there.  However
+    wrong the guess, every state the search passes through is one the
+    loop computes, so only the number of phi calls depends on it.
     """
     w = np.asarray(log_y, dtype=float)
     if np.isnan(w).any():
@@ -300,16 +378,18 @@ def psi_inv_log(h: SlowVaryFn, log_y):
     def phi(u: np.ndarray) -> np.ndarray:
         return 0.5 * (u + h.log_value_from_log(u))
 
-    hi = np.ones_like(wf)
-    while (need := phi(hi) < wf).any():
-        hi[need] *= 2.0
-        if hi.max() > 1e9:
-            raise ArithmeticError("psi_inv bracket blew up; malformed normalizer")
-    lo = -np.ones_like(wf)
-    while (need := phi(lo) > wf).any():
-        lo[need] *= 2.0
-        if lo.min() < -1e9:
-            raise ArithmeticError("psi_inv bracket blew up; malformed normalizer")
+    # hi = 2^b for the first b with phi(2^b) >= w, lo = -2^a for the first
+    # a with phi(-2^a) <= w.  The first b with phi(2^b) >= w is the first
+    # with max(phi(1), ..., phi(2^b)) >= w, so a binary search of the
+    # running maxima finds it whether or not phi rounds monotonically.
+    ends = phi(np.concatenate([_POW2, -_POW2]))
+    b = np.searchsorted(np.maximum.accumulate(ends[: _POW2.size]), wf)
+    a = np.searchsorted(-np.minimum.accumulate(ends[_POW2.size :]), -wf)
+    if (b == _POW2.size).any() or (a == _POW2.size).any():
+        raise ArithmeticError("psi_inv bracket blew up; malformed normalizer")
+    lo, hi = -_POW2[a], _POW2[b]
+    if wf.size <= _SPEC_MAX_SIZE:
+        lo, hi = _speculate(phi, wf, lo, hi)
     active = np.nonzero(hi - lo > LOG_BISECT_TOL)[0]
     while active.size:
         left, right = lo[active], hi[active]
@@ -442,14 +522,8 @@ class HqReport:
         }
 
 
-def _classify_tau(h: SlowVaryFn, tau: float, tol: float) -> TauDiagnostic:
-    u = np.log(DEFAULT_T_GRID)  # log t; grids stay well inside float range
-    lt = np.maximum(u, 1.0)
-    # log(t * f_tau(t)) = log t + (Lt)^tau
-    shifted = u + lt**tau
-    delta = h.log_value_from_log(shifted) - h.log_value_from_log(u)  # log ratio >= 0
-    with np.errstate(over="ignore"):  # a ratio past the float ceiling is inf
-        ratios = np.exp(delta)
+def _classify_tau(tau: float, lt: np.ndarray, delta: np.ndarray, ratios: np.ndarray, tol: float) -> TauDiagnostic:
+    """The verdict for one tau from its log ratios `delta` on the t grid."""
     band = math.log1p(tol)
     tail = delta[-max(4, len(delta) // 4) :]
     if float(np.max(np.abs(tail))) <= band:
@@ -464,7 +538,7 @@ def _classify_tau(h: SlowVaryFn, tau: float, tol: float) -> TauDiagnostic:
         return TauDiagnostic(tau, ratios, MEMBER, "ratio collapsed to 1", None)
     xs = np.log(lt[half:][mask])
     ys = np.log(delta[half:][mask])
-    gamma = _ols_slope(xs, ys)
+    gamma = _ols_slope(_centred(xs), ys)
     if gamma <= -0.02:
         return TauDiagnostic(tau, ratios, MEMBER, "log-ratio decaying to 0", gamma)
     increasing = bool(np.all(np.diff(delta[half:]) >= -1e-12))
@@ -487,11 +561,24 @@ def hq_classify(h: SlowVaryFn, q: float, tol: float = 0.02) -> HqReport:
     scale; verdicts carry the fitted decay exponent so a reader can judge
     how solid each one is.  q = 1 is vacuous (no tau qualifies) and
     returns MEMBER.
+
+    All active taus share two log-h calls, at log t and at the stacked
+    shifted grids.  The results are bit-identical to one pass per tau:
+    each element goes through the same elementwise operations, and each
+    tau's shift `lt**tau` is still a power by a scalar (numpy takes a
+    scalar power 0.5 through sqrt, which a broadcast power need not match).
     """
     if not (0 <= q <= 1):
         raise ValueError("q must lie in [0, 1]")
     active = [tau for tau in DEFAULT_TAU_GRID if _tau_active(tau, q)]
-    diags = tuple(_classify_tau(h, tau, tol) for tau in active)
+    u = np.log(DEFAULT_T_GRID)  # log t; grids stay well inside float range
+    lt = np.maximum(u, 1.0)
+    # log(t * f_tau(t)) = log t + (Lt)^tau, one row per tau
+    shifted = u + np.array([lt**tau for tau in active]).reshape(len(active), u.size)
+    delta = h.log_value_from_log(shifted) - h.log_value_from_log(u)  # log ratios >= 0
+    with np.errstate(over="ignore"):  # a ratio past the float ceiling is inf
+        ratios = np.exp(delta)
+    diags = tuple(_classify_tau(tau, lt, delta[i], ratios[i], tol) for i, tau in enumerate(active))
     if any(d.verdict == NON_MEMBER for d in diags):
         verdict = NON_MEMBER
     elif all(d.verdict == MEMBER for d in diags):
@@ -501,12 +588,20 @@ def hq_classify(h: SlowVaryFn, q: float, tol: float = 0.02) -> HqReport:
     return HqReport(q=float(q), verdict=verdict, per_tau=diags, tol=tol)
 
 
-def _ols_slope(x: np.ndarray, y: np.ndarray) -> float:
+def _centred(x: np.ndarray) -> tuple[np.ndarray, float]:
+    """The x side of an OLS fit: x minus its mean, and its sum of squares."""
     xc = x - x.mean()
-    denom = float((xc * xc).sum())
+    return xc, float((xc * xc).sum())
+
+
+def _ols_slope(x_side: tuple[np.ndarray, float], y: np.ndarray) -> float:
+    """OLS slope of y on the x given as `_centred(x)`, which a caller that
+    fits many y on one x computes once.  `y.sum() / y.size` is the float
+    `y.mean()` gives for a float64 vector, without its dispatch."""
+    xc, denom = x_side
     if denom == 0.0:
         return 0.0
-    return float((xc * (y - y.mean())).sum() / denom)
+    return float((xc * (y - y.sum() / y.size)).sum() / denom)
 
 
 # ---------------------------------------------------------------------------

@@ -62,7 +62,12 @@ def norm(v: np.ndarray, space: SpaceSpec) -> float:
     arr = np.asarray(v, dtype=float)
     if arr.shape != (space.dim,):
         raise ValueError(f"vector shape {arr.shape} does not match dim {space.dim}")
-    return float(np.linalg.norm(arr, ord=space.norm_p))
+    with np.errstate(over="ignore"):  # as in `_unsquared`
+        val = float(np.linalg.norm(arr, ord=space.norm_p))
+        if math.isinf(val) and space.norm_p == 2.0 and np.isfinite(arr).all():
+            big = float(np.abs(arr).max())
+            val = big * float(np.linalg.norm(arr / big))
+    return val
 
 
 def norms(rows: np.ndarray, space: SpaceSpec) -> np.ndarray:
@@ -72,7 +77,7 @@ def norms(rows: np.ndarray, space: SpaceSpec) -> np.ndarray:
         raise ValueError(f"expected (N, {space.dim}) array, got shape {arr.shape}")
     p = space.norm_p
     if p == 2.0:
-        return np.sqrt(np.einsum("ij,ij->i", arr, arr))
+        return _unsquared(arr, lambda a: np.sqrt(np.einsum("ij,ij->i", a, a)))
     if p == 1.0:
         return np.abs(arr).sum(axis=1)
     # column by column: exact, and much cheaper than a reduction over a short axis
@@ -95,7 +100,22 @@ def norm_rows(rows: np.ndarray, space: SpaceSpec) -> np.ndarray:
         return norms(arr, space)
     if arr.ndim != 2 or arr.shape[1] != space.dim:
         raise ValueError(f"expected (N, {space.dim}) array, got shape {arr.shape}")
-    return np.sqrt(np.matmul(arr[:, None, :], arr[:, :, None])[:, 0, 0])
+    return _unsquared(arr, lambda a: np.sqrt(np.matmul(a[:, None, :], a[:, :, None])[:, 0, 0]))
+
+
+def _unsquared(arr: np.ndarray, l2) -> np.ndarray:
+    """`l2(arr)`, the l2 norms of the rows of `arr`, where a row whose
+    squares overflowed is taken again scaled by its largest |entry|:
+    s * l2(row / s).  Every finite norm keeps its bits, and a result with
+    no inf costs one isfinite more."""
+    with np.errstate(over="ignore"):  # a norm past the float range stays inf
+        out = l2(arr)
+        if np.isfinite(out).all():
+            return out
+        redo = np.isinf(out) & np.isfinite(arr).all(axis=1)
+        big = np.abs(arr[redo]).max(axis=1, initial=0.0)
+        out[redo] = big * l2(arr[redo] / big[:, None])
+    return out
 
 
 def _validated_sym(matrix: np.ndarray, what: str) -> np.ndarray:

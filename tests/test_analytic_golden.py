@@ -9,6 +9,11 @@ searches and the point-by-point H evaluation that preceded the
 vectorised code, so any change to a bracket, a probe verdict or the last
 bit of a curve value shows up here.
 
+`HQ_DIGESTS` pin `hq_classify`, its JSON plus every tau's raw ratios,
+for the q = 0 scan of each scenario's h and for the two `hclass` calls
+of the sweep.  They were recorded from the membership check that took
+one tau at a time, before the taus shared their log-h calls.
+
 `PRE_ROUTE_DIGESTS` hash each report without the H route keys that
 `verdict_diagnostics` gained later; they are the digests recorded before
 those keys existed, so no older field can move unnoticed.
@@ -28,7 +33,7 @@ import pytest
 from lil_lab.cli import parse_space
 from lil_lab.constants import constants_report, lambda_compute, parse_tsm
 from lil_lab.distributions import parse_dist
-from lil_lab.slowvary import parse_cseq, parse_slow_vary
+from lil_lab.slowvary import hq_classify, parse_cseq, parse_slow_vary
 
 # name: (h, H, dist, space, c_seq)
 SCENARIOS = {
@@ -70,6 +75,20 @@ CURVE_DIGESTS = {
     "c3-llpow": "df6df506021ee359c0c69f7e93c8a7815fdebc840e3dc8dddb3a5cf5c33f569a",
     "c7-dist-rademacher": "2dc3bbef1b60d44ab3e66536a87e08baf1416a1fc902f35b1924db384584309e",
     "c8-explog": "f1881e5a29f5dafb3fe52bc6575ea6403fc69e27d3662f317a12dfa4bebb2a69",
+}
+
+_HQ_BY_H = {
+    "2*(LL)^1": "a1aba77c4425aba2f48c791774e6c510b9ff6252761156ce862a819d7ff187ef",
+    "2*(LL)^1.5": "372808d37965f25d5d856ba63e43d7350904783ded9b8bac530ce4e6214ee0e1",
+    "2*(LL)^3": "dbcef9b7e7d40fd1773dccc123694016ddffe34104f81f1b9c990251eaa81b36",
+    "exp((L)^0.5)": "8b73f9c76f94340a654c78ea0b2f5ffd8c8a4e917ad9f54dc7ddec611f64283a",
+}
+
+# (h, q): the q = 0 scan of every scenario's h, then h9 and h10 of the sweep
+HQ_DIGESTS = {
+    **{(SCENARIOS[name][0], 0.0): _HQ_BY_H[SCENARIOS[name][0]] for name in SCENARIOS},
+    ("exp((L)^0.5)", 0.2): "a8557141b4844a3abe90a50904f3ae4fc48d4589b00013d2f3a8f0882b74db9f",
+    ("(LL)^2", 0.0): "51467a58209c56d2d736319ef2d8be4366188a07002b6a0e48e21ec92707f1cb",
 }
 
 
@@ -123,3 +142,12 @@ def test_lambda_curve_digest(name):
     curve = lambda_compute(h, H_fn).curve
     assert curve.dtype == np.float64
     assert hashlib.sha256(curve.tobytes()).hexdigest() == CURVE_DIGESTS[name]
+
+
+@pytest.mark.parametrize("h_text,q", sorted(HQ_DIGESTS))
+def test_hq_classify_digest(h_text, q):
+    report = hq_classify(parse_slow_vary(h_text), q)
+    digest = hashlib.sha256(json.dumps(report.to_json_dict(), sort_keys=True).encode())
+    for d in report.per_tau:
+        digest.update(d.ratios.tobytes())
+    assert digest.hexdigest() == HQ_DIGESTS[(h_text, q)]

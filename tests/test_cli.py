@@ -693,6 +693,37 @@ class TestExitCodes:
         assert len(err.splitlines()) == 1
         assert [p.name for p in tmp_path.iterdir()] == ["spec.json"]
 
+    def test_unusable_out_fails_before_the_run(self, tmp_path, monkeypatch, capsys):
+        def never(spec):
+            raise AssertionError("the run started")
+
+        monkeypatch.setitem(cli.SPECS, "hclass", cli.SPECS["hclass"]._replace(execute=never))
+        (tmp_path / "file").write_text("a regular file")
+        assert cli.main(["hclass", "--h", "2*(LL)^1", "--out", str(tmp_path / "file" / "sub")]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert json.loads(captured.err)["code"] == "io_error"
+
+    def test_a_failed_run_removes_the_directories_made_for_it(self, tmp_path, monkeypatch):
+        out = tmp_path / "a" / "b"
+
+        def late_failure(spec):
+            assert os.path.isdir(out)
+            raise ArithmeticError("late failure")
+
+        monkeypatch.setitem(cli.SPECS, "hclass", cli.SPECS["hclass"]._replace(execute=late_failure))
+        assert cli.main(["hclass", "--h", "2*(LL)^1", "--out", str(out)]) == 2
+        assert list(tmp_path.iterdir()) == []
+        assert cli.main(["hclass", "--h", "2*(LL)^1", "--out", str(tmp_path)]) == 2
+        assert tmp_path.is_dir()
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_huge_finite_paths_keep_finite_norms(self, tmp_path):
+        argv = ["lil-sim", "--dist", "point:v=1e200", "--space", "1,2", "--N", "200", "--trials", "2"]
+        assert cli.main([*argv, "--out", str(tmp_path)]) == 0
+        doc = json.loads((tmp_path / "sim.json").read_text())
+        assert np.isfinite(np.asarray(doc["ratios"], dtype=float)).all()
+
     def test_violation_exit_code(self, tmp_path, monkeypatch):
         def fake_verify(*args, **kwargs):
             row = types.SimpleNamespace(violation=True)

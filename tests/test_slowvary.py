@@ -7,7 +7,11 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from lil_lab import slowvary
+from lil_lab.constants import DEFAULT_X_GRID
 from lil_lab.slowvary import (
+    DEFAULT_TAU_GRID,
+    DEFAULT_T_GRID,
     INCONCLUSIVE,
     LOG_BISECT_TOL,
     MEMBER,
@@ -302,3 +306,169 @@ class TestMomentDiagnostic:
         dist = RadialPareto(1.05, 2, 1.0)
         est = psi_inv_moment(dist, h, SpaceSpec(2, 2.0), rng=np.random.default_rng(3))
         assert est.heavy
+
+
+def plain_root(phi, ws):
+    """The doubling-then-halving loop of `psi_inv_log` on finite targets,
+    with nothing speculated: the reference for its bits."""
+    wf = np.array(ws, dtype=float)
+    hi = np.ones_like(wf)
+    while (need := phi(hi) < wf).any():
+        hi[need] *= 2.0
+        if hi.max() > 1e9:
+            raise ArithmeticError("bracket")
+    lo = -np.ones_like(wf)
+    while (need := phi(lo) > wf).any():
+        lo[need] *= 2.0
+        if lo.min() < -1e9:
+            raise ArithmeticError("bracket")
+    active = np.nonzero(hi - lo > LOG_BISECT_TOL)[0]
+    while active.size:
+        left, right = lo[active], hi[active]
+        mid = 0.5 * (left + right)
+        moves = (left < mid) & (mid < right)
+        below = phi(mid) < wf[active]
+        left, right = np.where(below, mid, left), np.where(below, right, mid)
+        lo[active], hi[active] = left, right
+        active = active[(right - left > LOG_BISECT_TOL) & moves]
+    return 0.5 * (lo + hi)
+
+
+def _phi(h):
+    return lambda u: 0.5 * (u + h.log_value_from_log(u))
+
+
+#: Root guesses from useless to nearly right; none may change a result.
+BAD_GUESSES = {
+    "nan": lambda phi, w, lo, hi: np.full_like(w, math.nan),
+    "+inf": lambda phi, w, lo, hi: np.full_like(w, math.inf),
+    "-inf": lambda phi, w, lo, hi: np.full_like(w, -math.inf),
+    "lo": lambda phi, w, lo, hi: lo.copy(),
+    "hi": lambda phi, w, lo, hi: hi.copy(),
+    "root+1e-3": lambda phi, w, lo, hi: plain_root(phi, w) + 1e-3,
+    "root-1e-3": lambda phi, w, lo, hi: plain_root(phi, w) - 1e-3,
+}
+
+#: The targets `lambda_compute` inverts: log(x LLx) on its x grid.
+LAMBDA_TARGETS = np.array([math.log(x) + math.log(max(math.log(x), math.e)) for x in DEFAULT_X_GRID])
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+class TestSpeculativeInverse:
+    """`psi_inv_log` speculates its bisection toward a guessed root and
+    checks every step; the guess may change its speed, never its bits
+    (nor print a warning)."""
+
+    @pytest.mark.parametrize("guess", sorted(BAD_GUESSES))
+    @pytest.mark.parametrize("text", ["2*(LL)^1", "exp((L)^0.5)", "0.5*(L)^1*(LL)^2", "3"])
+    def test_any_guess_keeps_the_bits_on_the_lambda_grid(self, monkeypatch, guess, text):
+        h = parse_slow_vary(text)
+        want = plain_root(_phi(h), LAMBDA_TARGETS)
+        assert np.array_equal(psi_inv_log(h, LAMBDA_TARGETS), want)
+        monkeypatch.setattr(slowvary, "_root_guess", BAD_GUESSES[guess])
+        assert np.array_equal(psi_inv_log(h, LAMBDA_TARGETS), want)
+
+    @given(h=normal_forms(), ws=st.lists(st.floats(-700.0, 1e6), min_size=1, max_size=10),
+           guess=st.sampled_from(sorted(BAD_GUESSES)))
+    @settings(max_examples=60, deadline=None)
+    def test_any_guess_keeps_the_bits_property(self, h, ws, guess):
+        want = plain_root(_phi(h), ws)
+        assert np.array_equal(psi_inv_log(h, np.array(ws)), want)
+        real = slowvary._root_guess
+        slowvary._root_guess = BAD_GUESSES[guess]
+        try:
+            assert np.array_equal(psi_inv_log(h, np.array(ws)), want)
+        finally:
+            slowvary._root_guess = real
+
+    @pytest.mark.parametrize("guess", ["real", *sorted(BAD_GUESSES)])
+    def test_edge_behaviour_does_not_depend_on_the_guess(self, monkeypatch, guess):
+        if guess != "real":
+            monkeypatch.setattr(slowvary, "_root_guess", BAD_GUESSES[guess])
+        # deep enough to reach the steps whose midpoint no longer moves
+        monkeypatch.setattr(slowvary, "_SPEC_STEPS", 64)
+        h = SlowVaryFn()  # psi(x) = sqrt(x): past 2^13 the midpoint stops moving
+        assert np.array_equal(psi_inv_log(h, np.array([3000.0, 4500.0, 1e6])), [6000.0, 9000.0, 2e6])
+        with pytest.raises(ArithmeticError):
+            psi_inv_log(h, 6e8)  # root past 2^30
+        with pytest.raises(ArithmeticError):
+            psi_inv_log(h, np.array([1.0, -6e8]))
+        assert np.array_equal(psi_inv_log(h, np.array([math.inf, -math.inf])), [math.inf, -math.inf])
+        assert psi_inv(h, 0.0) == 0.0 and np.array_equal(psi_inv(h, [0.0]), [0.0])
+        got = psi_inv_log(h, 3.0)
+        assert type(got) is float and got == plain_root(_phi(h), [3.0])[0]
+
+    def test_large_calls_match_too(self):
+        h = parse_slow_vary("2*(LL)^1")
+        ws = np.linspace(-40.0, 700.0, 4096)
+        assert np.array_equal(psi_inv_log(h, ws), plain_root(_phi(h), ws))
+
+
+def _counting(monkeypatch):
+    calls = []
+    real = SlowVaryFn.log_value_from_log
+
+    def counted(self, log_t):
+        calls.append(np.shape(log_t))
+        return real(self, log_t)
+
+    monkeypatch.setattr(SlowVaryFn, "log_value_from_log", counted)
+    return calls
+
+
+class TestRoundTripBudget:
+    """Perf guards: log h is evaluated in few calls (64 and 18 before the
+    speculative inverse and the batched membership pass)."""
+
+    @pytest.mark.parametrize("text", ["2*(LL)^1", "exp((L)^0.5)", "2*(LL)^3"])
+    def test_psi_inv_log_on_the_lambda_grid(self, monkeypatch, text):
+        h = parse_slow_vary(text)
+        calls = _counting(monkeypatch)
+        psi_inv_log(h, LAMBDA_TARGETS)
+        assert len(calls) <= 20
+
+    @pytest.mark.parametrize("q", [0.0, 0.2, 0.85])
+    def test_hq_classify(self, monkeypatch, q):
+        h = parse_slow_vary("exp((L)^0.5)")
+        calls = _counting(monkeypatch)
+        assert hq_classify(h, q).per_tau
+        assert len(calls) == 2
+
+
+def reference_classify_tau(h, tau, tol):
+    """The membership check for one tau, one tau at a time, as it was
+    before the taus shared their log-h calls."""
+    u = np.log(DEFAULT_T_GRID)
+    lt = np.maximum(u, 1.0)
+    delta = h.log_value_from_log(u + lt**tau) - h.log_value_from_log(u)
+    with np.errstate(over="ignore"):
+        ratios = np.exp(delta)
+    tail = delta[-max(4, len(delta) // 4):]
+    if float(np.max(np.abs(tail))) <= math.log1p(tol):
+        return tau, ratios, MEMBER, "within band", None
+    half = len(delta) // 2
+    mask = delta[half:] > 1e-300
+    if mask.sum() < 4:
+        return tau, ratios, MEMBER, "ratio collapsed to 1", None
+    xs, ys = np.log(lt[half:][mask]), np.log(delta[half:][mask])
+    xc = xs - xs.mean()
+    denom = float((xc * xc).sum())
+    gamma = 0.0 if denom == 0.0 else float((xc * (ys - ys.mean())).sum() / denom)
+    if gamma <= -0.02:
+        return tau, ratios, MEMBER, "log-ratio decaying to 0", gamma
+    if gamma >= 0.02 and bool(np.all(np.diff(delta[half:]) >= -1e-12)):
+        return tau, ratios, NON_MEMBER, "monotone drift away from 1", gamma
+    return tau, ratios, INCONCLUSIVE, "no clear trend", gamma
+
+
+class TestBatchedMembership:
+    @given(h=normal_forms(), q=st.sampled_from([0.0, 0.1, 0.35, 0.9, 1.0]))
+    @settings(max_examples=60, deadline=None)
+    def test_matches_the_per_tau_loop(self, h, q):
+        got = hq_classify(h, q).per_tau
+        want = [reference_classify_tau(h, tau, 0.02) for tau in DEFAULT_TAU_GRID if 0 < tau < 1 - q - 1e-12]
+        assert len(got) == len(want)
+        assert q < 1.0 or not got
+        for d, (tau, ratios, verdict, reason, gamma) in zip(got, want):
+            assert (d.tau, d.verdict, d.reason, d.decay_exponent) == (tau, verdict, reason, gamma)
+            assert d.ratios.tobytes() == ratios.tobytes()

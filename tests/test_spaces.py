@@ -78,6 +78,30 @@ class TestNorms:
         with pytest.raises(ValueError):
             SpaceSpec(3, 1.5)
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("d", [1, 2, 5])
+    def test_l2_norms_of_huge_finite_rows_do_not_overflow(self, d):
+        space = SpaceSpec(d, 2.0)
+        rows = np.full((4, d), 3e200)
+        rows[1, 0], rows[2] = -1e308, 1.0
+        rows[3, 0] = math.inf
+        want = [3e200 * math.sqrt(d), 1e308, math.sqrt(d), math.inf]
+        for got in (norms(rows, space), norm_rows(rows, space), [norm(v, space) for v in rows]):
+            assert list(got) == pytest.approx(want, rel=1e-15)
+        # a norm past the float range stays inf
+        assert norms(np.full((1, 4), 1e308), SpaceSpec(4, 2.0))[0] == math.inf
+        assert RademacherProduct([1e200] * d).norm_bound(space) == pytest.approx(1e200 * math.sqrt(d))
+
+    @pytest.mark.parametrize("d", [1, 3, 20])
+    def test_rescue_leaves_finite_norms_bit_for_bit(self, d):
+        rows = np.random.default_rng(d).standard_normal((300, d)) * np.geomspace(1e-150, 1e150, 300)[:, None]
+        rows[::7] *= 1e150  # rows whose squares overflow ride along
+        space = SpaceSpec(d, 2.0)
+        finite = np.abs(rows).max(axis=1) < 1e150
+        assert np.array_equal(norms(rows, space)[finite], np.sqrt(np.einsum("ij,ij->i", rows, rows))[finite])
+        assert np.array_equal(norm_rows(rows, space)[finite],
+                              [np.linalg.norm(v) for v in rows[finite]])
+
 
 class TestTruncatedCov:
     def test_requires_symmetric_psd(self):
