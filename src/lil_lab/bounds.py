@@ -23,9 +23,9 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from . import rng as _rng
-from .simulate import finite_sums, map_trials
+from .simulate import finite_sums, map_trials, path_sums
 from .slowvary import _json_real
-from .spaces import SpaceSpec, dual_ball_sup, norm_rows, norms
+from .spaces import SpaceSpec, dual_ball_sup, norms
 
 
 @dataclass(frozen=True)
@@ -316,7 +316,10 @@ class _PilotMoments:
     `tile` adds each trial's coordinate sums and s-th moment sum into
     zero-initialised per-trial rows and folds each trial's x^T x into one
     (d, d) matrix `m2`; `result` folds the rows.  Every fold adds left to
-    right in the order `stream_trials` hands over the tiles.
+    right in the order `stream_trials` hands over the tiles.  The products,
+    powers and folds run under `np.errstate`: a moment past the float range
+    stays inf or NaN through every later fold, and `mc_verify` checks the
+    folded chunks once, before it reads any of them.
     """
 
     def __init__(self, space: SpaceSpec, s: float):
@@ -339,23 +342,19 @@ class _PilotMoments:
                 # the same step-by-step folds, each over a contiguous (b, d) row
                 self.sums[rows] += np.ascontiguousarray(x.transpose(1, 0, 2)).sum(axis=0)
             finite_sums(self.sums[rows], s0 + m)
-        self.m2 = _fold(self.m2, np.matmul(x.transpose(0, 2, 1), x))
-        self.moments[rows] += (norms(x.reshape(-1, d), self.space) ** self.s).reshape(b, m).sum(axis=1)
+            self.m2 = _fold(self.m2, np.matmul(x.transpose(0, 2, 1), x))
+            self.moments[rows] += (norms(x.reshape(-1, d), self.space) ** self.s).reshape(b, m).sum(axis=1)
 
     def result(self):
         trials, d = self.sums.shape
-        finals = norm_rows(self.sums, self.space)
-        return (_fold(np.zeros(d), self.sums), self.m2, float(_fold(0.0, self.moments)),
-                float(_fold(0.0, finals)), float(_fold(0.0, finals * finals)), trials)
+        finals = norms(self.sums, self.space)
+        with np.errstate(over="ignore", invalid="ignore"):
+            return (_fold(np.zeros(d), self.sums), self.m2, float(_fold(0.0, self.moments)),
+                    float(_fold(0.0, finals)), float(_fold(0.0, finals * finals)), trials)
 
 
 class _FinalAndMax:
-    """Reducer: ||S_n|| and max_k ||S_k|| per trial.
-
-    A trial's carried S is added into the first step of its next tile, so
-    the cumulative sum continues sequentially: S_k has the same bits
-    however the path is cut into blocks.
-    """
+    """Reducer: ||S_n|| and max_k ||S_k|| per trial, S_k from `path_sums`."""
 
     def __init__(self, space: SpaceSpec):
         self.space = space
@@ -368,10 +367,7 @@ class _FinalAndMax:
     def tile(self, x: np.ndarray, k0: int, s0: int) -> None:
         b, m, d = x.shape
         rows = slice(k0, k0 + b)
-        with np.errstate(over="ignore", invalid="ignore"):
-            x[:, 0] += self.carry[rows]
-            partial = np.cumsum(x, axis=1, out=x)
-            self.carry[rows] = finite_sums(partial[:, -1], s0 + m)
+        partial = path_sums(x, self.carry[rows], s0 + m)
         pn = norms(partial.reshape(-1, d), self.space).reshape(b, m)
         self.finals[rows] = pn[:, -1]
         np.maximum(self.maxes[rows], pn.max(axis=1), out=self.maxes[rows])
@@ -423,7 +419,13 @@ def mc_verify(
         dist, n, seed, trials,
         [(_rng.PILOT, _PilotMoments(space, params.s)), (_rng.MAIN, _FinalAndMax(space))], workers,
     )
-    coord_sum, m2, moment_sum, final_sum, final_sumsq, _ = (sum(col) for col in zip(*parts))
+    with np.errstate(over="ignore", invalid="ignore"):
+        coord_sum, m2, moment_sum, final_sum, final_sumsq, _ = (sum(col) for col in zip(*parts))
+    # an inf or NaN stays so through every fold; bounding these three
+    # also bounds the coordinate and final-norm sums (Cauchy-Schwarz)
+    for name, total in (("x^T x", m2), ("s-th norm moment", moment_sum), ("squared final norm", final_sumsq)):
+        if not np.isfinite(total).all():
+            raise ArithmeticError(f"pilot {name} sum overflowed by step {n}")
     n_draws = trials * n
 
     coord_mean = coord_sum / n_draws

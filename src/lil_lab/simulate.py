@@ -4,10 +4,17 @@ kernel that every Monte Carlo estimate in the package runs on.
 `stream_trials` walks a chunk of trials in tiles of trials x steps and
 hands each tile, as one (trials, steps, dim) array of draws, to a
 reducer: checkpoint norms and the truncated twin here, the running
-maximum with the final norm and the pilot moment sums in `bounds`.
-`CheckpointNorms` is the one partial-sum tracker; the twin feeds it the
-draws it drops.  A tile may be part of a path, so every reducer carries
-its per-trial state from one tile of a path to the next.
+maximum with the final norm and the pilot moment sums in `bounds`.  A
+tile may be part of a path, so every reducer carries its per-trial state
+from one tile of a path to the next.  Every reducer that reads partial
+sums continues them through `path_sums`, which adds the carried sum into
+the tile's first step before the cumulative sum, and takes their norms
+with `spaces.norms`; the twin feeds the draws it drops to a
+`CheckpointNorms` of its own.  So each S_k is the sequential left fold
+of the draws, and every checkpoint norm, final norm and maximum has the
+bits of an uncut path whatever BLOCK is.  Only the pilot, which needs
+S_n alone, sums each tile on its own, so its sums of a path cut into
+blocks differ from the uncut path's in the last bits.
 
 Random streams are version 3 (`lil-lab-stream-v3`, SFC64 seeded from a
 SHA-256 hash; see `rng`): the unit of a stream is a fixed group of
@@ -24,9 +31,9 @@ trial's draws are the same whatever else runs.
 
 `map_trials` cuts the trials into chunks whose size depends only on the
 path length and runs them on `workers` threads for block-streamed paths
-(numpy's sampling, cumsum and matmul on whole blocks release the GIL)
-and on `workers` processes for grouped ones; the chunks of several
-passes over the same trials share one submission, hence one pool.
+and on `workers` processes for grouped ones (see `map_trials` for why);
+the chunks of several passes over the same trials share one submission,
+hence one pool.
 Float accumulations across trials stay left folds in a fixed order
 within a chunk, and chunk results are folded in chunk order, so results
 are bit-identical whatever the worker count, the executor, or the order
@@ -43,7 +50,7 @@ import numpy as np
 from . import rng as _rng
 from ._pool import CHUNK, chunk_ranges, map_chunks
 from .slowvary import NormalizerSeq, SlowVaryFn
-from .spaces import SpaceSpec, norm_rows, norms
+from .spaces import SpaceSpec, norms
 
 #: Steps generated per streaming block.
 BLOCK = 65536
@@ -112,7 +119,13 @@ def map_trials(dist, n: int, seed: int, trials: int, passes, workers: int) -> li
     Paths drawn in one sample call (n <= BLOCK) come in chunks of CHUNK
     trials on `workers` processes.  Block-streamed paths come in chunks of
     max(1, LONG_CHUNK // n) trials on `workers` threads, which share this
-    process's memory where a forked process would copy about 30 MB of it.
+    process's memory where a forked process would copy about 30 MB of it;
+    numpy's sampling, cumsum and matmul on whole blocks release the GIL.
+    Grouped paths stay on processes, where the many small numpy calls of
+    each group do not contend for the GIL.  On threads, the
+    20,480 x 200-step `fn-verify` run (two passes, 2 vCPUs) sampled
+    2.1e7-2.2e7 increments/s against 3.0e7-3.3e7 on processes, for a
+    peak RSS of 44 MB against 74 MB and the same results.
     The chunks of all passes go to `map_chunks` in one call, so one pool
     serves them; no pass may read another's results.  Neither the chunks
     nor the draws depend on `workers`.
@@ -145,6 +158,24 @@ def finite_sums(sums: np.ndarray, step: int) -> np.ndarray:
     return sums
 
 
+def path_sums(x: np.ndarray, carry: np.ndarray, step: int) -> np.ndarray:
+    """S_k for a tile `x` of draws, the sums overwriting the draws.
+
+    Every reducer that reads partial sums continues its paths here, so
+    S_k has one rule: each trial's carried sum `carry` goes into the
+    first step of its tile, and the cumulative sum runs on from it.  S_k
+    is then the sequential left fold of the draws, the same bits however
+    the path is cut into tiles.  The new carry, S at `step`, is checked
+    with `finite_sums` and stored into `carry`, a view of the reducer's
+    own rows.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        x[:, 0] += carry
+        np.cumsum(x, axis=1, out=x)
+    carry[:] = finite_sums(x[:, -1], step)
+    return x
+
+
 class CheckpointNorms:
     """Reducer: ||S_n|| at sorted checkpoints, one row per trial."""
 
@@ -158,21 +189,17 @@ class CheckpointNorms:
 
     def tile(self, x: np.ndarray, k0: int, s0: int) -> None:
         b, m, d = x.shape
-        carry = self.carry[k0 : k0 + b]
-        with np.errstate(over="ignore", invalid="ignore"):
-            raw = np.cumsum(x, axis=1, out=x)
-            last = finite_sums(raw[:, -1] + carry, s0 + m)
+        sums = path_sums(x, self.carry[k0 : k0 + b], s0 + m)
         j0, j1 = np.searchsorted(self.points, (s0, s0 + m), side="right")
-        at = raw[:, self.points[j0:j1] - s0 - 1] + carry[:, None, :]
-        self.out[k0 : k0 + b, j0:j1] = norm_rows(at.reshape(-1, d), self.space).reshape(b, j1 - j0)
-        carry[:] = last
+        at = sums[:, self.points[j0:j1] - s0 - 1]
+        self.out[k0 : k0 + b, j0:j1] = norms(at.reshape(-1, d), self.space).reshape(b, j1 - j0)
 
     def hold(self, k0: int, b: int, s0: int, m: int) -> None:
         """`tile` for b trials of m zero draws: the checkpoints in steps
         s0 + 1, ..., s0 + m read the carry, which stays as it is."""
         j0, j1 = np.searchsorted(self.points, (s0, s0 + m), side="right")
         if j1 > j0:
-            self.out[k0 : k0 + b, j0:j1] = norm_rows(self.carry[k0 : k0 + b], self.space)[:, None]
+            self.out[k0 : k0 + b, j0:j1] = norms(self.carry[k0 : k0 + b], self.space)[:, None]
 
     def result(self) -> np.ndarray:
         return self.out
@@ -290,7 +317,7 @@ class TruncatedTwin:
 
     def result(self):
         c_at_points = np.asarray(self.c_seq.values(self.points.astype(float)))
-        delta = norm_rows(self.dropped.carry, self.space)
+        delta = norms(self.dropped.carry, self.space)
         c_next = np.asarray(self.c_seq.values((self.last + 1).astype(float)))
         with np.errstate(divide="ignore", invalid="ignore"):
             gap_sup = np.where(c_next > 0, delta / c_next, np.where(delta == 0, 0.0, math.inf))

@@ -161,16 +161,22 @@ class SlowVaryFn:
         never needs t itself, so arguments far beyond the float ceiling
         are fine.  Powers go through the `np.power` ufunc: `**` on a numpy
         scalar calls libm `pow`, which can round a scalar differently from
-        the same value inside an array.
+        the same value inside an array.  Only the factors present are
+        added, as 0 * log(Lt) would be NaN at t = inf; leaving out a zero
+        term changes no finite result.
         """
         u = np.maximum(np.asarray(log_t, dtype=float), 1.0)  # Lt
-        ll = np.log(np.maximum(u, math.e))  # LLt >= 1
-        out = math.log(self.const) + self.log_pow * np.log(u) + self.loglog_pow * np.log(ll)
+        out = math.log(self.const)
+        if self.log_pow:
+            out = out + self.log_pow * np.log(u)
+        if self.loglog_pow:
+            out = out + self.loglog_pow * np.log(np.log(np.maximum(u, math.e)))  # LLt >= 1
         for coeff, beta in self.exp_terms:
             out = out + coeff * np.power(u, beta)
         if np.ndim(log_t) == 0:
             return float(out)
-        return out
+        # a constant h added no array
+        return out if np.ndim(out) else np.full(u.shape, out)
 
     def log_value(self, t):
         with np.errstate(divide="ignore"):
@@ -683,28 +689,23 @@ def check_normalizing_conditions(c_seq, n_max: int = 10**6) -> NormalizerCheck:
 
     grid = np.unique(np.geomspace(8, n_max, 40).astype(int))
     cg = np.asarray(c_seq.values(grid.astype(float)), dtype=float)
+    # every pair at once: entry (i, j) compares m = grid[i] with n = grid[j]
+    lhs = cg[None, :] / cg[:, None]
+    steps = grid[None, :] / grid[:, None]
     reg_results = {}
     for eps in (0.1, 0.01):
-        ok_from = None
-        witnesses = []
-        # the last grid point has no successors to test against, so it
-        # cannot serve as evidence of a valid cutoff
-        for i in range(len(grid) - 1):
-            violated = False
-            for j in range(i + 1, len(grid)):
-                lhs = cg[j] / cg[i]
-                rhs = (1 + eps) * (grid[j] / grid[i])
-                if lhs > rhs * (1 + 1e-12):
-                    violated = True
-                    witnesses.append((int(grid[i]), int(grid[j]), float(lhs), float(rhs)))
-                    break
-            if not violated:
-                ok_from = int(grid[i])
-                break
+        rhs = (1 + eps) * steps
+        bad = np.triu(lhs > rhs * (1 + 1e-12), 1)  # n > m only
+        # a cutoff is the first m that no later n violates; the last grid
+        # point has no successors to test against, so it cannot serve
+        clean = np.flatnonzero(~bad[:-1].any(axis=1))
+        stop = int(clean[0]) if clean.size else grid.size - 1
+        first = bad[:stop].argmax(axis=1)  # each earlier m's first violating n
         reg_results[eps] = {
-            "pass": ok_from is not None,
-            "m_eps": ok_from,
-            "witnesses": witnesses,
+            "pass": clean.size > 0,
+            "m_eps": int(grid[stop]) if clean.size else None,
+            "witnesses": [(int(grid[i]), int(grid[j]), float(lhs[i, j]), float(rhs[i, j]))
+                          for i, j in enumerate(first)],
         }
     return NormalizerCheck(
         re_pass=re_pass,

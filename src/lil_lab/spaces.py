@@ -14,6 +14,13 @@ three supported norms the supremum is exactly computable:
     p = 1:   dual ball is the l^inf ball (hypercube), maximised over
              the 2^d sign vertices (guarded to d <= 20).
 
+`norms` is the one norm kernel: `norm` returns its row, and every
+Monte Carlo reducer takes its norms through it.  An l2 norm squares with
+einsum, and a row whose squares overflow is taken again scaled by its
+largest entry, so a huge finite vector keeps a finite norm.  A row's
+norm does not depend on the rows batched with it, so no caller picks a
+kernel for the bits of another.
+
 `dual_ball_sup` also takes a (k, d, d) stack and returns k suprema, each
 bit for bit the one-matrix result: every matrix is still checked for
 symmetry and PSD on its own, and one batched eigendecomposition serves
@@ -58,28 +65,28 @@ class SpaceSpec:
 
 
 def norm(v: np.ndarray, space: SpaceSpec) -> float:
-    """l^p norm of a single vector in the given space."""
+    """l^p norm of a single vector in the given space: its row of `norms`."""
     arr = np.asarray(v, dtype=float)
     if arr.shape != (space.dim,):
         raise ValueError(f"vector shape {arr.shape} does not match dim {space.dim}")
-    with np.errstate(over="ignore"):  # as in `_unsquared`
-        val = float(np.linalg.norm(arr, ord=space.norm_p))
-        if math.isinf(val) and space.norm_p == 2.0 and np.isfinite(arr).all():
-            big = float(np.abs(arr).max())
-            val = big * float(np.linalg.norm(arr / big))
-    return val
+    return float(norms(arr[None], space)[0])
 
 
 def norms(rows: np.ndarray, space: SpaceSpec) -> np.ndarray:
-    """Row-wise l^p norms of an (N, dim) array."""
+    """Row-wise l^p norms of an (N, dim) array.
+
+    Each row's norm has the same bits whatever other rows come with it,
+    so a norm does not depend on how its vectors were batched.
+    """
     arr = np.asarray(rows, dtype=float)
     if arr.ndim != 2 or arr.shape[1] != space.dim:
         raise ValueError(f"expected (N, {space.dim}) array, got shape {arr.shape}")
     p = space.norm_p
     if p == 2.0:
-        return _unsquared(arr, lambda a: np.sqrt(np.einsum("ij,ij->i", a, a)))
+        return _unsquared(arr)
     if p == 1.0:
-        return np.abs(arr).sum(axis=1)
+        with np.errstate(over="ignore"):  # as in `_unsquared`
+            return np.abs(arr).sum(axis=1)
     # column by column: exact, and much cheaper than a reduction over a short axis
     mags = np.abs(arr)
     out = mags[:, 0].copy()
@@ -88,33 +95,18 @@ def norms(rows: np.ndarray, space: SpaceSpec) -> np.ndarray:
     return out
 
 
-def norm_rows(rows: np.ndarray, space: SpaceSpec) -> np.ndarray:
-    """`norm` of each row of an (N, dim) array, bit for bit.
-
-    For p = 2, `norm` squares through a BLAS dot product and `norms`
-    through einsum, which round differently once dim >= 2; a stack of
-    vector products goes through the same dot as `norm`.
-    """
-    arr = np.ascontiguousarray(rows, dtype=float)
-    if space.norm_p != 2.0:
-        return norms(arr, space)
-    if arr.ndim != 2 or arr.shape[1] != space.dim:
-        raise ValueError(f"expected (N, {space.dim}) array, got shape {arr.shape}")
-    return _unsquared(arr, lambda a: np.sqrt(np.matmul(a[:, None, :], a[:, :, None])[:, 0, 0]))
-
-
-def _unsquared(arr: np.ndarray, l2) -> np.ndarray:
-    """`l2(arr)`, the l2 norms of the rows of `arr`, where a row whose
-    squares overflowed is taken again scaled by its largest |entry|:
-    s * l2(row / s).  Every finite norm keeps its bits, and a result with
-    no inf costs one isfinite more."""
+def _unsquared(arr: np.ndarray) -> np.ndarray:
+    """The l2 norms of the rows of `arr`, where a row whose squares
+    overflowed is taken again scaled by its largest |entry|: s * ||row / s||,
+    whose squares cannot overflow.  Every finite norm keeps its bits, and
+    a result with no inf costs one isfinite more."""
     with np.errstate(over="ignore"):  # a norm past the float range stays inf
-        out = l2(arr)
+        out = np.sqrt(np.einsum("ij,ij->i", arr, arr))
         if np.isfinite(out).all():
             return out
         redo = np.isinf(out) & np.isfinite(arr).all(axis=1)
         big = np.abs(arr[redo]).max(axis=1, initial=0.0)
-        out[redo] = big * l2(arr[redo] / big[:, None])
+        out[redo] = big * _unsquared(arr[redo] / big[:, None])
     return out
 
 

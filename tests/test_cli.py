@@ -647,6 +647,10 @@ class TestExitCodes:
           "--workers", "1"], {}, "invalid_spec", {}, "partial sum overflowed near step 200"),
         (["fn-verify", "--dist", "rademacher:scales=1e307", "--space", "1,2", "--n", "200", "--trials", "100",
           "--workers", "2"], {}, "invalid_spec", {}, "partial sum overflowed near step 200"),
+        (["fn-verify", "--dist", "rademacher:scales=1e200", "--space", "1,2", "--n", "200", "--trials", "100",
+          "--workers", "1"], {}, "invalid_spec", {}, "pilot x^T x sum overflowed by step 200"),
+        (["fn-verify", "--dist", "rademacher:scales=1e200", "--space", "1,2", "--n", "200", "--trials", "100",
+          "--workers", "2"], {}, "invalid_spec", {}, "pilot x^T x sum overflowed by step 200"),
         (["hclass", "--h", "2*(LL)^1", "--out", "{tmp}/file/sub"], {}, "io_error", {"path": "{tmp}/file/sub"},
          "Not a directory"),
         (["lil-sim", "--N", "100", "--trials", "2", "--workers", "0"], {}, "invalid_spec", {"workers": 0},
@@ -657,7 +661,8 @@ class TestExitCodes:
          {"LIL_LAB_WORKERS": "0"}, "LIL_LAB_WORKERS must be an integer of at least 1"),
         (["lil-sim", "--N", "100", "--trials", "2"], {"LIL_LAB_WORKERS": "abc"}, "invalid_spec",
          {"LIL_LAB_WORKERS": "abc"}, "LIL_LAB_WORKERS must be an integer of at least 1"),
-    ], ids=["overflow-workers-1", "overflow-workers-2", "out-below-a-file", "workers-0", "workers-negative",
+    ], ids=["overflow-workers-1", "overflow-workers-2", "pilot-overflow-workers-1", "pilot-overflow-workers-2",
+            "out-below-a-file", "workers-0", "workers-negative",
             "env-workers-0", "env-workers-not-a-number"])
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_failure_is_exit_2_one_json_line_and_no_artifact(self, tmp_path, monkeypatch, capfd,

@@ -18,7 +18,7 @@ from lil_lab.simulate import (
     truncated_path,
 )
 from lil_lab.slowvary import NormalizerSeq, parse_cseq, parse_slow_vary
-from lil_lab.spaces import SpaceSpec, norm_rows
+from lil_lab.spaces import SpaceSpec, norms
 
 
 class TestCheckpoints:
@@ -135,7 +135,7 @@ class TestTruncatedPath:
                 if not np.linalg.norm(x[t, k]) <= c_seq.values(float(k + 1)):
                     dropped = dropped + x[t, k]
                 if k + 1 in points:
-                    want[t, points.index(k + 1)] = norm_rows(dropped[None], space)[0] / c_seq.values(float(k + 1))
+                    want[t, points.index(k + 1)] = norms(dropped[None], space)[0] / c_seq.values(float(k + 1))
         np.testing.assert_array_equal(gap_curve, want)
         assert gap_curve[0, 0] == 0.0 and gap_curve[0, -1] == 50.0 / c_seq.values(300.0)
         assert last.tolist() == [150, 0] and count.tolist() == [1, 0]

@@ -31,6 +31,46 @@ from lil_lab.slowvary import (
 )
 
 
+def _loop_regularity(c_seq, n_max):
+    """The ratio-regularity results of `check_normalizing_conditions` as a
+    plain loop over the pairs m < n of its grid: the reference."""
+    grid = np.unique(np.geomspace(8, n_max, 40).astype(int))
+    cg = np.asarray(c_seq.values(grid.astype(float)), dtype=float)
+    out = {}
+    for eps in (0.1, 0.01):
+        ok_from, witnesses = None, []
+        for i in range(len(grid) - 1):
+            violated = False
+            for j in range(i + 1, len(grid)):
+                lhs = cg[j] / cg[i]
+                rhs = (1 + eps) * (grid[j] / grid[i])
+                if lhs > rhs * (1 + 1e-12):
+                    violated = True
+                    witnesses.append((int(grid[i]), int(grid[j]), float(lhs), float(rhs)))
+                    break
+            if not violated:
+                ok_from = int(grid[i])
+                break
+        out[eps] = {"pass": ok_from is not None, "m_eps": ok_from, "witnesses": witnesses}
+    return out
+
+
+class _Jump:
+    """sqrt(n), six times larger from n = 100 on: every m below the jump is irregular."""
+
+    def values(self, n):
+        n = np.asarray(n, dtype=float)
+        return np.sqrt(n) * np.where(n >= 100, 6.0, 1.0)
+
+
+class _Wiggle:
+    """n (2 + cos n): irregular at a cutoff that depends on eps."""
+
+    def values(self, n):
+        n = np.asarray(n, dtype=float)
+        return n * (2.0 + np.cos(n))
+
+
 class TestParserAndAlgebra:
     @pytest.mark.parametrize(
         "text,t,expected",
@@ -51,6 +91,15 @@ class TestParserAndAlgebra:
             again = parse_slow_vary(fn.to_text())
             ts = np.geomspace(10, 1e12, 7)
             np.testing.assert_allclose(fn(ts), again(ts), rtol=1e-12)
+
+    @pytest.mark.parametrize("text", ["2*(LL)^1", "(L)^1", "exp((L)^0.5)", "3"])
+    def test_infinity_maps_to_infinity(self, text):
+        # an absent factor adds no 0 * log(inf) = NaN
+        h = parse_slow_vary(text)
+        assert psi(h, math.inf) == math.inf
+        assert h(math.inf) == (h(1.0) if text == "3" else math.inf)
+        got = h.log_value_from_log(np.array([0.0, 1e300, math.inf]))
+        assert isinstance(got, np.ndarray) and got.shape == (3,) and not np.isnan(got).any()
 
     @pytest.mark.parametrize("bad", ["", "(L", "foo", "2**(LL)^1", "exp(L^)", "(LL)^x"])
     def test_rejects_malformed_text(self, bad):
@@ -250,6 +299,15 @@ class TestSequences:
         # c_n = sqrt(n) exactly: monotone but not divergent
         flat = check_normalizing_conditions(parse_cseq("pow:0.5"), n_max=10**5)
         assert flat.re_monotone and not flat.re_pass
+
+    @pytest.mark.parametrize("seq", [
+        NormalizerSeq(parse_slow_vary("2*(LL)^1")), parse_cseq("pow:0.5"), parse_cseq("pow:1.5"),
+        NormalizerSeq(parse_slow_vary("exp((L)^0.5)")), _Jump(), _Wiggle(),
+    ], ids=["psi-2LL", "pow-0.5", "pow-1.5", "psi-exp", "jump", "wiggle"])
+    def test_ratio_regularity_matches_the_pair_loop(self, seq):
+        got = check_normalizing_conditions(seq, n_max=10**5).reg_results
+        assert got == _loop_regularity(seq, 10**5)
+        assert repr(got) == repr(_loop_regularity(seq, 10**5))
 
     def test_ratio_regularity_reports_witnesses(self):
         # n^1.2 violates c_n/c_m <= (1+eps)(n/m) at every pair, with witnesses

@@ -150,13 +150,13 @@ GOLDEN = {
     "curve-gauss3-l2": "6cd775ec75ba6174ca6fa00ab7fd3d52d753d652950b28c093c834c363b67c69",
     "curve-rademacher5-linf": "57e3271b0a4b4e0b9961104e0e96fcda5a80e796ad206f31bd44e363c79036ce",
     "path-gauss1-l2": "9d38a0baff20e6b69152f78fe184b211091623956d8762d31f63e8c28deb88b8",
-    "path-gauss3-l1-long": "0702b729364d8dc57005b5bfea1ce1a2d385fd97d2e333c323ac18ce3ccf6b92",
-    "path-gauss3-l2": "976d51e1c57f1097b021741022b43f0359f6ba10e3f7853f35c7a6d85323c775",
-    "path-pareto2-l2": "2ebfeb707fa4a4b1869c0d7877daaa376d62a65647b22044246889f31172297e",
+    "path-gauss3-l1-long": "8623cc44aa35e77af31d345c5847a92e2d09ecdc0e980f2f1def3c3c0269e04d",
+    "path-gauss3-l2": "a03b8ce2c1969cae1b09330fcb1b9249e4051a6b93caecee784366ce06f1cd51",
+    "path-pareto2-l2": "99337cade24b3b62b89cf2f903f82b73bc250adb898573c8f03976e4cefc39df",
     "path-rademacher5-linf": "a4d21450695e77af006689faf426b5afd56505a4f9457021b0fadd7292867d7f",
     "trunc-gauss1-l2": "9f0d5d665345a4a6f65392aaa98b658808f7142f53e94a694b327be070934238",
     "trunc-gauss3-l1": "a7e979624bc029477f484ea49420c4a42571c9754bcabd46bd1ef06efdecace1",
-    "trunc-pareto2-l2-long": "94eda9b1b2ef76a2837872e61dc58c817cf09acd11b6abff10e01f800dd590de",
+    "trunc-pareto2-l2-long": "ab75da3dc3f169e4e96b03099bd036f08a30a5907d4298959fdfc7091feea544",
     "verify-gauss1-l2": "0330f301a709061558740ac4264fc8c7d8e371c446164f9ae8050edc678050d7",
     "verify-gauss3-l1": "c1071b2fca18517688228e60c7179e3cefe8c62ee6b3ef3db8296661e29118cf",
     "verify-gauss3-l2": "4c5e1e4f9122c11b8f3b547f4dac6691f4c74a655fd3760bbd83a0705877a3a0",
@@ -351,6 +351,27 @@ def test_mc_verify_cut_into_blocks_keeps_finals_and_maxima(dist, space, monkeypa
     assert set(rows) == {6000, 2000}
     (finals, maxes), (cut_finals, cut_maxes) = main
     assert np.array_equal(finals, cut_finals) and np.array_equal(maxes, cut_maxes)
+
+
+@pytest.mark.parametrize("dim", [1, 3], ids=["gauss1-l2", "gauss3-l2"])
+def test_path_estimators_cut_into_blocks_keep_every_array(dim, monkeypatch):
+    # As above for checkpoint norms, the truncated twin and the mean-norm
+    # curve: every reducer continues S_k through `path_sums`, so checkpoints
+    # inside a later block have the bits of the uncut path.
+    dist, space, n = Gaussian(np.ones(dim)), SpaceSpec(dim, 2.0), 20000  # > TILE
+    config = PathConfig(N=n, seed=8, trials=30)
+
+    def arrays():
+        path = run_path(dist, space, H, config)
+        trunc = truncated_path(dist, space, parse_cseq("pow:0.1"), config)
+        curve = mean_norm_curve(dist, space, parse_cseq("pow:0.5"), [5, 5999, 6001, 13000, n], 30, seed=8)
+        return (path.ratios, trunc.gap_curve, trunc.last_trunc, trunc.trunc_count, trunc.gap_sup,
+                curve.mean, curve.se)
+
+    whole = arrays()
+    monkeypatch.setattr(simulate, "BLOCK", 6000)
+    for a, b in zip(whole, arrays()):
+        assert np.array_equal(a, b)
 
 
 def test_trial_streams_match_substream():
