@@ -23,8 +23,8 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from . import rng as _rng
-from .simulate import finite_sums, map_trials, path_sums
-from .slowvary import _json_real
+from .simulate import finite_sums, fold, map_trials, path_sums
+from .slowvary import _json_fields, _json_real
 from .spaces import SpaceSpec, dual_ball_sup, norms
 
 
@@ -259,7 +259,7 @@ class VerifyRow:
         object.__setattr__(self, "violation", self.p_hat - 3.0 * self.se > self.bound)
 
     def to_json_dict(self) -> dict:
-        return {**asdict(self), "bound": _json_real(self.bound)}
+        return _json_fields(self, bound=_json_real(self.bound))
 
 
 @dataclass(frozen=True)
@@ -278,23 +278,10 @@ class VerifyReport:
         return any(r.violation for r in self.rows)
 
     def to_json_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "trials": self.trials,
-            "seed": self.seed,
-            "params": asdict(self.params),
-            "data": {
-                "M": _json_real(self.data.M),
-                "lambda_n": self.data.lambda_n,
-                "mean_norm": self.data.mean_norm,
-                "moment_s": self.data.moment_s,
-                "s": self.data.s,
-            },
-            "pilot": self.pilot,
-            "rows": [r.to_json_dict() for r in self.rows],
-            "any_violation": self.any_violation,
-            "notes": list(self.notes),
-        }
+        return _json_fields(
+            self, params=asdict(self.params), data=_json_fields(self.data, ("n",), M=_json_real(self.data.M)),
+            rows=[r.to_json_dict() for r in self.rows], any_violation=self.any_violation, notes=list(self.notes),
+        )
 
     def to_csv_text(self) -> str:
         buf = io.StringIO()
@@ -305,21 +292,18 @@ class VerifyReport:
         return buf.getvalue()
 
 
-def _fold(acc, rows):
-    """acc + rows[0] + rows[1] + ..., added strictly left to right; a copy, not a view of the partial sums."""
-    return np.add.accumulate(np.concatenate((np.asarray(acc)[None], rows)))[-1].copy()
-
-
 class _PilotMoments:
     """Reducer: the pilot pass's sums over the paths of a chunk.
 
     `tile` adds each trial's coordinate sums and s-th moment sum into
     zero-initialised per-trial rows and folds each trial's x^T x into one
-    (d, d) matrix `m2`; `result` folds the rows.  Every fold adds left to
-    right in the order `stream_trials` hands over the tiles.  The products,
-    powers and folds run under `np.errstate`: a moment past the float range
-    stays inf or NaN through every later fold, and `mc_verify` checks the
-    folded chunks once, before it reads any of them.
+    (d, d) matrix `m2`, in place inside the tile's stack of products, so a
+    tile holds one (b, d, d) temporary; `result` folds the per-trial rows,
+    stacked as columns, once.  Every fold is `simulate.fold`, which adds
+    left to right in the order `stream_trials` hands over the tiles.  The
+    products, powers and folds run under `np.errstate`: a moment past the
+    float range stays inf or NaN through every later fold, and `mc_verify`
+    checks the folded chunks once, before it reads any of them.
     """
 
     def __init__(self, space: SpaceSpec, s: float):
@@ -342,15 +326,16 @@ class _PilotMoments:
                 # the same step-by-step folds, each over a contiguous (b, d) row
                 self.sums[rows] += np.ascontiguousarray(x.transpose(1, 0, 2)).sum(axis=0)
             finite_sums(self.sums[rows], s0 + m)
-            self.m2 = _fold(self.m2, np.matmul(x.transpose(0, 2, 1), x))
+            # folded inside the stack: one (b, d, d) temporary, and m2 owns its memory
+            self.m2 = fold(np.matmul(x.transpose(0, 2, 1), x), self.m2)[-1].copy()
             self.moments[rows] += (norms(x.reshape(-1, d), self.space) ** self.s).reshape(b, m).sum(axis=1)
 
     def result(self):
         trials, d = self.sums.shape
         finals = norms(self.sums, self.space)
-        with np.errstate(over="ignore", invalid="ignore"):
-            return (_fold(np.zeros(d), self.sums), self.m2, float(_fold(0.0, self.moments)),
-                    float(_fold(0.0, finals)), float(_fold(0.0, finals * finals)), trials)
+        with np.errstate(over="ignore"):
+            total = fold(np.column_stack((self.sums, self.moments, finals, finals * finals)), 0.0)[-1].copy()
+        return total[:d], self.m2, float(total[d]), float(total[d + 1]), float(total[d + 2]), trials
 
 
 class _FinalAndMax:
@@ -448,8 +433,12 @@ def mc_verify(
     lam_se = None
     if n_batches > 1:
         groups = [parts[b::n_batches] for b in range(n_batches)]
-        batch_m2 = np.stack([sum(p[1] for p in g) / (sum(p[5] for p in g) * n) for g in groups])
-        lam_se = float(np.std(n * dual_ball_sup(batch_m2, space), ddof=1) / math.sqrt(n_batches))
+        with np.errstate(over="ignore", invalid="ignore"):
+            batch_m2 = np.stack([sum(p[1] for p in g) / (sum(p[5] for p in g) * n) for g in groups])
+            lam_se = float(np.std(n * dual_ball_sup(batch_m2, space), ddof=1) / math.sqrt(n_batches))
+        if not math.isfinite(lam_se):
+            lam_se = None
+            notes.append("lambda_n_se is null: its batch standard error overflows")
     else:
         notes.append("lambda_n_se is null: its batch standard error needs at least two pilot chunks")
     moment_hat = n * moment_sum / n_draws

@@ -221,11 +221,7 @@ def _exec_fn_bound(spec: dict) -> tuple[dict, dict, int]:
         "bound": slowvary._json_real(value),
         "gauss_term": slowvary._json_real(gauss),
         "poly_term": slowvary._json_real(poly),
-        "constants": {
-            "epsilon": consts.epsilon, "D": consts.D, "K_s": consts.K_s,
-            "C_prime": consts.C_prime, "C_dprime": consts.C_dprime, "C": consts.C,
-            "rho_formula": consts.rho_formula,
-        },
+        "constants": slowvary._json_fields(consts, ("delta", "eta", "s")),
     }
     return doc, {}, 0
 
@@ -261,12 +257,9 @@ def _exec_lil_sim(spec: dict) -> tuple[dict, dict, int]:
         "checkpoints": list(paths.checkpoints),
         "a_values": paths.a_values.tolist(),
         "ratios": paths.ratios.tolist(),
-        "limsup": {
-            "median": est.median, "q10": est.q10, "q90": est.q90,
-            "tail_fraction": est.tail_fraction,
-            "finite_second_moment": dist.finite_second_moment,
-            "per_trial": est.per_trial.tolist(),
-        },
+        "limsup": slowvary._json_fields(
+            est, per_trial=est.per_trial.tolist(), finite_second_moment=dist.finite_second_moment
+        ),
     }
     extra = {}
     if spec["format"] == "csv":

@@ -13,7 +13,10 @@ the classifier fits the growth of x_j against log j.  Slope >= 1 + margin
 means terms decay faster than 1/j, slope <= 1 - margin slower; a clear
 acceleration or deceleration of the slope between consecutive windows
 overrides the level test (x_j growing like (log j)^2 converges for every
-c > 0 even though any fixed window's slope may sit near 1).
+c > 0 even though any fixed window's slope may sit near 1).  A probe
+where H = 0 has an infinite exponent and adds nothing; the others are
+fitted at their own j, and a slope at the rounding level of the
+exponents is flat, so constant exponents read no acceleration.
 
 All verdicts carry their diagnostics.  The bisection solvers return a
 working bracket of the decision boundary together with the raw verdicts
@@ -47,7 +50,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .rng import H_SAMPLE, substream
-from .slowvary import INCONCLUSIVE, NormalizerSeq, SlowVaryFn, _centred, _json_real, _ols_slope, log_psi, psi_inv_log
+from .slowvary import (
+    INCONCLUSIVE, NormalizerSeq, SlowVaryFn, _centred, _json_fields, _json_real, _ols_slope, log_psi, psi_inv_log,
+)
 from .spaces import DistTSM, EmpiricalTSM, SpaceSpec, _at_point
 
 CONVERGES = "CONVERGES"
@@ -95,43 +100,41 @@ class SeriesVerdict:
     note: str = ""
 
     def to_json_dict(self) -> dict:
-        return {
-            "verdict": self.verdict,
-            "slope": _json_real(self.slope),
-            "accel": _json_real(self.accel),
-            "c": self.c,
-            "note": self.note,
-        }
+        return _json_fields(self, slope=_json_real(self.slope), accel=_json_real(self.accel))
 
 
 @functools.lru_cache(maxsize=None)
-def _window_fits(size: int) -> tuple[int, int, tuple, tuple]:
-    """Where the earlier window of `_window_slopes` starts and the last one
-    starts for an x of this size, and the x side (`_centred` log j) of each
-    window's fit.  They depend on the size alone, which is at most
-    `j_max`, so each is built once and kept read-only."""
-    j = np.arange(1, size + 1, dtype=float)
+def _window_fits(start: int, size: int) -> tuple[int, int, tuple, tuple]:
+    """Where the earlier and the last window of the fit start among `size`
+    exponents at the probes j = start + 1, ..., start + size, and the x
+    side (`_centred` log j) of each window's fit.  They depend on the run
+    of probes alone, so each is built once and kept read-only."""
+    j = np.arange(start + 1, start + size + 1, dtype=float)
     w = max(4, int(math.ceil(DEFAULT_PROBE.window_frac * size)))
     lo2, lo1 = size - w, max(size - 2 * w, 0)
     (xc1, d1), (xc2, d2) = _centred(np.log(j[lo1:lo2])), _centred(np.log(j[lo2:]))
     return lo1, lo2, (_frozen(xc1), d1), (_frozen(xc2), d2)
 
 
-def _window_slopes(x: np.ndarray) -> tuple[float, float]:
-    """OLS slopes of x_j vs log j over the last window and the one before."""
-    lo1, lo2, fit1, fit2 = _window_fits(x.size)
-    return _ols_slope(fit1, x[lo1:lo2]), _ols_slope(fit2, x[lo2:])
-
-
 def _classify_exponents(x: np.ndarray, c: float) -> SeriesVerdict:
+    """Fit x_j against log j over the last window of the finite exponents
+    and the window before it.  The finite exponents are one run of probes
+    (H = 0 drops a leading run, an h past the float range a trailing one),
+    and each is fitted at its own j.  A first-window slope at the rounding
+    level of the exponents is flat, so constant exponents read no
+    acceleration."""
     probe = DEFAULT_PROBE
     w = max(4, int(math.ceil(probe.window_frac * x.size)))
-    if not np.isfinite(x[-w:]).any():
+    finite = np.isfinite(x)
+    if not finite[-w:].any():
         return SeriesVerdict(CONVERGES, math.inf, 0.0, c, "tail terms vanish (H = 0 there)")
-    # mixed inf/finite exponents: classify on the finite part
-    x = x[np.isfinite(x)]
-    s1, s2 = _window_slopes(x)
-    accel = s2 / s1 - 1.0 if abs(s1) > 1e-12 else 0.0
+    start = int(np.argmax(finite))
+    x = x[finite]
+    if x.size <= 4:  # the earlier window would hold no probe
+        return SeriesVerdict(INCONCLUSIVE, math.nan, 0.0, c, "fewer than 5 probes with H > 0")
+    lo1, lo2, fit1, fit2 = _window_fits(start, x.size)
+    s1, s2 = _ols_slope(fit1, x[lo1:lo2]), _ols_slope(fit2, x[lo2:])
+    accel = s2 / s1 - 1.0 if abs(s1) > 1e-12 * np.abs(x[lo1:]).max() else 0.0
     if accel >= probe.trend_tol:
         return SeriesVerdict(CONVERGES, s2, accel, c, "exponent growth is super-logarithmic")
     if accel <= -probe.trend_tol:
@@ -268,16 +271,9 @@ class Bracket:
         return self.hi - self.lo
 
     def to_json_dict(self) -> dict:
-        return {
-            "lo": _json_real(self.lo),
-            "hi": _json_real(self.hi),
-            "lo_verdict": self.lo_verdict,
-            "hi_verdict": self.hi_verdict,
-            "note": self.note,
-            "probes": [
-                {"c": c, "verdict": v, "slope": _json_real(s)} for (c, v, s) in self.probes
-            ],
-        }
+        return _json_fields(self, lo=_json_real(self.lo), hi=_json_real(self.hi), probes=[
+            {"c": c, "verdict": v, "slope": _json_real(s)} for c, v, s in self.probes
+        ])
 
 
 _BISECT_CAP = 1e6
@@ -642,7 +638,7 @@ class ConstantsReport:
     verdict_diagnostics: dict = field(default_factory=dict)
 
     def to_json_dict(self) -> dict:
-        out = {
+        return {
             "c0_lo": _json_real(self.c0.lo),
             "c0_hi": _json_real(self.c0.hi),
             "lambda": _json_real(self.lam),
@@ -654,7 +650,6 @@ class ConstantsReport:
             "q_used": self.q_used,
             "verdict_diagnostics": self.verdict_diagnostics,
         }
-        return out
 
 
 def _route_diagnostics(h: SlowVaryFn, H_fn, c_seq) -> dict:

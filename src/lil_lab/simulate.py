@@ -7,9 +7,9 @@ reducer: checkpoint norms and the truncated twin here, the running
 maximum with the final norm and the pilot moment sums in `bounds`.  A
 tile may be part of a path, so every reducer carries its per-trial state
 from one tile of a path to the next.  Every reducer that reads partial
-sums continues them through `path_sums`, which adds the carried sum into
-the tile's first step before the cumulative sum, and takes their norms
-with `spaces.norms`; the twin feeds the draws it drops to a
+sums continues them through `path_sums`, which folds the steps on from
+the carried sum with `fold`, the one running-sum rule, and takes their
+norms with `spaces.norms`; the twin feeds the draws it drops to a
 `CheckpointNorms` of its own.  So each S_k is the sequential left fold
 of the draws, and every checkpoint norm, final norm and maximum has the
 bits of an uncut path whatever BLOCK is.  Only the pilot, which needs
@@ -158,20 +158,31 @@ def finite_sums(sums: np.ndarray, step: int) -> np.ndarray:
     return sums
 
 
+def fold(rows: np.ndarray, carry) -> np.ndarray:
+    """`rows`, overwritten by their running sums from `carry` on.
+
+    The one running-sum rule of the Monte Carlo reducers: `carry` goes
+    into rows[0], then each row is added to the sum before it, strictly
+    left to right along axis 0, so a sum has the same bits however its
+    rows are cut into runs.  It runs under `np.errstate`: an overflow
+    leaves inf or NaN, which the caller checks, and no RuntimeWarning.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        rows[0] += carry
+        return np.add.accumulate(rows, axis=0, out=rows)
+
+
 def path_sums(x: np.ndarray, carry: np.ndarray, step: int) -> np.ndarray:
     """S_k for a tile `x` of draws, the sums overwriting the draws.
 
     Every reducer that reads partial sums continues its paths here, so
-    S_k has one rule: each trial's carried sum `carry` goes into the
-    first step of its tile, and the cumulative sum runs on from it.  S_k
-    is then the sequential left fold of the draws, the same bits however
-    the path is cut into tiles.  The new carry, S at `step`, is checked
-    with `finite_sums` and stored into `carry`, a view of the reducer's
-    own rows.
+    S_k has one rule: `fold` along the steps from each trial's carried
+    sum `carry`.  S_k is then the sequential left fold of the draws, the
+    same bits however the path is cut into tiles.  The new carry, S at
+    `step`, is checked with `finite_sums` and stored into `carry`, a view
+    of the reducer's own rows.
     """
-    with np.errstate(over="ignore", invalid="ignore"):
-        x[:, 0] += carry
-        np.cumsum(x, axis=1, out=x)
+    fold(x.swapaxes(0, 1), carry)
     carry[:] = finite_sums(x[:, -1], step)
     return x
 

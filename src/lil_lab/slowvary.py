@@ -65,6 +65,12 @@ def _json_real(x):
     return xf
 
 
+def _json_fields(obj, drop=(), **named) -> dict:
+    """The JSON block of the dataclass `obj`: its own fields, those in
+    `drop` left out, and the `named` values in place of, or beside, them."""
+    return {**{k: v for k, v in vars(obj).items() if k not in drop}, **named}
+
+
 @dataclass(frozen=True)
 class SlowVaryFn:
     """A slowly varying function in product normal form.
@@ -510,22 +516,9 @@ class HqReport:
     heuristic: bool = True
 
     def to_json_dict(self) -> dict:
-        return {
-            "q": self.q,
-            "verdict": self.verdict,
-            "tol": self.tol,
-            "heuristic": self.heuristic,
-            "per_tau": [
-                {
-                    "tau": d.tau,
-                    "verdict": d.verdict,
-                    "reason": d.reason,
-                    "decay_exponent": d.decay_exponent,
-                    "final_ratio": _json_real(d.ratios[-1]),
-                }
-                for d in self.per_tau
-            ],
-        }
+        return _json_fields(self, per_tau=[
+            _json_fields(d, ("ratios",), final_ratio=_json_real(d.ratios[-1])) for d in self.per_tau
+        ])
 
 
 def _classify_tau(tau: float, lt: np.ndarray, delta: np.ndarray, ratios: np.ndarray, tol: float) -> TauDiagnostic:

@@ -245,7 +245,43 @@ class TestParsers:
             cli.parse_grid("0:1:5")
 
 
+_VERIFY = ["fn-verify", "--dist", "rademacher:dim=2", "--space", "2,inf", "--n", "30", "--trials", "200"]
+_CONSTANTS = ["constants", "--h", "2*(LL)^1", "--H", "const:1", "--c-seq", "psi:2*(LL)^1"]
+_BRACKET = {"lo", "hi", "lo_verdict", "hi_verdict", "note", "probes"}
+
+
 class TestArtifacts:
+    # Each of these blocks is written from its dataclass's own fields, so
+    # a field added to the dataclass would enter the artifact unnoticed.
+    @pytest.mark.parametrize("argv, artifact, path, keys", [
+        (["fn-bound", "--t", "10"], "fn_bound.json", ("constants",),
+         {"epsilon", "D", "K_s", "C_prime", "C_dprime", "C", "rho_formula"}),
+        (["lil-sim", "--N", "400", "--trials", "3"], "sim.json", ("limsup",),
+         {"median", "q10", "q90", "tail_fraction", "finite_second_moment", "per_trial"}),
+        (_VERIFY, "verify.json", ("report",),
+         {"n", "trials", "seed", "params", "data", "pilot", "rows", "any_violation", "notes"}),
+        (_VERIFY, "verify.json", ("report", "data"), {"M", "lambda_n", "mean_norm", "moment_s", "s"}),
+        (_VERIFY, "verify.json", ("report", "pilot"),
+         {"mean_norm", "mean_norm_se", "lambda_n", "lambda_n_se", "moment_s", "M", "pilot_trials"}),
+        (_VERIFY, "verify.json", ("report", "params"), {"eta", "delta", "s", "epsilon"}),
+        (_VERIFY, "verify.json", ("report", "rows", 0), {"kind", "x", "p_hat", "se", "bound", "violation"}),
+        (["hclass", "--h", "2*(LL)^1"], "hclass.json", ("report",), {"q", "verdict", "tol", "heuristic", "per_tau"}),
+        (["hclass", "--h", "2*(LL)^1"], "hclass.json", ("report", "per_tau", 0),
+         {"tau", "verdict", "reason", "decay_exponent", "final_ratio"}),
+        (_CONSTANTS, "constants.json", ("report", "verdict_diagnostics", "c0"), _BRACKET),
+        (_CONSTANTS, "constants.json", ("report", "verdict_diagnostics", "c0", "probes", 0), {"c", "verdict", "slope"}),
+        (_CONSTANTS, "constants.json", ("report", "verdict_diagnostics", "alpha0"), _BRACKET),
+        (_CONSTANTS, "constants.json", ("report", "verdict_diagnostics", "alpha0", "probes", 0),
+         {"c", "verdict", "slope"}),
+    ], ids=["fn-bound-constants", "sim-limsup", "verify", "verify-data", "verify-pilot", "verify-params",
+            "verify-row", "hclass", "hclass-per-tau", "c0", "c0-probe", "alpha0", "alpha0-probe"])
+    def test_block_key_sets(self, tmp_path, argv, artifact, path, keys):
+        assert cli.main([*argv, "--workers", "1", "--out", str(tmp_path)]) == 0
+        node = json.loads((tmp_path / artifact).read_text())
+        for key in path:
+            node = node[key]
+        assert set(node) == keys
+
     def test_hclass_artifact_shape(self, tmp_path):
         rc = cli.execute({"kind": "hclass", "h": "2*(LL)^1", "q": 0.0, "out": str(tmp_path)})
         assert rc == 0
@@ -571,11 +607,20 @@ class TestExitCodes:
          "7 kr rows skipped: the empirical mgf or its standard error overflows from s = 0.242424"),
         (["constants", "--h", "2*(LL)^1", "--tol", "1e-17"], "constants.json", ("report", "c0_hi"),
          1.0000000000000007),
+        # H = 0 at all but the last 11 probes, then at all but the last 4
+        (["constants", "--h", "2*(LL)^1", "--H", "dist", "--dist", "rademacher:scales=1e17", "--space", "1,2"],
+         "constants.json", ("report", "verdict_diagnostics", "c0", "note"), "no converging c up to 1e+06"),
+        (["constants", "--h", "2*(LL)^1", "--H", "dist", "--dist", "rademacher:scales=1e18", "--space", "1,2"],
+         "constants.json", ("report", "verdict_diagnostics", "c0", "note"), "no converging c up to 1e+06"),
+        # lambda_n is finite, the squared deviations of its batch estimates are not
+        (["fn-verify", "--dist", "rademacher:scales=1e100", "--space", "1,2", "--n", "200", "--trials", "2100"],
+         "verify.json", ("report", "pilot", "lambda_n_se"), None),
     ], ids=["const-zero", "gauss-var-zero", "pareto-a2", "pareto-a1.5-dim2", "h-const-1e300",
             "h-exp-1e2", "fn-bound-t-1e200", "fn-bound-m-1e200", "fn-verify-var-zero", "lil-sim-pareto",
             "hclass-inf-ratio",
             "fn-verify-mgf-bound-past-float-range", "fn-verify-empirical-mgf-past-float-range",
-            "fn-verify-empirical-mgf-std-past-float-range", "constants-tol-below-float-spacing"])
+            "fn-verify-empirical-mgf-std-past-float-range", "constants-tol-below-float-spacing",
+            "constants-h-zero-below-1e17", "constants-h-zero-below-1e18", "fn-verify-lambda-se-past-float-range"])
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_extreme_input_exits_0_with_finite_or_flagged_values(self, tmp_path, argv, artifact, path, expected):
         # t**s overflowing (t = 1e200), M**2 overflowing (M = 1e200), an h ratio, a

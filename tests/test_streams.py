@@ -25,6 +25,7 @@ import functools
 import hashlib
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -32,7 +33,7 @@ from numpy.random.bit_generator import ISeedSequence
 
 from lil_lab import bounds, rng, simulate
 from lil_lab._pool import CHUNK
-from lil_lab.bounds import BoundParams, _FinalAndMax, _fold, _PilotMoments, mc_verify
+from lil_lab.bounds import BoundParams, _FinalAndMax, _PilotMoments, mc_verify
 from lil_lab.distributions import Gaussian, RademacherProduct, RadialPareto
 from lil_lab.simulate import (
     BLOCK,
@@ -230,9 +231,9 @@ def test_pilot_sums_are_the_direct_sums(dim):
     reducer.start(64, dim)
     reducer.tile(x, 0, 0)
     whole = reducer.result()
-    assert np.array_equal(whole[0], _fold(np.zeros(dim), x.sum(axis=1)))
+    assert np.array_equal(whole[0], simulate.fold(x.sum(axis=1), np.zeros(dim))[-1])
     # one (d, d) second-moment matrix; its diagonal holds the coordinate sums of squares
-    assert np.array_equal(whole[1], _fold(np.zeros((dim, dim)), np.matmul(x.transpose(0, 2, 1), x)))
+    assert np.array_equal(whole[1], simulate.fold(np.matmul(x.transpose(0, 2, 1), x), np.zeros((dim, dim)))[-1])
     np.testing.assert_allclose(np.diagonal(whole[1]), (x**2).sum(axis=(0, 1)), rtol=1e-12)
     # one-trial tiles, whose step-major copy is a view of x itself
     reducer.start(64, dim)
@@ -250,6 +251,16 @@ def test_pilot_memory_is_per_trial_rows_and_one_matrix():
     # the folded matrix owns its memory rather than viewing a tile's stack of partial sums
     reducer.tile(np.ones((8, 3, 64)), 0, 0)
     assert reducer.m2.base is None and reducer.m2.shape == (64, 64)
+    # a tile's x^T x is folded inside its one (b, d, d) stack of products:
+    # 16.0 MiB here, where a copy of the stack would take it to 32 MiB
+    x = np.ones((512, 20, 64))
+    tracemalloc.start()
+    try:
+        reducer.tile(x, 0, 0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.05 * 512 * 64 * 64 * 8
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
