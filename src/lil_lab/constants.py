@@ -355,9 +355,11 @@ _LLX = _frozen(np.log(np.maximum(_LOG_X, math.e)))
 #: Both curves take their limsup over the last quarter of the grid.
 _X_TAIL = DEFAULT_X_GRID.size // 4
 
-# Slack for the report's band-vs-bracket consistency flag.  At the end of
-# any double-precision grid the limsup probe still sits below its limit by
-# a few percent for loglog-type scenarios, so the flag tolerates that much.
+# Relative slack for the report's band-vs-bracket consistency flag.  At
+# the end of any double-precision grid the limsup probe still sits a few
+# percent below its limit for loglog-type scenarios (-4.9% on the
+# threshold class), so the flag tolerates that much.  The slack scales
+# with the compared values, so the flag does not depend on the unit of X.
 _SANDWICH_MARGIN = 0.1
 
 
@@ -466,38 +468,27 @@ _SIGMA_GRID = _frozen([2.0**k for k in range(101)] + [math.sqrt(1e30)])
 
 
 def sigma_compute(H_fn) -> SigmaResult:
-    """Limit of H(t) along t = 2^k, read off the fixed `_SIGMA_GRID`.
+    """Limit of H(t) along t = 2^k, read at the cap 2^100 >= 1e30 of `_SIGMA_GRID`.
 
-    Stops when the relative increment over one doubling falls below
-    1e-6 three times in a row, 40 doublings or more from the start.  If
-    the cap 2^100 >= 1e30 is reached first, the value at the cap is
-    compared against the value at sqrt(1e30): growth above 5% across that
-    half of the log range is taken as divergence and reported as +inf.
-    The whole grid is evaluated in one `H_values` call before the walk,
-    so a negative H raises ValueError.
+    The walk runs over the whole grid; H must not decrease along it.  The
+    value at the cap is converged when each of the last three doublings
+    moved H by at most 1e-6 relative.  Otherwise it is compared against
+    the value at sqrt(1e30): growth above 5% across that half of the log
+    range is taken as divergence and reported as +inf.  The whole grid is
+    evaluated in one `H_values` call, so a negative H raises ValueError.
     """
-    grid = _SIGMA_GRID
-    hv = H_values(H_fn, grid)
-    prev = float(hv[0])
+    *walk, mid = H_values(H_fn, _SIGMA_GRID).tolist()
     settled = 0
-    for doublings in range(1, grid.size - 1):
-        cur = float(hv[doublings])
+    for prev, cur in zip(walk, walk[1:]):
         if cur < prev - 1e-12 * max(1.0, abs(prev)):
             raise ValueError("H must be nondecreasing")
-        if abs(cur - prev) <= 1e-6 * max(abs(cur), 1e-300):
-            settled += 1
-        else:
-            settled = 0
-        # A lone flat doubling is not convergence: clamped sources are
-        # constant near the origin, so insist on a sustained plateau well
-        # away from the start before stopping early.
-        if settled >= 3 and doublings >= 40:
-            return SigmaResult(cur, True)
-        prev = cur
-    mid = float(hv[-1])
-    if mid > 0 and prev / mid >= 1.05:
+        settled = settled + 1 if abs(cur - prev) <= 1e-6 * max(abs(cur), 1e-300) else 0
+    cap = walk[-1]
+    if settled >= 3:
+        return SigmaResult(cap, True)
+    if mid > 0 and cap / mid >= 1.05:
         return SigmaResult(math.inf, False, "still growing at the cap; reported infinite")
-    return SigmaResult(prev, False, "cap reached before the increment test settled")
+    return SigmaResult(cap, False, "cap reached before the increment test settled")
 
 
 # ---------------------------------------------------------------------------
@@ -696,8 +687,11 @@ def constants_report(
     the membership classifier says MEMBER (1.0 when none does; the band
     is then vacuous on one side).  The per-tau verdicts do not depend on
     q, so one scan at q = 0 decides every grid q: q is MEMBER exactly when
-    every tau active at q is.  Each stage evaluates its grids once; no
-    value is kept past the report.
+    every tau active at q is.  sigma^2 is H at the cap of the sigma walk
+    (see `sigma_compute`).  `sandwich_consistent` asks whether the c0
+    bracket meets the band once each side is widened by the relative
+    `_SANDWICH_MARGIN`.  Each stage evaluates its grids once; no value is
+    kept past the report.
     """
     from .slowvary import MEMBER, _tau_active, hq_classify
 
@@ -733,7 +727,7 @@ def constants_report(
         # consistency check gets a wider margin than the bracket tolerance.
         "sandwich_consistent": bool(
             not math.isfinite(lam_res.lam)
-            or (band[0] <= c0.hi + _SANDWICH_MARGIN and c0.lo <= band[1] + _SANDWICH_MARGIN)
+            or (band[0] <= c0.hi * (1 + _SANDWICH_MARGIN) and c0.lo <= band[1] * (1 + _SANDWICH_MARGIN))
         ),
     }
     if alpha0 is not None:

@@ -282,8 +282,6 @@ class ScalarEmbedded:
     @_grid_form
     def truncated_cov(self, ts: np.ndarray, space: SpaceSpec):
         m = self.inner.truncated_cov(ts, _SCALAR)
-        if m is None:
-            return None
         out = np.zeros((ts.size, self.dim, self.dim))
         out[:, self.axis, self.axis] = m[:, 0, 0]
         return out

@@ -612,6 +612,9 @@ class TestExitCodes:
          "constants.json", ("report", "verdict_diagnostics", "c0", "note"), "no converging c up to 1e+06"),
         (["constants", "--h", "2*(LL)^1", "--H", "dist", "--dist", "rademacher:scales=1e18", "--space", "1,2"],
          "constants.json", ("report", "verdict_diagnostics", "c0", "note"), "no converging c up to 1e+06"),
+        # H = 0 up to t = 1e17, past 2^56: sigma^2 is read at the cap of its walk
+        (["constants", "--h", "2*(LL)^1", "--H", "dist", "--dist", "rademacher:scales=1e17", "--space", "1,2"],
+         "constants.json", ("report", "sigma2"), 1e34),
         # lambda_n is finite, the squared deviations of its batch estimates are not
         (["fn-verify", "--dist", "rademacher:scales=1e100", "--space", "1,2", "--n", "200", "--trials", "2100"],
          "verify.json", ("report", "pilot", "lambda_n_se"), None),
@@ -620,7 +623,8 @@ class TestExitCodes:
             "hclass-inf-ratio",
             "fn-verify-mgf-bound-past-float-range", "fn-verify-empirical-mgf-past-float-range",
             "fn-verify-empirical-mgf-std-past-float-range", "constants-tol-below-float-spacing",
-            "constants-h-zero-below-1e17", "constants-h-zero-below-1e18", "fn-verify-lambda-se-past-float-range"])
+            "constants-h-zero-below-1e17", "constants-h-zero-below-1e18", "constants-sigma2-past-2-to-the-40",
+            "fn-verify-lambda-se-past-float-range"])
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_extreme_input_exits_0_with_finite_or_flagged_values(self, tmp_path, argv, artifact, path, expected):
         # t**s overflowing (t = 1e200), M**2 overflowing (M = 1e200), an h ratio, a

@@ -18,6 +18,7 @@ from lil_lab.constants import (
     EmpiricalWrapTSM,
     H_values,
     LogLogPowTSM,
+    SigmaResult,
     agreement_gap,
     alpha0_compute,
     alpha_series_classify,
@@ -271,6 +272,16 @@ class TestSigma:
         assert math.isinf(res.sigma2)
         assert "cap" in res.note
 
+    def test_slow_growth_below_the_divergence_test_reads_the_cap(self):
+        # (LLt)^0.1 grows 1.6% across the last half of the log range
+        res = sigma_compute(LogLogPowTSM(0.1))
+        assert res == SigmaResult(math.log(math.log(2.0**100)) ** 0.1, False,
+                                  "cap reached before the increment test settled")
+
+    def test_a_decrease_anywhere_on_the_walk_is_refused(self):
+        with pytest.raises(ValueError, match="nondecreasing"):
+            sigma_compute(lambda t: 1.0 if t < 2.0**90 else 0.5)
+
 
 class TestTsmParsing:
     def test_const_and_power_forms(self):
@@ -344,6 +355,16 @@ class TestReport:
         qs = [round(0.1 * k, 2) for k in range(0, 11)]
         first = next((q for q in qs if hq_classify(h, q).verdict == MEMBER), 1.0)
         assert constants_report(h, ConstTSM(1.0)).q_used == first
+
+    def test_sandwich_flag_does_not_depend_on_the_unit_of_x(self):
+        # c0 and lambda both scale with X; so must the flag's margin
+        h, space = parse_slow_vary("2*(LL)^1"), SpaceSpec(1, 2.0)
+        flags = {
+            s: constants_report(h, DistTSM(parse_dist(f"rademacher:scales={s}"), space))
+            .verdict_diagnostics["sandwich_consistent"]
+            for s in (0.25, 1, 3, 10)
+        }
+        assert set(flags.values()) == {True}, flags
 
     def test_report_with_sequence_and_distribution(self):
         rep = constants_report(

@@ -172,11 +172,17 @@ class TestParseGrammar:
         assert isinstance(parse_dist(text), cls)
 
     def test_round_trip_through_describe(self):
-        for text in ("gauss:dim=2,var=1", "rademacher:scales=1;2", "pareto:a=1.5,dim=3,scale=2"):
+        for text in ("gauss:dim=2,var=1", "rademacher:dim=3", "rademacher:scales=1;2",
+                     "pareto:a=1.5,dim=3,scale=2", "point:v=1;-2", "embed:dim=4,axis=1,inner=(gauss:var=2)"):
             dist = parse_dist(text)
             again = parse_dist(dist.describe())
+            assert type(again) is type(dist) and again.describe() == dist.describe()
             rng1, rng2 = np.random.default_rng(3), np.random.default_rng(3)
             np.testing.assert_allclose(dist.sample(rng1, 50), again.sample(rng2, 50))
+            assert again.is_centered == dist.is_centered
+            assert again.finite_second_moment == dist.finite_second_moment
+            for p in (1.0, 2.0, math.inf):
+                assert again.norm_bound(SpaceSpec(dist.dim, p)) == dist.norm_bound(SpaceSpec(dist.dim, p))
 
     @pytest.mark.parametrize("dist, text", [
         (RademacherProduct([2.5e-10, 1]), "rademacher:scales=2.5e-10;1"),

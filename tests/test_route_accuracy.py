@@ -4,7 +4,9 @@ Every row has h = C (LL)^1 and an H that settles at sigma^2, so the
 series threshold is c0 = sqrt(2 sigma^2 / C), lambda equals c0, and
 alpha0 of c_n = sqrt(n) is infinite: with H bounded, its probe exponents
 x_j = alpha^2 / (2 H(sqrt n_j)) are constant.  For h = 2 (LL)^1 that is
-c0 = lambda = sqrt(sigma^2).
+c0 = lambda = sqrt(sigma^2).  One row has an unbounded H and sigma^2 =
+inf: there c0, lambda and sigma^2 must all read infinite.  Every row
+must also read `sandwich_consistent`.
 
 An empirical H brackets its own sigma^2, so on an empirical row the
 bracket must contain sqrt(2 sigma^2 / C) for the reported sigma^2, and
@@ -38,9 +40,11 @@ ROWS = {
     "rademacher5-l1": (2, "dist", "rademacher:dim=5", "5,1", 5.0, 0.0),
     "rademacher5-linf": (2, "dist", "rademacher:dim=5", "5,inf", 1.0, 0.0),
     "rademacher-scales10-l2": (2, "dist", "rademacher:scales=10", "1,2", 100.0, 0.0),
-    # H(t) = 3 (1 - 1/t): the sigma walk stops once a doubling moves it by
-    # less than 1e-6, 9e-13 below its limit
-    "pareto3-l2": (2, "dist", "pareto:a=3", "1,2", 3.0, 1e-12),
+    "pareto3-l2": (2, "dist", "pareto:a=3", "1,2", 3.0, 0.0),
+    # H(t) = 5 (1 - t^-1/2): sigma^2 is read at the cap, H(2^100) = 5 (1 - 2^-50)
+    "pareto2.5-l2": (2, "dist", "pareto:a=2.5", "1,2", 5.0, 1e-15),
+    # H(t) grows like 2 log t: c0, lambda and sigma^2 are all infinite
+    "pareto2-l2": (2, "dist", "pareto:a=2", "1,2", math.inf, None),
     "const5": (2, "const:5", None, "1,2", 5.0, 0.0),
     "3LL-const2": (3, "const:2", None, "1,2", 2.0, 0.0),
     "LL-const2": (1, "const:2", None, "1,2", 2.0, 0.0),
@@ -58,6 +62,14 @@ def test_route_matches_its_closed_form(name, capsys):
     rep = constants_report(parse_slow_vary(f"{C:g}*(LL)^1"), parse_tsm(H_text, dist=dist, space=space),
                            c_seq=parse_cseq("pow:0.5"))
     route = rep.verdict_diagnostics["h_route"]
+    assert rep.verdict_diagnostics["sandwich_consistent"]
+    assert rep.alpha0.hi == math.inf
+    if math.isinf(sigma2):
+        with capsys.disabled():
+            print(f"\nROUTE {name}: {route}, c0 [{rep.c0.lo:.4g}, {rep.c0.hi:.4g}], lambda {rep.lam:.4g}, "
+                  f"sigma^2 {rep.sigma2:.6g}")
+        assert rep.c0.hi == rep.lam == rep.sigma2 == math.inf
+        return
     truth = math.sqrt(2.0 * (rep.sigma2 if route == "empirical" else sigma2) / C)
     lam_err = rep.lam / truth - 1.0
     sigma_gap = math.sqrt(rep.sigma2 / sigma2) - 1.0
@@ -71,4 +83,3 @@ def test_route_matches_its_closed_form(name, capsys):
         assert 0.0 <= sigma_gap <= EMPIRICAL_SIGMA_CEILING
     else:
         assert rep.sigma2 == pytest.approx(sigma2, rel=sigma2_tol, abs=0.0)
-    assert rep.alpha0.hi == math.inf
