@@ -5,11 +5,15 @@ The central object is the series
     sum_n (1/n) exp(-c^2 h(n) / (2 H(a_n))),      a_n = psi(n),
 
 whose convergence threshold in c is the limsup constant c0 of the
-normalized sums.  Convergence of an infinite series cannot be decided
-from finitely many terms, so `series_classify` is an explicit heuristic:
-along a geometric subsequence n_j = ceil(rho^j) the block-summed series
-behaves like sum_j exp(-x_j) with x_j = c^2 h(n_j)/(2 H(a_{n_j})), and
-the classifier fits the growth of x_j against log j.  Slope >= 1 + margin
+normalized sums.  It is the series of alpha0, sum_n (1/n) exp(-alpha^2
+c_n^2 / (2 n H(c_n))), along c_n = a_n, because a_n^2 / n = h(n); so c0
+and alpha0 are read off one probe grid, `_ProbeGrid`, whose H arguments
+c_n are capped at exp(709).  Convergence of an infinite series cannot
+be decided from finitely many terms, so `series_classify` is an
+explicit heuristic: along a geometric subsequence n_j = ceil(rho^j) the
+block-summed series behaves like sum_j exp(-x_j) with x_j = c^2
+c_{n_j}^2 / (2 n_j H(c_{n_j})), and the classifier fits the growth of
+x_j against log j.  Slope >= 1 + margin
 means terms decay faster than 1/j, slope <= 1 - margin slower; a clear
 acceleration or deceleration of the slope between consecutive windows
 overrides the level test (x_j growing like (log j)^2 converges for every
@@ -44,7 +48,6 @@ from __future__ import annotations
 
 import functools
 import math
-from collections.abc import Callable
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -146,11 +149,6 @@ def _classify_exponents(x: np.ndarray, c: float) -> SeriesVerdict:
     return SeriesVerdict(INCONCLUSIVE, s2, accel, c, "slope inside the margin band")
 
 
-def _series_args(h: SlowVaryFn, n: np.ndarray) -> np.ndarray:
-    """H arguments a_n = psi(n) of the c0 series, capped at the float ceiling."""
-    return np.exp(np.minimum(log_psi(h, np.log(n)), _LOG_FLOAT_MAX))
-
-
 def H_values(H_fn, ts) -> np.ndarray:
     """H at every point of the 1-D grid `ts`, in one call: the one H evaluator.
 
@@ -167,70 +165,60 @@ def H_values(H_fn, ts) -> np.ndarray:
     return hv
 
 
-@dataclass(frozen=True)
-class _ProbeGrid:
-    """The probe grid of one bracket search, evaluated once.
+def _probe_args(c_seq) -> np.ndarray:
+    """The H arguments c_{n_j} of a series probe grid, capped at the float ceiling."""
+    return np.minimum(np.asarray(c_seq.values(_PROBE_N), dtype=float), math.exp(_LOG_FLOAT_MAX))
 
-    Every probe of a search classifies the same subsequence n_j with the
-    same h(n_j) (or c_n) and the same H values; only the constant in front
-    of the exponents changes.  `exponents(c)` gives x_j for one constant
-    with the bits of the per-probe formula.  A search builds its grid
-    once and passes it to the classifier in place of H.
+
+class _ProbeGrid:
+    """The probe grid of one series sum_n (1/n) exp(-k^2 c_n^2 / (2 n H(c_n))).
+
+    Every probe of a bracket search classifies the same subsequence n_j
+    with the same c_n and the same H values; only the constant k in front
+    of the exponents changes.  H is read once, at `_probe_args(c_seq)`,
+    and `exponents(k)` gives x_j = k^2 base_j for one constant, +inf
+    where H = 0 or base_j = c_n^2 / (2 n H(c_n)) is past the float range.
+    A search builds its grid once and passes it to the classifier in place
+    of H.  c0's series is this one along c_n = psi(n), since psi(n)^2 / n
+    = h(n).
     """
 
-    exponents: Callable[[float], np.ndarray]
+    def __init__(self, c_seq, H_fn):
+        cn = _probe_args(c_seq)
+        hv = H_values(H_fn, cn)
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            self.base = cn * cn / (2.0 * _PROBE_N * hv)
+        # inf whatever k, even where k^2 underflows and 0 * inf would be NaN
+        self.finite = (hv > 0) & (self.base < np.inf)
+
+    def exponents(self, k: float) -> np.ndarray:
+        with np.errstate(over="ignore", invalid="ignore"):
+            return np.where(self.finite, k * k * self.base, np.inf)
 
 
-def _c0_grid(h: SlowVaryFn, H_fn) -> _ProbeGrid:
-    """x_j = c^2 h(n_j) / (2 H(a_{n_j})) for any c; +inf where H = 0."""
-    n = _PROBE_N
-    hn, den = h(n), 2.0 * H_values(H_fn, _series_args(h, n))
-
-    def exponents(c: float) -> np.ndarray:
-        # where c^2 underflows, 0 / 0 would be NaN
-        with np.errstate(divide="ignore", invalid="ignore"):
-            return np.where(den > 0, c * c * hn / den, np.inf)
-
-    return _ProbeGrid(exponents)
-
-
-def _alpha_grid(c_seq, H_fn) -> _ProbeGrid:
-    """x_j = alpha^2 c_n^2 / (2 n H(c_n)) for any alpha, at n = n_j; +inf where H = 0."""
-    n = _PROBE_N
-    cn = np.asarray(c_seq.values(n), dtype=float)
-    hv = H_values(H_fn, cn)
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        base = cn * cn / (2.0 * n * hv)
-
-    def exponents(alpha: float) -> np.ndarray:
-        # where alpha^2 underflows, 0 * inf would be NaN
-        with np.errstate(invalid="ignore"):
-            return np.where(hv > 0, alpha * alpha * base, np.inf)
-
-    return _ProbeGrid(exponents)
-
-
-def _classify(name: str, c: float, build, seq, H_fn) -> SeriesVerdict:
+def _classify(name: str, c: float, c_seq, H_fn) -> SeriesVerdict:
     """Both series classifiers: a negative or NaN constant raises, 0 is
     DIVERGES by convention (the terms cannot decay) before H is read, and
     any other constant is classified on `H_fn` if it is a search's probe
-    grid, else on `build(seq, H_fn)`."""
+    grid, else on `_ProbeGrid(c_seq, H_fn)`."""
     if not c >= 0:
         raise ValueError(f"{name} must be nonnegative")
     if c == 0.0:
         return SeriesVerdict(DIVERGES, 0.0, 0.0, 0.0, f"{name} = 0: harmonic floor")
-    grid = H_fn if isinstance(H_fn, _ProbeGrid) else build(seq, H_fn)
+    grid = H_fn if isinstance(H_fn, _ProbeGrid) else _ProbeGrid(c_seq, H_fn)
     return _classify_exponents(grid.exponents(c), c)
 
 
 def series_classify(c: float, h: SlowVaryFn, H_fn) -> SeriesVerdict:
     """Classify sum_n (1/n) exp(-c^2 h(n)/(2 H(a_n))) for a_n = psi(n).
 
-    Probe points with H(a_n) = 0 contribute nothing to the series; an
-    entirely vanishing tail is CONVERGES.  Inside `c0_compute`, `H_fn` is
-    the search's `_ProbeGrid` for this h.
+    This is the alpha series along a_n = psi(n), because a_n^2 / n = h(n):
+    one probe grid, its H arguments capped at exp(709).  Probe points with
+    H(a_n) = 0 contribute nothing to the series; an entirely vanishing
+    tail is CONVERGES.  Inside `c0_compute`, `H_fn` is the search's
+    `_ProbeGrid` for this h.
     """
-    return _classify("c", c, _c0_grid, h, H_fn)
+    return _classify("c", c, NormalizerSeq(h), H_fn)
 
 
 def alpha_series_classify(alpha: float, c_seq, H_fn) -> SeriesVerdict:
@@ -238,7 +226,7 @@ def alpha_series_classify(alpha: float, c_seq, H_fn) -> SeriesVerdict:
 
     Inside `alpha0_compute`, `H_fn` is the search's `_ProbeGrid`.
     """
-    return _classify("alpha", alpha, _alpha_grid, c_seq, H_fn)
+    return _classify("alpha", alpha, c_seq, H_fn)
 
 
 # ---------------------------------------------------------------------------
@@ -326,11 +314,12 @@ def _finish_bracket(lo, hi, probes, note) -> Bracket:
 def c0_compute(h: SlowVaryFn, H_fn, tol: float = 0.02) -> Bracket:
     """Bracket the series threshold c0 = inf{c >= 0 : series converges}.
 
-    n_j, h(n_j), a_n and H(a_n) are the same for every probe, so they are
+    c0 is alpha0 along a_n = psi(n): the search builds the one probe grid
+    of `alpha0_compute` for `NormalizerSeq(h)`, so n_j, a_n and H(a_n) are
     computed once per search, H in one call, and each probe's
     `series_classify` only scales the exponents.
     """
-    grid = _c0_grid(h, H_fn)
+    grid = _ProbeGrid(NormalizerSeq(h), H_fn)
     return _threshold_bracket(lambda c: series_classify(c, h, grid), tol)
 
 
@@ -339,7 +328,7 @@ def alpha0_compute(c_seq, H_fn, tol: float = 0.02) -> Bracket:
 
     As in `c0_compute`, n_j, c_n and H(c_n) are computed once per search.
     """
-    grid = _alpha_grid(c_seq, H_fn)
+    grid = _ProbeGrid(c_seq, H_fn)
     return _threshold_bracket(lambda a: alpha_series_classify(a, c_seq, grid), tol)
 
 
@@ -425,7 +414,9 @@ def _ratio_args(h: SlowVaryFn) -> np.ndarray:
 
 def lil_ratio_check(h: SlowVaryFn, H_fn) -> RatioCurve:
     """Cross-check curve LLn * H(a_n / LLn) / h(n), whose limsup is lambda^2/2."""
-    values = _LLX * H_values(H_fn, _ratio_args(h)) / h(DEFAULT_X_GRID)
+    hv = H_values(H_fn, _ratio_args(h))
+    with np.errstate(over="ignore"):  # inf is the float answer, as in `hq_classify`
+        values = _LLX * hv / h(DEFAULT_X_GRID)
     return RatioCurve(values, float(np.max(values[-_X_TAIL:])), float(values[-1]))
 
 
@@ -656,13 +647,13 @@ def _route_diagnostics(h: SlowVaryFn, H_fn, c_seq) -> dict:
     out = {"h_route": route, "h_samples": None, "h_max_norm": None, "h_extrapolated_frac": frac}
     if route == "empirical":
         grids = {
-            "c0": _series_args(h, _PROBE_N),
+            "c0": _probe_args(NormalizerSeq(h)),
             "lambda": DEFAULT_X_GRID,
             "ratio": _ratio_args(h),
             "sigma": _SIGMA_GRID,
         }
         if c_seq is not None:
-            grids["alpha0"] = np.asarray(c_seq.values(_PROBE_N), dtype=float)
+            grids["alpha0"] = _probe_args(c_seq)
         frac.update({stage: float(np.mean(H_fn.extrapolated(ts))) for stage, ts in grids.items()})
         out["h_samples"], out["h_max_norm"] = H_fn.n_samples, H_fn.max_norm
     return out

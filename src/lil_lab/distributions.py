@@ -103,7 +103,9 @@ class Gaussian:
             return np.zeros((ts.size, 1, 1))
         sd, root2, c = math.sqrt(sigma2), math.sqrt(2), math.sqrt(2 / math.pi)
         us = [t / sd for t in ts.tolist()]
-        vals = [max(sigma2 * (math.erf(u / root2) - u * c * math.exp(-0.5 * u * u)), 0.0) for u in us]
+        # at u = inf the tail term is inf * 0: the whole variance is inside
+        vals = [sigma2 if u == math.inf else max(sigma2 * (math.erf(u / root2) - u * c * math.exp(-0.5 * u * u)), 0.0)
+                for u in us]
         return np.array(vals).reshape(-1, 1, 1)
 
     def describe(self) -> str:

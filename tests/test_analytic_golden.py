@@ -32,6 +32,13 @@ c4's and c7's two report digests were recorded again when the margin of
 `sandwich_consistent` became relative: c7's flag went from false to
 true, c4's from true to false (its c0 lo 0.953 and lambda 0.860 differ
 by 10.8%).  No other key moved.
+
+All sixteen report digests were recorded again when c0's series became
+alpha0's along a_n = psi(n), read off one probe grid: its exponents are
+c^2 a_n^2 / (2 n H(a_n)), no longer c^2 h(n) / (2 H(a_n)).  Only the
+fitted slopes of the c0 probes moved, by at most 6.9e-14 relative;
+`DECISION_DIGESTS`, recorded before that change, pin everything the
+brackets decide.
 """
 
 import hashlib
@@ -41,9 +48,9 @@ import numpy as np
 import pytest
 
 from lil_lab.cli import parse_space
-from lil_lab.constants import constants_report, lambda_compute, parse_tsm
+from lil_lab.constants import alpha0_compute, c0_compute, constants_report, lambda_compute, parse_tsm
 from lil_lab.distributions import parse_dist
-from lil_lab.slowvary import hq_classify, parse_cseq, parse_slow_vary
+from lil_lab.slowvary import NormalizerSeq, hq_classify, parse_cseq, parse_slow_vary
 
 # name: (h, H, dist, space, c_seq)
 SCENARIOS = {
@@ -58,27 +65,42 @@ SCENARIOS = {
 }
 
 REPORT_DIGESTS = {
-    "c1-const": "9d37bd59f90674f3e6113ec7c53f3c84733d5b29fa9cced7ddf446dee2548ede",
-    "c2-const-cseq": "b3b809f47b3321cfa223b4de9c8a10d8f1d78ea7610a7d80779893f720d95755",
-    "c3-llpow": "519bb2854e8d9ec6436f063ecf85aede6bb5beab15a08f0fc6ca6170ec6e05cd",
-    "c4-llpow": "6c93c2918c100a8bc8aaf7bf22d0fd56b7000def07ac7a6e2cfb60b4b3a55bae",
-    "c5-dist-gauss1": "0985b643161a336707ac2060e68025c563b0430f0780433b8b416d50911c8e0e",
-    "c6-dist-gauss2": "18d50b294ba6349130a705c5a6b57b2db8c31e9d27632b826c6029810d3e3ddc",
-    "c7-dist-rademacher": "83dc6229eef106ebd7cdfb190c141db887fa2dee5c62eec28ff722867c1f1d1e",
-    "c8-explog": "3acae49d609d4ae672ee9b71edce673412a36d6338b43d78dc6488cc136d58b9",
+    "c1-const": "0ae5395c144123419e6bbf62c315348e43bad6ab490bfbbb7754bc79efba29cc",
+    "c2-const-cseq": "f41f06ecca806c0945307fe484de61688dc647d6caccada21f490cbeeb8fc93b",
+    "c3-llpow": "dc2419f291bbcb48a2b3befa24091fe324dfa3dc4dbe921cc6b9e7c4c67af6fc",
+    "c4-llpow": "9589ee33e5cd43533757da280a1a5be5e364a05ccaea1dd2c89dc35891584fbe",
+    "c5-dist-gauss1": "4e1bec5b635725918b18f5a8b9a332c5544330c985962509208f6e8392d52970",
+    "c6-dist-gauss2": "fc7ce52a4ba8a5edf484b46d73ef5e9df5815f9c9ccc9a8db1403ef786c3bfcd",
+    "c7-dist-rademacher": "4ba3f524720826041d214eadcc2f55fc3a7e75e985c224ef6e5a7b75d23c403f",
+    "c8-explog": "dae6defd1218b54cc0624b8d4598e002651d0468f9097afd9f79c874704dd77c",
 }
 
 ROUTE_KEYS = ("h_route", "h_samples", "h_max_norm", "h_extrapolated_frac")
 
 PRE_ROUTE_DIGESTS = {
-    "c1-const": "e2da8634105f05f430d8ae3bf36679ede4b2ea7c580c5a48ff06392e6ffc8b8e",
-    "c2-const-cseq": "cb8a7ff1de54d49337a71900b26e1d9d1b8e22d8d6858f2c499ccd7f80a255e4",
-    "c3-llpow": "e80d4198af6445e3adfb6d0be04ca64fb838b2e044b2791885b9ccd7ed517d8f",
-    "c4-llpow": "6f2ecbfeae3c8cd868527f63c83c77fcd64b631dd15131769b51978fa6abab65",
-    "c5-dist-gauss1": "cb8a7ff1de54d49337a71900b26e1d9d1b8e22d8d6858f2c499ccd7f80a255e4",
-    "c6-dist-gauss2": "742f0c955b60d905ccc66fcca7ceb7fd39dc58d4c93ce4a1a2739abdfc746868",
-    "c7-dist-rademacher": "6f016b1adbdd48f5712249d3a32840958c4d4a0fbc4a4bf696f7b2b1599ca10d",
-    "c8-explog": "e5f6c24428e03d67ae3b0fa9d68a2992b70c6e3e58d1601e9a0f58a49537c4fe",
+    "c1-const": "30bcb882f57cb3c72c439c13aca9864f7f0b30fb7ca4dacde329e01022fbb7ff",
+    "c2-const-cseq": "f3387cceab5ebff36f5c7ecf57c17918a78e68768a7447dac492889b3e1f0fe2",
+    "c3-llpow": "ea460bfd5c6a83b8dbeeec174f8caf69408202320027c520825d6c162bc4b384",
+    "c4-llpow": "a6115ba5201d58f314b552082356bd5bacb7fdf6fb72cdaef0ae2ca11f7b2e93",
+    "c5-dist-gauss1": "f3387cceab5ebff36f5c7ecf57c17918a78e68768a7447dac492889b3e1f0fe2",
+    "c6-dist-gauss2": "3fc38e047b111e4a044c30383a30e00ab40b8be0eeaefc681b821c793e89e427",
+    "c7-dist-rademacher": "952ceb9202673236aa3e6de83ea2aa3e11e9cb19b8e7831856ee021edb8995ab",
+    "c8-explog": "f8d617b9a9ab1fe09b3d3930fedde01c2a685129835ec25a079bc65fcafcf50e",
+}
+
+# The decisions of the two series brackets alone: lo, hi, their verdicts,
+# the note and every probe's (c, verdict), without the fitted slopes.
+# Recorded before c0 and alpha0 shared one probe grid; that change moved
+# only slope bits, so these stayed.
+DECISION_DIGESTS = {
+    "c1-const": "1c4158ea26865077d817a659bcb9fcab2bec3d9130cad850fc97ae01db409b0e",
+    "c2-const-cseq": "09cfb8a04d8993208f7c60e502ded22706380e734965b545b45de8ca130e9e6b",
+    "c3-llpow": "6006daf6764e3d0831fbd9ab33e1fb44a2c7f821575d89375fe1eef909565b25",
+    "c4-llpow": "226d5cd007eab592bbe34db283833775e04c31fafd29c1aa455be882fb09ac01",
+    "c5-dist-gauss1": "09cfb8a04d8993208f7c60e502ded22706380e734965b545b45de8ca130e9e6b",
+    "c6-dist-gauss2": "1c4158ea26865077d817a659bcb9fcab2bec3d9130cad850fc97ae01db409b0e",
+    "c7-dist-rademacher": "5fd984dd0008ba7301fb1f5c3fe7286b5a9f71526e96fae9c64ff7f5f57b7102",
+    "c8-explog": "802269e5151c784a1439f1fd19dabe8dfe90497828de265ec8420d08f193b1a0",
 }
 
 CURVE_DIGESTS = {
@@ -133,6 +155,27 @@ def test_constants_report_without_route_keys_digest(name):
     for key in ROUTE_KEYS:
         del diag[key]
     assert _digest(doc) == PRE_ROUTE_DIGESTS[name]
+
+
+@pytest.mark.parametrize("name", sorted(DECISION_DIGESTS))
+def test_series_bracket_decisions_digest(name):
+    diag = _report(name)["verdict_diagnostics"]
+    decisions = {
+        stage: {key: diag[stage][key] for key in ("lo", "hi", "lo_verdict", "hi_verdict", "note")}
+        | {"probes": [[p["c"], p["verdict"]] for p in diag[stage]["probes"]]}
+        for stage in ("c0", "alpha0") if stage in diag
+    }
+    assert _digest(decisions) == DECISION_DIGESTS[name]
+
+
+@pytest.mark.parametrize("name", sorted(SCENARIOS))
+def test_c0_is_alpha0_along_psi(name):
+    # one series: a_n^2 / n = h(n) for a_n = psi(n)
+    h, H_fn, *_ = _inputs(name)
+    assert c0_compute(h, H_fn).to_json_dict() == alpha0_compute(NormalizerSeq(h), H_fn).to_json_dict()
+    if SCENARIOS[name][4] == f"psi:{SCENARIOS[name][0]}":
+        diag = _report(name)["verdict_diagnostics"]
+        assert diag["c0"] == diag["alpha0"]
 
 
 def test_route_keys_name_the_empirical_fallback():

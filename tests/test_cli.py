@@ -605,8 +605,9 @@ class TestExitCodes:
         (["fn-verify", "--dist", "rademacher:dim=1", "--space", "1,2", "--n", "150000", "--trials", "100",
           "--seed", "2"], "verify.json", ("report", "notes", -1),
          "7 kr rows skipped: the empirical mgf or its standard error overflows from s = 0.242424"),
+        # the adjacent-float bracket of c0's probe exponents c^2 psi(n)^2 / (2 n H), around the truth 1
         (["constants", "--h", "2*(LL)^1", "--tol", "1e-17"], "constants.json", ("report", "c0_hi"),
-         1.0000000000000007),
+         1.0000000000000144),
         # H = 0 at all but the last 11 probes, then at all but the last 4
         (["constants", "--h", "2*(LL)^1", "--H", "dist", "--dist", "rademacher:scales=1e17", "--space", "1,2"],
          "constants.json", ("report", "verdict_diagnostics", "c0", "note"), "no converging c up to 1e+06"),
@@ -615,6 +616,13 @@ class TestExitCodes:
         # H = 0 up to t = 1e17, past 2^56: sigma^2 is read at the cap of its walk
         (["constants", "--h", "2*(LL)^1", "--H", "dist", "--dist", "rademacher:scales=1e17", "--space", "1,2"],
          "constants.json", ("report", "sigma2"), 1e34),
+        # LLn H overflows in the ratio curve
+        (["constants", "--h", "2*(LL)^1", "--H", "const:1e308"], "constants.json", ("report", "sigma2"), 1e308),
+        # c_n^2 / (2 n H) overflows in the probe exponents
+        (["constants", "--h", "2*(LL)^1", "--H", "const:1e-320"], "constants.json", ("report", "sigma2"), 1e-320),
+        # c_n passes the float ceiling: its H arguments are capped as psi(n)'s are
+        (["constants", "--h", "2*(LL)^1", "--c-seq", "psi:exp(30*(L)^0.9)", "--H", "dist",
+          "--dist", "gauss:dim=1,var=1", "--space", "1,2"], "constants.json", ("report", "alpha0_hi"), 0.00390625),
         # lambda_n is finite, the squared deviations of its batch estimates are not
         (["fn-verify", "--dist", "rademacher:scales=1e100", "--space", "1,2", "--n", "200", "--trials", "2100"],
          "verify.json", ("report", "pilot", "lambda_n_se"), None),
@@ -624,6 +632,7 @@ class TestExitCodes:
             "fn-verify-mgf-bound-past-float-range", "fn-verify-empirical-mgf-past-float-range",
             "fn-verify-empirical-mgf-std-past-float-range", "constants-tol-below-float-spacing",
             "constants-h-zero-below-1e17", "constants-h-zero-below-1e18", "constants-sigma2-past-2-to-the-40",
+            "constants-h-1e308", "constants-h-1e-320", "constants-cseq-past-float-range",
             "fn-verify-lambda-se-past-float-range"])
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_extreme_input_exits_0_with_finite_or_flagged_values(self, tmp_path, argv, artifact, path, expected):
@@ -640,6 +649,15 @@ class TestExitCodes:
         for key in path:
             node = node[key]
         assert node == expected
+
+    def test_a_log_ratio_below_the_float_floor_collapses_to_member(self, tmp_path):
+        # h = (LL)^1e-305 moves log h by about 1e-305 from t to t f_tau(t),
+        # under the 1e-300 floor of the trend fit, so with no band around 1
+        # every tau reads the collapsed-ratio branch
+        assert cli.main(["hclass", "--h", "(LL)^1e-305", "--tol", "0", "--out", str(tmp_path)]) == 0
+        report = json.loads((tmp_path / "hclass.json").read_text())["report"]
+        assert report["verdict"] == "MEMBER" and report["per_tau"]
+        assert {(d["verdict"], d["reason"]) for d in report["per_tau"]} == {("MEMBER", "ratio collapsed to 1")}
 
     def test_nan_h_is_exit_2_and_writes_nothing(self, tmp_path, capsys):
         # NaN passes a plain `< 0` check, so a NaN H must be refused on its own

@@ -73,26 +73,25 @@ class TestSeriesClassifier:
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("c", [1e-170, 0.3, 1.0, 7.5])
-    def test_probe_exponents_are_inf_where_h_is_zero_and_keep_their_bits_elsewhere(self, c):
-        # H vanishes below t = 1e3, so on the first probes only
-        def H(t):
-            return 0.0 if t < 1e3 else 1.0 + 1.0 / math.log(t)
-
-        h, c_seq = parse_slow_vary("2*(LL)^1"), parse_cseq("pow:0.5")
+    @pytest.mark.parametrize("c_seq", [
+        parse_cseq("psi:2*(LL)^1"), parse_cseq("pow:0.5"), parse_cseq("psi:exp(30*(L)^0.9)"),
+    ], ids=["psi", "pow", "psi-past-float-range"])
+    def test_probe_exponents_are_inf_where_h_is_zero_and_keep_their_bits_elsewhere(self, c, c_seq):
         n = constants._PROBE_N
-        hv = H_values(H, constants._series_args(h, n))
-        pos = hv > 0
-        x = constants._c0_grid(h, H).exponents(c)
-        assert 0 < np.count_nonzero(pos) < n.size
-        assert np.all(x[~pos] == math.inf)
-        np.testing.assert_array_equal(x[pos], c * c * h(n)[pos] / (2.0 * hv[pos]))
-        cn = c_seq.values(n)
+        cn = np.minimum(c_seq.values(n), math.exp(709.0))
+
+        # H vanishes on the first four probes only
+        def H(t):
+            return 0.0 if t < cn[4] else 1.0 + 1.0 / math.log(t)
+
         hv = H_values(H, cn)
-        pos = hv > 0
-        x = constants._alpha_grid(c_seq, H).exponents(c)
-        assert 0 < np.count_nonzero(pos) < n.size
+        with np.errstate(over="ignore"):  # c_n^2 past the float range is inf
+            base = cn * cn / (2.0 * n * np.where(hv > 0, hv, 1.0))
+        pos = (hv > 0) & (base < math.inf)
+        x = constants._ProbeGrid(c_seq, H).exponents(c)
+        assert np.count_nonzero(hv == 0) == 4
         assert np.all(x[~pos] == math.inf)
-        np.testing.assert_array_equal(x[pos], c * c * (cn[pos] * cn[pos] / (2.0 * n[pos] * hv[pos])))
+        np.testing.assert_array_equal(x[pos], c * c * base[pos])
 
     def test_negative_h_rejected(self):
         with pytest.raises(ValueError):
@@ -281,6 +280,19 @@ class TestSigma:
     def test_a_decrease_anywhere_on_the_walk_is_refused(self):
         with pytest.raises(ValueError, match="nondecreasing"):
             sigma_compute(lambda t: 1.0 if t < 2.0**90 else 0.5)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("law,space,sigma2", [
+        ("gauss:dim=1,var=1", SpaceSpec(1, 2.0), 1.0),
+        ("embed:dim=3,axis=1,inner=(gauss:var=2)", SpaceSpec(3, 1.0), 2.0),
+        ("pareto:a=3", SpaceSpec(1, 2.0), 3.0),
+        ("rademacher:dim=5", SpaceSpec(5, 1.0), 5.0),
+        ("point:v=1;-2", SpaceSpec(2, 2.0), 5.0),
+    ], ids=["gauss", "embed-gauss", "pareto3", "rademacher", "point"])
+    def test_h_at_infinity_is_sigma2(self, law, space, sigma2):
+        # a Gaussian's tail term u exp(-u^2/2) is inf * 0 at u = inf
+        H = DistTSM(parse_dist(law), space)
+        assert H.values([math.inf]).tolist() == [sigma2] == [sigma_compute(H).sigma2]
 
 
 class TestTsmParsing:

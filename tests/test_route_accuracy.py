@@ -24,9 +24,9 @@ import math
 import pytest
 
 from lil_lab.cli import parse_space
-from lil_lab.constants import constants_report, parse_tsm
+from lil_lab.constants import alpha0_compute, c0_compute, constants_report, parse_tsm
 from lil_lab.distributions import parse_dist
-from lil_lab.slowvary import parse_cseq, parse_slow_vary
+from lil_lab.slowvary import NormalizerSeq, parse_cseq, parse_slow_vary
 
 #: Largest relative error of lambda against its truth, today -4.925% (`0.5*(LL)^1`).
 LAMBDA_CEILING = 0.0493
@@ -54,13 +54,23 @@ ROWS = {
 }
 
 
-@pytest.mark.parametrize("name", ROWS)
-def test_route_matches_its_closed_form(name, capsys):
-    C, H_text, dist_text, space_text, sigma2, sigma2_tol = ROWS[name]
+def _inputs(name):
+    C, H_text, dist_text, space_text, *_ = ROWS[name]
     space = parse_space(space_text)
     dist = parse_dist(dist_text) if dist_text else None
-    rep = constants_report(parse_slow_vary(f"{C:g}*(LL)^1"), parse_tsm(H_text, dist=dist, space=space),
-                           c_seq=parse_cseq("pow:0.5"))
+    return parse_slow_vary(f"{C:g}*(LL)^1"), parse_tsm(H_text, dist=dist, space=space)
+
+
+@pytest.mark.parametrize("name", ROWS)
+def test_c0_is_alpha0_along_psi(name):
+    h, H_fn = _inputs(name)
+    assert c0_compute(h, H_fn).to_json_dict() == alpha0_compute(NormalizerSeq(h), H_fn).to_json_dict()
+
+
+@pytest.mark.parametrize("name", ROWS)
+def test_route_matches_its_closed_form(name, capsys):
+    C, _, _, _, sigma2, sigma2_tol = ROWS[name]
+    rep = constants_report(*_inputs(name), c_seq=parse_cseq("pow:0.5"))
     route = rep.verdict_diagnostics["h_route"]
     assert rep.verdict_diagnostics["sandwich_consistent"]
     assert rep.alpha0.hi == math.inf
