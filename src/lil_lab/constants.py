@@ -48,7 +48,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -659,6 +659,19 @@ def _route_diagnostics(h: SlowVaryFn, H_fn, c_seq) -> dict:
     return out
 
 
+def _horizon_note(bracket: Bracket, c_seq, H_fn, sigma2: float) -> Bracket:
+    """`bracket`, noted as past the probe horizon when it puts its threshold
+    at 0 because H is 0 at every probe although sigma^2 > 0: the series
+    then never reaches where H > 0, so 0 is no estimate.  H is read again
+    only on that rare path."""
+    if bracket.lo == 0.0 and sigma2 > 0 and not H_values(H_fn, _probe_args(c_seq)).any():
+        probe = DEFAULT_PROBE
+        return replace(bracket, note=(
+            f"H is 0 at every probe up to n = {probe.rho:g}^{probe.j_max}: "
+            "the threshold lies past the probe horizon"))
+    return bracket
+
+
 def constants_report(
     h: SlowVaryFn,
     H_fn,
@@ -689,11 +702,14 @@ def constants_report(
     c0 = c0_compute(h, H_fn, tol=tol)
     lam_res = lambda_compute(h, H_fn)
     sigma = sigma_compute(H_fn)
+    c0 = _horizon_note(c0, NormalizerSeq(h), H_fn, sigma.sigma2)
     scan = hq_classify(h, 0.0).per_tau
     q_used = next(
         (q for q in _Q_GRID if all(d.verdict == MEMBER for d in scan if _tau_active(d.tau, q))), 1.0
     )
-    alpha0 = alpha0_compute(c_seq, H_fn, tol=tol) if c_seq is not None else None
+    alpha0 = None
+    if c_seq is not None:
+        alpha0 = _horizon_note(alpha0_compute(c_seq, H_fn, tol=tol), c_seq, H_fn, sigma.sigma2)
     beta0 = None
     if dist is not None and space is not None and trials >= 30:
         seq = c_seq if c_seq is not None else NormalizerSeq(h)

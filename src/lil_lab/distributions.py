@@ -145,13 +145,26 @@ class RademacherProduct:
         the draws of `rng.integers(0, 2, size=(n, dim), dtype=np.int8)`,
         whose range-2 Lemire sampler never rejects, so the result equals
         `(that * 2 - 1) * scales` bit for bit (a zero scale gives -0.0 for
-        a negative sign) and the generator is left in the same state.
+        a negative sign) and the generator draws on as after that call.
+
+        The 32-bit words are the low then the high half of each 64-bit
+        output, so an even word count with no half-word buffered is read
+        straight from `random_raw`; otherwise (an odd count, a buffered
+        half, or a generator with no half-word buffer) they come from
+        `integers(0, 2**32, dtype=np.uint32)`.
         """
         m = n * self.dim
-        words = rng.integers(0, 2**32, size=-(-m // 4), dtype=np.uint32)
-        x = (words.astype("<u4", copy=False).view(np.uint8)[:m] >> 7) * 2.0
-        x -= 1.0
-        x = x.reshape(n, self.dim)
+        k = -(-m // 4)
+        bits = rng.bit_generator
+        if k % 2 or bits.state.get("has_uint32", 1):
+            words = rng.integers(0, 2**32, size=k, dtype=np.uint32).astype("<u4", copy=False)
+        else:
+            words = bits.random_raw(k // 2).astype("<u8", copy=False)
+        # bit 7 inverted, spread over the byte (0 or -1), then made odd: +1 for a bit of 1
+        signs = np.invert(words.view(np.int8)[:m])
+        signs >>= 7
+        signs |= 1
+        x = signs.astype(np.float64).reshape(n, self.dim)
         return x if self._unit else x * self.scales
 
     def norm_bound(self, space: SpaceSpec) -> float:
@@ -218,7 +231,11 @@ class RadialPareto:
             else:
                 m2 = self.a / (2.0 - self.a) * (r ** (2.0 - self.a) - 1.0)
             coef.append(self.scale**2 * m2 / self.dim)
-        return np.array(coef)[:, None, None] * np.eye(self.dim)
+        # the diagonals written into zeros: inf * np.eye would put NaN off the diagonal
+        cov = np.zeros((len(coef), self.dim, self.dim))
+        diag = np.arange(self.dim)
+        cov[:, diag, diag] = np.array(coef)[:, None]
+        return cov
 
     def describe(self) -> str:
         return f"pareto:a={_fmt(self.a)},dim={self.dim},scale={_fmt(self.scale)}"

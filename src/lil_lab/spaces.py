@@ -87,11 +87,12 @@ def norms(rows: np.ndarray, space: SpaceSpec) -> np.ndarray:
     if p == 1.0:
         with np.errstate(over="ignore"):  # as in `_unsquared`
             return np.abs(arr).sum(axis=1)
-    # column by column: exact, and much cheaper than a reduction over a short axis
-    mags = np.abs(arr)
-    out = mags[:, 0].copy()
+    # column by column: exact, and much cheaper than a reduction over a short
+    # axis; |x| is taken one column at a time, so no full |x| copy is built
+    out = np.abs(arr[:, 0])
+    col = np.empty_like(out)
     for j in range(1, arr.shape[1]):
-        np.maximum(out, mags[:, j], out=out)
+        np.maximum(out, np.abs(arr[:, j], out=col), out=out)
     return out
 
 
@@ -110,11 +111,17 @@ def _unsquared(arr: np.ndarray) -> np.ndarray:
     return out
 
 
-def _validated_sym(matrix: np.ndarray, what: str) -> np.ndarray:
-    """Symmetrised copy of one square matrix or of each matrix in a (k, d, d) stack."""
+def _square(matrix: np.ndarray, what: str) -> np.ndarray:
+    """`matrix` as floats, checked to be one square matrix or a (k, d, d) stack."""
     m = np.asarray(matrix, dtype=float)
     if m.ndim not in (2, 3) or m.shape[-1] != m.shape[-2]:
         raise ValueError(f"{what} must be a square matrix or a stack of them, got shape {m.shape}")
+    return m
+
+
+def _validated_sym(matrix: np.ndarray, what: str) -> np.ndarray:
+    """Symmetrised copy of one square matrix or of each matrix in a (k, d, d) stack."""
+    m = _square(matrix, what)
     mt = np.swapaxes(m, -1, -2)
     scale = np.fmax(1.0, np.abs(m).max(axis=(-2, -1), initial=0.0))
     if np.any(np.abs(m - mt).max(axis=(-2, -1), initial=0.0) > 1e-9 * scale):
@@ -173,11 +180,24 @@ def dual_ball_sup(cov: TruncatedCov | np.ndarray, space: SpaceSpec):
     stack of matrices.  One matrix gives a float; a stack gives a
     length-k array whose entries equal the one-matrix results bit for
     bit.  Every matrix of a stack is checked on its own, and one batched
-    eigendecomposition serves them all.
+    eigendecomposition serves them all.  A matrix with an infinite
+    diagonal entry gives inf, unchecked.
     """
-    m = cov.matrix if isinstance(cov, TruncatedCov) else _validated_sym(cov, "matrix")
+    checked = isinstance(cov, TruncatedCov)
+    m = cov.matrix if checked else _square(cov, "matrix")
     if m.shape[-1] != space.dim:
         raise ValueError(f"matrix dim {m.shape[-1]} does not match space dim {space.dim}")
+    # an infinite variance makes the supremum inf (f = e_j is in every dual
+    # ball); such a matrix skips the checks below, which would take inf - inf
+    infinite = (np.diagonal(m, axis1=-2, axis2=-1) == math.inf).any(axis=-1)
+    if infinite.any():
+        if m.ndim == 2:
+            return math.inf
+        sup = np.full(len(m), math.inf)
+        sup[~infinite] = dual_ball_sup(m[~infinite], space)
+        return sup
+    if not checked:
+        m = _validated_sym(m, "matrix")
     eig = _check_psd(m, "matrix")
     p = space.norm_p
     if p == 2.0:

@@ -613,6 +613,17 @@ class TestExitCodes:
          "constants.json", ("report", "verdict_diagnostics", "c0", "note"), "no converging c up to 1e+06"),
         (["constants", "--h", "2*(LL)^1", "--H", "dist", "--dist", "rademacher:scales=1e18", "--space", "1,2"],
          "constants.json", ("report", "verdict_diagnostics", "c0", "note"), "no converging c up to 1e+06"),
+        # H = 0 at every probe, where sigma^2 = 1e38: the threshold is past the horizon, not 0
+        (["constants", "--h", "2*(LL)^1", "--H", "dist", "--dist", "rademacher:scales=1e19", "--space", "1,2"],
+         "constants.json", ("report", "verdict_diagnostics", "c0", "note"),
+         "H is 0 at every probe up to n = 2^120: the threshold lies past the probe horizon"),
+        (["constants", "--h", "2*(LL)^1", "--c-seq", "psi:2*(LL)^1", "--H", "dist",
+          "--dist", "rademacher:scales=1e19", "--space", "1,2"], "constants.json",
+         ("report", "verdict_diagnostics", "alpha0", "note"),
+         "H is 0 at every probe up to n = 2^120: the threshold lies past the probe horizon"),
+        # H = 0 everywhere, so sigma^2 = 0 and the threshold is 0
+        (["constants", "--h", "2*(LL)^1", "--H", "const:0"], "constants.json",
+         ("report", "verdict_diagnostics", "c0", "note"), "threshold is 0 within tolerance"),
         # H = 0 up to t = 1e17, past 2^56: sigma^2 is read at the cap of its walk
         (["constants", "--h", "2*(LL)^1", "--H", "dist", "--dist", "rademacher:scales=1e17", "--space", "1,2"],
          "constants.json", ("report", "sigma2"), 1e34),
@@ -631,7 +642,9 @@ class TestExitCodes:
             "hclass-inf-ratio",
             "fn-verify-mgf-bound-past-float-range", "fn-verify-empirical-mgf-past-float-range",
             "fn-verify-empirical-mgf-std-past-float-range", "constants-tol-below-float-spacing",
-            "constants-h-zero-below-1e17", "constants-h-zero-below-1e18", "constants-sigma2-past-2-to-the-40",
+            "constants-h-zero-below-1e17", "constants-h-zero-below-1e18", "constants-h-zero-at-every-probe",
+            "constants-alpha0-h-zero-at-every-probe", "constants-h-zero-everywhere",
+            "constants-sigma2-past-2-to-the-40",
             "constants-h-1e308", "constants-h-1e-320", "constants-cseq-past-float-range",
             "fn-verify-lambda-se-past-float-range"])
     @pytest.mark.filterwarnings("error::RuntimeWarning")

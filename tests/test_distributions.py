@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from lil_lab.distributions import (
@@ -85,6 +85,8 @@ class TestRademacherProduct:
         scales=st.lists(st.sampled_from([0.0, 1.0, 2.5, 1e-300]), min_size=1, max_size=6),
         calls=st.lists(st.tuples(st.integers(0, 40), st.integers(0, 2)), min_size=1, max_size=4),
     )
+    # two words each call: the second call starts with a half-word buffered
+    @example(seed=0, index=0, scales=[1.0], calls=[(8, 0), (8, 0)])
     @settings(max_examples=200, deadline=None)
     def test_sample_is_the_int8_sign_rule(self, seed, index, scales, calls):
         # the signs of an int8 integers draw, read from the stream's 32-bit words
@@ -100,6 +102,16 @@ class TestRademacherProduct:
             k = 2 * pairs + 1
             np.testing.assert_array_equal(gen.integers(0, 2**32, size=k, dtype=np.uint32),
                                           ref.integers(0, 2**32, size=k, dtype=np.uint32))
+        assert gen.random() == ref.random()
+
+    @pytest.mark.parametrize("bits", [np.random.PCG64, np.random.Philox, np.random.MT19937])
+    def test_sample_is_the_int8_sign_rule_on_other_generators(self, bits):
+        # MT19937 has no half-word buffer: its 32-bit words are not halves of random_raw
+        dist = RademacherProduct(np.ones(3))
+        gen, ref = np.random.Generator(bits(5)), np.random.Generator(bits(5))
+        for n in (8, 8, 3, 8):
+            want = ref.integers(0, 2, size=(n, 3), dtype=np.int8) * 2.0 - 1.0
+            assert dist.sample(gen, n).tobytes() == want.tobytes()
         assert gen.random() == ref.random()
 
 

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from lil_lab.distributions import Gaussian, RademacherProduct, parse_dist
+from lil_lab.distributions import Gaussian, RademacherProduct, RadialPareto, parse_dist
 from lil_lab.spaces import (
     DistTSM,
     EmpiricalTSM,
@@ -199,6 +200,20 @@ class TestDualBallSupStack:
         with pytest.raises(ValueError):
             dual_ball_sup(stack, SpaceSpec(3, p))
 
+    @pytest.mark.parametrize("p", [1.0, 2.0, math.inf])
+    def test_infinite_variance_gives_inf_unchecked(self, p):
+        # the inf entries would fail the symmetry and PSD checks as inf - inf
+        bad = np.diag([1.0, math.inf, 2.0])
+        bad[1, 0] = math.inf
+        stack = np.stack([np.eye(3), bad, 2.0 * np.eye(3)])
+        space = SpaceSpec(3, p)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = dual_ball_sup(stack, space)
+            assert dual_ball_sup(bad, space) == math.inf
+        np.testing.assert_array_equal(got, [dual_ball_sup(np.eye(3), space), math.inf,
+                                            dual_ball_sup(2.0 * np.eye(3), space)])
+
     def test_single_matrix_still_returns_float(self):
         assert type(dual_ball_sup(np.eye(2), SpaceSpec(2, 1.0))) is float
 
@@ -239,6 +254,19 @@ class TestEmpiricalTSM:
         for t in (0.0, 0.3, 1.0, 1.7, 2.5, 40.0):
             got = truncated_second_moment(law, t, space)
             assert np.float64(got).view(np.uint64) == np.float64(H(t)).view(np.uint64)
+
+    # H at 0.5 and 10, pinned bit for bit: a point at inf must not move them
+    @pytest.mark.parametrize("d,finite", [
+        (1, [0.0, 4.605170185988092]),
+        (2, [0.0, 2.302585092994046]),
+        (3, [0.0, 1.5350567286626973]),
+    ])
+    def test_infinite_covariance_gives_inf_without_a_warning(self, d, finite):
+        H = DistTSM(RadialPareto(2.0, dim=d), SpaceSpec(d, 2.0))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = H.values([0.5, 10.0, math.inf])
+        assert got.tobytes() == np.array(finite + [math.inf]).tobytes()
 
     def test_law_without_closed_form_refused(self):
         with pytest.raises(ValueError, match="no analytic truncated covariance"):

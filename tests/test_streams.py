@@ -133,6 +133,8 @@ CASES = {
     "path-gauss3-l2": _path(Gaussian(np.ones(3)), SpaceSpec(3, 2.0), 700, 1030, 12),
     "path-gauss3-l1-long": _path(Gaussian(np.ones(3)), SpaceSpec(3, 1.0), 2 * BLOCK + 4000, 3, 13),
     "path-rademacher5-linf": _path(RademacherProduct(np.ones(5)), SpaceSpec(5, INF), 300, 1100, 14),
+    # 3 * 4001 sign bytes: the last block draws an odd count of 32-bit words
+    "path-rademacher3-l1-long": _path(RademacherProduct(np.ones(3)), SpaceSpec(3, 1.0), 2 * BLOCK + 4001, 3, 16),
     "path-pareto2-l2": _path(RadialPareto(2.5, 2), SpaceSpec(2, 2.0), 500, 1040, 15),
     "trunc-gauss1-l2": _trunc(Gaussian(1.0), SpaceSpec(1, 2.0), "psi:2*(LL)^1", 3000, 1030, 21),
     "trunc-gauss3-l1": _trunc(Gaussian(np.ones(3)), SpaceSpec(3, 1.0), "pow:0.5", 400, 1100, 22),
@@ -154,6 +156,7 @@ GOLDEN = {
     "path-gauss3-l1-long": "8623cc44aa35e77af31d345c5847a92e2d09ecdc0e980f2f1def3c3c0269e04d",
     "path-gauss3-l2": "a03b8ce2c1969cae1b09330fcb1b9249e4051a6b93caecee784366ce06f1cd51",
     "path-pareto2-l2": "99337cade24b3b62b89cf2f903f82b73bc250adb898573c8f03976e4cefc39df",
+    "path-rademacher3-l1-long": "d36a7513577565ea4be66b5ebee76843f3df0350c44a2939f1fc7b2500abf685",
     "path-rademacher5-linf": "a4d21450695e77af006689faf426b5afd56505a4f9457021b0fadd7292867d7f",
     "trunc-gauss1-l2": "9f0d5d665345a4a6f65392aaa98b658808f7142f53e94a694b327be070934238",
     "trunc-gauss3-l1": "a7e979624bc029477f484ea49420c4a42571c9754bcabd46bd1ef06efdecace1",
