@@ -392,6 +392,8 @@ def mc_verify(
         raise ValueError("trials too small for stable pilot estimates")
     if n < 1:
         raise ValueError("n must be positive")
+    if kr_points < 0:
+        raise ValueError(f"kr_points must be nonnegative, got {kr_points}")
     tg = np.asarray(t_grid, dtype=float)
     if tg.size == 0 or np.any(tg <= 0):
         raise ValueError("t_grid must be positive")

@@ -18,9 +18,11 @@ means terms decay faster than 1/j, slope <= 1 - margin slower; a clear
 acceleration or deceleration of the slope between consecutive windows
 overrides the level test (x_j growing like (log j)^2 converges for every
 c > 0 even though any fixed window's slope may sit near 1).  A probe
-where H = 0 has an infinite exponent and adds nothing; the others are
-fitted at their own j, and a slope at the rounding level of the
-exponents is flat, so constant exponents read no acceleration.
+where H = 0 adds nothing: its exponent is +inf (the term vanishes) when
+H is 0 everywhere, H(inf) = 0, and NaN (the probe says nothing) when H
+turns positive only past the probe grid.  The other probes are fitted at
+their own j, and a slope at the rounding level of the exponents is flat,
+so constant exponents read no acceleration.
 
 All verdicts carry their diagnostics.  The bisection solvers return a
 working bracket of the decision boundary together with the raw verdicts
@@ -48,7 +50,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -123,13 +125,15 @@ def _classify_exponents(x: np.ndarray, c: float) -> SeriesVerdict:
     """Fit x_j against log j over the last window of the finite exponents
     and the window before it.  The finite exponents are one run of probes
     (H = 0 drops a leading run, an h past the float range a trailing one),
-    and each is fitted at its own j.  A first-window slope at the rounding
-    level of the exponents is flat, so constant exponents read no
-    acceleration."""
+    and each is fitted at its own j.  Only a last window that is all +inf
+    says the tail terms vanish; NaN probes, where H = 0 yet H(inf) > 0,
+    say nothing, so a grid of them has too few probes to decide.  A
+    first-window slope at the rounding level of the exponents is flat, so
+    constant exponents read no acceleration."""
     probe = DEFAULT_PROBE
     w = max(4, int(math.ceil(probe.window_frac * x.size)))
     finite = np.isfinite(x)
-    if not finite[-w:].any():
+    if not finite[-w:].any() and (x[-w:] == math.inf).all():
         return SeriesVerdict(CONVERGES, math.inf, 0.0, c, "tail terms vanish (H = 0 there)")
     start = int(np.argmax(finite))
     x = x[finite]
@@ -175,25 +179,29 @@ class _ProbeGrid:
 
     Every probe of a bracket search classifies the same subsequence n_j
     with the same c_n and the same H values; only the constant k in front
-    of the exponents changes.  H is read once, at `_probe_args(c_seq)`,
-    and `exponents(k)` gives x_j = k^2 base_j for one constant, +inf
-    where H = 0 or base_j = c_n^2 / (2 n H(c_n)) is past the float range.
-    A search builds its grid once and passes it to the classifier in place
-    of H.  c0's series is this one along c_n = psi(n), since psi(n)^2 / n
-    = h(n).
+    of the exponents changes.  H is read once, at `_probe_args(c_seq)` and
+    at t = inf, in one call, and `exponents(k)` gives x_j = k^2 base_j for
+    one constant, +inf where base_j = c_n^2 / (2 n H(c_n)) is past the
+    float range.  Where H = 0 the exponent is +inf if H(inf) = 0 (a
+    nondecreasing H is then 0 everywhere) and NaN if H(inf) > 0 (the law
+    starts past the probe).  A search builds its grid once and passes it
+    to the classifier in place of H.  c0's series is this one along c_n =
+    psi(n), since psi(n)^2 / n = h(n).
     """
 
     def __init__(self, c_seq, H_fn):
         cn = _probe_args(c_seq)
-        hv = H_values(H_fn, cn)
+        hv = H_values(H_fn, np.append(cn, math.inf))
+        hv, h_inf = hv[:-1], hv[-1]
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
             self.base = cn * cn / (2.0 * _PROBE_N * hv)
-        # inf whatever k, even where k^2 underflows and 0 * inf would be NaN
+        # off `finite` an exponent is fixed whatever k, even where k^2 underflows and 0 * inf would be NaN
         self.finite = (hv > 0) & (self.base < np.inf)
+        self.fixed = np.where(hv > 0, np.inf, np.inf if h_inf == 0 else np.nan)
 
     def exponents(self, k: float) -> np.ndarray:
         with np.errstate(over="ignore", invalid="ignore"):
-            return np.where(self.finite, k * k * self.base, np.inf)
+            return np.where(self.finite, k * k * self.base, self.fixed)
 
 
 def _classify(name: str, c: float, c_seq, H_fn) -> SeriesVerdict:
@@ -214,9 +222,10 @@ def series_classify(c: float, h: SlowVaryFn, H_fn) -> SeriesVerdict:
 
     This is the alpha series along a_n = psi(n), because a_n^2 / n = h(n):
     one probe grid, its H arguments capped at exp(709).  Probe points with
-    H(a_n) = 0 contribute nothing to the series; an entirely vanishing
-    tail is CONVERGES.  Inside `c0_compute`, `H_fn` is the search's
-    `_ProbeGrid` for this h.
+    H(a_n) = 0 contribute nothing to the series; a tail that vanishes
+    because H is 0 everywhere is CONVERGES, one where H is positive only
+    past the grid INCONCLUSIVE.  Inside `c0_compute`, `H_fn` is the
+    search's `_ProbeGrid` for this h.
     """
     return _classify("c", c, NormalizerSeq(h), H_fn)
 
@@ -465,16 +474,21 @@ def sigma_compute(H_fn) -> SigmaResult:
     value at the cap is converged when each of the last three doublings
     moved H by at most 1e-6 relative.  Otherwise it is compared against
     the value at sqrt(1e30): growth above 5% across that half of the log
-    range is taken as divergence and reported as +inf.  The whole grid is
-    evaluated in one `H_values` call, so a negative H raises ValueError.
+    range is taken as divergence and reported as +inf.  H(inf) is read in
+    the same call, off the grid: when H is still 0 at the cap but H(inf)
+    > 0, the law starts past the walk and sigma^2 is H(inf), not
+    converged.  The whole grid is evaluated in one `H_values` call, so a
+    negative H raises ValueError.
     """
-    *walk, mid = H_values(H_fn, _SIGMA_GRID).tolist()
+    *walk, mid, h_inf = H_values(H_fn, np.append(_SIGMA_GRID, math.inf)).tolist()
     settled = 0
     for prev, cur in zip(walk, walk[1:]):
         if cur < prev - 1e-12 * max(1.0, abs(prev)):
             raise ValueError("H must be nondecreasing")
         settled = settled + 1 if abs(cur - prev) <= 1e-6 * max(abs(cur), 1e-300) else 0
     cap = walk[-1]
+    if cap == 0 < h_inf:
+        return SigmaResult(h_inf, False, "H is 0 up to the cap 2^100; sigma^2 is H(inf)")
     if settled >= 3:
         return SigmaResult(cap, True)
     if mid > 0 and cap / mid >= 1.05:
@@ -585,11 +599,12 @@ class Beta0Result:
 
 
 def beta0_estimate(dist, c_seq, n_grid, trials: int, space: SpaceSpec, seed: int = 0, workers: int = 1) -> Beta0Result:
-    """Tail-window estimate of limsup E||S_n||/c_n from Monte Carlo curves."""
+    """Tail-window estimate of limsup E||S_n||/c_n from Monte Carlo curves.
+
+    The trial count is checked by `simulate.mean_norm_curve`.
+    """
     from . import simulate
 
-    if trials < 30:
-        raise ValueError("need at least 30 trials for a CI")
     curve = simulate.mean_norm_curve(dist, space, c_seq, n_grid, trials, seed=seed, workers=workers)
     w = max(1, len(curve.n_grid) // 4)
     idx = int(len(curve.n_grid) - w + np.argmax(curve.mean[-w:]))
@@ -640,7 +655,8 @@ def _route_diagnostics(h: SlowVaryFn, H_fn, c_seq) -> dict:
 
     Only an empirical source extrapolates.  Every stage evaluates H on
     its fixed module grid, read here as the same object, so this costs
-    one mask per stage.
+    one mask per stage.  The point t = inf that the series and sigma
+    stages add to their one H call is not counted.
     """
     route = getattr(H_fn, "route", "model")
     frac = {"c0": 0.0, "alpha0": None if c_seq is None else 0.0, "lambda": 0.0, "ratio": 0.0, "sigma": 0.0}
@@ -659,19 +675,6 @@ def _route_diagnostics(h: SlowVaryFn, H_fn, c_seq) -> dict:
     return out
 
 
-def _horizon_note(bracket: Bracket, c_seq, H_fn, sigma2: float) -> Bracket:
-    """`bracket`, noted as past the probe horizon when it puts its threshold
-    at 0 because H is 0 at every probe although sigma^2 > 0: the series
-    then never reaches where H > 0, so 0 is no estimate.  H is read again
-    only on that rare path."""
-    if bracket.lo == 0.0 and sigma2 > 0 and not H_values(H_fn, _probe_args(c_seq)).any():
-        probe = DEFAULT_PROBE
-        return replace(bracket, note=(
-            f"H is 0 at every probe up to n = {probe.rho:g}^{probe.j_max}: "
-            "the threshold lies past the probe horizon"))
-    return bracket
-
-
 def constants_report(
     h: SlowVaryFn,
     H_fn,
@@ -686,32 +689,36 @@ def constants_report(
 ) -> ConstantsReport:
     """Compute every constant the inputs allow and assemble one report.
 
-    alpha0 needs a c_n sequence; beta0 additionally needs a distribution,
-    a space, and a trial budget.  q_used is the smallest grid q at which
-    the membership classifier says MEMBER (1.0 when none does; the band
-    is then vacuous on one side).  The per-tau verdicts do not depend on
-    q, so one scan at q = 0 decides every grid q: q is MEMBER exactly when
-    every tau active at q is.  sigma^2 is H at the cap of the sigma walk
-    (see `sigma_compute`).  `sandwich_consistent` asks whether the c0
-    bracket meets the band once each side is widened by the relative
-    `_SANDWICH_MARGIN`.  Each stage evaluates its grids once; no value is
-    kept past the report.
+    alpha0 needs a c_n sequence.  beta0 is simulated whenever `trials` is
+    nonzero, which then needs a distribution and a space (ValueError
+    otherwise; `simulate.mean_norm_curve` refuses fewer than 30 trials).
+    q_used is the smallest grid q at which the membership classifier says
+    MEMBER (1.0 when none does; the band is then vacuous on one side).
+    The per-tau verdicts do not depend on q, so one scan at q = 0 decides
+    every grid q: q is MEMBER exactly when every tau active at q is.  sigma^2 is H at the cap of the sigma walk,
+    or H(inf) when H is 0 there (see `sigma_compute`).
+    `sandwich_consistent` asks whether the c0 bracket meets the band once
+    each side is widened by the relative `_SANDWICH_MARGIN`.  Each stage
+    evaluates its grids once, H(inf) included where it needs it, and the
+    report writes every stage's result as the stage returned it; no value
+    is kept past the report.
     """
     from .slowvary import MEMBER, _tau_active, hq_classify
 
     c0 = c0_compute(h, H_fn, tol=tol)
     lam_res = lambda_compute(h, H_fn)
     sigma = sigma_compute(H_fn)
-    c0 = _horizon_note(c0, NormalizerSeq(h), H_fn, sigma.sigma2)
     scan = hq_classify(h, 0.0).per_tau
     q_used = next(
         (q for q in _Q_GRID if all(d.verdict == MEMBER for d in scan if _tau_active(d.tau, q))), 1.0
     )
     alpha0 = None
     if c_seq is not None:
-        alpha0 = _horizon_note(alpha0_compute(c_seq, H_fn, tol=tol), c_seq, H_fn, sigma.sigma2)
+        alpha0 = alpha0_compute(c_seq, H_fn, tol=tol)
     beta0 = None
-    if dist is not None and space is not None and trials >= 30:
+    if trials:
+        if dist is None or space is None:
+            raise ValueError(f"trials = {trials} asks for beta0, which needs a distribution and a space")
         seq = c_seq if c_seq is not None else NormalizerSeq(h)
         beta0 = beta0_estimate(dist, seq, _BETA0_N_GRID, trials, space, seed=seed, workers=workers)
     ratio = lil_ratio_check(h, H_fn)

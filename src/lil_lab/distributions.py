@@ -173,7 +173,9 @@ class RademacherProduct:
     @_grid_form
     def truncated_cov(self, ts: np.ndarray, space: SpaceSpec) -> np.ndarray:
         full = ts >= self.norm_bound(space)
-        return np.where(full[:, None, None], np.diag(self.scales**2), 0.0)
+        with np.errstate(over="ignore"):  # a square past the float range is inf
+            square = np.diag(self.scales * self.scales)
+        return np.where(full[:, None, None], square, 0.0)
 
     def describe(self) -> str:
         if np.all(self.scales == 1.0):
@@ -230,7 +232,8 @@ class RadialPareto:
                 m2 = 2.0 * math.log(r)
             else:
                 m2 = self.a / (2.0 - self.a) * (r ** (2.0 - self.a) - 1.0)
-            coef.append(self.scale**2 * m2 / self.dim)
+            # scale * scale is inf past the float range, and H stays 0 where m2 is
+            coef.append(self.scale * self.scale * m2 / self.dim if m2 else 0.0)
         # the diagonals written into zeros: inf * np.eye would put NaN off the diagonal
         cov = np.zeros((len(coef), self.dim, self.dim))
         diag = np.arange(self.dim)
@@ -263,7 +266,9 @@ class PointMass:
     @_grid_form
     def truncated_cov(self, ts: np.ndarray, space: SpaceSpec) -> np.ndarray:
         inside = norm(self.vector, space) <= ts
-        return np.where(inside[:, None, None], np.outer(self.vector, self.vector), 0.0)
+        with np.errstate(over="ignore"):  # a product past the float range is inf
+            outer = np.outer(self.vector, self.vector)
+        return np.where(inside[:, None, None], outer, 0.0)
 
     def describe(self) -> str:
         return f"point:v={';'.join(map(_fmt, self.vector))}"

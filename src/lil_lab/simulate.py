@@ -394,7 +394,7 @@ class MeanNormCurve:
 def mean_norm_curve(dist, space: SpaceSpec, c_seq, n_grid, trials: int, seed: int = 0, workers: int = 1) -> MeanNormCurve:
     """Estimate E||S_n||/c_n on a grid of n, one streamed pass per trial."""
     if trials < 30:
-        raise ValueError("need at least 30 trials for a CI")
+        raise ValueError(f"need at least 30 trials for a CI, got {trials}")
     points = tuple(int(n) for n in np.asarray(n_grid))
     if len(points) == 0 or any(b <= a for a, b in zip(points, points[1:])) or points[0] < 1:
         raise ValueError("n_grid must be strictly increasing positive integers")

@@ -569,6 +569,8 @@ def hq_classify(h: SlowVaryFn, q: float, tol: float = 0.02) -> HqReport:
     """
     if not (0 <= q <= 1):
         raise ValueError("q must lie in [0, 1]")
+    if not tol >= 0:
+        raise ValueError(f"tol must be nonnegative, got {tol:g}")
     active = [tau for tau in DEFAULT_TAU_GRID if _tau_active(tau, q)]
     u = np.log(DEFAULT_T_GRID)  # log t; grids stay well inside float range
     lt = np.maximum(u, 1.0)

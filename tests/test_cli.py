@@ -613,14 +613,32 @@ class TestExitCodes:
          "constants.json", ("report", "verdict_diagnostics", "c0", "note"), "no converging c up to 1e+06"),
         (["constants", "--h", "2*(LL)^1", "--H", "dist", "--dist", "rademacher:scales=1e18", "--space", "1,2"],
          "constants.json", ("report", "verdict_diagnostics", "c0", "note"), "no converging c up to 1e+06"),
-        # H = 0 at every probe, where sigma^2 = 1e38: the threshold is past the horizon, not 0
+        # H = 0 at every probe, but H(inf) = 1e38: no probe decides, so the threshold is not 0
         (["constants", "--h", "2*(LL)^1", "--H", "dist", "--dist", "rademacher:scales=1e19", "--space", "1,2"],
-         "constants.json", ("report", "verdict_diagnostics", "c0", "note"),
-         "H is 0 at every probe up to n = 2^120: the threshold lies past the probe horizon"),
+         "constants.json", ("report", "verdict_diagnostics", "c0", "note"), "no converging c up to 1e+06"),
         (["constants", "--h", "2*(LL)^1", "--c-seq", "psi:2*(LL)^1", "--H", "dist",
           "--dist", "rademacher:scales=1e19", "--space", "1,2"], "constants.json",
-         ("report", "verdict_diagnostics", "alpha0", "note"),
-         "H is 0 at every probe up to n = 2^120: the threshold lies past the probe horizon"),
+         ("report", "verdict_diagnostics", "alpha0", "note"), "no converging c up to 1e+06"),
+        (["constants", "--h", "2*(LL)^1", "--H", "dist", "--dist", "rademacher:scales=1e19", "--space", "1,2"],
+         "constants.json", ("report", "c0_hi"), "inf"),
+        # H = 0 up to the sigma cap 2^100 too: sigma^2 is H(inf), not converged
+        (["constants", "--h", "2*(LL)^1", "--H", "dist", "--dist", "rademacher:scales=1e40", "--space", "1,2"],
+         "constants.json", ("report", "sigma2"), 1e80),
+        (["constants", "--h", "2*(LL)^1", "--H", "dist", "--dist", "rademacher:scales=1e40", "--space", "1,2"],
+         "constants.json", ("report", "verdict_diagnostics", "sigma_converged"), False),
+        # a square past the float range is inf, never a warning, a bare error or NaN
+        (["constants", "--h", "2*(LL)^1", "--H", "dist", "--dist", "rademacher:scales=1e200", "--space", "1,2"],
+         "constants.json", ("report", "c0_hi"), "inf"),
+        (["constants", "--h", "2*(LL)^1", "--H", "dist", "--dist", "rademacher:scales=1e200", "--space", "1,2"],
+         "constants.json", ("report", "sigma2"), "inf"),
+        (["constants", "--h", "2*(LL)^1", "--H", "dist", "--dist", "point:v=1e200", "--space", "1,2"],
+         "constants.json", ("report", "c0_hi"), "inf"),
+        (["constants", "--h", "2*(LL)^1", "--H", "dist", "--dist", "point:v=1e200", "--space", "1,2"],
+         "constants.json", ("report", "sigma2"), "inf"),
+        (["constants", "--h", "2*(LL)^1", "--H", "dist", "--dist", "pareto:a=3,scale=1e200", "--space", "1,2"],
+         "constants.json", ("report", "c0_hi"), "inf"),
+        (["constants", "--h", "2*(LL)^1", "--H", "dist", "--dist", "pareto:a=3,scale=1e200", "--space", "1,2"],
+         "constants.json", ("report", "sigma2"), "inf"),
         # H = 0 everywhere, so sigma^2 = 0 and the threshold is 0
         (["constants", "--h", "2*(LL)^1", "--H", "const:0"], "constants.json",
          ("report", "verdict_diagnostics", "c0", "note"), "threshold is 0 within tolerance"),
@@ -643,7 +661,12 @@ class TestExitCodes:
             "fn-verify-mgf-bound-past-float-range", "fn-verify-empirical-mgf-past-float-range",
             "fn-verify-empirical-mgf-std-past-float-range", "constants-tol-below-float-spacing",
             "constants-h-zero-below-1e17", "constants-h-zero-below-1e18", "constants-h-zero-at-every-probe",
-            "constants-alpha0-h-zero-at-every-probe", "constants-h-zero-everywhere",
+            "constants-alpha0-h-zero-at-every-probe", "constants-h-zero-at-every-probe-c0-hi",
+            "constants-h-zero-past-the-sigma-cap", "constants-h-zero-past-the-sigma-cap-not-converged",
+            "constants-rademacher-1e200-c0-hi", "constants-rademacher-1e200-sigma2",
+            "constants-point-1e200-c0-hi", "constants-point-1e200-sigma2",
+            "constants-pareto-scale-1e200-c0-hi", "constants-pareto-scale-1e200-sigma2",
+            "constants-h-zero-everywhere",
             "constants-sigma2-past-2-to-the-40",
             "constants-h-1e308", "constants-h-1e-320", "constants-cseq-past-float-range",
             "fn-verify-lambda-se-past-float-range"])
@@ -741,9 +764,19 @@ class TestExitCodes:
          {"LIL_LAB_WORKERS": "0"}, "LIL_LAB_WORKERS must be an integer of at least 1"),
         (["lil-sim", "--N", "100", "--trials", "2"], {"LIL_LAB_WORKERS": "abc"}, "invalid_spec",
          {"LIL_LAB_WORKERS": "abc"}, "LIL_LAB_WORKERS must be an integer of at least 1"),
+        (["constants", "--h", "2*(LL)^1", "--dist", "gauss:dim=1,var=1", "--trials", "10"], {}, "invalid_spec", {},
+         "need at least 30 trials for a CI, got 10"),
+        (["constants", "--h", "2*(LL)^1", "--dist", "gauss:dim=1,var=1", "--trials", "-5"], {}, "invalid_spec", {},
+         "need at least 30 trials for a CI, got -5"),
+        (["constants", "--h", "2*(LL)^1", "--trials", "100"], {}, "invalid_spec", {},
+         "trials = 100 asks for beta0, which needs a distribution and a space"),
+        (["fn-verify", "--n", "20", "--trials", "200", "--kr-points", "-3"], {}, "invalid_spec", {},
+         "kr_points must be nonnegative, got -3"),
+        (["hclass", "--h", "2*(LL)^1", "--tol", "-1"], {}, "invalid_spec", {}, "tol must be nonnegative, got -1"),
     ], ids=["overflow-workers-1", "overflow-workers-2", "pilot-overflow-workers-1", "pilot-overflow-workers-2",
             "out-below-a-file", "workers-0", "workers-negative",
-            "env-workers-0", "env-workers-not-a-number"])
+            "env-workers-0", "env-workers-not-a-number", "constants-trials-below-30", "constants-trials-negative",
+            "constants-trials-without-a-law", "fn-verify-kr-points-negative", "hclass-tol-negative"])
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_failure_is_exit_2_one_json_line_and_no_artifact(self, tmp_path, monkeypatch, capfd,
                                                              argv, env, code, context, message):

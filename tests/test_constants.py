@@ -32,7 +32,7 @@ from lil_lab.constants import (
     series_classify,
     sigma_compute,
 )
-from lil_lab.distributions import Gaussian, RademacherProduct, RadialPareto, parse_dist
+from lil_lab.distributions import Gaussian, PointMass, RademacherProduct, RadialPareto, parse_dist
 from lil_lab.slowvary import MEMBER, SlowVaryFn, hq_classify, parse_cseq, parse_slow_vary
 from lil_lab.spaces import EmpiricalTSM, SpaceSpec, dual_ball_sup
 
@@ -80,7 +80,7 @@ class TestSeriesClassifier:
         n = constants._PROBE_N
         cn = np.minimum(c_seq.values(n), math.exp(709.0))
 
-        # H vanishes on the first four probes only
+        # H vanishes on the first four probes only, and H(inf) > 0
         def H(t):
             return 0.0 if t < cn[4] else 1.0 + 1.0 / math.log(t)
 
@@ -90,7 +90,9 @@ class TestSeriesClassifier:
         pos = (hv > 0) & (base < math.inf)
         x = constants._ProbeGrid(c_seq, H).exponents(c)
         assert np.count_nonzero(hv == 0) == 4
-        assert np.all(x[~pos] == math.inf)
+        # a probe below where the law starts says nothing; a term past the float range vanishes
+        assert np.isnan(x[hv == 0]).all()
+        assert np.all(x[(hv > 0) & ~pos] == math.inf)
         np.testing.assert_array_equal(x[pos], c * c * base[pos])
 
     def test_negative_h_rejected(self):
@@ -184,11 +186,12 @@ class TestThresholdBrackets:
 
         br = c0_compute(parse_slow_vary("2*(LL)^1"), H)
         assert len(br.probes) >= 4
-        assert len(seen) == len(set(seen)) == 120  # j_max probe points
+        # the j_max probe points, then t = inf
+        assert len(seen) == len(set(seen)) == 121 and seen[-1] == math.inf
         assert br == c0_compute(parse_slow_vary("2*(LL)^1"), ConstTSM(1.0))
         seen.clear()
         br = alpha0_compute(parse_cseq("psi:2*(LL)^1"), H)
-        assert len(seen) == len(set(seen)) == 120
+        assert len(seen) == len(set(seen)) == 121 and seen[-1] == math.inf
         assert br == alpha0_compute(parse_cseq("psi:2*(LL)^1"), ConstTSM(1.0))
 
     @pytest.mark.parametrize("H", [ConstTSM(1.0), DistTSM(RademacherProduct(np.ones(3)), SpaceSpec(3, 1.0))],
@@ -207,6 +210,23 @@ class TestThresholdBrackets:
         H = DistTSM(Gaussian(1.0), SpaceSpec(1, 2.0))
         br = alpha0_compute(parse_cseq("psi:2*(LL)^1"), H)
         assert 0.95 <= br.lo and br.hi <= 1.05
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("H", [
+        ConstTSM(0.0), DistTSM(PointMass([0.0]), SpaceSpec(1, 2.0)), DistTSM(Gaussian(0.0), SpaceSpec(1, 2.0)),
+    ], ids=["const", "point", "gauss"])
+    def test_h_zero_everywhere_puts_both_thresholds_at_zero(self, H):
+        for br in (c0_compute(parse_slow_vary("2*(LL)^1"), H), alpha0_compute(parse_cseq("pow:0.5"), H)):
+            assert (br.lo, br.hi, br.lo_verdict, br.hi_verdict) == (0.0, 0.00390625, DIVERGES, CONVERGES)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("s", [1e19, 1e40])
+    def test_a_law_past_the_grids_is_bracketed_not_read_as_zero(self, s):
+        # H is 0 at every series probe, and for s = 1e40 up to the sigma cap 2^100 too
+        H = DistTSM(RademacherProduct([s]), SpaceSpec(1, 2.0))
+        for br in (c0_compute(parse_slow_vary("2*(LL)^1"), H), alpha0_compute(parse_cseq("pow:0.5"), H)):
+            assert br.lo <= s <= br.hi
+        assert sigma_compute(H).sigma2 == s * s
 
     def test_alpha_threshold_zero_cases(self):
         br = alpha0_compute(parse_cseq("psi:2*(LL)^1"), ConstTSM(0.0))
