@@ -7,13 +7,17 @@ The central object is the series
 whose convergence threshold in c is the limsup constant c0 of the
 normalized sums.  It is the series of alpha0, sum_n (1/n) exp(-alpha^2
 c_n^2 / (2 n H(c_n))), along c_n = a_n, because a_n^2 / n = h(n); so c0
-and alpha0 are read off one probe grid, `_ProbeGrid`, whose H arguments
-c_n are capped at exp(709).  Convergence of an infinite series cannot
-be decided from finitely many terms, so `series_classify` is an
-explicit heuristic: along a geometric subsequence n_j = ceil(rho^j) the
-block-summed series behaves like sum_j exp(-x_j) with x_j = c^2
-c_{n_j}^2 / (2 n_j H(c_{n_j})), and the classifier fits the growth of
-x_j against log j.  Slope >= 1 + margin
+and alpha0 are read off one probe grid, `_ProbeGrid`.  The grid reads
+one thing from a sequence, its `log_h(log n)` = log(c_n^2 / n) (log h(n)
+for a_n): the exponents' base is exp(log_h) / (2 H(c_n)), and the H
+arguments c_n = exp((log n + log_h) / 2) are capped at exp(709), the
+float ceiling `_capped_exp` sets for every H argument.
+
+Convergence of an infinite series cannot be decided from finitely many
+terms, so `series_classify` is an explicit heuristic: along a geometric
+subsequence n_j = ceil(rho^j) the block-summed series behaves like
+sum_j exp(-x_j) with x_j = c^2 c_{n_j}^2 / (2 n_j H(c_{n_j})), and the
+classifier fits the growth of x_j against log j.  Slope >= 1 + margin
 means terms decay faster than 1/j, slope <= 1 - margin slower; a clear
 acceleration or deceleration of the slope between consecutive windows
 overrides the level test (x_j growing like (log j)^2 converges for every
@@ -94,6 +98,7 @@ def _frozen(a) -> np.ndarray:
 
 #: The probe subsequence n_j = ceil(rho^j), j = 1..j_max, of every series.
 _PROBE_N = _frozen(np.ceil(DEFAULT_PROBE.rho ** np.arange(1, DEFAULT_PROBE.j_max + 1, dtype=float)))
+_LOG_PROBE_N = _frozen(np.log(_PROBE_N))
 
 
 @dataclass(frozen=True)
@@ -169,9 +174,15 @@ def H_values(H_fn, ts) -> np.ndarray:
     return hv
 
 
-def _probe_args(c_seq) -> np.ndarray:
-    """The H arguments c_{n_j} of a series probe grid, capped at the float ceiling."""
-    return np.minimum(np.asarray(c_seq.values(_PROBE_N), dtype=float), math.exp(_LOG_FLOAT_MAX))
+def _capped_exp(log_t) -> np.ndarray:
+    """exp(log_t) capped at exp(709): the float ceiling of every H argument."""
+    return np.exp(np.minimum(log_t, _LOG_FLOAT_MAX))
+
+
+def _probe_args(log_h) -> np.ndarray:
+    """The H arguments c_{n_j} = exp((log n_j + log_h) / 2) of a probe grid
+    whose sequence has log(c_n^2 / n) = `log_h` at the probes."""
+    return _capped_exp(0.5 * (_LOG_PROBE_N + log_h))
 
 
 class _ProbeGrid:
@@ -179,22 +190,23 @@ class _ProbeGrid:
 
     Every probe of a bracket search classifies the same subsequence n_j
     with the same c_n and the same H values; only the constant k in front
-    of the exponents changes.  H is read once, at `_probe_args(c_seq)` and
-    at t = inf, in one call, and `exponents(k)` gives x_j = k^2 base_j for
-    one constant, +inf where base_j = c_n^2 / (2 n H(c_n)) is past the
-    float range.  Where H = 0 the exponent is +inf if H(inf) = 0 (a
-    nondecreasing H is then 0 everywhere) and NaN if H(inf) > 0 (the law
-    starts past the probe).  A search builds its grid once and passes it
-    to the classifier in place of H.  c0's series is this one along c_n =
-    psi(n), since psi(n)^2 / n = h(n).
+    of the exponents changes.  Both come from the sequence's log_h =
+    log(c_n^2 / n) at the probes: base_j = exp(log_h) / (2 H(c_n)), with
+    H read once, at the capped c_n of `_probe_args(log_h)` and at t = inf,
+    in one call.  `exponents(k)` gives x_j = k^2 base_j for one constant,
+    +inf where base_j is past the float range.  Where H = 0 the exponent
+    is +inf if H(inf) = 0 (a nondecreasing H is then 0 everywhere) and
+    NaN if H(inf) > 0 (the law starts past the probe).  A search builds
+    its grid once and passes it to the classifier in place of H.  c0's
+    series is this one along c_n = psi(n), whose log_h is log h(n).
     """
 
     def __init__(self, c_seq, H_fn):
-        cn = _probe_args(c_seq)
-        hv = H_values(H_fn, np.append(cn, math.inf))
+        log_h = c_seq.log_h(_LOG_PROBE_N)
+        hv = H_values(H_fn, np.append(_probe_args(log_h), math.inf))
         hv, h_inf = hv[:-1], hv[-1]
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-            self.base = cn * cn / (2.0 * _PROBE_N * hv)
+            self.base = np.exp(log_h) / (2.0 * hv)
         # off `finite` an exponent is fixed whatever k, even where k^2 underflows and 0 * inf would be NaN
         self.finite = (hv > 0) & (self.base < np.inf)
         self.fixed = np.where(hv > 0, np.inf, np.inf if h_inf == 0 else np.nan)
@@ -221,7 +233,7 @@ def series_classify(c: float, h: SlowVaryFn, H_fn) -> SeriesVerdict:
     """Classify sum_n (1/n) exp(-c^2 h(n)/(2 H(a_n))) for a_n = psi(n).
 
     This is the alpha series along a_n = psi(n), because a_n^2 / n = h(n):
-    one probe grid, its H arguments capped at exp(709).  Probe points with
+    one probe grid, built from log h(n).  Probe points with
     H(a_n) = 0 contribute nothing to the series; a tail that vanishes
     because H is 0 everywhere is CONVERGES, one where H is positive only
     past the grid INCONCLUSIVE.  Inside `c0_compute`, `H_fn` is the
@@ -418,7 +430,7 @@ class RatioCurve:
 
 def _ratio_args(h: SlowVaryFn) -> np.ndarray:
     """The H arguments a_n / LLn of the ratio curve."""
-    return np.exp(np.minimum(log_psi(h, _LOG_X) - np.log(_LLX), _LOG_FLOAT_MAX))
+    return _capped_exp(log_psi(h, _LOG_X) - np.log(_LLX))
 
 
 def lil_ratio_check(h: SlowVaryFn, H_fn) -> RatioCurve:
@@ -663,13 +675,13 @@ def _route_diagnostics(h: SlowVaryFn, H_fn, c_seq) -> dict:
     out = {"h_route": route, "h_samples": None, "h_max_norm": None, "h_extrapolated_frac": frac}
     if route == "empirical":
         grids = {
-            "c0": _probe_args(NormalizerSeq(h)),
+            "c0": _probe_args(NormalizerSeq(h).log_h(_LOG_PROBE_N)),
             "lambda": DEFAULT_X_GRID,
             "ratio": _ratio_args(h),
             "sigma": _SIGMA_GRID,
         }
         if c_seq is not None:
-            grids["alpha0"] = _probe_args(c_seq)
+            grids["alpha0"] = _probe_args(c_seq.log_h(_LOG_PROBE_N))
         frac.update({stage: float(np.mean(H_fn.extrapolated(ts))) for stage, ts in grids.items()})
         out["h_samples"], out["h_max_norm"] = H_fn.n_samples, H_fn.max_norm
     return out

@@ -231,7 +231,10 @@ class RadialPareto:
             elif self.a == 2.0:
                 m2 = 2.0 * math.log(r)
             else:
-                m2 = self.a / (2.0 - self.a) * (r ** (2.0 - self.a) - 1.0)
+                try:
+                    m2 = self.a / (2.0 - self.a) * (r ** (2.0 - self.a) - 1.0)
+                except OverflowError:  # only for a < 2, where a / (2 - a) > 0: inf is the float answer
+                    m2 = math.inf
             # scale * scale is inf past the float range, and H stays 0 where m2 is
             coef.append(self.scale * self.scale * m2 / self.dim if m2 else 0.0)
         # the diagonals written into zeros: inf * np.eye would put NaN off the diagonal

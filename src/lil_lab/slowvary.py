@@ -444,6 +444,10 @@ class NormalizerSeq:
     def values(self, n) -> np.ndarray:
         return psi(self.h, np.asarray(n, dtype=float))
 
+    def log_h(self, log_n):
+        """log(c_n^2 / n) = log h(n), given log n."""
+        return self.h.log_value_from_log(log_n)
+
     def describe(self) -> str:
         return f"psi:{self.h.to_text()}"
 
@@ -461,6 +465,10 @@ class PowerSeq:
         arr = np.asarray(n, dtype=float)
         out = self.coeff * arr**self.exponent
         return float(out) if np.ndim(n) == 0 else out
+
+    def log_h(self, log_n):
+        """log(c_n^2 / n) = (2 exponent - 1) log n + 2 log coeff, given log n."""
+        return (2.0 * self.exponent - 1.0) * np.asarray(log_n, dtype=float) + 2.0 * math.log(self.coeff)
 
     def describe(self) -> str:
         if self.coeff == 1.0:

@@ -39,6 +39,12 @@ c^2 a_n^2 / (2 n H(a_n)), no longer c^2 h(n) / (2 H(a_n)).  Only the
 fitted slopes of the c0 probes moved, by at most 6.9e-14 relative;
 `DECISION_DIGESTS`, recorded before that change, pin everything the
 brackets decide.
+
+All sixteen were recorded once more when the probe grid began to read a
+sequence's own log(c_n^2 / n), `log_h`: the exponents of c0 are again
+c^2 h(n) / (2 H(a_n)), those of alpha0 c^2 exp(log_h) / (2 H(c_n)).
+Again only probe slopes moved; c1's and c8's digests are back to those
+recorded before c0 became alpha0 along psi.
 """
 
 import hashlib
@@ -65,27 +71,27 @@ SCENARIOS = {
 }
 
 REPORT_DIGESTS = {
-    "c1-const": "0ae5395c144123419e6bbf62c315348e43bad6ab490bfbbb7754bc79efba29cc",
-    "c2-const-cseq": "f41f06ecca806c0945307fe484de61688dc647d6caccada21f490cbeeb8fc93b",
-    "c3-llpow": "dc2419f291bbcb48a2b3befa24091fe324dfa3dc4dbe921cc6b9e7c4c67af6fc",
-    "c4-llpow": "9589ee33e5cd43533757da280a1a5be5e364a05ccaea1dd2c89dc35891584fbe",
-    "c5-dist-gauss1": "4e1bec5b635725918b18f5a8b9a332c5544330c985962509208f6e8392d52970",
-    "c6-dist-gauss2": "fc7ce52a4ba8a5edf484b46d73ef5e9df5815f9c9ccc9a8db1403ef786c3bfcd",
-    "c7-dist-rademacher": "4ba3f524720826041d214eadcc2f55fc3a7e75e985c224ef6e5a7b75d23c403f",
-    "c8-explog": "dae6defd1218b54cc0624b8d4598e002651d0468f9097afd9f79c874704dd77c",
+    "c1-const": "9d37bd59f90674f3e6113ec7c53f3c84733d5b29fa9cced7ddf446dee2548ede",
+    "c2-const-cseq": "883af1d9bfdc3b53b3c8083ec1a247731c98a0dc80a1457a4d49056dcea08962",
+    "c3-llpow": "83bc503f6212f8ef2ddf63a56be6c3a20c7dc2695a2967938186920e1221b643",
+    "c4-llpow": "a0a4ddc5c89514409557174570934bcc847e49ad14e2f7e7b485516b29d4d788",
+    "c5-dist-gauss1": "56e0e0b3cf41538aa7c28808ad0a2d565f4010797e368148cfa0cca1f0bd15e4",
+    "c6-dist-gauss2": "fccbbe84c10e597abce842b102a98470f1975dbf4a474092b2153bd8a98e9b88",
+    "c7-dist-rademacher": "b274f5edb50b6ef1522970880e6a02bf9f2158e94fe0374348c28da4ab62536c",
+    "c8-explog": "3acae49d609d4ae672ee9b71edce673412a36d6338b43d78dc6488cc136d58b9",
 }
 
 ROUTE_KEYS = ("h_route", "h_samples", "h_max_norm", "h_extrapolated_frac")
 
 PRE_ROUTE_DIGESTS = {
-    "c1-const": "30bcb882f57cb3c72c439c13aca9864f7f0b30fb7ca4dacde329e01022fbb7ff",
-    "c2-const-cseq": "f3387cceab5ebff36f5c7ecf57c17918a78e68768a7447dac492889b3e1f0fe2",
-    "c3-llpow": "ea460bfd5c6a83b8dbeeec174f8caf69408202320027c520825d6c162bc4b384",
-    "c4-llpow": "a6115ba5201d58f314b552082356bd5bacb7fdf6fb72cdaef0ae2ca11f7b2e93",
-    "c5-dist-gauss1": "f3387cceab5ebff36f5c7ecf57c17918a78e68768a7447dac492889b3e1f0fe2",
-    "c6-dist-gauss2": "3fc38e047b111e4a044c30383a30e00ab40b8be0eeaefc681b821c793e89e427",
-    "c7-dist-rademacher": "952ceb9202673236aa3e6de83ea2aa3e11e9cb19b8e7831856ee021edb8995ab",
-    "c8-explog": "f8d617b9a9ab1fe09b3d3930fedde01c2a685129835ec25a079bc65fcafcf50e",
+    "c1-const": "e2da8634105f05f430d8ae3bf36679ede4b2ea7c580c5a48ff06392e6ffc8b8e",
+    "c2-const-cseq": "ff0f22b75ebb9f357583d209d4b6cc7424c981047f57960444d1c6752ce07452",
+    "c3-llpow": "2d3f1141099525060eb552c40295b201c2871a495ee0bdc21dcf2f85bdfcffbc",
+    "c4-llpow": "62089d140e5421aa6db168ef6e973c5fdd4a3c3dfbbc4a0b369a03bfad8bf8f0",
+    "c5-dist-gauss1": "ff0f22b75ebb9f357583d209d4b6cc7424c981047f57960444d1c6752ce07452",
+    "c6-dist-gauss2": "bb429829bec9d063ab44e260c050f9fc9408667eba945f96316cd0d5cb74e435",
+    "c7-dist-rademacher": "766bbfae3fd30376b57f291577e73ae9eca3bd6b182b20735d8f120d5e68c92a",
+    "c8-explog": "e5f6c24428e03d67ae3b0fa9d68a2992b70c6e3e58d1601e9a0f58a49537c4fe",
 }
 
 # The decisions of the two series brackets alone: lo, hi, their verdicts,

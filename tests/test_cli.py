@@ -605,9 +605,9 @@ class TestExitCodes:
         (["fn-verify", "--dist", "rademacher:dim=1", "--space", "1,2", "--n", "150000", "--trials", "100",
           "--seed", "2"], "verify.json", ("report", "notes", -1),
          "7 kr rows skipped: the empirical mgf or its standard error overflows from s = 0.242424"),
-        # the adjacent-float bracket of c0's probe exponents c^2 psi(n)^2 / (2 n H), around the truth 1
+        # the adjacent-float bracket of c0's probe exponents c^2 h(n) / (2 H), around the truth 1
         (["constants", "--h", "2*(LL)^1", "--tol", "1e-17"], "constants.json", ("report", "c0_hi"),
-         1.0000000000000144),
+         1.0000000000000007),
         # H = 0 at all but the last 11 probes, then at all but the last 4
         (["constants", "--h", "2*(LL)^1", "--H", "dist", "--dist", "rademacher:scales=1e17", "--space", "1,2"],
          "constants.json", ("report", "verdict_diagnostics", "c0", "note"), "no converging c up to 1e+06"),
@@ -652,6 +652,14 @@ class TestExitCodes:
         # c_n passes the float ceiling: its H arguments are capped as psi(n)'s are
         (["constants", "--h", "2*(LL)^1", "--c-seq", "psi:exp(30*(L)^0.9)", "--H", "dist",
           "--dist", "gauss:dim=1,var=1", "--space", "1,2"], "constants.json", ("report", "alpha0_hi"), 0.00390625),
+        # c_n = n^10 passes the float range at n = 2^103; only its log(c_n^2 / n) is read
+        (["constants", "--h", "2*(LL)^1", "--c-seq", "pow:10"], "constants.json", ("report", "alpha0_hi"),
+         0.00390625),
+        # Pareto a < 2 in l2: the truncated second moment overflows the float range to inf
+        (["constants", "--h", "2*(LL)^1", "--H", "dist", "--dist", "pareto:a=0.5", "--space", "1,2"],
+         "constants.json", ("report", "c0_hi"), "inf"),
+        (["constants", "--h", "2*(LL)^1", "--H", "dist", "--dist", "pareto:a=0.5", "--space", "1,2"],
+         "constants.json", ("report", "sigma2"), "inf"),
         # lambda_n is finite, the squared deviations of its batch estimates are not
         (["fn-verify", "--dist", "rademacher:scales=1e100", "--space", "1,2", "--n", "200", "--trials", "2100"],
          "verify.json", ("report", "pilot", "lambda_n_se"), None),
@@ -669,6 +677,7 @@ class TestExitCodes:
             "constants-h-zero-everywhere",
             "constants-sigma2-past-2-to-the-40",
             "constants-h-1e308", "constants-h-1e-320", "constants-cseq-past-float-range",
+            "constants-pow-cseq-past-float-range", "constants-pareto-a0.5-c0-hi", "constants-pareto-a0.5-sigma2",
             "fn-verify-lambda-se-past-float-range"])
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_extreme_input_exits_0_with_finite_or_flagged_values(self, tmp_path, argv, artifact, path, expected):

@@ -77,16 +77,17 @@ class TestSeriesClassifier:
         parse_cseq("psi:2*(LL)^1"), parse_cseq("pow:0.5"), parse_cseq("psi:exp(30*(L)^0.9)"),
     ], ids=["psi", "pow", "psi-past-float-range"])
     def test_probe_exponents_are_inf_where_h_is_zero_and_keep_their_bits_elsewhere(self, c, c_seq):
-        n = constants._PROBE_N
-        cn = np.minimum(c_seq.values(n), math.exp(709.0))
+        log_n = np.log(constants._PROBE_N)
+        log_h = c_seq.log_h(log_n)
+        cn = np.exp(np.minimum(0.5 * (log_n + log_h), 709.0))
 
         # H vanishes on the first four probes only, and H(inf) > 0
         def H(t):
             return 0.0 if t < cn[4] else 1.0 + 1.0 / math.log(t)
 
         hv = H_values(H, cn)
-        with np.errstate(over="ignore"):  # c_n^2 past the float range is inf
-            base = cn * cn / (2.0 * n * np.where(hv > 0, hv, 1.0))
+        with np.errstate(over="ignore"):  # h_c(n) = c_n^2 / n past the float range is inf
+            base = np.exp(log_h) / (2.0 * np.where(hv > 0, hv, 1.0))
         pos = (hv > 0) & (base < math.inf)
         x = constants._ProbeGrid(c_seq, H).exponents(c)
         assert np.count_nonzero(hv == 0) == 4
@@ -94,6 +95,12 @@ class TestSeriesClassifier:
         assert np.isnan(x[hv == 0]).all()
         assert np.all(x[(hv > 0) & ~pos] == math.inf)
         np.testing.assert_array_equal(x[pos], c * c * base[pos])
+
+    @pytest.mark.parametrize("H", [ConstTSM(1.0), ConstTSM(3.0), LogLogPowTSM(2.0)], ids=["const1", "const3", "llpow2"])
+    def test_root_n_base_is_exactly_one_over_twice_h(self, H):
+        # c_n = sqrt(n) has log(c_n^2 / n) = 0 at every probe: no rounding from c_n^2 / n
+        grid = constants._ProbeGrid(parse_cseq("pow:0.5"), H)
+        np.testing.assert_array_equal(grid.base, 1.0 / (2.0 * H_values(H, np.sqrt(constants._PROBE_N))))
 
     def test_negative_h_rejected(self):
         with pytest.raises(ValueError):
@@ -170,6 +177,11 @@ class TestThresholdBrackets:
         for tol in (1e-17, 1e-300):
             br = search(tol)
             assert br.hi == math.nextafter(br.lo, math.inf)
+
+    def test_threshold_below_float_spacing_lies_within_1e15_of_the_truth(self):
+        # the exponents h(n) / (2 H) of the c0 series keep their bits: both ends sit at the true 1
+        br = c0_compute(parse_slow_vary("2*(LL)^1"), ConstTSM(1.0), tol=1e-17)
+        assert abs(br.lo - 1.0) <= 1e-15 and abs(br.hi - 1.0) <= 1e-15
 
     def test_probes_are_recorded(self):
         br = c0_compute(parse_slow_vary("2*(LL)^1"), ConstTSM(1.0))

@@ -42,3 +42,20 @@ def test_any_other_difference_fails(tmp_path, capsys):
         "gone: true -> (missing)",
         "n: 3 -> 4",
     ]
+
+
+def test_the_output_directory_is_not_compared(tmp_path, capsys):
+    # one argv written into two directories: only resolved_spec/out differs
+    old = {"resolved_spec": {"h": "2*(LL)^1", "out": "run-a"}, "report": {"c0_hi": 1.0}}
+    new = {"resolved_spec": {"h": "2*(LL)^1", "out": "run-b"}, "report": {"c0_hi": 1.0}}
+    paths = []
+    for name, doc in (("a.json", old), ("b.json", new)):
+        paths.append(str(tmp_path / name))
+        (tmp_path / name).write_text(json.dumps(doc))
+    assert report_diff.main(paths) == 0
+    assert capsys.readouterr().out == ""
+    # anything else under resolved_spec still counts
+    new["resolved_spec"]["h"] = "2*(LL)^2"
+    (tmp_path / "b.json").write_text(json.dumps(new))
+    assert report_diff.main(paths) == 1
+    assert capsys.readouterr().out == 'resolved_spec/h: "2*(LL)^1" -> "2*(LL)^2"\n'

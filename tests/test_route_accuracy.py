@@ -14,6 +14,12 @@ its distance from the true value is a ceiling of its own.  lambda reads
 low on every row: on this class its curve is about 1 - log 2 / (2 LLx),
 and LLx is only 6.5 at the end of its grid, x = 1e300.
 
+One off-class row has no closed form on this class but a known truth:
+sweep scenario c4, h = 2 (LL)^3 with the model H(t) = (LLt)^2, where the
+exponents c^2 h(n) / (2 H(a_n)) = c^2 (LLn)^3 / (LL a_n)^2 grow like
+c^2 LLn, so c0 = lambda = 1, and sigma^2 = inf.  LL a_n trails LLn by about log 2, which
+keeps both figures low at the ends of their grids.
+
 Each row prints one line straight to the terminal, as the acceptance
 suite does.  A ceiling here is today's error: lowering one tightens the
 test, raising one needs a reason.
@@ -33,6 +39,11 @@ LAMBDA_CEILING = 0.0493
 #: Largest relative distance of an empirical sigma's square root from the
 #: true sigma, today +2.48% (gauss d = 5 in l2).
 EMPIRICAL_SIGMA_CEILING = 0.025
+
+#: How far the off-class row's c0 bracket ends below its truth 1, today 1 - 0.96875.
+OFF_CLASS_C0_GAP_CEILING = 0.03125
+#: Largest relative error of the off-class row's lambda, today -13.99%.
+OFF_CLASS_LAMBDA_CEILING = 0.1400
 
 # (C, H source, law, space, true sigma^2, relative tolerance on the reported sigma^2)
 ROWS = {
@@ -93,3 +104,17 @@ def test_route_matches_its_closed_form(name, capsys):
         assert 0.0 <= sigma_gap <= EMPIRICAL_SIGMA_CEILING
     else:
         assert rep.sigma2 == pytest.approx(sigma2, rel=sigma2_tol, abs=0.0)
+
+
+def test_off_class_llpow_route_against_its_truth(capsys):
+    # sweep scenario c4; its sandwich flag reads false, so it is not asserted
+    rep = constants_report(parse_slow_vary("2*(LL)^3"), parse_tsm("llpow:2"))
+    gap = max(1.0 - rep.c0.hi, rep.c0.lo - 1.0, 0.0)
+    lam_err = rep.lam - 1.0
+    with capsys.disabled():
+        print(f"\nROUTE c4-llpow-off-class: {rep.verdict_diagnostics['h_route']}, c0 [{rep.c0.lo:.4g}, "
+              f"{rep.c0.hi:.4g}] vs 1 (gap {gap:.4g}), lambda {rep.lam:.5g} ({lam_err:+.2%}), "
+              f"sigma^2 {rep.sigma2:.6g}")
+    assert gap <= OFF_CLASS_C0_GAP_CEILING
+    assert abs(lam_err) <= OFF_CLASS_LAMBDA_CEILING
+    assert rep.sigma2 == math.inf

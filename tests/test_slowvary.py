@@ -282,6 +282,22 @@ class TestSequences:
         psi_seq = parse_cseq("psi:2*(LL)^1")
         assert psi_seq.describe() == "psi:2*(LL)^1"
 
+    @pytest.mark.parametrize("text", ["2*(LL)^1", "2*(LL)^3", "exp((L)^0.5)", "exp(30*(L)^0.9)"])
+    def test_normalizer_log_h_is_log_h_of_n(self, text):
+        # log(c_n^2 / n) of psi(n) = sqrt(n h(n)) is log h(n), bit for bit, past the float range too
+        h = parse_slow_vary(text)
+        log_n = np.array([math.log(2.0), math.log(1e3), math.log(1e30), 1e4])  # n = e^1e4 is no float
+        np.testing.assert_array_equal(NormalizerSeq(h).log_h(log_n), h.log_value_from_log(log_n))
+        np.testing.assert_allclose(NormalizerSeq(h).log_h(log_n), 2.0 * log_psi(h, log_n) - log_n, rtol=1e-9)
+
+    @pytest.mark.parametrize("exponent, coeff", [(0.5, 1.0), (0.5, 3.0), (0.25, 1.0), (1.0, 0.5), (10.0, 2.0)])
+    def test_power_log_h_is_its_closed_form(self, exponent, coeff):
+        seq = PowerSeq(exponent, coeff)
+        log_n = np.log(np.array([2.0, 7.0, 1e6, 2.0**120]))
+        np.testing.assert_array_equal(seq.log_h(log_n), (2 * exponent - 1) * log_n + 2 * math.log(coeff))
+        ns = np.array([2.0, 7.0, 1e6])
+        np.testing.assert_allclose(np.exp(seq.log_h(np.log(ns))), seq.values(ns) ** 2 / ns, rtol=1e-12)
+
     @pytest.mark.parametrize("bad", ["", "pow:", "psi:", "psi:junk(", "lin:2", "pow:a"])
     def test_bad_sequence_specs_rejected(self, bad):
         with pytest.raises(ValueError):

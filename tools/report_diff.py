@@ -6,7 +6,9 @@ A float that moved is printed with its relative change |new - old| /
 max(|old|, |new|); any other difference (a string, a bool, a key or an
 array entry present on one side only, a type change) is printed as a
 value change.  Exit status 1 when a non-float differs or a float moved
-by more than `--rtol`, else 0.  Standard library only.
+by more than `--rtol`, else 0.  `resolved_spec/out`, the directory an
+artifact was written to, is not compared: one argv run into two
+directories gives two artifacts that agree.  Standard library only.
 """
 
 import argparse
@@ -15,10 +17,14 @@ import math
 import sys
 
 _MISSING = object()
+#: Where the artifact was written, which two runs of one argv need not share.
+_SKIPPED = {("resolved_spec", "out")}
 
 
 def diffs(old, new, path=()):
     """(path, old, new) for every leaf at which `old` and `new` differ."""
+    if path in _SKIPPED:
+        return
     if isinstance(old, dict) and isinstance(new, dict):
         for key in sorted(old.keys() | new.keys()):
             yield from diffs(old.get(key, _MISSING), new.get(key, _MISSING), (*path, key))
