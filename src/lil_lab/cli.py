@@ -15,6 +15,10 @@ Each spec key is declared once, in `SPECS` (or `_COMMON` for the keys
 every kind shares): its type and default there drive both `validate_spec`
 and the generated `--flag` (the key with `_` written `-`).
 
+Importing this module loads numpy, argparse and, of the package, only
+its `__init__`; each executor imports the modules it runs, so a process
+loads only what its subcommand needs (`hclass` adds `slowvary` alone).
+
 Exit codes: 0 success, 3 when a verification scenario records a
 violation, 2 on any failure, with one `{code, message, context}` JSON
 line on stderr; `_guarded` is the one place that writes it.  The codes:
@@ -42,10 +46,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from . import __version__, bounds, constants, simulate, slowvary
-from . import rng as _rng
-from .distributions import parse_dist
-from .spaces import SpaceSpec
+from . import _STREAM, __version__
 
 
 class Key(NamedTuple):
@@ -59,12 +60,14 @@ class Key(NamedTuple):
 
 
 class Kind(NamedTuple):
-    """One subcommand: help line, executor, artifact file name, own keys."""
+    """One subcommand: help line, executor, artifact file name, own keys,
+    and whether `--format csv` adds a CSV file (other kinds refuse it)."""
 
     help: str
     execute: Callable[[dict], tuple[dict, dict, int]]
     artifact: str
     keys: dict[str, Key]
+    csv: bool = False
 
 
 # The keys every kind accepts, in flag order.
@@ -84,6 +87,8 @@ class SpecError(Exception):
 
 
 def parse_space(text: str) -> SpaceSpec:
+    from .spaces import SpaceSpec
+
     bits = text.split(",")
     if len(bits) != 2:
         raise SpecError(f"space must be 'dim,p', got {text!r}")
@@ -128,13 +133,18 @@ def validate_spec(raw: dict) -> dict:
                 raise SpecError(f"{key} must be a number", {key: val})
             val = float(val)
             if not math.isfinite(val):
-                raise SpecError(f"{key} must be finite", {key: slowvary._json_real(val)})
+                from .slowvary import _json_real
+
+                raise SpecError(f"{key} must be finite", {key: _json_real(val)})
         elif not isinstance(val, str):
             raise SpecError(f"{key} must be a string", {key: val})
         spec[key] = val
     for key, k in keys.items():
         if k.choices and spec[key] not in k.choices:
             raise SpecError(f"{key} must be {' or '.join(map(repr, k.choices))}", {key: spec[key]})
+    if spec["format"] == "csv" and not SPECS[kind].csv:
+        writers = " and ".join(name for name, row in SPECS.items() if row.csv)
+        raise SpecError(f"format 'csv' is written only by {writers}, not {kind}", {"format": "csv"})
     if spec["workers"] is not None and spec["workers"] < 1:
         raise SpecError("workers must be at least 1", {"workers": spec["workers"]})
     return spec
@@ -167,7 +177,11 @@ def _dist_and_space(spec: dict, need_dist: bool = True):
 
     The law is None when the spec names none and none is needed.
     """
-    dist = _parsed(parse_dist, spec, "dist") if need_dist or spec["dist"] else None
+    dist = None
+    if need_dist or spec["dist"]:
+        from .distributions import parse_dist
+
+        dist = _parsed(parse_dist, spec, "dist")
     space = parse_space(spec["space"])
     if dist is not None and dist.dim != space.dim:
         raise SpecError("distribution and space dimensions disagree",
@@ -182,6 +196,8 @@ def _dist_and_space(spec: dict, need_dist: bool = True):
 
 
 def _exec_hclass(spec: dict) -> tuple[dict, dict, int]:
+    from . import slowvary
+
     if not spec["h"]:
         raise SpecError("hclass needs --h")
     h = _parsed(slowvary.parse_slow_vary, spec, "h")
@@ -191,6 +207,8 @@ def _exec_hclass(spec: dict) -> tuple[dict, dict, int]:
 
 
 def _exec_constants(spec: dict) -> tuple[dict, dict, int]:
+    from . import constants, slowvary
+
     if not spec["h"]:
         raise SpecError("constants needs --h")
     h = _parsed(slowvary.parse_slow_vary, spec, "h")
@@ -207,6 +225,8 @@ def _exec_constants(spec: dict) -> tuple[dict, dict, int]:
 
 
 def _exec_fn_bound(spec: dict) -> tuple[dict, dict, int]:
+    from . import bounds, slowvary
+
     if spec["t"] is None:
         raise SpecError("fn-bound needs --t")
     params = bounds.BoundParams(eta=spec["eta"], delta=spec["delta"], s=spec["s"])
@@ -227,6 +247,8 @@ def _exec_fn_bound(spec: dict) -> tuple[dict, dict, int]:
 
 
 def _exec_fn_verify(spec: dict) -> tuple[dict, dict, int]:
+    from . import bounds
+
     dist, space = _dist_and_space(spec)
     n = spec["n"]
     grid = parse_grid(spec["t_grid"]) if spec["t_grid"] else np.geomspace(0.5 * math.sqrt(n), 5 * math.sqrt(n), 20)
@@ -244,6 +266,8 @@ def _exec_fn_verify(spec: dict) -> tuple[dict, dict, int]:
 
 
 def _exec_lil_sim(spec: dict) -> tuple[dict, dict, int]:
+    from . import simulate, slowvary
+
     dist, space = _dist_and_space(spec)
     h = _parsed(slowvary.parse_slow_vary, spec, "h")
     config = simulate.PathConfig(
@@ -364,12 +388,12 @@ SPECS = {
         "dist": Key(str, "rademacher:dim=5"), "space": Key(str, "5,inf"), "n": Key(int, 200),
         "trials": Key(int, 10000), "t_grid": Key(str, help="lo:hi:points, geometric"),
         "delta": Key(float, 1.0), "eta": Key(float, 1.0), "s": Key(float, 3.0), "kr_points": Key(int, 10),
-    }),
+    }, csv=True),
     "lil-sim": Kind("normalized partial-sum paths", _exec_lil_sim, "sim.json", {
         "dist": Key(str, "gauss:dim=1,var=1"), "space": Key(str, "1,2"), "h": Key(str, "2*(LL)^1"),
         "N": Key(int, 100000), "trials": Key(int, 50), "tail_fraction": Key(float, 0.5),
         "ratio": Key(float, 1.3),
-    }),
+    }, csv=True),
     # the summary is written into the run directory, not --out
     "report": Kind("merge run artifacts into a summary", _exec_report, "summary.json", {
         "run_dir": Key(str, positional=True),
@@ -379,7 +403,7 @@ SPECS = {
 
 def _provenance() -> dict:
     """What produced an artifact: the library, numpy and random-stream versions."""
-    return {"lil_lab": __version__, "numpy": np.__version__, "rng_stream": _rng._TAG.decode()}
+    return {"lil_lab": __version__, "numpy": np.__version__, "rng_stream": _STREAM}
 
 
 def _missing_dirs(path: str) -> list[str]:
@@ -450,9 +474,8 @@ def _guarded(command, *args) -> int:
 def _note_stream_change(provenance) -> None:
     """Say so when an artifact's random streams are not this library's."""
     old = provenance.get("rng_stream") if isinstance(provenance, dict) else None
-    new = _rng._TAG.decode()
-    if old is not None and old != new:
-        print(f"note: the artifact was drawn from random stream {old}; this run draws from {new}, "
+    if old is not None and old != _STREAM:
+        print(f"note: the artifact was drawn from random stream {old}; this run draws from {_STREAM}, "
               "which gives different numbers at the same seed")
 
 

@@ -58,7 +58,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .rng import H_SAMPLE, substream
 from .slowvary import (
     INCONCLUSIVE, NormalizerSeq, SlowVaryFn, _centred, _json_fields, _json_real, _ols_slope, log_psi, psi_inv_log,
 )
@@ -595,6 +594,8 @@ def parse_tsm(text: str, dist=None, space=None, n_samples: int = 4096, seed: int
         raise ValueError(f"H source {form!r} needs a distribution and a space")
     if form == "dist" and dist.truncated_cov(1.0, space) is not None:
         return DistTSM(dist, space)
+    from .rng import H_SAMPLE, substream
+
     return EmpiricalWrapTSM(dist.sample(substream(seed, H_SAMPLE), int(count or n_samples)), space)
 
 

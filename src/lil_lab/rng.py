@@ -21,7 +21,11 @@ import struct
 
 import numpy as np
 
-_TAG = b"lil-lab-stream-v3"
+# the tag is kept in the package, where an artifact's provenance reads it
+# without loading this module
+from . import _STREAM
+
+_TAG = _STREAM.encode()
 _MASK = 0xFFFFFFFFFFFFFFFF
 
 # Purpose tags so that pilot, main, and auxiliary draws never share a stream.

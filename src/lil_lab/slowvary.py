@@ -41,9 +41,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .rng import H_SAMPLE, substream
-from .spaces import SpaceSpec, norms
-
 #: Absolute bisection tolerance on log-scale arguments.
 LOG_BISECT_TOL = 1e-12
 
@@ -635,6 +632,9 @@ def psi_inv_moment(
     moves the mean by more than 20%, the usual symptom of an infinite or
     barely finite moment.  `rng` defaults to `substream(0, H_SAMPLE)`.
     """
+    from .rng import H_SAMPLE, substream
+    from .spaces import norms
+
     if n_samples < 16:
         raise ValueError("n_samples too small to say anything")
     gen = rng if rng is not None else substream(0, H_SAMPLE)

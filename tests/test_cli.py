@@ -2,6 +2,7 @@
 
 import argparse
 import dataclasses
+import importlib
 import inspect
 import json
 import math
@@ -172,21 +173,37 @@ class TestContract:
         assert cli.validate_spec({"kind": kind}) == {**common, **_VALIDATED_DEFAULTS[kind]}
 
     def test_package_exports(self):
-        exported = {n for n, v in vars(lil_lab).items() if not n.startswith("_") and not isinstance(v, types.ModuleType)}
-        assert exported == {
-            "BoundParams", "FnConstants", "MomentData", "VerifyReport", "fn_constants", "fuk_nagaev_bound",
-            "klein_rio_mgf_bound", "maximal_tail_bound", "mc_verify", "split_tail_bound",
-            "Bracket", "ConstantsReport", "SeriesProbe", "SeriesVerdict", "alpha0_compute", "beta0_estimate",
-            "c0_compute", "constants_report", "lambda_compute", "lil_ratio_check", "parse_tsm",
-            "sandwich_bounds", "series_classify", "sigma_compute",
-            "Gaussian", "PointMass", "RademacherProduct", "RadialPareto", "ScalarEmbedded", "parse_dist",
-            "PathConfig", "PathResult", "geometric_checkpoints", "limsup_estimate", "mean_norm_curve",
-            "run_path", "truncated_path",
-            "NormalizerSeq", "PowerSeq", "SlowVaryFn", "check_normalizing_conditions", "hq_classify",
-            "parse_cseq", "parse_slow_vary", "psi", "psi_inv", "psi_inv_moment",
-            "EmpiricalTSM", "SpaceSpec", "TruncatedCov", "dual_ball_sup", "norm", "norms",
-            "trunc_cov_empirical", "truncated_second_moment",
+        pinned = {
+            "bounds": {"BoundParams", "FnConstants", "MomentData", "VerifyReport", "fn_constants",
+                       "fuk_nagaev_bound", "klein_rio_mgf_bound", "maximal_tail_bound", "mc_verify",
+                       "split_tail_bound"},
+            "constants": {"Bracket", "ConstantsReport", "SeriesProbe", "SeriesVerdict", "alpha0_compute",
+                          "beta0_estimate", "c0_compute", "constants_report", "lambda_compute",
+                          "lil_ratio_check", "parse_tsm", "sandwich_bounds", "series_classify", "sigma_compute"},
+            "distributions": {"Gaussian", "PointMass", "RademacherProduct", "RadialPareto", "ScalarEmbedded",
+                              "parse_dist"},
+            "simulate": {"PathConfig", "PathResult", "geometric_checkpoints", "limsup_estimate",
+                         "mean_norm_curve", "run_path", "truncated_path"},
+            "slowvary": {"NormalizerSeq", "PowerSeq", "SlowVaryFn", "check_normalizing_conditions",
+                         "hq_classify", "parse_cseq", "parse_slow_vary", "psi", "psi_inv", "psi_inv_moment"},
+            "spaces": {"EmpiricalTSM", "SpaceSpec", "TruncatedCov", "dual_ball_sup", "norm", "norms",
+                       "trunc_cov_empirical", "truncated_second_moment"},
         }
+        exported = set().union(*pinned.values())
+        public = {n for n in dir(lil_lab) if not n.startswith("_")
+                  and not isinstance(getattr(lil_lab, n), types.ModuleType)}
+        assert set(lil_lab.__all__) == public == exported
+        # each export is its module's own object, looked up there on every access
+        for module, names in pinned.items():
+            owner = importlib.import_module(f"lil_lab.{module}")
+            assert [n for n in names if getattr(lil_lab, n) is not getattr(owner, n)] == [], module
+        star: dict = {}
+        exec("from lil_lab import *", star)
+        assert set(star) - {"__builtins__"} == exported
+        # a submodule resolves too, loaded or not; anything else is an AttributeError
+        assert lil_lab.__getattr__("rng") is rng
+        with pytest.raises(AttributeError, match="no_such_name"):
+            lil_lab.no_such_name
         assert lil_lab.__version__ == "0.1.0"
 
     def test_analytic_signatures(self):
@@ -782,10 +799,14 @@ class TestExitCodes:
         (["fn-verify", "--n", "20", "--trials", "200", "--kr-points", "-3"], {}, "invalid_spec", {},
          "kr_points must be nonnegative, got -3"),
         (["hclass", "--h", "2*(LL)^1", "--tol", "-1"], {}, "invalid_spec", {}, "tol must be nonnegative, got -1"),
+        *((argv + ["--format", "csv"], {}, "invalid_spec", {"format": "csv"},
+           "format 'csv' is written only by fn-verify and lil-sim") for argv in (
+            ["hclass", "--h", "2*(LL)^1"], ["constants", "--h", "2*(LL)^1"], ["fn-bound", "--t", "5"], ["report"])),
     ], ids=["overflow-workers-1", "overflow-workers-2", "pilot-overflow-workers-1", "pilot-overflow-workers-2",
             "out-below-a-file", "workers-0", "workers-negative",
             "env-workers-0", "env-workers-not-a-number", "constants-trials-below-30", "constants-trials-negative",
-            "constants-trials-without-a-law", "fn-verify-kr-points-negative", "hclass-tol-negative"])
+            "constants-trials-without-a-law", "fn-verify-kr-points-negative", "hclass-tol-negative",
+            "hclass-csv", "constants-csv", "fn-bound-csv", "report-csv"])
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_failure_is_exit_2_one_json_line_and_no_artifact(self, tmp_path, monkeypatch, capfd,
                                                              argv, env, code, context, message):
@@ -945,11 +966,26 @@ class TestExitCodes:
         assert a["ratios"] == b["ratios"]
 
 
-def test_cli_import_leaves_the_process_pool_out():
-    # the pool modules load only when a Monte Carlo run starts a process pool
+def test_cli_import_leaves_the_process_pool_out(tmp_path):
+    # The pool modules load only when a Monte Carlo run starts a process
+    # pool, and a subcommand loads only the lil_lab modules it runs.  Each
+    # case runs in a fresh interpreter, so nothing else has loaded them.
     src = str(Path(lil_lab.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    code = ("import sys, lil_lab.cli; "
-            "print([m for m in ('multiprocessing', 'concurrent.futures.process') if m in sys.modules])")
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
-    assert out.stdout.strip() == "[]"
+    code = ("import json, sys, lil_lab.cli; "
+            "rc = lil_lab.cli.main(sys.argv[1:]) if sys.argv[1:] else 0; "
+            "print(json.dumps(sorted(sys.modules))); sys.exit(rc)")
+
+    def loaded(*argv: str) -> set[str]:
+        argv = (*argv, "--out", str(tmp_path)) if argv else ()
+        out = subprocess.run([sys.executable, "-c", code, *argv], env=env, capture_output=True, text=True, check=True)
+        return set(json.loads(out.stdout.splitlines()[-1]))
+
+    imported = loaded()
+    assert {"numpy", "argparse"} <= imported
+    assert not imported & {"multiprocessing", "concurrent.futures.process"}
+    assert {m for m in imported if m.split(".")[0] == "lil_lab"} == {"lil_lab", "lil_lab.cli"}
+    assert not loaded("hclass", "--h", "2*(LL)^1") & {
+        f"lil_lab.{m}" for m in ("constants", "bounds", "simulate", "distributions", "_pool")}
+    assert not loaded("constants", "--h", "2*(LL)^1", "--H", "const:1") & {
+        f"lil_lab.{m}" for m in ("bounds", "simulate", "_pool", "rng")}

@@ -110,13 +110,11 @@ def _walk():
 
 
 def _exports() -> dict[str, tuple[str, str]]:
-    """Each name `lil_lab/__init__.py` imports from a submodule, with where it comes from."""
+    """Each name in the export table of `lil_lab/__init__.py`, with the submodule it comes from."""
     tree = ast.parse((_SRC / "__init__.py").read_text())
-    return {
-        alias.asname or alias.name: (node.module, alias.name)
-        for node in tree.body if isinstance(node, ast.ImportFrom) and node.level == 1
-        for alias in node.names
-    }
+    [table] = [node.value for node in tree.body
+               if isinstance(node, ast.Assign) and [t.id for t in node.targets] == ["_EXPORTS"]]
+    return {name: (module, name) for module, names in ast.literal_eval(table).items() for name in names}
 
 
 def test_the_walk_starts_at_every_executor():

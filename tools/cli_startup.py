@@ -1,0 +1,81 @@
+"""Time one-shot `lil-lab` subcommands in fresh processes and list the
+`lil_lab` modules each one loads.
+
+Each subcommand runs in N fresh `python -m lil_lab.cli` processes with
+`src` first on PYTHONPATH, writing into a scratch directory; a run is
+timed from spawn to exit.  One untimed run before them lists the
+modules in `sys.modules` at exit (the CLI module itself runs as
+`__main__` and is not listed); where the environment lets Python write
+bytecode, that run also fills the cache.
+
+    python3 tools/cli_startup.py                 # every subcommand, 9 runs each
+    python3 tools/cli_startup.py --runs 1 hclass # one subcommand, one run
+
+One row per subcommand: the median wall milliseconds, then the modules.
+"""
+
+import argparse
+import os
+import statistics
+import subprocess
+import sys
+import tempfile
+import time
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+#: The arguments after `lil-lab` that each row runs.
+SUBCOMMANDS = {
+    "hclass": ["hclass", "--h", "2*(LL)^1"],
+    "constants": ["constants", "--h", "2*(LL)^1", "--H", "const:1"],
+    "fn-bound": ["fn-bound", "--t", "5"],
+    "fn-verify": ["fn-verify", "--trials", "200", "--n", "50", "--workers", "1"],
+    "lil-sim": ["lil-sim", "--N", "1000", "--trials", "50", "--workers", "1"],
+}
+
+# Runs the CLI as `-m` does and, at exit, prints the lil_lab modules loaded.
+_LIST_MODULES = (
+    "import atexit, runpy, sys; "
+    "atexit.register(lambda: print(*sorted(m for m in sys.modules if m.split('.')[0] == 'lil_lab'), file=sys.stderr)); "
+    "runpy.run_module('lil_lab.cli', run_name='__main__', alter_sys=True)"
+)
+
+
+def measure(args: list[str], runs: int) -> tuple[float, list[str]]:
+    """(median wall ms over `runs` fresh processes, `lil_lab` modules imported) of one subcommand."""
+    src = str(ROOT / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    with tempfile.TemporaryDirectory() as out:
+        args = [*args, "--out", out]
+        listed = subprocess.run([sys.executable, "-c", _LIST_MODULES, *args], env=env, cwd=out,
+                                stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True, check=True)
+        modules = listed.stderr.splitlines()[-1].split()
+        walls = []
+        for _ in range(runs):
+            start = time.perf_counter()
+            subprocess.run([sys.executable, "-m", "lil_lab.cli", *args], env=env, cwd=out,
+                           stdout=subprocess.DEVNULL, check=True)
+            walls.append((time.perf_counter() - start) * 1e3)
+    return statistics.median(walls), modules
+
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("--runs", type=int, default=9, help="fresh processes timed per subcommand")
+    ap.add_argument("names", nargs="*", metavar="subcommand", help=f"any of {', '.join(SUBCOMMANDS)} (default: all)")
+    args = ap.parse_args(argv)
+    if args.runs < 1:
+        ap.error("--runs must be at least 1")
+    unknown = [name for name in args.names if name not in SUBCOMMANDS]
+    if unknown:
+        ap.error(f"unknown subcommand {unknown[0]!r}; choose from {', '.join(SUBCOMMANDS)}")
+    print(f"{'subcommand':<12}{'median_ms':>10}  modules")
+    for name in args.names or SUBCOMMANDS:
+        ms, modules = measure(SUBCOMMANDS[name], args.runs)
+        print(f"{name:<12}{ms:>10.1f}  {' '.join(modules)}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
