@@ -12,7 +12,11 @@ factor).  C is admissible, not claimed minimal.
 moment inputs from an independent pilot run, then compares empirical
 tail frequencies (and the empirical mgf) against the evaluated bounds,
 flagging any grid point where the estimate minus three standard errors
-still exceeds the bound.
+still exceeds the bound.  Its two reducers, the pilot moment sums and
+the final norm with the running maximum, live in `simulate` with every
+other reducer, and `mc_verify` imports the sampler (`simulate`, `rng`,
+`spaces`) in its body: the closed-form bounds load only this module and
+`slowvary`.
 """
 from __future__ import annotations
 
@@ -22,10 +26,7 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from . import rng as _rng
-from .simulate import finite_sums, fold, map_trials, path_sums
 from .slowvary import _json_fields, _json_real
-from .spaces import SpaceSpec, dual_ball_sup, norms
 
 
 @dataclass(frozen=True)
@@ -292,75 +293,6 @@ class VerifyReport:
         return buf.getvalue()
 
 
-class _PilotMoments:
-    """Reducer: the pilot pass's sums over the paths of a chunk.
-
-    `tile` adds each trial's coordinate sums and s-th moment sum into
-    zero-initialised per-trial rows and folds each trial's x^T x into one
-    (d, d) matrix `m2`, in place inside the tile's stack of products, so a
-    tile holds one (b, d, d) temporary; `result` folds the per-trial rows,
-    stacked as columns, once.  Every fold is `simulate.fold`, which adds
-    left to right in the order `stream_trials` hands over the tiles.  The
-    products, powers and folds run under `np.errstate`: a moment past the
-    float range stays inf or NaN through every later fold, and `mc_verify`
-    checks the folded chunks once, before it reads any of them.
-    """
-
-    def __init__(self, space: SpaceSpec, s: float):
-        self.space = space
-        self.s = s
-
-    def start(self, trials: int, dim: int) -> None:
-        self.sums = np.zeros((trials, dim))
-        self.moments = np.zeros(trials)
-        self.m2 = np.zeros((dim, dim))
-
-    def tile(self, x: np.ndarray, k0: int, s0: int) -> None:
-        b, m, d = x.shape
-        rows = slice(k0, k0 + b)
-        with np.errstate(over="ignore", invalid="ignore"):
-            if d == 1:
-                # the step axis is innermost: numpy sums it pairwise
-                self.sums[rows] += x.sum(axis=1)
-            else:
-                # the same step-by-step folds, each over a contiguous (b, d) row
-                self.sums[rows] += np.ascontiguousarray(x.transpose(1, 0, 2)).sum(axis=0)
-            finite_sums(self.sums[rows], s0 + m)
-            # folded inside the stack: one (b, d, d) temporary, and m2 owns its memory
-            self.m2 = fold(np.matmul(x.transpose(0, 2, 1), x), self.m2)[-1].copy()
-            self.moments[rows] += (norms(x.reshape(-1, d), self.space) ** self.s).reshape(b, m).sum(axis=1)
-
-    def result(self):
-        trials, d = self.sums.shape
-        finals = norms(self.sums, self.space)
-        with np.errstate(over="ignore"):
-            total = fold(np.column_stack((self.sums, self.moments, finals, finals * finals)), 0.0)[-1].copy()
-        return total[:d], self.m2, float(total[d]), float(total[d + 1]), float(total[d + 2]), trials
-
-
-class _FinalAndMax:
-    """Reducer: ||S_n|| and max_k ||S_k|| per trial, S_k from `path_sums`."""
-
-    def __init__(self, space: SpaceSpec):
-        self.space = space
-
-    def start(self, trials: int, dim: int) -> None:
-        self.carry = np.zeros((trials, dim))
-        self.finals = np.empty(trials)
-        self.maxes = np.zeros(trials)
-
-    def tile(self, x: np.ndarray, k0: int, s0: int) -> None:
-        b, m, d = x.shape
-        rows = slice(k0, k0 + b)
-        partial = path_sums(x, self.carry[rows], s0 + m)
-        pn = norms(partial.reshape(-1, d), self.space).reshape(b, m)
-        self.finals[rows] = pn[:, -1]
-        np.maximum(self.maxes[rows], pn.max(axis=1), out=self.maxes[rows])
-
-    def result(self):
-        return self.finals, self.maxes
-
-
 def mc_verify(
     dist,
     space: SpaceSpec,
@@ -400,11 +332,14 @@ def mc_verify(
     if not getattr(dist, "is_centered", False):
         raise ValueError("mc_verify needs a centered distribution")
     fn_constants(params.delta, params.eta, params.s)  # an overflowing C fails before any sampling
+    from . import rng
+    from .simulate import _FinalAndMax, _PilotMoments, map_trials
+    from .spaces import dual_ball_sup
 
     # both passes in one submission: the main pass reads nothing of the pilot's
     parts, main_parts = map_trials(
         dist, n, seed, trials,
-        [(_rng.PILOT, _PilotMoments(space, params.s)), (_rng.MAIN, _FinalAndMax(space))], workers,
+        [(rng.PILOT, _PilotMoments(space, params.s)), (rng.MAIN, _FinalAndMax(space))], workers,
     )
     with np.errstate(over="ignore", invalid="ignore"):
         coord_sum, m2, moment_sum, final_sum, final_sumsq, _ = (sum(col) for col in zip(*parts))

@@ -17,7 +17,12 @@ and the generated `--flag` (the key with `_` written `-`).
 
 Importing this module loads numpy, argparse and, of the package, only
 its `__init__`; each executor imports the modules it runs, so a process
-loads only what its subcommand needs (`hclass` adds `slowvary` alone).
+loads only what its subcommand needs.  `hclass` adds `slowvary` alone,
+`fn-bound` adds `bounds` and `slowvary`, `constants` adds `constants`,
+`slowvary` and `spaces` (and `distributions` for a `--dist`), and only
+the Monte Carlo runs (`fn-verify`, `lil-sim`, and `constants` with
+`--trials`) load the sampler: `simulate`, where every reducer lives,
+with `rng`, `_pool` and `distributions`.
 
 Exit codes: 0 success, 3 when a verification scenario records a
 violation, 2 on any failure, with one `{code, message, context}` JSON
@@ -291,41 +296,44 @@ def _exec_lil_sim(spec: dict) -> tuple[dict, dict, int]:
     return doc, extra, 0
 
 
+def _verification(doc: dict) -> dict:
+    rep = doc.get("report", {})
+    rows = rep.get("rows", [])
+    return {"any_violation": rep.get("any_violation"), "rows": len(rows),
+            "violations": [r for r in rows if r.get("violation")]}
+
+
+# Each artifact kind's key in the summary, and what the summary keeps of it.
+_SUMMARY = {
+    "hclass": ("hclass", lambda doc: doc.get("report", {})),
+    "constants": ("constants", lambda doc: doc.get("report", {})),
+    "fn-bound": ("fn_bound", lambda doc: {k: doc.get(k) for k in ("bound", "gauss_term", "poly_term")}),
+    "fn-verify": ("verification", _verification),
+    "lil-sim": ("simulation", lambda doc: doc.get("limsup", {})),
+}
+
+
 def _exec_report(spec: dict) -> tuple[dict, dict, int]:
     run_dir = spec["run_dir"] or spec["out"]
     if not os.path.isdir(run_dir):
         raise SpecError(f"run directory not found: {run_dir}", {"run_dir": run_dir}, code="io_error")
-    found, missing = {}, []
-    artifacts = {kind: row.artifact for kind, row in SPECS.items() if kind != "report"}
-    for kind, name in artifacts.items():
-        path = os.path.join(run_dir, name)
-        if os.path.exists(path):
-            with open(path) as fh:
-                found[kind] = json.load(fh)
-        else:
-            missing.append(name)
-    if not found:
+    present, missing, summary = [], [], {}
+    for kind, (key, keep) in _SUMMARY.items():
+        path = os.path.join(run_dir, SPECS[kind].artifact)
+        if not os.path.exists(path):
+            missing.append(SPECS[kind].artifact)
+            continue
+        try:
+            summary[key] = keep(_read_json(path, "artifact"))
+            present.append(kind)
+        except (AttributeError, TypeError):
+            raise SpecError(f"artifact is not the JSON object a {kind} run writes", {"path": path}) from None
+    if not present:
         raise SpecError("no artifacts found in run directory",
                         {"run_dir": run_dir, "missing": missing}, code="missing_artifacts")
-    summary: dict = {"present": sorted(found), "missing": missing}
-    if "constants" in found:
-        summary["constants"] = found["constants"].get("report", {})
-    if "fn-verify" in found:
-        rep = found["fn-verify"].get("report", {})
-        summary["verification"] = {
-            "any_violation": rep.get("any_violation"),
-            "rows": len(rep.get("rows", [])),
-            "violations": [r for r in rep.get("rows", []) if r.get("violation")],
-        }
-    if "lil-sim" in found:
-        summary["simulation"] = found["lil-sim"].get("limsup", {})
-    if "hclass" in found:
-        summary["hclass"] = found["hclass"].get("report", {})
-    if "fn-bound" in found:
-        summary["fn_bound"] = {k: found["fn-bound"].get(k) for k in ("bound", "gauss_term", "poly_term")}
-    print(f"report: merged {len(found)} artifacts from {run_dir}"
+    print(f"report: merged {len(present)} artifacts from {run_dir}"
           + (f", {len(missing)} kinds absent" if missing else ""))
-    return summary, {"plot_script.py": _plot_script()}, 0
+    return {"present": sorted(present), "missing": missing, **summary}, {"plot_script.py": _plot_script()}, 0
 
 
 def _plot_script() -> str:
@@ -479,13 +487,18 @@ def _note_stream_change(provenance) -> None:
               "which gives different numbers at the same seed")
 
 
+def _read_json(path: str, what: str):
+    """The JSON document in `path`; a SpecError naming the path when it is not JSON."""
+    with open(path) as fh:
+        try:
+            return json.load(fh)
+        except ValueError as exc:  # not JSON, or not text
+            raise SpecError(f"{what} is not valid JSON: {exc}", {"path": path}) from None
+
+
 def _execute_file(spec_file: str, overrides: dict) -> int:
     """`execute` on the spec (or the artifact's spec) in `spec_file`, `overrides` on top."""
-    with open(spec_file) as fh:
-        try:
-            raw = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise SpecError(f"spec is not valid JSON: {exc}") from None
+    raw = _read_json(spec_file, "spec")
     if isinstance(raw, dict) and "resolved_spec" in raw:
         _note_stream_change(raw.get("provenance"))
         raw = raw["resolved_spec"]

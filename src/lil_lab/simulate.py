@@ -3,18 +3,21 @@ kernel that every Monte Carlo estimate in the package runs on.
 
 `stream_trials` walks a chunk of trials in tiles of trials x steps and
 hands each tile, as one (trials, steps, dim) array of draws, to a
-reducer: checkpoint norms and the truncated twin here, the running
-maximum with the final norm and the pilot moment sums in `bounds`.  A
-tile may be part of a path, so every reducer carries its per-trial state
-from one tile of a path to the next.  Every reducer that reads partial
-sums continues them through `path_sums`, which folds the steps on from
-the carried sum with `fold`, the one running-sum rule, and takes their
-norms with `spaces.norms`; the twin feeds the draws it drops to a
-`CheckpointNorms` of its own.  So each S_k is the sequential left fold
-of the draws, and every checkpoint norm, final norm and maximum has the
-bits of an uncut path whatever BLOCK is.  Only the pilot, which needs
-S_n alone, sums each tile on its own, so its sums of a path cut into
-blocks differ from the uncut path's in the last bits.
+reducer.  Every reducer lives here: checkpoint norms and the truncated
+twin, which `_checkpoint_ratios` divides by c_n for the path estimators,
+and the pilot moment sums and the final norm with the running maximum,
+which `bounds.mc_verify` runs; `fold`, `finite_sums` and `path_sums`
+are used nowhere else.  A tile may be part of a path, so every reducer
+carries its per-trial state from one tile of a path to the next.  Every
+reducer that reads partial sums continues them through `path_sums`,
+which folds the steps on from the carried sum with `fold`, the one
+running-sum rule, and takes their norms with `spaces.norms`; the twin
+feeds the draws it drops to a `CheckpointNorms` of its own.  So each S_k
+is the sequential left fold of the draws, and every checkpoint norm,
+final norm and maximum has the bits of an uncut path whatever BLOCK is.
+Only the pilot, which needs S_n alone, sums each tile on its own, so its
+sums of a path cut into blocks differ from the uncut path's in the last
+bits.
 
 Random streams are version 3 (`lil-lab-stream-v3`, SFC64 seeded from a
 SHA-256 hash; see `rng`): the unit of a stream is a fixed group of
@@ -188,7 +191,8 @@ def path_sums(x: np.ndarray, carry: np.ndarray, step: int) -> np.ndarray:
 
 
 class CheckpointNorms:
-    """Reducer: ||S_n|| at sorted checkpoints, one row per trial."""
+    """Reducer: ||S_n|| at sorted checkpoints, one row per trial, as the
+    first item of its result (see `_checkpoint_ratios`)."""
 
     def __init__(self, space: SpaceSpec, points):
         self.space = space
@@ -212,8 +216,78 @@ class CheckpointNorms:
         if j1 > j0:
             self.out[k0 : k0 + b, j0:j1] = norms(self.carry[k0 : k0 + b], self.space)[:, None]
 
-    def result(self) -> np.ndarray:
-        return self.out
+    def result(self) -> tuple[np.ndarray]:
+        return (self.out,)
+
+
+class _PilotMoments:
+    """Reducer: the pilot pass's sums over the paths of a chunk.
+
+    `tile` adds each trial's coordinate sums and s-th moment sum into
+    zero-initialised per-trial rows and folds each trial's x^T x into one
+    (d, d) matrix `m2`, in place inside the tile's stack of products, so a
+    tile holds one (b, d, d) temporary; `result` folds the per-trial rows,
+    stacked as columns, once.  Every fold is `fold`, which adds left to
+    right in the order `stream_trials` hands over the tiles.  The products,
+    powers and folds run under `np.errstate`: a moment past the float
+    range stays inf or NaN through every later fold, and
+    `bounds.mc_verify` checks the folded chunks once, before it reads any
+    of them.
+    """
+
+    def __init__(self, space: SpaceSpec, s: float):
+        self.space = space
+        self.s = s
+
+    def start(self, trials: int, dim: int) -> None:
+        self.sums = np.zeros((trials, dim))
+        self.moments = np.zeros(trials)
+        self.m2 = np.zeros((dim, dim))
+
+    def tile(self, x: np.ndarray, k0: int, s0: int) -> None:
+        b, m, d = x.shape
+        rows = slice(k0, k0 + b)
+        with np.errstate(over="ignore", invalid="ignore"):
+            if d == 1:
+                # the step axis is innermost: numpy sums it pairwise
+                self.sums[rows] += x.sum(axis=1)
+            else:
+                # the same step-by-step folds, each over a contiguous (b, d) row
+                self.sums[rows] += np.ascontiguousarray(x.transpose(1, 0, 2)).sum(axis=0)
+            finite_sums(self.sums[rows], s0 + m)
+            # folded inside the stack: one (b, d, d) temporary, and m2 owns its memory
+            self.m2 = fold(np.matmul(x.transpose(0, 2, 1), x), self.m2)[-1].copy()
+            self.moments[rows] += (norms(x.reshape(-1, d), self.space) ** self.s).reshape(b, m).sum(axis=1)
+
+    def result(self):
+        trials, d = self.sums.shape
+        finals = norms(self.sums, self.space)
+        with np.errstate(over="ignore"):
+            total = fold(np.column_stack((self.sums, self.moments, finals, finals * finals)), 0.0)[-1].copy()
+        return total[:d], self.m2, float(total[d]), float(total[d + 1]), float(total[d + 2]), trials
+
+
+class _FinalAndMax:
+    """Reducer: ||S_n|| and max_k ||S_k|| per trial, S_k from `path_sums`."""
+
+    def __init__(self, space: SpaceSpec):
+        self.space = space
+
+    def start(self, trials: int, dim: int) -> None:
+        self.carry = np.zeros((trials, dim))
+        self.finals = np.empty(trials)
+        self.maxes = np.zeros(trials)
+
+    def tile(self, x: np.ndarray, k0: int, s0: int) -> None:
+        b, m, d = x.shape
+        rows = slice(k0, k0 + b)
+        partial = path_sums(x, self.carry[rows], s0 + m)
+        pn = norms(partial.reshape(-1, d), self.space).reshape(b, m)
+        self.finals[rows] = pn[:, -1]
+        np.maximum(self.maxes[rows], pn.max(axis=1), out=self.maxes[rows])
+
+    def result(self):
+        return self.finals, self.maxes
 
 
 def geometric_checkpoints(N: int, ratio: float = 1.3) -> tuple[int, ...]:
@@ -238,10 +312,10 @@ class PathConfig:
     def __post_init__(self) -> None:
         if self.N < 1 or self.trials < 1:
             raise ValueError("N and trials must be positive")
-        cps = self.checkpoints or geometric_checkpoints(self.N)
-        cps = tuple(int(c) for c in cps)
-        if any(c < 1 or c > self.N for c in cps) or any(b <= a for a, b in zip(cps, cps[1:])):
-            raise ValueError("checkpoints must be strictly increasing within [1, N]")
+        cps = tuple(int(c) for c in self.checkpoints or geometric_checkpoints(self.N))
+        # the grid itself is checked where it is run, by `_checkpoint_ratios`
+        if max(cps) > self.N:
+            raise ValueError("checkpoints must lie within [1, N]")
         object.__setattr__(self, "checkpoints", cps)
 
 
@@ -262,19 +336,37 @@ class PathResult:
         return "\n".join(lines) + "\n"
 
 
+def _checkpoint_ratios(dist, c_seq, label: str, seed: int, trials: int, purpose: int, reducer, workers: int):
+    """The one checkpoint-ratio rule of `run_path`, `truncated_path` and
+    `mean_norm_curve`: (ratios, c_n at the checkpoints, chunk results).
+
+    Before any sampling it checks that the reducer's checkpoints are a
+    strictly increasing grid of positive integers and that c_n is finite
+    and positive at each of them; a ValueError otherwise, naming c_n by
+    `label` and the first bad checkpoint.  Then `reducer` runs over
+    `trials` paths up to the last checkpoint through `map_trials`; the
+    first item of each chunk result is its (trials, checkpoints) norm
+    matrix, and the ratios are those matrices, stacked, over c_n.
+    """
+    points = reducer.points
+    if not points.size or points[0] < 1 or np.any(points[1:] <= points[:-1]):
+        raise ValueError("checkpoints must be strictly increasing positive integers")
+    c_vals = np.asarray(c_seq.values(points.astype(float)))
+    ok = np.isfinite(c_vals) & (c_vals > 0)
+    if not ok.all():
+        j = int(np.argmin(ok))
+        raise ValueError(f"{label} is {'not positive' if np.isfinite(c_vals[j]) else 'not finite'} at checkpoint "
+                         f"n = {points[j]}, so no checkpoint ratio can be formed")
+    [parts] = map_trials(dist, int(points[-1]), seed, trials, [(purpose, reducer)], workers)
+    return np.vstack([p[0] for p in parts]) / c_vals, c_vals, parts
+
+
 def run_path(dist, space: SpaceSpec, h: SlowVaryFn, config: PathConfig, workers: int = 1) -> PathResult:
     """Simulate trials of S_n and record ||S_n||/a_n at the checkpoints."""
-    points = config.checkpoints
-    a_vals = NormalizerSeq(h).values(np.asarray(points, dtype=float))
-    bad = np.flatnonzero(~np.isfinite(a_vals))
-    if bad.size:
-        raise ValueError(f"a_n = psi(n) for h = {h.to_text()} is not finite at checkpoint "
-                         f"n = {points[bad[0]]}, so ||S_n||/a_n cannot be formed")
-    [parts] = map_trials(dist, points[-1], config.seed, config.trials,
-                         [(_rng.MAIN, CheckpointNorms(space, points))], workers)
-    norms_mat = np.vstack(parts)
-    # a_n = sqrt(n h(n)) is strictly positive for n >= 1
-    return PathResult(points, norms_mat / a_vals, a_vals, config.seed)
+    reducer = CheckpointNorms(space, config.checkpoints)
+    ratios, a_vals, _ = _checkpoint_ratios(dist, NormalizerSeq(h), f"a_n = psi(n) for h = {h.to_text()}",
+                                           config.seed, config.trials, _rng.MAIN, reducer, workers)
+    return PathResult(config.checkpoints, ratios, a_vals, config.seed)
 
 
 # ---------------------------------------------------------------------------
@@ -288,7 +380,10 @@ class TruncatedTwin:
     S_n - S'_n is the partial sum of the dropped draws, which alone go to
     a `CheckpointNorms` of the twin's own; a tile that drops nothing only
     reads its checkpoints off the carry.  The truncation levels of a
-    block are evaluated once per chunk.
+    block are evaluated once per chunk.  The result is the norms of
+    S_n - S'_n at the checkpoints, which `truncated_path` divides by c_n,
+    then the last dropped step, the drop count and the normalized gap
+    beyond the last drop, one per trial.
     """
 
     def __init__(self, space: SpaceSpec, c_seq, points):
@@ -327,12 +422,11 @@ class TruncatedTwin:
             self.dropped.hold(k0, b, s0, m)
 
     def result(self):
-        c_at_points = np.asarray(self.c_seq.values(self.points.astype(float)))
         delta = norms(self.dropped.carry, self.space)
         c_next = np.asarray(self.c_seq.values((self.last + 1).astype(float)))
         with np.errstate(divide="ignore", invalid="ignore"):
             gap_sup = np.where(c_next > 0, delta / c_next, np.where(delta == 0, 0.0, math.inf))
-        return self.dropped.result() / c_at_points, self.last, self.count, gap_sup
+        return self.dropped.out, self.last, self.count, gap_sup
 
 
 @dataclass(frozen=True)
@@ -357,11 +451,11 @@ class TruncResult:
 def truncated_path(dist, space: SpaceSpec, c_seq, config: PathConfig, workers: int = 1) -> TruncResult:
     """Run S_n against its truncated twin S'_n (draws of norm above c_n dropped)."""
     points = config.checkpoints
-    [parts] = map_trials(dist, points[-1], config.seed, config.trials,
-                         [(_rng.MAIN, TruncatedTwin(space, c_seq, points))], workers)
+    gap_curve, _, parts = _checkpoint_ratios(dist, c_seq, f"c_n = {c_seq.describe()}", config.seed, config.trials,
+                                             _rng.MAIN, TruncatedTwin(space, c_seq, points), workers)
     return TruncResult(
         checkpoints=points,
-        gap_curve=np.vstack([p[0] for p in parts]),
+        gap_curve=gap_curve,
         last_trunc=np.concatenate([p[1] for p in parts]),
         trunc_count=np.concatenate([p[2] for p in parts]),
         gap_sup=np.concatenate([p[3] for p in parts]),
@@ -396,13 +490,8 @@ def mean_norm_curve(dist, space: SpaceSpec, c_seq, n_grid, trials: int, seed: in
     if trials < 30:
         raise ValueError(f"need at least 30 trials for a CI, got {trials}")
     points = tuple(int(n) for n in np.asarray(n_grid))
-    if len(points) == 0 or any(b <= a for a, b in zip(points, points[1:])) or points[0] < 1:
-        raise ValueError("n_grid must be strictly increasing positive integers")
-    [parts] = map_trials(dist, points[-1], seed, trials,
-                         [(_rng.CURVE, CheckpointNorms(space, points))], workers)
-    norms_mat = np.vstack(parts)
-    c_vals = np.asarray(c_seq.values(np.asarray(points, dtype=float)))
-    ratios = norms_mat / c_vals
+    ratios, _, _ = _checkpoint_ratios(dist, c_seq, f"c_n = {c_seq.describe()}", seed, trials, _rng.CURVE,
+                                      CheckpointNorms(space, points), workers)
     mean = ratios.mean(axis=0)
     se = ratios.std(axis=0, ddof=1) / math.sqrt(trials)
     return MeanNormCurve(

@@ -459,8 +459,8 @@ class PowerSeq:
         self.coeff = float(coeff)
 
     def values(self, n) -> np.ndarray:
-        arr = np.asarray(n, dtype=float)
-        out = self.coeff * arr**self.exponent
+        with np.errstate(over="ignore"):  # c_n past the float range is inf
+            out = self.coeff * np.asarray(n, dtype=float) ** self.exponent
         return float(out) if np.ndim(n) == 0 else out
 
     def log_h(self, log_n):

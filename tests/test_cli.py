@@ -469,6 +469,21 @@ class TestArtifacts:
         err = json.loads(capsys.readouterr().err.strip())
         assert err["code"] == "io_error"
 
+    @pytest.mark.parametrize("name, text, message", [
+        ("constants.json", '{"report": {"c0_lo": 1.0, "c0', "artifact is not valid JSON: "),
+        ("constants.json", "[1, 2]", "artifact is not the JSON object a constants run writes"),
+        ("verify.json", '{"report": {"rows": 3}}', "artifact is not the JSON object a fn-verify run writes"),
+    ], ids=["truncated", "a-list", "rows-not-a-list"])
+    def test_report_names_a_bad_artifact(self, tmp_path, capsys, name, text, message):
+        cli.execute({"kind": "hclass", "h": "2*(LL)^1", "out": str(tmp_path)})
+        (tmp_path / name).write_text(text)
+        capsys.readouterr()
+        assert cli.main(["report", str(tmp_path)]) == 2
+        err = json.loads(capsys.readouterr().err.strip())
+        assert err["code"] == "invalid_spec" and err["message"].startswith(message)
+        assert err["context"] == {"path": str(tmp_path / name)}
+        assert not (tmp_path / "summary.json").exists()
+
     def test_report_empty_dir(self, tmp_path, capsys):
         rc = cli.main(["report", str(tmp_path)])
         assert rc == 2
@@ -752,9 +767,11 @@ class TestExitCodes:
 
     def test_bad_spec_file(self, tmp_path, capsys):
         path = tmp_path / "spec.json"
-        path.write_text("{not json")
+        path.write_text('{"kind": "hclass", "h": "2*(LL')
         assert cli.main(["run", str(path)]) == 2
-        capsys.readouterr()
+        err = json.loads(capsys.readouterr().err.strip())
+        assert err["code"] == "invalid_spec" and err["message"].startswith("spec is not valid JSON: ")
+        assert err["context"] == {"path": str(path)}
         assert cli.main(["run", str(tmp_path / "absent.json")]) == 2
         err = json.loads(capsys.readouterr().err.strip())
         assert err["code"] == "io_error"
@@ -798,6 +815,10 @@ class TestExitCodes:
          "trials = 100 asks for beta0, which needs a distribution and a space"),
         (["fn-verify", "--n", "20", "--trials", "200", "--kr-points", "-3"], {}, "invalid_spec", {},
          "kr_points must be nonnegative, got -3"),
+        # beta0's grid reaches n = 16383, where c_n = 1e300 n^2 is past the float range
+        (["constants", "--h", "2*(LL)^1", "--H", "const:1", "--c-seq", "pow:2,1e300", "--dist", "gauss:dim=1,var=1",
+          "--space", "1,2", "--trials", "30"], {}, "invalid_spec", {},
+         "c_n = pow:2,1e+300 is not finite at checkpoint n = 16383, so no checkpoint ratio can be formed"),
         (["hclass", "--h", "2*(LL)^1", "--tol", "-1"], {}, "invalid_spec", {}, "tol must be nonnegative, got -1"),
         *((argv + ["--format", "csv"], {}, "invalid_spec", {"format": "csv"},
            "format 'csv' is written only by fn-verify and lil-sim") for argv in (
@@ -805,7 +826,8 @@ class TestExitCodes:
     ], ids=["overflow-workers-1", "overflow-workers-2", "pilot-overflow-workers-1", "pilot-overflow-workers-2",
             "out-below-a-file", "workers-0", "workers-negative",
             "env-workers-0", "env-workers-not-a-number", "constants-trials-below-30", "constants-trials-negative",
-            "constants-trials-without-a-law", "fn-verify-kr-points-negative", "hclass-tol-negative",
+            "constants-trials-without-a-law", "fn-verify-kr-points-negative", "constants-beta0-c-n-overflows",
+            "hclass-tol-negative",
             "hclass-csv", "constants-csv", "fn-bound-csv", "report-csv"])
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_failure_is_exit_2_one_json_line_and_no_artifact(self, tmp_path, monkeypatch, capfd,
@@ -989,3 +1011,4 @@ def test_cli_import_leaves_the_process_pool_out(tmp_path):
         f"lil_lab.{m}" for m in ("constants", "bounds", "simulate", "distributions", "_pool")}
     assert not loaded("constants", "--h", "2*(LL)^1", "--H", "const:1") & {
         f"lil_lab.{m}" for m in ("bounds", "simulate", "_pool", "rng")}
+    assert not loaded("fn-bound", "--t", "5") & {f"lil_lab.{m}" for m in ("simulate", "_pool", "rng", "spaces")}

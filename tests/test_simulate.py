@@ -109,8 +109,8 @@ class TestTruncatedPath:
         twin = TruncatedTwin(SpaceSpec(1, 2.0), c_seq, points)
         twin.start(1, 1)
         twin.tile(x, 0, 0)
-        gap_curve, last, count, gap_sup = twin.result()
-        assert gap_curve.tolist() == [[3e7 / c_seq.values(float(n)) for n in points]]
+        gap_norms, last, count, gap_sup = twin.result()
+        assert gap_norms.tolist() == [[3e7] * len(points)]
         assert last.tolist() == [1] and count.tolist() == [1]
         assert gap_sup.tolist() == [3e7 / c_seq.values(2.0)]
 
@@ -126,7 +126,7 @@ class TestTruncatedPath:
         twin.start(2, 2)
         for s0 in range(0, 300, 100):
             twin.tile(x[:, s0 : s0 + 100].copy(), 0, s0)
-        gap_curve, last, count, gap_sup = twin.result()
+        gap_norms, last, count, gap_sup = twin.result()
 
         want = np.empty((2, len(points)))
         for t in range(2):
@@ -135,9 +135,9 @@ class TestTruncatedPath:
                 if not np.linalg.norm(x[t, k]) <= c_seq.values(float(k + 1)):
                     dropped = dropped + x[t, k]
                 if k + 1 in points:
-                    want[t, points.index(k + 1)] = norms(dropped[None], space)[0] / c_seq.values(float(k + 1))
-        np.testing.assert_array_equal(gap_curve, want)
-        assert gap_curve[0, 0] == 0.0 and gap_curve[0, -1] == 50.0 / c_seq.values(300.0)
+                    want[t, points.index(k + 1)] = norms(dropped[None], space)[0]
+        np.testing.assert_array_equal(gap_norms, want)
+        assert gap_norms[0, 0] == 0.0 and gap_norms[0, -1] == 50.0
         assert last.tolist() == [150, 0] and count.tolist() == [1, 0]
         assert gap_sup.tolist() == [50.0 / c_seq.values(151.0), 0.0]
 
@@ -190,6 +190,53 @@ class TestMeanNormCurve:
         assert lines[0] == "# seed=8 trials=30"
         assert lines[1] == "n,mean,ci_lo,ci_hi"
         assert len(lines) == 4
+
+
+class TestCheckpointRatioRule:
+    """`run_path`, `truncated_path` and `mean_norm_curve` check the grid and
+    c_n at the checkpoints before they sample any path."""
+
+    @pytest.fixture(autouse=True)
+    def no_sampling(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("sampled paths that cannot be normalized")
+
+        monkeypatch.setattr(simulate, "map_trials", refuse)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("run, message", [
+        # c_n = 1e300 n^2 passes the float ceiling between 8192 and 16384
+        (lambda: truncated_path(Gaussian(1.0), SpaceSpec(1, 2.0), parse_cseq("pow:2,1e300"),
+                                PathConfig(N=20000, checkpoints=(1, 8192, 16384, 20000), trials=2)),
+         r"^c_n = pow:2,1e\+300 is not finite at checkpoint n = 16384, so no checkpoint ratio can be formed$"),
+        (lambda: mean_norm_curve(Gaussian(1.0), SpaceSpec(1, 2.0), parse_cseq("pow:2,1e300"), [64, 8192, 16384],
+                                 trials=30),
+         r"^c_n = pow:2,1e\+300 is not finite at checkpoint n = 16384, so no checkpoint ratio can be formed$"),
+        # a_n = sqrt(n (log n)^1000) passes the float ceiling from n = 62 on
+        (lambda: run_path(Gaussian(1.0), SpaceSpec(1, 2.0), parse_slow_vary("(L)^1000"),
+                          PathConfig(N=100, checkpoints=(10, 61, 62), trials=2)),
+         r"^a_n = psi\(n\) for h = \(L\)\^1000 is not finite at checkpoint n = 62, so no checkpoint ratio"),
+    ], ids=["truncated_path", "mean_norm_curve", "run_path"])
+    def test_c_n_past_the_float_range(self, run, message):
+        with pytest.raises(ValueError, match=message):
+            run()
+
+    def test_nonpositive_c_n(self):
+        class Zero:
+            def values(self, n):
+                return np.zeros_like(n)
+
+            def describe(self):
+                return "zero"
+
+        with pytest.raises(ValueError, match=r"^c_n = zero is not positive at checkpoint n = 4"):
+            mean_norm_curve(Gaussian(1.0), SpaceSpec(1, 2.0), Zero(), [4, 8], trials=30)
+
+    @pytest.mark.parametrize("checkpoints", [(5, 3), (0, 5), (4, 4)])
+    def test_grid(self, checkpoints):
+        h = parse_slow_vary("2*(LL)^1")
+        with pytest.raises(ValueError, match="^checkpoints must be strictly increasing positive integers$"):
+            run_path(Gaussian(1.0), SpaceSpec(1, 2.0), h, PathConfig(N=10, checkpoints=checkpoints))
 
 
 class TestLongPathChunks:

@@ -298,6 +298,12 @@ class TestSequences:
         ns = np.array([2.0, 7.0, 1e6])
         np.testing.assert_allclose(np.exp(seq.log_h(np.log(ns))), seq.values(ns) ** 2 / ns, rtol=1e-12)
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_power_values_past_the_float_range_are_inf(self):
+        seq = PowerSeq(2.0, 1e300)
+        assert seq.values(np.array([8192.0, 16384.0, 1e200])).tolist() == [1e300 * 8192.0**2, math.inf, math.inf]
+        assert seq.values(1e200) == math.inf
+
     @pytest.mark.parametrize("bad", ["", "pow:", "psi:", "psi:junk(", "lin:2", "pow:a"])
     def test_bad_sequence_specs_rejected(self, bad):
         with pytest.raises(ValueError):

@@ -31,9 +31,9 @@ import numpy as np
 import pytest
 from numpy.random.bit_generator import ISeedSequence
 
-from lil_lab import bounds, rng, simulate
+from lil_lab import rng, simulate
 from lil_lab._pool import CHUNK
-from lil_lab.bounds import BoundParams, _FinalAndMax, _PilotMoments, mc_verify
+from lil_lab.bounds import BoundParams, mc_verify
 from lil_lab.distributions import Gaussian, RademacherProduct, RadialPareto
 from lil_lab.simulate import (
     BLOCK,
@@ -41,6 +41,8 @@ from lil_lab.simulate import (
     CheckpointNorms,
     PathConfig,
     TruncatedTwin,
+    _FinalAndMax,
+    _PilotMoments,
     mean_norm_curve,
     run_path,
     stream_trials,
@@ -283,7 +285,6 @@ def test_every_summing_reducer_checks_its_carry_with_the_one_helper(reducer, mon
         return check(sums, step)
 
     monkeypatch.setattr(simulate, "finite_sums", recording)
-    monkeypatch.setattr(bounds, "finite_sums", recording)
     d = reducer.space.dim
     reducer.start(3, d)
     reducer.tile(np.ones((3, 5, d)), 0, 0)
@@ -344,8 +345,8 @@ def test_mc_verify_cut_into_blocks_keeps_finals_and_maxima(dist, space, monkeypa
     # bit as it was.
     main, rows = [], []
 
-    def spy(*args):
-        parts = simulate.map_trials(*args)
+    def spy(*args, map_trials=simulate.map_trials):
+        parts = map_trials(*args)
         main.append((np.concatenate([p[0] for p in parts[1]]), np.concatenate([p[1] for p in parts[1]])))
         return parts
 
@@ -353,7 +354,7 @@ def test_mc_verify_cut_into_blocks_keeps_finals_and_maxima(dist, space, monkeypa
         rows.append(n)
         return sample(gen, n)
 
-    monkeypatch.setattr(bounds, "map_trials", spy)
+    monkeypatch.setattr(simulate, "map_trials", spy)
     monkeypatch.setattr(dist, "sample", counted)
     n = 20000  # > TILE
     run = functools.partial(mc_verify, dist, space, n, 100, [100.0, 300.0], PARAMS, seed=6, kr_points=2)
