@@ -314,11 +314,12 @@ def mc_verify(
     empirical mgf against the bounds, one `VerifyRow` (which derives its
     `violation`) per grid point; a `kr` point whose empirical mgf or its
     standard error overflows gets no row, only a count in `notes`.  Both
-    passes are sampled in one `map_trials` call, hence on one pool, so the
-    pilot's centering check runs after the main pass's sampling too.  A
-    path longer than `simulate.BLOCK` streams block by block on threads,
-    as in every other estimator; its finals and maxima have the bits of
-    an uncut path, its pilot sums are folded block by block.
+    passes are sampled in one `map_trials` call, hence by the caller and
+    one set of `workers` - 1 forked children, so the pilot's centering
+    check runs after the main pass's sampling too.  A path longer than
+    `simulate.BLOCK` streams block by block, its stripes on threads, as
+    in every other estimator; its finals and maxima have the bits of an
+    uncut path, its pilot sums are folded block by block.
     """
     if trials < 100:
         raise ValueError("trials too small for stable pilot estimates")

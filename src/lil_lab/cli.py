@@ -303,13 +303,14 @@ def _verification(doc: dict) -> dict:
             "violations": [r for r in rows if r.get("violation")]}
 
 
-# Each artifact kind's key in the summary, and what the summary keeps of it.
+# Each artifact kind's key in the summary, and what the summary keeps of it;
+# `{**field}` copies an object and raises TypeError for anything else.
 _SUMMARY = {
-    "hclass": ("hclass", lambda doc: doc.get("report", {})),
-    "constants": ("constants", lambda doc: doc.get("report", {})),
+    "hclass": ("hclass", lambda doc: {**doc.get("report", {})}),
+    "constants": ("constants", lambda doc: {**doc.get("report", {})}),
     "fn-bound": ("fn_bound", lambda doc: {k: doc.get(k) for k in ("bound", "gauss_term", "poly_term")}),
     "fn-verify": ("verification", _verification),
-    "lil-sim": ("simulation", lambda doc: doc.get("limsup", {})),
+    "lil-sim": ("simulation", lambda doc: {**doc.get("limsup", {})}),
 }
 
 

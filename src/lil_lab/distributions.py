@@ -75,9 +75,11 @@ class Gaussian:
             self._root = v * np.sqrt(np.clip(w, 0.0, None))
         # A diagonal root with every entry > 0 scales z in place, with the
         # matmul's bits; a zero entry keeps the matmul, whose sum gives
-        # +0.0 where z * 0.0 would give -0.0 for a negative z.
+        # +0.0 where z * 0.0 would give -0.0 for a negative z.  A scale of
+        # all ones is skipped: z * 1.0 is z bit for bit.
         diag = np.diagonal(self._root)
         self._scale = diag if np.all(self._root == np.diag(diag)) and np.all(diag > 0) else None
+        self._unit = self._scale is not None and bool(np.all(diag == 1.0))
         self.cov = sym
         self.dim = sym.shape[0]
 
@@ -88,8 +90,7 @@ class Gaussian:
         z = rng.standard_normal((n, self.dim))
         if self._scale is None:
             return z @ self._root.T
-        z *= self._scale
-        return z
+        return z if self._unit else np.multiply(z, self._scale, out=z)
 
     def norm_bound(self, space: SpaceSpec) -> float:
         return math.inf

@@ -33,10 +33,10 @@ cut short by the last trial or a chunk edge still draws in full, so a
 trial's draws are the same whatever else runs.
 
 `map_trials` cuts the trials into chunks whose size depends only on the
-path length and runs them on `workers` threads for block-streamed paths
-and on `workers` processes for grouped ones (see `map_trials` for why);
-the chunks of several passes over the same trials share one submission,
-hence one pool.
+path length and runs them in `workers` stripes: the caller runs one, and
+threads (block-streamed paths) or forked children (grouped ones) run the
+others (see `map_trials` for why); the chunks of several passes over the
+same trials share one submission, hence one set of stripes.
 Float accumulations across trials stay left folds in a fixed order
 within a chunk, and chunk results are folded in chunk order, so results
 are bit-identical whatever the worker count, the executor, or the order
@@ -119,18 +119,21 @@ def map_trials(dist, n: int, seed: int, trials: int, passes, workers: int) -> li
     """`stream_trials` over every chunk of `trials` for each (purpose, reducer)
     of `passes`: one list of chunk results per pass.
 
-    Paths drawn in one sample call (n <= BLOCK) come in chunks of CHUNK
-    trials on `workers` processes.  Block-streamed paths come in chunks of
-    max(1, LONG_CHUNK // n) trials on `workers` threads, which share this
-    process's memory where a forked process would copy about 30 MB of it;
-    numpy's sampling, cumsum and matmul on whole blocks release the GIL.
-    Grouped paths stay on processes, where the many small numpy calls of
-    each group do not contend for the GIL.  On threads, the
-    20,480 x 200-step `fn-verify` run (two passes, 2 vCPUs) sampled
-    2.1e7-2.2e7 increments/s against 3.0e7-3.3e7 on processes, for a
-    peak RSS of 44 MB against 74 MB and the same results.
-    The chunks of all passes go to `map_chunks` in one call, so one pool
-    serves them; no pass may read another's results.  Neither the chunks
+    `map_chunks` runs the chunks in `workers` stripes, one in the caller
+    and the others in `workers` - 1 forked children or threads.  Paths
+    drawn in one sample call (n <= BLOCK) come in chunks of CHUNK trials,
+    whose stripes run in forked children.  Block-streamed paths come in
+    chunks of max(1, LONG_CHUNK // n) trials, whose stripes run on
+    threads, which share this process's memory where a forked process
+    would copy about 30 MB of it; numpy's sampling, cumsum and matmul on
+    whole blocks release the GIL.  Grouped paths stay in processes, where
+    the many small numpy calls of each group do not contend for the GIL.
+    On threads, the 20,480 x 200-step `fn-verify` run (two passes,
+    2 vCPUs) sampled 2.1e7-2.2e7 increments/s against 3.0e7-3.3e7 on
+    processes, for a peak RSS of 44 MB against 74 MB and the same results.
+    The chunks of all passes go to `map_chunks` in one call, so one set of
+    stripes serves them: the caller and the same `workers` - 1 children
+    or threads; no pass may read another's results.  Neither the chunks
     nor the draws depend on `workers`.
     """
     if n <= BLOCK:
@@ -312,8 +315,7 @@ class PathConfig:
     def __post_init__(self) -> None:
         if self.N < 1 or self.trials < 1:
             raise ValueError("N and trials must be positive")
-        cps = tuple(int(c) for c in self.checkpoints or geometric_checkpoints(self.N))
-        # the grid itself is checked where it is run, by `_checkpoint_ratios`
+        cps = _checkpoint_grid(self.checkpoints or geometric_checkpoints(self.N))
         if max(cps) > self.N:
             raise ValueError("checkpoints must lie within [1, N]")
         object.__setattr__(self, "checkpoints", cps)
@@ -336,21 +338,30 @@ class PathResult:
         return "\n".join(lines) + "\n"
 
 
+def _checkpoint_grid(points) -> tuple[int, ...]:
+    """The grid rule of every path estimator: `points` as ints, or a
+    ValueError unless they are strictly increasing positive integer values
+    (10.0 is 10; 10.7 is refused, not cut to 10)."""
+    grid = np.asarray(points, dtype=float)
+    if not grid.size or grid[0] < 1 or np.any(grid[1:] <= grid[:-1]) or np.any(grid != np.round(grid)):
+        raise ValueError("checkpoints must be strictly increasing positive integers")
+    return tuple(int(p) for p in grid)
+
+
 def _checkpoint_ratios(dist, c_seq, label: str, seed: int, trials: int, purpose: int, reducer, workers: int):
     """The one checkpoint-ratio rule of `run_path`, `truncated_path` and
     `mean_norm_curve`: (ratios, c_n at the checkpoints, chunk results).
 
-    Before any sampling it checks that the reducer's checkpoints are a
-    strictly increasing grid of positive integers and that c_n is finite
-    and positive at each of them; a ValueError otherwise, naming c_n by
-    `label` and the first bad checkpoint.  Then `reducer` runs over
-    `trials` paths up to the last checkpoint through `map_trials`; the
-    first item of each chunk result is its (trials, checkpoints) norm
-    matrix, and the ratios are those matrices, stacked, over c_n.
+    The reducer's checkpoints passed `_checkpoint_grid` where the grid came
+    in (`PathConfig`, `mean_norm_curve`).  Before any sampling this checks
+    that c_n is finite and positive at each of them; a ValueError
+    otherwise, naming c_n by `label` and the first bad checkpoint.  Then
+    `reducer` runs over `trials` paths up to the last checkpoint through
+    `map_trials`; the first item of each chunk result is its (trials,
+    checkpoints) norm matrix, and the ratios are those matrices, stacked,
+    over c_n.
     """
     points = reducer.points
-    if not points.size or points[0] < 1 or np.any(points[1:] <= points[:-1]):
-        raise ValueError("checkpoints must be strictly increasing positive integers")
     c_vals = np.asarray(c_seq.values(points.astype(float)))
     ok = np.isfinite(c_vals) & (c_vals > 0)
     if not ok.all():
@@ -489,7 +500,7 @@ def mean_norm_curve(dist, space: SpaceSpec, c_seq, n_grid, trials: int, seed: in
     """Estimate E||S_n||/c_n on a grid of n, one streamed pass per trial."""
     if trials < 30:
         raise ValueError(f"need at least 30 trials for a CI, got {trials}")
-    points = tuple(int(n) for n in np.asarray(n_grid))
+    points = _checkpoint_grid(n_grid)
     ratios, _, _ = _checkpoint_ratios(dist, c_seq, f"c_n = {c_seq.describe()}", seed, trials, _rng.CURVE,
                                       CheckpointNorms(space, points), workers)
     mean = ratios.mean(axis=0)

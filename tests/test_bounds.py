@@ -1,8 +1,8 @@
 """Tail-bound evaluators, assembled constants, and the falsification harness."""
 
-import concurrent.futures
 import json
 import math
+import os
 
 import numpy as np
 import pytest
@@ -294,20 +294,21 @@ class TestHarness:
             "pilot sample mean is not centered: coordinate 1 has mean 0.49 with standard error 0.00676"
         )
 
-    @pytest.mark.parametrize("workers, pools", [(1, 0), (2, 1)])
-    def test_one_pool_serves_both_passes(self, monkeypatch, workers, pools):
-        built = []
+    @pytest.mark.parametrize("workers, forks", [(1, 0), (2, 1)])
+    def test_one_pool_serves_both_passes(self, monkeypatch, workers, forks):
+        # the caller runs one stripe of the six chunks (three per pass), so
+        # two workers fork one child, which serves the pilot and the main pass
+        real_fork, forked = os.fork, []
 
-        class Counting(concurrent.futures.ProcessPoolExecutor):
-            def __init__(self, *args, **kwargs):
-                built.append(kwargs)
-                super().__init__(*args, **kwargs)
+        def counting():
+            forked.append(os.getpid())
+            return real_fork()
 
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Counting)
+        monkeypatch.setattr(os, "fork", counting)
         mc_verify(RademacherProduct(np.ones(2)), SpaceSpec(2, math.inf), n=30, trials=2200,
                   t_grid=np.array([5.0]), params=BoundParams(eta=1.0, delta=1.0, s=3.0), seed=9,
                   kr_points=2, workers=workers)
-        assert built == [{"max_workers": workers}] * pools
+        assert forked == [os.getpid()] * forks
 
     def test_unbounded_law_skips_mgf_rows(self):
         rep = mc_verify(

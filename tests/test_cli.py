@@ -473,7 +473,10 @@ class TestArtifacts:
         ("constants.json", '{"report": {"c0_lo": 1.0, "c0', "artifact is not valid JSON: "),
         ("constants.json", "[1, 2]", "artifact is not the JSON object a constants run writes"),
         ("verify.json", '{"report": {"rows": 3}}', "artifact is not the JSON object a fn-verify run writes"),
-    ], ids=["truncated", "a-list", "rows-not-a-list"])
+        ("constants.json", '{"report": [1, 2]}', "artifact is not the JSON object a constants run writes"),
+        ("hclass.json", '{"report": "hclass"}', "artifact is not the JSON object a hclass run writes"),
+        ("sim.json", '{"limsup": null}', "artifact is not the JSON object a lil-sim run writes"),
+    ], ids=["truncated", "a-list", "rows-not-a-list", "report-a-list", "report-a-string", "limsup-null"])
     def test_report_names_a_bad_artifact(self, tmp_path, capsys, name, text, message):
         cli.execute({"kind": "hclass", "h": "2*(LL)^1", "out": str(tmp_path)})
         (tmp_path / name).write_text(text)
@@ -989,9 +992,10 @@ class TestExitCodes:
 
 
 def test_cli_import_leaves_the_process_pool_out(tmp_path):
-    # The pool modules load only when a Monte Carlo run starts a process
-    # pool, and a subcommand loads only the lil_lab modules it runs.  Each
-    # case runs in a fresh interpreter, so nothing else has loaded them.
+    # No run loads an executor pool: Monte Carlo chunks run in the caller
+    # and in forked children.  A subcommand loads only the lil_lab modules
+    # it runs.  Each case runs in a fresh interpreter, so nothing else has
+    # loaded them.
     src = str(Path(lil_lab.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     code = ("import json, sys, lil_lab.cli; "
@@ -1012,3 +1016,6 @@ def test_cli_import_leaves_the_process_pool_out(tmp_path):
     assert not loaded("constants", "--h", "2*(LL)^1", "--H", "const:1") & {
         f"lil_lab.{m}" for m in ("bounds", "simulate", "_pool", "rng")}
     assert not loaded("fn-bound", "--t", "5") & {f"lil_lab.{m}" for m in ("simulate", "_pool", "rng", "spaces")}
+    # two chunks per pass at two workers: one forked child
+    assert not loaded("fn-verify", "--trials", "2048", "--n", "50", "--workers", "2") & {
+        "multiprocessing", "concurrent.futures"}

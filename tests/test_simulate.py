@@ -232,11 +232,20 @@ class TestCheckpointRatioRule:
         with pytest.raises(ValueError, match=r"^c_n = zero is not positive at checkpoint n = 4"):
             mean_norm_curve(Gaussian(1.0), SpaceSpec(1, 2.0), Zero(), [4, 8], trials=30)
 
-    @pytest.mark.parametrize("checkpoints", [(5, 3), (0, 5), (4, 4)])
+    @pytest.mark.parametrize("checkpoints", [(5, 3), (0, 5), (4, 4), (2.7, 5), (2, float("nan"))])
     def test_grid(self, checkpoints):
         h = parse_slow_vary("2*(LL)^1")
         with pytest.raises(ValueError, match="^checkpoints must be strictly increasing positive integers$"):
             run_path(Gaussian(1.0), SpaceSpec(1, 2.0), h, PathConfig(N=10, checkpoints=checkpoints))
+
+    def test_a_grid_point_that_is_not_an_integer(self):
+        # refused, where it used to be cut to (10, 20)
+        with pytest.raises(ValueError, match="^checkpoints must be strictly increasing positive integers$"):
+            mean_norm_curve(Gaussian(1.0), SpaceSpec(1, 2.0), parse_cseq("pow:0.5"), [10.7, 20.9], trials=30)
+        with pytest.raises(ValueError, match="^checkpoints must be strictly increasing positive integers$"):
+            PathConfig(N=100, checkpoints=(10.7, 20))
+        cps = PathConfig(N=100, checkpoints=(10.0, np.float64(20))).checkpoints
+        assert cps == (10, 20) and all(type(c) is int for c in cps)
 
 
 class TestLongPathChunks:

@@ -31,6 +31,8 @@ SUBCOMMANDS = {
     "constants": ["constants", "--h", "2*(LL)^1", "--H", "const:1"],
     "fn-bound": ["fn-bound", "--t", "5"],
     "fn-verify": ["fn-verify", "--trials", "200", "--n", "50", "--workers", "1"],
+    # four chunks over the caller and one forked child: the cost of starting workers
+    "fn-verify-w2": ["fn-verify", "--trials", "2048", "--n", "50", "--workers", "2"],
     "lil-sim": ["lil-sim", "--N", "1000", "--trials", "50", "--workers", "1"],
 }
 
