@@ -13,7 +13,10 @@ own:
 
 Each spec key is declared once, in `SPECS` (or `_COMMON` for the keys
 every kind shares): its type and default there drive both `validate_spec`
-and the generated `--flag` (the key with `_` written `-`).
+and the generated `--flag` (the key with `_` written `-`), and a key
+declared `required` is one a run refuses to start without.  A kind's row
+also names its artifact, the CSV side file that `--format csv` adds, and
+what `report` copies of the artifact into `summary.json`.
 
 Importing this module loads numpy, argparse and, of the package, only
 its `__init__`; each executor imports the modules it runs, so a process
@@ -55,24 +58,36 @@ from . import _STREAM, __version__
 
 
 class Key(NamedTuple):
-    """One spec key: its type (int, float or str), default and flag help."""
+    """One spec key: its type (int, float or str), default and flag help.
+
+    A `required` key has no default, yet a run needs its value: `execute`
+    refuses a spec without one ("{kind} needs --{flag}").  The parser does
+    not require the flag, since `--spec` and `run` may supply the value.
+    """
 
     type: type
     default: object = None
     help: str | None = None
     choices: tuple | None = None
     positional: bool = False  # an optional positional argument, not a --flag
+    required: bool = False
 
 
 class Kind(NamedTuple):
-    """One subcommand: help line, executor, artifact file name, own keys,
-    and whether `--format csv` adds a CSV file (other kinds refuse it)."""
+    """One subcommand: help line, executor, artifact file name and own keys.
+
+    `csv` names the side file that `--format csv` adds (other kinds refuse
+    the format); `summary` is the kind's key in `report`'s summary and the
+    reader that takes what the summary keeps from a parsed artifact, raising
+    TypeError or AttributeError for a document of another shape.
+    """
 
     help: str
-    execute: Callable[[dict], tuple[dict, dict, int]]
+    execute: Callable[[dict], tuple[dict, object, int]]
     artifact: str
     keys: dict[str, Key]
-    csv: bool = False
+    csv: str | None = None
+    summary: tuple[str, Callable[[dict], dict]] | None = None
 
 
 # The keys every kind accepts, in flag order.
@@ -195,16 +210,17 @@ def _dist_and_space(spec: dict, need_dist: bool = True):
 
 
 # ---------------------------------------------------------------------------
-# Scenario executors.  Each returns (artifact dict, extra files, exit code).
-# What they raise becomes exit 2 in `_guarded`.
+# Scenario executors.  Each returns (artifact dict, extra files, exit code);
+# a kind with a CSV side file hands back, in place of the extra files, the
+# object whose `to_csv_text()` renders it, called only under `--format csv`.
+# `execute` has checked the required keys first.  What they raise becomes
+# exit 2 in `_guarded`.
 # ---------------------------------------------------------------------------
 
 
 def _exec_hclass(spec: dict) -> tuple[dict, dict, int]:
     from . import slowvary
 
-    if not spec["h"]:
-        raise SpecError("hclass needs --h")
     h = _parsed(slowvary.parse_slow_vary, spec, "h")
     report = slowvary.hq_classify(h, spec["q"], tol=spec["tol"])
     print(f"hclass: h={spec['h']} q={spec['q']:g} -> {report.verdict}")
@@ -214,8 +230,6 @@ def _exec_hclass(spec: dict) -> tuple[dict, dict, int]:
 def _exec_constants(spec: dict) -> tuple[dict, dict, int]:
     from . import constants, slowvary
 
-    if not spec["h"]:
-        raise SpecError("constants needs --h")
     h = _parsed(slowvary.parse_slow_vary, spec, "h")
     dist, space = _dist_and_space(spec, need_dist=False)
     H_fn = _parsed(constants.parse_tsm, spec, "H", dist=dist, space=space, seed=spec["seed"])
@@ -229,11 +243,12 @@ def _exec_constants(spec: dict) -> tuple[dict, dict, int]:
     return {"report": report.to_json_dict()}, {}, 0
 
 
+_BOUND_TERMS = ("bound", "gauss_term", "poly_term")  # fn-bound's scalars, which `report` copies
+
+
 def _exec_fn_bound(spec: dict) -> tuple[dict, dict, int]:
     from . import bounds, slowvary
 
-    if spec["t"] is None:
-        raise SpecError("fn-bound needs --t")
     params = bounds.BoundParams(eta=spec["eta"], delta=spec["delta"], s=spec["s"])
     data = bounds.MomentData(
         n=spec["n"], M=spec["m_bound"], lambda_n=spec["lambda_n"],
@@ -242,16 +257,12 @@ def _exec_fn_bound(spec: dict) -> tuple[dict, dict, int]:
     value, gauss, poly, consts = bounds._fn_terms(spec["t"], params, data)
     print(f"fn-bound: t={spec['t']:g} -> {value:.6g} "
           f"(gaussian term {gauss:.6g}, polynomial term {poly:.6g}, C={consts.C:.6g})")
-    doc = {
-        "bound": slowvary._json_real(value),
-        "gauss_term": slowvary._json_real(gauss),
-        "poly_term": slowvary._json_real(poly),
-        "constants": slowvary._json_fields(consts, ("delta", "eta", "s")),
-    }
+    doc = {key: slowvary._json_real(v) for key, v in zip(_BOUND_TERMS, (value, gauss, poly))}
+    doc["constants"] = slowvary._json_fields(consts, ("delta", "eta", "s"))
     return doc, {}, 0
 
 
-def _exec_fn_verify(spec: dict) -> tuple[dict, dict, int]:
+def _exec_fn_verify(spec: dict) -> tuple[dict, object, int]:
     from . import bounds
 
     dist, space = _dist_and_space(spec)
@@ -264,13 +275,10 @@ def _exec_fn_verify(spec: dict) -> tuple[dict, dict, int]:
     )
     n_viol = sum(r.violation for r in report.rows)
     print(f"fn-verify: {len(report.rows)} rows, {n_viol} violations")
-    extra = {}
-    if spec["format"] == "csv":
-        extra["verify.csv"] = report.to_csv_text()
-    return {"report": report.to_json_dict()}, extra, 3 if report.any_violation else 0
+    return {"report": report.to_json_dict()}, report, 3 if report.any_violation else 0
 
 
-def _exec_lil_sim(spec: dict) -> tuple[dict, dict, int]:
+def _exec_lil_sim(spec: dict) -> tuple[dict, object, int]:
     from . import simulate, slowvary
 
     dist, space = _dist_and_space(spec)
@@ -290,28 +298,34 @@ def _exec_lil_sim(spec: dict) -> tuple[dict, dict, int]:
             est, per_trial=est.per_trial.tolist(), finite_second_moment=dist.finite_second_moment
         ),
     }
-    extra = {}
-    if spec["format"] == "csv":
-        extra["sim_paths.csv"] = paths.to_csv_text()
-    return doc, extra, 0
+    return doc, paths, 0
+
+
+# Summary readers, for `Kind.summary`.  A field that is absent is kept as
+# null (or an empty object); one of another type raises TypeError.
+
+
+def _copied(field: str) -> Callable[[dict], dict]:
+    return lambda doc: {**doc.get(field, {})}  # `{**x}` refuses all but an object
+
+
+def _typed(value, types: tuple[type, ...], strings: tuple[str, ...] = ()):
+    """`value` if it is None, of one of `types` exactly (so a bool is no int) or one of `strings`."""
+    if value is not None and type(value) not in types and value not in strings:
+        raise TypeError(f"unexpected {type(value).__name__}")
+    return value
+
+
+def _bound_terms(doc: dict) -> dict:
+    # each a number, or the string `_json_real` writes for one past the float range
+    return {key: _typed(doc.get(key), (int, float), ("inf", "-inf", "nan")) for key in _BOUND_TERMS}
 
 
 def _verification(doc: dict) -> dict:
     rep = doc.get("report", {})
     rows = rep.get("rows", [])
-    return {"any_violation": rep.get("any_violation"), "rows": len(rows),
-            "violations": [r for r in rows if r.get("violation")]}
-
-
-# Each artifact kind's key in the summary, and what the summary keeps of it;
-# `{**field}` copies an object and raises TypeError for anything else.
-_SUMMARY = {
-    "hclass": ("hclass", lambda doc: {**doc.get("report", {})}),
-    "constants": ("constants", lambda doc: {**doc.get("report", {})}),
-    "fn-bound": ("fn_bound", lambda doc: {k: doc.get(k) for k in ("bound", "gauss_term", "poly_term")}),
-    "fn-verify": ("verification", _verification),
-    "lil-sim": ("simulation", lambda doc: {**doc.get("limsup", {})}),
-}
+    return {"any_violation": _typed(rep.get("any_violation"), (bool,)), "rows": len(rows),
+            "violations": [r for r in rows if _typed(r.get("violation"), (bool,))]}
 
 
 def _exec_report(spec: dict) -> tuple[dict, dict, int]:
@@ -319,11 +333,14 @@ def _exec_report(spec: dict) -> tuple[dict, dict, int]:
     if not os.path.isdir(run_dir):
         raise SpecError(f"run directory not found: {run_dir}", {"run_dir": run_dir}, code="io_error")
     present, missing, summary = [], [], {}
-    for kind, (key, keep) in _SUMMARY.items():
-        path = os.path.join(run_dir, SPECS[kind].artifact)
-        if not os.path.exists(path):
-            missing.append(SPECS[kind].artifact)
+    for kind, row in SPECS.items():
+        if not row.summary:
             continue
+        path = os.path.join(run_dir, row.artifact)
+        if not os.path.exists(path):
+            missing.append(row.artifact)
+            continue
+        key, keep = row.summary
         try:
             summary[key] = keep(_read_json(path, "artifact"))
             present.append(kind)
@@ -382,27 +399,27 @@ print("plots written to", run_dir)
 # One row per kind; its keys follow `_COMMON`, in flag order.
 SPECS = {
     "hclass": Kind("slow-variation class membership", _exec_hclass, "hclass.json", {
-        "h": Key(str), "q": Key(float, 0.0), "tol": Key(float, 0.02),
-    }),
+        "h": Key(str, required=True), "q": Key(float, 0.0), "tol": Key(float, 0.02),
+    }, summary=("hclass", _copied("report"))),
     "constants": Kind("limit constants report", _exec_constants, "constants.json", {
-        "h": Key(str), "H": Key(str, "const:1"), "space": Key(str, "1,2"), "dist": Key(str),
+        "h": Key(str, required=True), "H": Key(str, "const:1"), "space": Key(str, "1,2"), "dist": Key(str),
         "c_seq": Key(str), "tol": Key(float, 0.02), "trials": Key(int, 0),
-    }),
+    }, summary=("constants", _copied("report"))),
     "fn-bound": Kind("evaluate the mixed tail bound once", _exec_fn_bound, "fn_bound.json", {
-        "delta": Key(float, 1.0), "eta": Key(float, 1.0), "s": Key(float, 3.0), "t": Key(float),
+        "delta": Key(float, 1.0), "eta": Key(float, 1.0), "s": Key(float, 3.0), "t": Key(float, required=True),
         "lambda_n": Key(float, 0.0), "n": Key(int, 1), "moment_s": Key(float, 0.0),
         "mean_norm": Key(float, 0.0), "m_bound": Key(float, 0.0),
-    }),
+    }, summary=("fn_bound", _bound_terms)),
     "fn-verify": Kind("Monte Carlo falsification harness", _exec_fn_verify, "verify.json", {
         "dist": Key(str, "rademacher:dim=5"), "space": Key(str, "5,inf"), "n": Key(int, 200),
         "trials": Key(int, 10000), "t_grid": Key(str, help="lo:hi:points, geometric"),
         "delta": Key(float, 1.0), "eta": Key(float, 1.0), "s": Key(float, 3.0), "kr_points": Key(int, 10),
-    }, csv=True),
+    }, csv="verify.csv", summary=("verification", _verification)),
     "lil-sim": Kind("normalized partial-sum paths", _exec_lil_sim, "sim.json", {
         "dist": Key(str, "gauss:dim=1,var=1"), "space": Key(str, "1,2"), "h": Key(str, "2*(LL)^1"),
         "N": Key(int, 100000), "trials": Key(int, 50), "tail_fraction": Key(float, 0.5),
         "ratio": Key(float, 1.3),
-    }, csv=True),
+    }, csv="sim_paths.csv", summary=("simulation", _copied("limsup"))),
     # the summary is written into the run directory, not --out
     "report": Kind("merge run artifacts into a summary", _exec_report, "summary.json", {
         "run_dir": Key(str, positional=True),
@@ -440,7 +457,12 @@ def execute(spec: dict) -> int:
     made = _missing_dirs(spec["out"])
     os.makedirs(spec["out"], exist_ok=True)
     try:
+        for key, k in row.keys.items():
+            if k.required and spec[key] in (None, ""):
+                raise SpecError(f"{spec['kind']} needs --{key.replace('_', '-')}")
         body, extra_files, code = row.execute(spec)
+        if row.csv:  # the run handed back its table, rendered only when asked for
+            extra_files = {row.csv: extra_files.to_csv_text()} if spec["format"] == "csv" else {}
         artifact.update(body)
         # Serialised before any file is opened: a NaN or inf that reached
         # the document fails here and leaves no partial artifact behind.
@@ -499,6 +521,9 @@ def _read_json(path: str, what: str):
 
 def _execute_file(spec_file: str, overrides: dict) -> int:
     """`execute` on the spec (or the artifact's spec) in `spec_file`, `overrides` on top."""
+    if "spec" in overrides:  # `run FILE --spec OTHER`: which spec was meant is not known
+        raise SpecError("run takes its spec from FILE alone, not also from --spec",
+                        {"spec_file": spec_file, "spec": overrides["spec"]})
     raw = _read_json(spec_file, "spec")
     if isinstance(raw, dict) and "resolved_spec" in raw:
         _note_stream_change(raw.get("provenance"))
@@ -538,10 +563,10 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = vars(_build_parser().parse_args(argv))
     kind = args.pop("kind")
-    spec_file = args.pop("spec", None)
-    if kind == "run":
+    if kind == "run":  # a --spec is left among the overrides, which `_execute_file` refuses
         spec_file = args.pop("spec_file")
     else:
+        spec_file = args.pop("spec")
         args["kind"] = kind
     overrides = {k: v for k, v in args.items() if v is not None}
     return run(spec_file, overrides) if spec_file else _guarded(execute, overrides)

@@ -395,6 +395,15 @@ class TestArtifacts:
             "epsilon", "D", "K_s", "C_prime", "C_dprime", "C", "rho_formula",
         }
 
+    @pytest.mark.parametrize("argv, artifact", [
+        (["fn-verify", "--dist", "rademacher:dim=2", "--space", "2,inf", "--n", "30", "--trials", "200"],
+         "verify.json"),
+        (["lil-sim", "--N", "400", "--trials", "3"], "sim.json"),
+    ])
+    def test_json_format_writes_no_csv_file(self, tmp_path, argv, artifact):
+        assert cli.main([*argv, "--format", "json", "--out", str(tmp_path)]) == 0
+        assert [p.name for p in tmp_path.iterdir()] == [artifact]
+
     def test_sim_csv_side_file(self, tmp_path):
         rc = cli.main([
             "lil-sim", "--dist", "gauss:dim=1,var=1", "--space", "1,2",
@@ -476,7 +485,14 @@ class TestArtifacts:
         ("constants.json", '{"report": [1, 2]}', "artifact is not the JSON object a constants run writes"),
         ("hclass.json", '{"report": "hclass"}', "artifact is not the JSON object a hclass run writes"),
         ("sim.json", '{"limsup": null}', "artifact is not the JSON object a lil-sim run writes"),
-    ], ids=["truncated", "a-list", "rows-not-a-list", "report-a-list", "report-a-string", "limsup-null"])
+        ("verify.json", '{"report": {"rows": [], "any_violation": [1]}}',
+         "artifact is not the JSON object a fn-verify run writes"),
+        ("verify.json", '{"report": {"rows": [{"violation": "yes"}], "any_violation": false}}',
+         "artifact is not the JSON object a fn-verify run writes"),
+        ("fn_bound.json", '{"bound": "x"}', "artifact is not the JSON object a fn-bound run writes"),
+        ("fn_bound.json", '{"bound": 1.0, "gauss_term": [1]}', "artifact is not the JSON object a fn-bound run writes"),
+    ], ids=["truncated", "a-list", "rows-not-a-list", "report-a-list", "report-a-string", "limsup-null",
+            "any-violation-a-list", "row-violation-a-string", "bound-a-string", "gauss-term-a-list"])
     def test_report_names_a_bad_artifact(self, tmp_path, capsys, name, text, message):
         cli.execute({"kind": "hclass", "h": "2*(LL)^1", "out": str(tmp_path)})
         (tmp_path / name).write_text(text)
@@ -486,6 +502,23 @@ class TestArtifacts:
         assert err["code"] == "invalid_spec" and err["message"].startswith(message)
         assert err["context"] == {"path": str(tmp_path / name)}
         assert not (tmp_path / "summary.json").exists()
+
+    def test_report_keeps_absent_and_non_finite_scalars(self, tmp_path):
+        (tmp_path / "fn_bound.json").write_text('{"bound": "inf", "poly_term": -2}')
+        (tmp_path / "verify.json").write_text('{"report": {"rows": [{"violation": true}, {}]}}')
+        assert cli.main(["report", str(tmp_path)]) == 0
+        doc = json.loads((tmp_path / "summary.json").read_text())
+        assert doc["fn_bound"] == {"bound": "inf", "gauss_term": None, "poly_term": -2}
+        assert doc["verification"] == {"any_violation": None, "rows": 2, "violations": [{"violation": True}]}
+
+    def test_report_round_trip_is_byte_identical(self, tmp_path):
+        for argv in (["hclass", "--h", "2*(LL)^1"], ["fn-bound", "--t", "10"]):
+            assert cli.main([*argv, "--out", str(tmp_path)]) == 0
+        assert cli.main(["report", str(tmp_path)]) == 0
+        path = tmp_path / "summary.json"
+        first = path.read_bytes()
+        assert cli.main(["run", str(path)]) == 0
+        assert path.read_bytes() == first
 
     def test_report_empty_dir(self, tmp_path, capsys):
         rc = cli.main(["report", str(tmp_path)])
@@ -823,6 +856,9 @@ class TestExitCodes:
           "--space", "1,2", "--trials", "30"], {}, "invalid_spec", {},
          "c_n = pow:2,1e+300 is not finite at checkpoint n = 16383, so no checkpoint ratio can be formed"),
         (["hclass", "--h", "2*(LL)^1", "--tol", "-1"], {}, "invalid_spec", {}, "tol must be nonnegative, got -1"),
+        (["constants", "--H", "const:1"], {}, "invalid_spec", {}, "constants needs --h"),
+        (["fn-bound", "--n", "10"], {}, "invalid_spec", {}, "fn-bound needs --t"),
+        (["hclass", "--h", ""], {}, "invalid_spec", {}, "hclass needs --h"),
         *((argv + ["--format", "csv"], {}, "invalid_spec", {"format": "csv"},
            "format 'csv' is written only by fn-verify and lil-sim") for argv in (
             ["hclass", "--h", "2*(LL)^1"], ["constants", "--h", "2*(LL)^1"], ["fn-bound", "--t", "5"], ["report"])),
@@ -830,7 +866,7 @@ class TestExitCodes:
             "out-below-a-file", "workers-0", "workers-negative",
             "env-workers-0", "env-workers-not-a-number", "constants-trials-below-30", "constants-trials-negative",
             "constants-trials-without-a-law", "fn-verify-kr-points-negative", "constants-beta0-c-n-overflows",
-            "hclass-tol-negative",
+            "hclass-tol-negative", "constants-without-h", "fn-bound-without-t", "hclass-empty-h",
             "hclass-csv", "constants-csv", "fn-bound-csv", "report-csv"])
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_failure_is_exit_2_one_json_line_and_no_artifact(self, tmp_path, monkeypatch, capfd,
@@ -849,6 +885,28 @@ class TestExitCodes:
         assert doc["code"] == code and message in doc["message"]
         assert doc["context"] == {k: v.format(tmp=tmp_path) if isinstance(v, str) else v for k, v in context.items()}
         assert [p.name for p in tmp_path.iterdir()] == ["file"]
+
+    def test_run_of_a_spec_without_a_required_key_is_exit_2(self, tmp_path, capfd):
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps({"kind": "hclass", "q": 0.5, "out": str(tmp_path / "runs")}))
+        assert cli.main(["run", str(spec)]) == 2
+        err = capfd.readouterr().err
+        assert json.loads(err) == {"code": "invalid_spec", "message": "hclass needs --h", "context": {}}
+        assert [p.name for p in tmp_path.iterdir()] == ["spec.json"]
+
+    def test_run_refuses_a_second_spec_file(self, tmp_path, capfd):
+        # which of the two specs was meant is not known, so neither runs
+        files = []
+        for name, h in (("a.json", "2*(LL)^1"), ("b.json", "(LL)^2")):
+            files.append(str(tmp_path / name))
+            (tmp_path / name).write_text(json.dumps({"kind": "hclass", "h": h}))
+        assert cli.main(["run", files[0], "--spec", files[1], "--out", str(tmp_path / "c")]) == 2
+        err = capfd.readouterr().err
+        assert len(err.splitlines()) == 1
+        doc = json.loads(err)
+        assert doc["code"] == "invalid_spec"
+        assert doc["context"] == {"spec_file": files[0], "spec": files[1]}
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["a.json", "b.json"]
 
     @pytest.mark.parametrize("how", ["main", "run"])
     def test_unexpected_exception_is_an_internal_error(self, tmp_path, monkeypatch, capfd, how):
@@ -1019,3 +1077,5 @@ def test_cli_import_leaves_the_process_pool_out(tmp_path):
     # two chunks per pass at two workers: one forked child
     assert not loaded("fn-verify", "--trials", "2048", "--n", "50", "--workers", "2") & {
         "multiprocessing", "concurrent.futures"}
+    # the summary readers live in `SPECS` and import nothing
+    assert {m for m in loaded("report", str(tmp_path)) if m.split(".")[0] == "lil_lab"} == {"lil_lab", "lil_lab.cli"}
