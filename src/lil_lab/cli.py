@@ -33,7 +33,8 @@ line on stderr; `_guarded` is the one place that writes it.  The codes:
 
     invalid_spec       a bad input, or one past the float range:
                        `--workers 0`, `--t 1e400`, a partial sum that
-                       overflows (`--dist rademacher:scales=1e307`)
+                       overflows (`--dist rademacher:scales=1e307`),
+                       a flag the parser cannot read (`--q abc`)
     io_error           a file that cannot be read or written; `context`
                        names the path (`--out` below a regular file)
     missing_artifacts  `report` on a directory with no artifact in it
@@ -537,10 +538,18 @@ def run(spec_file: str, overrides: dict | None = None) -> int:
     return _guarded(_execute_file, spec_file, {k: v for k, v in (overrides or {}).items() if v is not None})
 
 
+class _Parser(argparse.ArgumentParser):
+    """A parser whose usage errors are SpecErrors, so `_guarded` writes them
+    as the one JSON line; its subparsers are of this class too."""
+
+    def error(self, message: str):
+        raise SpecError(message)
+
+
 @functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     # Built once per process: parsing reads the parser but never changes it.
-    parser = argparse.ArgumentParser(prog="lil-lab", description=__doc__.splitlines()[0])
+    parser = _Parser(prog="lil-lab", description=__doc__.splitlines()[0])
     subs = parser.add_subparsers(dest="kind", required=True)
     spec_flag = Key(str, help="spec or artifact JSON to load; flags override")
 
@@ -560,7 +569,7 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def main(argv=None) -> int:
+def _execute_argv(argv) -> int:
     args = vars(_build_parser().parse_args(argv))
     kind = args.pop("kind")
     if kind == "run":  # a --spec is left among the overrides, which `_execute_file` refuses
@@ -569,7 +578,11 @@ def main(argv=None) -> int:
         spec_file = args.pop("spec")
         args["kind"] = kind
     overrides = {k: v for k, v in args.items() if v is not None}
-    return run(spec_file, overrides) if spec_file else _guarded(execute, overrides)
+    return _execute_file(spec_file, overrides) if spec_file else execute(overrides)
+
+
+def main(argv=None) -> int:
+    return _guarded(_execute_argv, argv)
 
 
 if __name__ == "__main__":

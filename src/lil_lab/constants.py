@@ -435,8 +435,13 @@ def _ratio_args(h: SlowVaryFn) -> np.ndarray:
 def lil_ratio_check(h: SlowVaryFn, H_fn) -> RatioCurve:
     """Cross-check curve LLn * H(a_n / LLn) / h(n), whose limsup is lambda^2/2."""
     hv = H_values(H_fn, _ratio_args(h))
-    with np.errstate(over="ignore"):  # inf is the float answer, as in `hq_classify`
-        values = _LLX * hv / h(DEFAULT_X_GRID)
+    hx = h(DEFAULT_X_GRID)
+    # inf is the float answer, as in `hq_classify`, but where H or h(x) is
+    # past the float range the point is taken in logs, as in `lambda_compute`
+    far = np.isinf(hv) | np.isinf(hx)
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        values = _LLX * hv / hx
+        values[far] = np.exp(np.log(_LLX[far]) + np.log(hv[far]) - h.log_value(DEFAULT_X_GRID[far]))
     return RatioCurve(values, float(np.max(values[-_X_TAIL:])), float(values[-1]))
 
 

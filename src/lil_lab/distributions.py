@@ -26,7 +26,7 @@ import math
 import numpy as np
 
 from .slowvary import _fmt, _split_top
-from .spaces import SpaceSpec, norm
+from .spaces import SpaceSpec, _sym_psd, norm
 
 _SCALAR = SpaceSpec(1, 2.0)
 
@@ -51,7 +51,9 @@ class Gaussian:
     """Centered Gaussian with a given covariance.
 
     `cov` may be a scalar variance, a vector of per-coordinate variances,
-    or a full covariance matrix; it must be symmetric PSD.
+    or a full covariance matrix.  It goes through `spaces`' one covariance
+    check, which refuses a non-finite entry, an asymmetric or an indefinite
+    matrix.
     """
 
     def __init__(self, cov):
@@ -60,18 +62,13 @@ class Gaussian:
             arr = np.diag(arr)
         if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
             raise ValueError("covariance must be scalar, vector, or square matrix")
-        sym = 0.5 * (arr + arr.T)
-        if not np.allclose(arr, sym, rtol=1e-9, atol=1e-12):
-            raise ValueError("covariance must be symmetric")
-        # Cholesky with a diagonal nudge covers the strictly-PSD case and
-        # rejects indefinite input; semidefinite input falls back to an
-        # eigen square root.
+        sym = _sym_psd(arr, "covariance")[0]
+        # Cholesky covers the strictly-PSD case; semidefinite input falls
+        # back to an eigen square root.
         try:
             self._root = np.linalg.cholesky(sym)
         except np.linalg.LinAlgError:
             w, v = np.linalg.eigh(sym)
-            if w.min() < -1e-10 * max(1.0, w.max()):
-                raise ValueError("covariance is not positive semidefinite") from None
             self._root = v * np.sqrt(np.clip(w, 0.0, None))
         # A diagonal root with every entry > 0 scales z in place, with the
         # matmul's bits; a zero entry keeps the matmul, whose sum gives
@@ -211,11 +208,13 @@ class RadialPareto:
         return self.a > 2
 
     def sample(self, rng: np.random.Generator, n: int) -> np.ndarray:
-        r = rng.random(n) ** (-1.0 / self.a)
-        g = rng.standard_normal((n, self.dim))
-        u = g / np.linalg.norm(g, axis=1, keepdims=True)
-        eps = rng.integers(0, 2, size=n) * 2 - 1
-        return self.scale * (r * eps)[:, None] * u
+        # a draw past the float range is inf, which the reducers' `finite_sums` refuses
+        with np.errstate(over="ignore", divide="ignore"):
+            r = rng.random(n) ** (-1.0 / self.a)
+            g = rng.standard_normal((n, self.dim))
+            u = g / np.linalg.norm(g, axis=1, keepdims=True)
+            eps = rng.integers(0, 2, size=n) * 2 - 1
+            return self.scale * (r * eps)[:, None] * u
 
     def norm_bound(self, space: SpaceSpec) -> float:
         return math.inf
@@ -253,6 +252,8 @@ class PointMass:
 
     def __init__(self, vector):
         self.vector = np.atleast_1d(np.asarray(vector, dtype=float))
+        if not np.all(np.isfinite(self.vector)):
+            raise ValueError("point must be a finite vector")
         self.dim = self.vector.size
 
     finite_second_moment = True
@@ -371,7 +372,7 @@ def parse_dist(text: str):
             else:
                 dim = int(take("dim", "1"))
                 var = float(take("var", "1"))
-                made = Gaussian(var * np.eye(dim))
+                made = Gaussian(np.full(dim, var))
         elif name == "rademacher":
             if "scales" in pairs:
                 made = RademacherProduct(_vec(take("scales")))

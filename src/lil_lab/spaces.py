@@ -21,10 +21,14 @@ largest entry, so a huge finite vector keeps a finite norm.  A row's
 norm does not depend on the rows batched with it, so no caller picks a
 kernel for the bits of another.
 
+`_sym_psd` is the one covariance check, here and in
+`distributions.Gaussian`: it refuses a non-finite entry, an asymmetric
+or an indefinite matrix, and returns the symmetrised copy and its
+eigenvalues.
+
 `dual_ball_sup` also takes a (k, d, d) stack and returns k suprema, each
-bit for bit the one-matrix result: every matrix is still checked for
-symmetry and PSD on its own, and one batched eigendecomposition serves
-the stack.
+bit for bit the one-matrix result: every matrix is still checked on its
+own, and one batched eigendecomposition serves the stack.
 
 The two H sources that rest on a law live here, each evaluating a whole
 grid in one `values(ts)` call: `DistTSM` (analytic) from a law's
@@ -119,25 +123,30 @@ def _square(matrix: np.ndarray, what: str) -> np.ndarray:
     return m
 
 
-def _validated_sym(matrix: np.ndarray, what: str) -> np.ndarray:
-    """Symmetrised copy of one square matrix or of each matrix in a (k, d, d) stack."""
+def _sym_psd(matrix: np.ndarray, what: str) -> tuple[np.ndarray, np.ndarray]:
+    """The one covariance check: one square matrix or a (k, d, d) stack,
+    refused unless every entry is finite and each matrix is symmetric and
+    positive semidefinite; returns the symmetrised copy and its eigenvalues.
+
+    Halves are summed, so an entry near the float max cannot overflow, and
+    an entry equal to its transpose keeps its bits.
+    """
     m = _square(matrix, what)
-    mt = np.swapaxes(m, -1, -2)
+    if not np.isfinite(m).all():
+        raise ValueError(f"{what} has an entry that is not finite")
+    half = 0.5 * m
+    half_t = np.swapaxes(half, -1, -2)
     scale = np.fmax(1.0, np.abs(m).max(axis=(-2, -1), initial=0.0))
-    if np.any(np.abs(m - mt).max(axis=(-2, -1), initial=0.0) > 1e-9 * scale):
+    if np.any(np.abs(half - half_t).max(axis=(-2, -1), initial=0.0) > 0.5e-9 * scale):
         raise ValueError(f"{what} is not symmetric")
-    return 0.5 * (m + mt)
-
-
-def _check_psd(sym: np.ndarray, what: str) -> np.ndarray:
-    """Eigenvalues of a symmetric matrix (or a stack), rejecting non-PSD input."""
+    sym = np.where(m == np.swapaxes(m, -1, -2), m, half + half_t)
     eig = np.linalg.eigvalsh(sym)
     if eig.shape[-1]:
         low = np.atleast_1d(eig[..., 0])
         bad = low < -PSD_TOL * np.fmax(1.0, np.atleast_1d(eig[..., -1]))
         if bad.any():
             raise ValueError(f"{what} is not positive semidefinite (min eigenvalue {low[bad][0]:.3e})")
-    return eig
+    return sym, eig
 
 
 @dataclass(frozen=True, eq=False)
@@ -155,9 +164,7 @@ class TruncatedCov:
     def __post_init__(self) -> None:
         if np.ndim(self.matrix) != 2:
             raise ValueError(f"truncated covariance must be one matrix, got shape {np.shape(self.matrix)}")
-        sym = _validated_sym(self.matrix, "truncated covariance")
-        _check_psd(sym, "truncated covariance")
-        object.__setattr__(self, "matrix", sym)
+        object.__setattr__(self, "matrix", _sym_psd(self.matrix, "truncated covariance")[0])
         if not (self.threshold >= 0):
             raise ValueError("threshold must be nonnegative")
         if self.sample_count < 0:
@@ -181,14 +188,14 @@ def dual_ball_sup(cov: TruncatedCov | np.ndarray, space: SpaceSpec):
     length-k array whose entries equal the one-matrix results bit for
     bit.  Every matrix of a stack is checked on its own, and one batched
     eigendecomposition serves them all.  A matrix with an infinite
-    diagonal entry gives inf, unchecked.
+    diagonal entry gives inf, unchecked; any other non-finite entry is
+    refused.
     """
-    checked = isinstance(cov, TruncatedCov)
-    m = cov.matrix if checked else _square(cov, "matrix")
+    m = _square(cov.matrix if isinstance(cov, TruncatedCov) else cov, "matrix")
     if m.shape[-1] != space.dim:
         raise ValueError(f"matrix dim {m.shape[-1]} does not match space dim {space.dim}")
     # an infinite variance makes the supremum inf (f = e_j is in every dual
-    # ball); such a matrix skips the checks below, which would take inf - inf
+    # ball); such a matrix skips the check below, which refuses a non-finite entry
     infinite = (np.diagonal(m, axis1=-2, axis2=-1) == math.inf).any(axis=-1)
     if infinite.any():
         if m.ndim == 2:
@@ -196,9 +203,7 @@ def dual_ball_sup(cov: TruncatedCov | np.ndarray, space: SpaceSpec):
         sup = np.full(len(m), math.inf)
         sup[~infinite] = dual_ball_sup(m[~infinite], space)
         return sup
-    if not checked:
-        m = _validated_sym(m, "matrix")
-    eig = _check_psd(m, "matrix")
+    m, eig = _sym_psd(m, "matrix")
     p = space.norm_p
     if p == 2.0:
         sup = eig[..., -1]

@@ -1,6 +1,7 @@
 """Sample laws: moments, truncation formulas, and the text grammar."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -57,6 +58,20 @@ class TestGaussian:
         # z * 0.0 would keep the sign of a negative z as -0.0
         x = Gaussian([0.0, 2.0]).sample(np.random.default_rng(7), 1000)
         assert np.all(x[:, 0].view(np.uint64) == 0)
+
+    @pytest.mark.parametrize("text", ["gauss:dim=2,var=1e+308", "gauss:dim=1,var=5e-324",
+                                      "gauss:cov=1e+308;1e+308/1e+308;1e+308"])
+    def test_extreme_covariance_keeps_its_entries(self, text):
+        # halves are summed, so 1e308 does not overflow, and an entry equal to
+        # its transpose is kept whole, so a subnormal variance is not halved to 0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert parse_dist(text).describe() == text
+
+    @pytest.mark.parametrize("cov", [[math.inf, 1.0], [[1.0, math.nan], [math.nan, 1.0]]])
+    def test_rejects_a_non_finite_entry(self, cov):
+        with pytest.raises(ValueError, match="covariance has an entry that is not finite"):
+            Gaussian(cov)
 
     def test_rejects_indefinite_covariance(self):
         with pytest.raises(ValueError):
@@ -135,6 +150,16 @@ class TestRadialPareto:
         emp = kept.T @ kept / len(x)
         np.testing.assert_allclose(dist.truncated_cov(t, space), emp, atol=0.02)
 
+    def test_draw_past_the_float_range_is_inf_without_a_warning(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            huge = RadialPareto(2.5, 3, 1e308).sample(np.random.default_rng(10), 200)
+        assert np.isinf(huge).any()
+        # a scale of 1 draws the same R, U and signs: each finite draw is that one times 1e308
+        unit = RadialPareto(2.5, 3, 1.0).sample(np.random.default_rng(10), 200)
+        finite = np.isfinite(huge)
+        np.testing.assert_allclose(huge[finite] / 1e308, unit[finite], rtol=1e-15)
+
     def test_centering_depends_on_tail_index(self):
         assert RadialPareto(1.5, 1).is_centered
         assert not RadialPareto(0.9, 1).is_centered
@@ -149,6 +174,11 @@ class TestPointMassAndEmbedding:
     def test_point_mass_centering(self):
         assert PointMass(np.zeros(2)).is_centered
         assert not PointMass(np.array([0.0, 1.0])).is_centered
+
+    @pytest.mark.parametrize("text", ["point:v=nan", "point:v=1;inf", "embed:dim=2,axis=0,inner=(point:v=nan)"])
+    def test_point_mass_refuses_a_non_finite_entry(self, text):
+        with pytest.raises(ValueError, match="point must be a finite vector"):
+            parse_dist(text)
 
     def test_bounded_and_gaussian_laws_have_a_second_moment(self):
         for dist in (Gaussian(1.0), RademacherProduct(np.ones(2)), PointMass(np.ones(2)),

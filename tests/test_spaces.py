@@ -110,6 +110,12 @@ class TestTruncatedCov:
         with pytest.raises(ValueError):
             TruncatedCov(np.array([[1.0, 0.0], [0.0, -1.0]]), 1.0)
 
+    def test_entry_near_the_float_max_keeps_its_bits(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            cov = TruncatedCov(np.array([[1e308]]), 1.0)
+        assert cov.matrix[0, 0] == 1e308
+
     def test_empirical_matches_hand_count(self):
         space = SpaceSpec(2, 2.0)
         draws = np.array([[1.0, 0.0], [0.0, 2.0], [3.0, 3.0]])
@@ -164,6 +170,17 @@ class TestDualBallSup:
         assert dual_ball_sup(cov, SpaceSpec(4, math.inf)) == pytest.approx(1.0)
         # l1 primal: the dual cube vertex sums all coordinates
         assert dual_ball_sup(cov, SpaceSpec(4, 1.0)) == pytest.approx(4.0)
+
+    @pytest.mark.parametrize("p", [1.0, 2.0, math.inf])
+    def test_entry_near_the_float_max_does_not_overflow(self, p):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert dual_ball_sup(np.array([[1e308]]), SpaceSpec(1, p)) == 1e308
+
+    @pytest.mark.parametrize("p", [1.0, 2.0, math.inf])
+    def test_nan_entry_is_refused(self, p):
+        with pytest.raises(ValueError, match="has an entry that is not finite"):
+            dual_ball_sup(np.array([[1.0, math.nan], [math.nan, 1.0]]), SpaceSpec(2, p))
 
 
 def _gram_with_repeat(a: np.ndarray) -> np.ndarray:
