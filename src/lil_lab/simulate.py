@@ -64,6 +64,9 @@ TILE = 16384
 #: Increments per chunk of block-streamed trials (see map_trials).
 LONG_CHUNK = CHUNK * TILE
 
+#: Steps per `c_seq.values` call when the truncated twin builds a block's levels.
+LEVEL_SLICE = 8192
+
 
 def stream_trials(dist, n: int, seed: int, purpose: int, lo: int, hi: int, reducer):
     """Feed trials [lo, hi) of n steps each through `reducer`; return its result.
@@ -255,8 +258,9 @@ class _PilotMoments:
                 # the step axis is innermost: numpy sums it pairwise
                 self.sums[rows] += x.sum(axis=1)
             else:
-                # the same step-by-step folds, each over a contiguous (b, d) row
-                self.sums[rows] += np.ascontiguousarray(x.transpose(1, 0, 2)).sum(axis=0)
+                # the same step-by-step folds, each over a contiguous (d, b) row;
+                # a 2-D transpose is the cheaper copy
+                self.sums[rows] += np.ascontiguousarray(x.reshape(b, m * d).T).reshape(m, d, b).sum(axis=0).T
             finite_sums(self.sums[rows], s0 + m)
             # folded inside the stack: one (b, d, d) temporary, and m2 owns its memory
             self.m2 = fold(np.matmul(x.transpose(0, 2, 1), x), self.m2)[-1].copy()
@@ -390,11 +394,16 @@ class TruncatedTwin:
 
     S_n - S'_n is the partial sum of the dropped draws, which alone go to
     a `CheckpointNorms` of the twin's own; a tile that drops nothing only
-    reads its checkpoints off the carry.  The truncation levels of a
-    block are evaluated once per chunk.  The result is the norms of
+    reads its checkpoints off the carry.  The result is the norms of
     S_n - S'_n at the checkpoints, which `truncated_path` divides by c_n,
     then the last dropped step, the drop count and the normalized gap
     beyond the last drop, one per trial.
+
+    The truncation levels of a block are evaluated once per chunk,
+    LEVEL_SLICE steps per `c_seq.values` call into one block-length array,
+    so psi's temporaries stay a slice long; a level depends on its step
+    alone, so it keeps its bits however the block is sliced.  Per block
+    the twin holds the tile, one block of levels and one of norms.
     """
 
     def __init__(self, space: SpaceSpec, c_seq, points):
@@ -411,15 +420,19 @@ class TruncatedTwin:
 
     def levels(self, s0: int, m: int) -> np.ndarray:
         if self._span != (s0, m):
-            self._span = (s0, m)
-            self._levels = self.c_seq.values(np.arange(s0 + 1, s0 + m + 1, dtype=float))
+            self._span, self._levels = (s0, m), None  # free the last block's levels first
+            self._levels = np.empty(m)
+            for i in range(0, m, LEVEL_SLICE):
+                steps = np.arange(s0 + i + 1, s0 + min(m, i + LEVEL_SLICE) + 1, dtype=float)
+                self._levels[i : i + steps.size] = self.c_seq.values(steps)
         return self._levels
 
     def tile(self, x: np.ndarray, k0: int, s0: int) -> None:
         b, m, d = x.shape
         k1 = k0 + b
+        levels = self.levels(s0, m)  # before the norms, so their temporaries never meet
         # ~(<=), not >, so that a NaN norm counts as a dropped draw
-        cut = ~(norms(x.reshape(-1, d), self.space).reshape(b, m) <= self.levels(s0, m))
+        cut = ~(norms(x.reshape(-1, d), self.space).reshape(b, m) <= levels)
         cuts = cut.sum(axis=1)
         self.count[k0:k1] += cuts
         if cuts.any():

@@ -106,7 +106,8 @@ def _unsquared(arr: np.ndarray) -> np.ndarray:
     whose squares cannot overflow.  Every finite norm keeps its bits, and
     a result with no inf costs one isfinite more."""
     with np.errstate(over="ignore"):  # a norm past the float range stays inf
-        out = np.sqrt(np.einsum("ij,ij->i", arr, arr))
+        out = np.einsum("ij,ij->i", arr, arr)
+        np.sqrt(out, out=out)  # in place: one array, not two
         if np.isfinite(out).all():
             return out
         redo = np.isinf(out) & np.isfinite(arr).all(axis=1)

@@ -1,11 +1,13 @@
 """Streaming partial-sum paths, truncated twins, and mean-norm curves."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from lil_lab import simulate
+from lil_lab.bounds import BoundParams, mc_verify
 from lil_lab.distributions import Gaussian, PointMass, RadialPareto
 from lil_lab.simulate import (
     BLOCK,
@@ -292,6 +294,52 @@ class TestLongPathChunks:
         with pytest.raises(ArithmeticError, match="overflowed near step 65536"):
             run_path(PointMass(np.array([1e305])), SpaceSpec(1, 2.0), parse_slow_vary("2*(LL)^1"), cfg,
                      workers=2)
+
+
+class TestBoundedMemory:
+    """A block-streamed path holds a few block-sized arrays, whatever N is."""
+
+    @pytest.mark.parametrize("run", [
+        lambda dist, space, cfg: truncated_path(dist, space, parse_cseq("psi:2*(LL)^1"), cfg),
+        lambda dist, space, cfg: run_path(dist, space, parse_slow_vary("2*(LL)^1"), cfg),
+    ], ids=["truncated_path", "run_path"])
+    @pytest.mark.parametrize("d", [1, 3])
+    def test_path_peak(self, run, d):
+        cfg = PathConfig(N=2 * BLOCK + 1, seed=9, trials=2)
+        dist = Gaussian(1.0) if d == 1 else Gaussian(np.ones(d))
+        assert self.peak_blocks(lambda: run(dist, SpaceSpec(d, 2.0), cfg), d) <= 4
+
+    def test_mc_verify_peak(self):
+        params = BoundParams(eta=1.0, delta=1.0, s=3.0)
+        verify = lambda n: mc_verify(Gaussian(1.0), SpaceSpec(1, 2.0), n=n, trials=100,
+                                     t_grid=np.array([3.0]), params=params, workers=1)
+        # a short run warms up the same modules in a fraction of the time
+        assert self.peak_blocks(lambda: verify(BLOCK + 1), 1, warm=lambda: verify(200)) <= 4
+
+    @staticmethod
+    def peak_blocks(run, d: int, warm=None) -> float:
+        """The tracemalloc peak of `run` after a first call of `warm` (or of
+        `run`), in arrays of BLOCK x d floats."""
+        (warm or run)()  # loads modules and fills caches, which the peak should not count
+        tracemalloc.start()
+        try:
+            run()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        return peak / (BLOCK * d * 8)
+
+    @pytest.mark.parametrize("spec", ["psi:2*(LL)^1", "pow:0.7"])
+    @pytest.mark.parametrize("step", [8192, 4096, 1000])
+    def test_sliced_levels_have_the_bits_of_one_call(self, monkeypatch, spec, step):
+        monkeypatch.setattr(simulate, "LEVEL_SLICE", step)
+        c_seq = parse_cseq(spec)
+        twin = TruncatedTwin(SpaceSpec(1, 2.0), c_seq, (1,))
+        twin.start(1, 1)
+        # a whole block, then a last block that is no whole number of slices
+        for s0, m in ((BLOCK, BLOCK), (2 * BLOCK, 12345)):
+            want = c_seq.values(np.arange(s0 + 1, s0 + m + 1, dtype=float))
+            np.testing.assert_array_equal(twin.levels(s0, m), want)
 
 
 class TestLimsupEstimate:

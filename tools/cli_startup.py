@@ -1,9 +1,15 @@
-"""Time one-shot `lil-lab` subcommands in fresh processes and list the
-`lil_lab` modules each one loads.
+"""Time one-shot `lil-lab` subcommands in fresh processes, take their
+peak RSS, and list the `lil_lab` modules each one loads.
 
 Each subcommand runs in N fresh `python -m lil_lab.cli` processes with
 `src` first on PYTHONPATH, writing into a scratch directory; a run is
-timed from spawn to exit.  One untimed run before them lists the
+timed from spawn to exit, and its peak RSS is the `ru_maxrss` of the
+rusage that `os.wait4` returns for it.  That figure is the larger of the
+process's own peak and the peak of its largest waited-for child, never
+their sum.  So for `fn-verify-w2`, whose second stripe runs in a forked
+child, `peak_mb` is whichever of the two peaked higher, while the
+benchmark's `peak_rss_mb` adds the child's peak to its parent's; the two
+figures differ for that row.  One untimed run before them lists the
 modules in `sys.modules` at exit (the CLI module itself runs as
 `__main__` and is not listed); where the environment lets Python write
 bytecode, that run also fills the cache.
@@ -11,7 +17,8 @@ bytecode, that run also fills the cache.
     python3 tools/cli_startup.py                 # every subcommand, 9 runs each
     python3 tools/cli_startup.py --runs 1 hclass # one subcommand, one run
 
-One row per subcommand: the median wall milliseconds, then the modules.
+One row per subcommand: the median wall milliseconds, the median peak
+RSS in MB, then the modules.
 """
 
 import argparse
@@ -34,6 +41,8 @@ SUBCOMMANDS = {
     # four chunks over the caller and one forked child: the cost of starting workers
     "fn-verify-w2": ["fn-verify", "--trials", "2048", "--n", "50", "--workers", "2"],
     "lil-sim": ["lil-sim", "--N", "1000", "--trials", "50", "--workers", "1"],
+    # paths longer than one block: streamed block by block in the caller
+    "lil-sim-long": ["lil-sim", "--N", "200000", "--trials", "4", "--workers", "1"],
 }
 
 # Runs the CLI as `-m` does and, at exit, prints the lil_lab modules loaded.
@@ -44,8 +53,9 @@ _LIST_MODULES = (
 )
 
 
-def measure(args: list[str], runs: int) -> tuple[float, list[str]]:
-    """(median wall ms over `runs` fresh processes, `lil_lab` modules imported) of one subcommand."""
+def measure(args: list[str], runs: int) -> tuple[float, float, list[str]]:
+    """(median wall ms and median peak RSS in MB over `runs` fresh processes,
+    `lil_lab` modules imported) of one subcommand."""
     src = str(ROOT / "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     with tempfile.TemporaryDirectory() as out:
@@ -53,13 +63,18 @@ def measure(args: list[str], runs: int) -> tuple[float, list[str]]:
         listed = subprocess.run([sys.executable, "-c", _LIST_MODULES, *args], env=env, cwd=out,
                                 stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True, check=True)
         modules = listed.stderr.splitlines()[-1].split()
-        walls = []
+        walls, peaks = [], []
         for _ in range(runs):
             start = time.perf_counter()
-            subprocess.run([sys.executable, "-m", "lil_lab.cli", *args], env=env, cwd=out,
-                           stdout=subprocess.DEVNULL, check=True)
+            proc = subprocess.Popen([sys.executable, "-m", "lil_lab.cli", *args], env=env, cwd=out,
+                                    stdout=subprocess.DEVNULL)
+            _, status, usage = os.wait4(proc.pid, 0)
             walls.append((time.perf_counter() - start) * 1e3)
-    return statistics.median(walls), modules
+            proc.returncode = os.waitstatus_to_exitcode(status)
+            if proc.returncode:
+                raise subprocess.CalledProcessError(proc.returncode, proc.args)
+            peaks.append(usage.ru_maxrss / 1024)  # KiB on Linux
+    return statistics.median(walls), statistics.median(peaks), modules
 
 
 def main(argv=None) -> int:
@@ -72,10 +87,10 @@ def main(argv=None) -> int:
     unknown = [name for name in args.names if name not in SUBCOMMANDS]
     if unknown:
         ap.error(f"unknown subcommand {unknown[0]!r}; choose from {', '.join(SUBCOMMANDS)}")
-    print(f"{'subcommand':<12}{'median_ms':>10}  modules")
+    print(f"{'subcommand':<14}{'median_ms':>10}{'peak_mb':>9}  modules")
     for name in args.names or SUBCOMMANDS:
-        ms, modules = measure(SUBCOMMANDS[name], args.runs)
-        print(f"{name:<12}{ms:>10.1f}  {' '.join(modules)}")
+        ms, mb, modules = measure(SUBCOMMANDS[name], args.runs)
+        print(f"{name:<14}{ms:>10.1f}{mb:>9.1f}  {' '.join(modules)}")
     return 0
 
 
