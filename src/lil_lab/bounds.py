@@ -20,13 +20,12 @@ other reducer, and `mc_verify` imports the sampler (`simulate`, `rng`,
 """
 from __future__ import annotations
 
-import io
 import math
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .slowvary import _json_fields, _json_real
+from .slowvary import _csv_text, _json_fields, _json_real
 
 
 @dataclass(frozen=True)
@@ -285,12 +284,8 @@ class VerifyReport:
         )
 
     def to_csv_text(self) -> str:
-        buf = io.StringIO()
-        buf.write(f"# seed={self.seed} n={self.n} trials={self.trials}\n")
-        buf.write("kind,x,p_hat,se,bound,violation\n")
-        for r in self.rows:
-            buf.write(f"{r.kind},{r.x:.10g},{r.p_hat:.10g},{r.se:.10g},{r.bound:.10g},{int(r.violation)}\n")
-        return buf.getvalue()
+        rows = ((r.kind, r.x, r.p_hat, r.se, r.bound, int(r.violation)) for r in self.rows)
+        return _csv_text("kind,x,p_hat,se,bound,violation", rows, seed=self.seed, n=self.n, trials=self.trials)
 
 
 def mc_verify(

@@ -45,10 +45,10 @@ evaluates its grid in one `H_values` call, which also accepts a plain
 callable t -> H(t) and rejects a negative H; a bracket search builds its
 probe grid once and each probe only rescales the exponents.  The
 analytic and empirical sources (`DistTSM`, `EmpiricalTSM`) live in
-`lil_lab.spaces`.  The report's `verdict_diagnostics` name the route
-(`h_route`), the sample behind an empirical H (`h_samples`,
-`h_max_norm`) and, per stage, the share of the grid past the sample
-range (`h_extrapolated_frac`).
+`lil_lab.spaces` and share one grid pipeline there.  The report's
+`verdict_diagnostics` name the route (`h_route`), the sample behind an
+empirical H (`h_samples`, `h_max_norm`) and, per stage, the share of
+the grid past the sample range (`h_extrapolated_frac`).
 """
 from __future__ import annotations
 
@@ -133,7 +133,8 @@ def _classify_exponents(x: np.ndarray, c: float) -> SeriesVerdict:
     says the tail terms vanish; NaN probes, where H = 0 yet H(inf) > 0,
     say nothing, so a grid of them has too few probes to decide.  A
     first-window slope at the rounding level of the exponents is flat, so
-    constant exponents read no acceleration."""
+    constant exponents read no acceleration.  A fit that is not finite
+    (exponents past the float range) decides nothing."""
     probe = DEFAULT_PROBE
     w = max(4, int(math.ceil(probe.window_frac * x.size)))
     finite = np.isfinite(x)
@@ -144,7 +145,10 @@ def _classify_exponents(x: np.ndarray, c: float) -> SeriesVerdict:
     if x.size <= 4:  # the earlier window would hold no probe
         return SeriesVerdict(INCONCLUSIVE, math.nan, 0.0, c, "fewer than 5 probes with H > 0")
     lo1, lo2, fit1, fit2 = _window_fits(start, x.size)
-    s1, s2 = _ols_slope(fit1, x[lo1:lo2]), _ols_slope(fit2, x[lo2:])
+    with np.errstate(over="ignore", invalid="ignore"):  # a fit past the float range is not finite
+        s1, s2 = _ols_slope(fit1, x[lo1:lo2]), _ols_slope(fit2, x[lo2:])
+    if not (math.isfinite(s1) and math.isfinite(s2)):
+        return SeriesVerdict(INCONCLUSIVE, math.nan, 0.0, c, "exponents past the float range")
     accel = s2 / s1 - 1.0 if abs(s1) > 1e-12 * np.abs(x[lo1:]).max() else 0.0
     if accel >= probe.trend_tol:
         return SeriesVerdict(CONVERGES, s2, accel, c, "exponent growth is super-logarithmic")
@@ -490,10 +494,11 @@ def sigma_compute(H_fn) -> SigmaResult:
     value at the cap is converged when each of the last three doublings
     moved H by at most 1e-6 relative.  Otherwise it is compared against
     the value at sqrt(1e30): growth above 5% across that half of the log
-    range is taken as divergence and reported as +inf.  H(inf) is read in
-    the same call, off the grid: when H is still 0 at the cap but H(inf)
-    > 0, the law starts past the walk and sigma^2 is H(inf), not
-    converged.  The whole grid is evaluated in one `H_values` call, so a
+    range is taken as divergence and reported as +inf, unless H(inf) is
+    finite.  H(inf) is read in the same call, off the grid: when H is
+    still 0 at the cap but H(inf) > 0, or still growing there but H(inf)
+    is finite, the law's scale lies past the walk and sigma^2 is H(inf),
+    not converged.  The whole grid is evaluated in one `H_values` call, so a
     negative H raises ValueError.
     """
     *walk, mid, h_inf = H_values(H_fn, np.append(_SIGMA_GRID, math.inf)).tolist()
@@ -508,6 +513,8 @@ def sigma_compute(H_fn) -> SigmaResult:
     if settled >= 3:
         return SigmaResult(cap, True)
     if mid > 0 and cap / mid >= 1.05:
+        if h_inf < math.inf:
+            return SigmaResult(h_inf, False, "still growing at the cap 2^100; sigma^2 is H(inf)")
         return SigmaResult(math.inf, False, "still growing at the cap; reported infinite")
     return SigmaResult(cap, False, "cap reached before the increment test settled")
 
@@ -521,7 +528,9 @@ def sigma_compute(H_fn) -> SigmaResult:
 # from: "model" (a formula chosen by hand, defined here), "analytic" (a
 # closed-form truncated covariance, `spaces.DistTSM`) or "empirical" (a
 # frozen sample, `spaces.EmpiricalTSM`; such sources also carry
-# `n_samples`, `max_norm` and an `extrapolated(ts)` mask).
+# `n_samples`, `max_norm` and an `extrapolated(ts)` mask).  The analytic
+# and empirical sources differ only in their `matrices`: both take H on a
+# grid through the one pipeline of `spaces`.
 # ---------------------------------------------------------------------------
 
 

@@ -52,7 +52,7 @@ import numpy as np
 
 from . import rng as _rng
 from ._pool import CHUNK, chunk_ranges, map_chunks
-from .slowvary import NormalizerSeq, SlowVaryFn
+from .slowvary import NormalizerSeq, SlowVaryFn, _csv_text
 from .spaces import SpaceSpec, norms
 
 #: Steps generated per streaming block.
@@ -335,11 +335,8 @@ class PathResult:
     seed: int
 
     def to_csv_text(self) -> str:
-        lines = [f"# seed={self.seed}", "trial,n,ratio"]
-        for t in range(self.ratios.shape[0]):
-            for j, n in enumerate(self.checkpoints):
-                lines.append(f"{t},{n},{self.ratios[t, j]:.10g}")
-        return "\n".join(lines) + "\n"
+        rows = ((t, n, ratio) for t, row in enumerate(self.ratios) for n, ratio in zip(self.checkpoints, row))
+        return _csv_text("trial,n,ratio", rows, seed=self.seed)
 
 
 def _checkpoint_grid(points) -> tuple[int, ...]:
@@ -503,10 +500,8 @@ class MeanNormCurve:
     seed: int
 
     def to_csv_text(self) -> str:
-        lines = [f"# seed={self.seed} trials={self.trials}", "n,mean,ci_lo,ci_hi"]
-        for j, n in enumerate(self.n_grid):
-            lines.append(f"{n},{self.mean[j]:.10g},{self.ci_lo[j]:.10g},{self.ci_hi[j]:.10g}")
-        return "\n".join(lines) + "\n"
+        rows = zip(self.n_grid, self.mean, self.ci_lo, self.ci_hi)
+        return _csv_text("n,mean,ci_lo,ci_hi", rows, seed=self.seed, trials=self.trials)
 
 
 def mean_norm_curve(dist, space: SpaceSpec, c_seq, n_grid, trials: int, seed: int = 0, workers: int = 1) -> MeanNormCurve:

@@ -68,6 +68,14 @@ def _json_fields(obj, drop=(), **named) -> dict:
     return {**{k: v for k, v in vars(obj).items() if k not in drop}, **named}
 
 
+def _csv_text(header: str, rows, **meta) -> str:
+    """A CSV side file: a `# key=value` line of `meta`, the `header`, then
+    one comma-joined line per row, a float cell written as `.10g`."""
+    lines = ["# " + " ".join(f"{k}={v}" for k, v in meta.items()), header]
+    lines += (",".join(f"{v:.10g}" if isinstance(v, float) else str(v) for v in row) for row in rows)
+    return "\n".join(lines) + "\n"
+
+
 @dataclass(frozen=True)
 class SlowVaryFn:
     """A slowly varying function in product normal form.

@@ -30,10 +30,13 @@ eigenvalues.
 bit for bit the one-matrix result: every matrix is still checked on its
 own, and one batched eigendecomposition serves the stack.
 
-The two H sources that rest on a law live here, each evaluating a whole
-grid in one `values(ts)` call: `DistTSM` (analytic) from a law's
-closed-form truncated covariance, and `EmpiricalTSM` from a frozen
-sample, one supremum per distinct sample prefix.
+The two H sources that rest on a law live here: `DistTSM` (analytic),
+whose `matrices` are a law's closed-form truncated covariances, and
+`EmpiricalTSM`, whose `matrices` are prefix sums of a frozen sample
+sorted by norm.  Both evaluate a whole grid in one `values(ts)` call
+through one pipeline, `_on_grid`: the matrices at the distinct t, one
+stacked `dual_ball_sup` over the distinct matrices, scattered back onto
+the grid.  `trunc_cov_empirical` is a sample's `matrices` at one t.
 `truncated_second_moment` reads one point through them;
 `constants.parse_tsm` picks between them.
 """
@@ -173,12 +176,10 @@ class TruncatedCov:
 
 
 def trunc_cov_empirical(samples: np.ndarray, t: float, space: SpaceSpec) -> TruncatedCov:
-    """(1/N) sum x x^T 1{||x|| <= t}, read off `EmpiricalTSM`'s prefix sums."""
+    """(1/N) sum x x^T 1{||x|| <= t}: `EmpiricalTSM.matrices` at one t."""
     arr = np.asarray(samples, dtype=float)
     tsm = EmpiricalTSM(arr[None, :] if arr.ndim == 1 else arr, space)
-    k = int(np.searchsorted(tsm._norms, t, side="right"))
-    m = tsm._prefix[k - 1] / tsm.n_samples if k else np.zeros((space.dim, space.dim))
-    return TruncatedCov(matrix=m, threshold=float(t), sample_count=tsm.n_samples)
+    return TruncatedCov(matrix=tsm.matrices(t), threshold=float(t), sample_count=tsm.n_samples)
 
 
 def dual_ball_sup(cov: TruncatedCov | np.ndarray, space: SpaceSpec):
@@ -255,12 +256,20 @@ def _distinct(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return a[first], which
 
 
+def _on_grid(source, ts) -> np.ndarray:
+    """The one H pipeline, an H source's `values`: its `matrices` at the
+    distinct t of the 1-D grid `ts`, one stacked dual-ball supremum over
+    the distinct matrices, scattered back onto the grid."""
+    t_set, t_which = _distinct(np.asarray(ts, dtype=float))
+    m_set, m_which = _distinct(source.matrices(t_set))
+    return dual_ball_sup(m_set, source.space)[m_which][t_which]
+
+
 class DistTSM:
     """Analytic source: H from a law's closed-form truncated covariance.
 
-    `values` makes one grid `truncated_cov` call over the distinct t and
-    takes one stacked dual-ball supremum over the distinct matrices.  A
-    law with no closed form is refused, never replaced by a sample.
+    Its `matrices` are one grid `truncated_cov` call.  A law with no
+    closed form is refused, never replaced by a sample.
     """
 
     route = "analytic"
@@ -272,24 +281,25 @@ class DistTSM:
         self.dist = dist
         self.space = space
 
-    def values(self, ts) -> np.ndarray:
-        t_set, t_which = _distinct(np.asarray(ts, dtype=float))
-        m_set, m_which = _distinct(self.dist.truncated_cov(t_set, self.space))
-        return dual_ball_sup(m_set, self.space)[m_which][t_which]
+    def matrices(self, ts) -> np.ndarray:
+        """The truncated covariance at t, or the (k, d, d) stack at a 1-D grid of t."""
+        return self.dist.truncated_cov(ts, self.space)
 
+    values = _on_grid
     __call__ = _at_point
 
 
 class EmpiricalTSM:
     """Truncated weak second moment from a frozen sample set.
 
-    Samples are sorted by norm once.  `values(ts)` evaluates a whole grid
-    with one `searchsorted` and one dual-ball supremum per distinct
-    sample prefix, so all grid points past the largest sample norm share
-    a single evaluation.  Beyond that norm the function is frozen at its
-    final value and `extrapolated(ts)` is True there, so series probes
-    that run past the observed range see a constant tail rather than
-    silent garbage.
+    Samples are sorted by norm once.  Its `matrices` at t are the prefix
+    sum of the outer products of the samples with norm <= t, over N: one
+    `searchsorted` for a whole grid, and the zero matrix below the
+    smallest norm.  All grid points past the largest sample norm share
+    one matrix, so one supremum.  Beyond that norm the function is frozen
+    at its final value and `extrapolated(ts)` is True there, so series
+    probes that run past the observed range see a constant tail rather
+    than silent garbage.
     """
 
     route = "empirical"
@@ -301,30 +311,28 @@ class EmpiricalTSM:
         if arr.shape[0] == 0:
             raise ValueError("need at least one sample")
         self.space = space
-        order = np.argsort(norms(arr, space), kind="stable")
-        self._sorted = arr[order]
-        self._norms = norms(self._sorted, space)
+        sample_norms = norms(arr, space)
+        order = np.argsort(sample_norms, kind="stable")
+        self._norms = sample_norms[order]
         self.max_norm = float(self._norms[-1])
         self.n_samples = arr.shape[0]
-        # Prefix sums of outer products, exactly symmetric; N * d^2 floats, fine
-        # at the sample sizes this is used with (<= a few 1e4 samples, d <= 20).
-        outer = np.einsum("ni,nj->nij", self._sorted, self._sorted)
-        self._prefix = np.cumsum(outer, axis=0)
+        # _prefix[k] sums the outer products of the k smallest samples, exactly
+        # symmetric; _prefix[0] is the zero matrix.  The sums start from the
+        # first product, not from 0 + it, which would turn a -0.0 into +0.0.
+        # (N + 1) d^2 floats, fine at the sample sizes this is used with
+        # (<= a few 1e4 samples, d <= 20).
+        self._prefix = np.zeros((self.n_samples + 1, space.dim, space.dim))
+        np.cumsum(np.einsum("ni,nj->nij", arr[order], arr[order]), axis=0, out=self._prefix[1:])
 
     def extrapolated(self, ts):
         """True where t lies past the largest sample norm (elementwise)."""
         return np.asarray(ts, dtype=float) > self.max_norm
 
-    def values(self, ts) -> np.ndarray:
-        """tsm at every point of the 1-D grid `ts`."""
-        ks = np.searchsorted(self._norms, np.asarray(ts, dtype=float), side="right")
-        distinct, which = np.unique(ks, return_inverse=True)
-        out = np.zeros(distinct.shape)
-        kept = distinct > 0
-        if kept.any():
-            out[kept] = dual_ball_sup(self._prefix[distinct[kept] - 1] / self.n_samples, self.space)
-        return out[which]
+    def matrices(self, ts) -> np.ndarray:
+        """The truncated covariance at t, or the (k, d, d) stack at a 1-D grid of t."""
+        return self._prefix[np.searchsorted(self._norms, ts, side="right")] / self.n_samples
 
+    values = _on_grid
     __call__ = _at_point
 
 

@@ -22,6 +22,8 @@ _ROWS = {
     # H = inf and h(x) = inf at the same points: the ratio is taken in logs there
     "ratio-tail-past-float-range": (["constants", "--h", "(L)^1e3", "--H", "dist", "--dist", "point:v=1e200",
                                      "--space", "1,2"], 0, None),
+    # the series exponents pass the float range near c0: those probes fit nothing and say INCONCLUSIVE
+    "h-exponents-past-float-range": (["constants", "--h", "1e300*(LL)^0.1", "--H", "const:1"], 0, None),
     "pareto-draws-overflow": (["fn-verify", "--dist", "pareto:a=2.5,dim=3,scale=1e308", "--space", "3,inf",
                                "--n", "50", "--trials", "100"], 2, "partial sum overflowed near step 50"),
     "argparse-value-like-a-flag": (["hclass", "--h", "-1*(LL)^1"], 2, "argument --h: expected one argument"),
@@ -77,6 +79,16 @@ def test_ratio_tail_past_the_float_range_is_inf(tmp_path):
     assert cli.main([*argv, "--out", str(tmp_path)]) == 0
     report = json.loads((tmp_path / "constants.json").read_text())["report"]
     assert report["verdict_diagnostics"]["ratio_tail_max"] == "inf"
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_exponents_past_the_float_range_keep_the_c0_bracket(tmp_path):
+    argv, _, _ = _ROWS["h-exponents-past-float-range"]
+    assert cli.main([*argv, "--out", str(tmp_path)]) == 0
+    report = json.loads((tmp_path / "constants.json").read_text())["report"]
+    c0 = report["verdict_diagnostics"]["c0"]
+    assert (report["c0_lo"], report["c0_hi"]) == (17660.375, 17660.390625)
+    assert (c0["lo_verdict"], c0["hi_verdict"]) == ("INCONCLUSIVE", "CONVERGES")
 
 
 def test_help_still_prints_usage_and_exits_0(capsys):

@@ -303,6 +303,13 @@ class TestSigma:
         assert math.isinf(res.sigma2)
         assert "cap" in res.note
 
+    @pytest.mark.parametrize("var", [1e80, 1e308])
+    def test_a_law_whose_scale_is_past_the_walk_reads_h_at_inf(self, var):
+        # H grows like t^3 / sd all the way up the walk (t <= 2^100 << sd), and
+        # H(inf) is the variance: still growing is not divergence here
+        res = sigma_compute(DistTSM(Gaussian(var), SpaceSpec(1, 2.0)))
+        assert res == SigmaResult(var, False, "still growing at the cap 2^100; sigma^2 is H(inf)")
+
     def test_slow_growth_below_the_divergence_test_reads_the_cap(self):
         # (LLt)^0.1 grows 1.6% across the last half of the log range
         res = sigma_compute(LogLogPowTSM(0.1))
@@ -478,7 +485,7 @@ def _pointwise(H, t: float) -> float:
         k = int(np.searchsorted(H._norms, t, side="right"))
         if k == 0:
             return 0.0
-        m = H._prefix[k - 1] / H.n_samples
+        m = H._prefix[k] / H.n_samples
         return dual_ball_sup(0.5 * (m + m.T), H.space)
     if isinstance(H, DistTSM):
         return dual_ball_sup(H.dist.truncated_cov(float(t), H.space), H.space)

@@ -1,6 +1,7 @@
 """Sample laws: moments, truncation formulas, and the text grammar."""
 
 import math
+import sys
 import warnings
 
 import numpy as np
@@ -9,6 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from lil_lab.distributions import (
+    GAUSS_SERIES_U,
     Gaussian,
     PointMass,
     RadialPareto,
@@ -39,14 +41,28 @@ class TestGaussian:
             se = float(np.std(kept)) / math.sqrt(len(x))
             assert analytic == pytest.approx(float(np.mean(kept)), abs=4 * se)
 
+    def test_small_u_series_is_continuous_at_the_switch(self):
+        dist, space = Gaussian(1.0), SpaceSpec(1, 2.0)
+        below = float(dist.truncated_cov(np.nextafter(GAUSS_SERIES_U, 0.0), space)[0, 0])
+        at = float(dist.truncated_cov(GAUSS_SERIES_U, space)[0, 0])
+        assert below == pytest.approx(at, rel=3e-12)
+
+    @pytest.mark.parametrize("var", [1.0, 1e-6, 1e300])
+    def test_small_u_keeps_h_positive(self, var):
+        # the closed form cancels to 0 at u = t / sd = 1e-8; the series does not
+        u = 1e-8
+        got = float(Gaussian(var).truncated_cov(u * math.sqrt(var), SpaceSpec(1, 2.0))[0, 0])
+        assert got > 0 and got == pytest.approx(var * math.sqrt(2 / math.pi) * u**3 / 3, rel=1e-12)
+
     def test_truncated_second_moment_saturates_at_variance(self):
         dist = Gaussian(2.5)
         space = SpaceSpec(1, 2.0)
         assert float(dist.truncated_cov(100.0, space)[0, 0]) == pytest.approx(2.5, rel=1e-9)
 
     @pytest.mark.parametrize("cov", [
-        1.0, 2.5, [0.5, 3.0, 7.0],              # diagonal root > 0: scaled in place
-        0.0, [0.0, 2.0], [[2.0, 0.5], [0.5, 1.0]],  # matmul
+        1.0, [1.0, 1.0, 1.0],                      # identity root: the matmul is skipped
+        2.5, [0.5, 3.0, 7.0], [1e-3, 7.0], [4.0] * 6,  # diagonal roots
+        0.0, [0.0, 2.0], [[2.0, 0.5], [0.5, 1.0]],
     ])
     def test_sample_has_the_bits_of_the_matmul(self, cov):
         dist = Gaussian(cov)
@@ -238,8 +254,7 @@ class TestParseGrammar:
     @settings(max_examples=60, deadline=None)
     @given(
         kind=st.sampled_from(["rademacher", "diag", "cov", "point"]),
-        # at most 1e307, so that the symmetrised covariance 0.5 (A + A^T) does not overflow
-        values=st.lists(st.floats(min_value=5e-324, max_value=1e307), min_size=3, max_size=3),
+        values=st.lists(st.floats(min_value=5e-324, max_value=sys.float_info.max), min_size=3, max_size=3),
         r=st.floats(min_value=0.0, max_value=0.9),
     )
     def test_describe_round_trips_bit_for_bit(self, kind, values, r):

@@ -253,6 +253,25 @@ class TestEmpiricalTSM:
         # frozen at the last value beyond the sample range
         assert tsm(10 * tsm.max_norm) == pytest.approx(tsm(tsm.max_norm))
 
+    @settings(max_examples=60, deadline=None)
+    @given(
+        # every entry at least 0.5 away from 0, so the smallest norm is positive;
+        # a few fixed values make ties between sample norms likely
+        rows=st.integers(1, 3).flatmap(lambda d: hnp.arrays(float, st.tuples(st.integers(1, 12), st.just(d)),
+            elements=st.sampled_from([-2.0, -0.5, 1.0, 3.0]) | st.floats(0.5, 100.0) | st.floats(-100.0, -0.5))),
+        p=st.sampled_from([1.0, 2.0, math.inf]),
+    )
+    def test_values_are_the_sup_of_the_truncated_covariance(self, rows, p):
+        """One pipeline for every t: below the smallest norm (where H is
+        +0.0), at each sample norm and past the largest."""
+        space = SpaceSpec(rows.shape[1], p)
+        sample_norms = norms(rows, space)
+        ts = np.concatenate([[0.0, sample_norms.min() / 2], sample_norms, [2 * sample_norms.max()]])
+        got = EmpiricalTSM(rows, space).values(ts)
+        want = [dual_ball_sup(trunc_cov_empirical(rows, t, space), space) for t in ts]
+        assert got.tobytes() == np.array(want).tobytes()
+        assert got[:2].tobytes() == np.zeros(2).tobytes()
+
     def test_dispatcher_accepts_samples_and_analytic_sources(self):
         rng = np.random.default_rng(10)
         draws = rng.normal(size=(400, 2))
