@@ -121,12 +121,13 @@ def parse_space(text: str) -> SpaceSpec:
 
 
 def parse_grid(text: str) -> np.ndarray:
+    """The `t_grid` text 'lo:hi:points': points geometric steps from lo to hi."""
     bits = text.split(":")
     if len(bits) != 3:
-        raise SpecError(f"grid must be 'lo:hi:points', got {text!r}")
+        raise SpecError(f"grid must be 'lo:hi:points', got {text!r}", {"t_grid": text})
     lo, hi, k = float(bits[0]), float(bits[1]), int(bits[2])
-    if not (0 < lo < hi and k >= 2):
-        raise SpecError(f"grid needs 0 < lo < hi and points >= 2, got {text!r}")
+    if not (0 < lo < hi < math.inf and k >= 2):
+        raise SpecError(f"grid needs 0 < lo < hi < inf and points >= 2, got {text!r}", {"t_grid": text})
     return np.geomspace(lo, hi, k)
 
 

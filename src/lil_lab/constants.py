@@ -608,9 +608,12 @@ def parse_tsm(text: str, dist=None, space=None, n_samples: int = 4096, seed: int
         raise ValueError(f"H source {form!r} needs a distribution and a space")
     if form == "dist" and dist.truncated_cov(1.0, space) is not None:
         return DistTSM(dist, space)
+    count = int(count or n_samples)
+    if count < 1:
+        raise ValueError("an empirical H needs at least one sample")
     from .rng import H_SAMPLE, substream
 
-    return EmpiricalWrapTSM(dist.sample(substream(seed, H_SAMPLE), int(count or n_samples)), space)
+    return EmpiricalWrapTSM(dist.sample(substream(seed, H_SAMPLE), count), space)
 
 
 # ---------------------------------------------------------------------------

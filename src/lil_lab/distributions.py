@@ -242,8 +242,9 @@ class RadialPareto:
                     m2 = self.a / (2.0 - self.a) * (r ** (2.0 - self.a) - 1.0)
                 except OverflowError:  # only for a < 2, where a / (2 - a) > 0: inf is the float answer
                     m2 = math.inf
-            # scale * scale is inf past the float range, and H stays 0 where m2 is
-            coef.append(self.scale * self.scale * m2 / self.dim if m2 else 0.0)
+            # scale * scale is inf past the float range and 0 below it, so an
+            # infinite m2 is an infinite coefficient whatever the scale; H stays 0 where m2 is
+            coef.append(math.inf if m2 == math.inf else self.scale * self.scale * m2 / self.dim if m2 else 0.0)
         # the diagonals written into zeros: inf * np.eye would put NaN off the diagonal
         cov = np.zeros((len(coef), self.dim, self.dim))
         diag = np.arange(self.dim)

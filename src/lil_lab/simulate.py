@@ -21,16 +21,18 @@ bits.
 
 Random streams are version 3 (`lil-lab-stream-v3`, SFC64 seeded from a
 SHA-256 hash; see `rng`): the unit of a stream is a fixed group of
-consecutive trials.  A path of at most BLOCK steps belongs to a group
-of G(n) trials, G(n) being the largest power of two <= max(1, TILE // n),
-capped at the chunk size; group g draws all its G(n) * n steps in one
-sample call from the substream (seed, purpose, g) and is one tile.  Every
-longer path, whichever estimator asks for it, has a group of one and
-streams in blocks of BLOCK steps with O(d) carried state, so N in the
-millions is fine.  G depends only on the path length, never on the
-worker count, the chunking or the number of trials, and a group that is
-cut short by the last trial or a chunk edge still draws in full, so a
-trial's draws are the same whatever else runs.
+consecutive trials, and `rng.substream(seed, purpose, g)` makes group
+g's stream.  A path of at most BLOCK steps belongs to a group of G(n)
+trials, G(n) being the largest power of two <= max(1, TILE // n), capped
+at the chunk size; every longer path, whichever estimator asks for it,
+has a group of one.  `stream_trials` has one loop for both: block by
+block of at most BLOCK steps, each group draws all its trials' steps of
+the block in one sample call, so a short path's group is one tile and a
+long path streams with O(d) carried state, so N in the millions is
+fine.  G depends only on the path length, never on the worker count,
+the chunking or the number of trials, and a group that is cut short by
+the last trial or a chunk edge still draws in full, so a trial's draws
+are the same whatever else runs.
 
 `map_trials` cuts the trials into chunks whose size depends only on the
 path length and runs them in `workers` stripes: the caller runs one, and
@@ -71,15 +73,17 @@ LEVEL_SLICE = 8192
 def stream_trials(dist, n: int, seed: int, purpose: int, lo: int, hi: int, reducer):
     """Feed trials [lo, hi) of n steps each through `reducer`; return its result.
 
-    When one sample call of BLOCK steps covers the path, trials come in
-    groups of G = `group_size(n)`: group g makes one call of G * n draws
-    on substream (seed, purpose, g), which is the (G, n, dim) tile of
-    trials gG, ..., gG + G - 1.  A group that reaches past either end of
-    [lo, hi) is drawn whole and only its trials in range are kept.
-    Otherwise every trial t is its own group, keeps its own generator on
-    substream (seed, purpose, t) and runs block by block: the chunk's
-    trials get one (1, BLOCK, dim) tile each, in trial order, before any
-    trial gets its next block.  BLOCK is read at call time.
+    Trials come in stream groups of G trials, G = `group_size(n)` when
+    one sample call of BLOCK steps covers the path and 1 otherwise;
+    BLOCK is read at call time.  Group g draws from `rng.substream(seed,
+    purpose, g)`, made once per chunk.  The path runs in blocks of at
+    most BLOCK steps: in each block, every group of the chunk in turn
+    makes one sample call of G * m draws, the (G, m, dim) tile of trials
+    gG, ..., gG + G - 1 at the block's m steps, and hands over its
+    trials in [lo, hi); a group that reaches past either end of [lo, hi)
+    is drawn whole.  So a path of at most BLOCK steps is one tile per
+    group, and a longer path gives every trial of the chunk its block,
+    in trial order, before any trial gets its next.
 
     A reducer has `start(trials, dim)`, which resets its state,
     `tile(x, k0, s0)` for the draws of chunk trials k0, k0 + 1, ... at
@@ -90,21 +94,17 @@ def stream_trials(dist, n: int, seed: int, purpose: int, lo: int, hi: int, reduc
     shallow copy of `reducer`, so chunks running at once on threads share
     no state and the reducer passed in is left as it was.
     """
-    streams = _rng.TrialStreams(seed, purpose)
+    size = group_size(n) if n <= BLOCK else 1
+    groups = range(lo // size, -(-hi // size))
+    gens = [_rng.substream(seed, purpose, g) for g in groups]
     reducer = copy.copy(reducer)
     reducer.start(hi - lo, dist.dim)
-    if n <= BLOCK:
-        size = group_size(n)
-        for g in range(lo // size, -(-hi // size)):
-            x = dist.sample(streams.reused(g), size * n).reshape(size, n, dist.dim)
+    for s0 in range(0, n, BLOCK):
+        m = min(BLOCK, n - s0)
+        for g, gen in zip(groups, gens):
             t0, t1 = max(lo, g * size), min(hi, (g + 1) * size)
-            reducer.tile(x[t0 - g * size : t1 - g * size], t0 - lo, 0)
-    else:
-        gens = [streams.fresh(t) for t in range(lo, hi)]
-        for s0 in range(0, n, BLOCK):
-            m = min(BLOCK, n - s0)
-            for k, gen in enumerate(gens):
-                reducer.tile(dist.sample(gen, m)[None], k, s0)
+            reducer.tile(dist.sample(gen, size * m).reshape(size, m, dist.dim)[t0 - g * size : t1 - g * size],
+                         t0 - lo, s0)
     return reducer.result()
 
 

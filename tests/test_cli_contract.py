@@ -33,6 +33,13 @@ _ROWS = {
     "embedded-point-nan": (["constants", "--h", "2*(LL)^1", "--H", "dist", "--dist",
                             "embed:dim=2,axis=0,inner=(point:v=nan)", "--space", "2,2"],
                            2, "point must be a finite vector"),
+    # scale * scale underflows to 0 while m2 is inf at t = inf: H is inf there, not 0 * inf = NaN
+    "pareto-scale-1e-300": (["constants", "--h", "2*(LL)^1", "--H", "dist", "--dist", "pareto:a=2,dim=1,scale=1e-300",
+                             "--space", "1,2"], 0, None),
+    "t-grid-inf": (["fn-verify", "--n", "5", "--trials", "100", "--t-grid", "1:inf:3"],
+                   2, "grid needs 0 < lo < hi < inf and points >= 2, got '1:inf:3'"),
+    "empirical-count-negative": (["constants", "--h", "2*(LL)^1", "--H", "empirical:-5", "--dist", "gauss:dim=1,var=1"],
+                                 2, "an empirical H needs at least one sample"),
 }
 
 

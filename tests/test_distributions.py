@@ -18,7 +18,7 @@ from lil_lab.distributions import (
     ScalarEmbedded,
     parse_dist,
 )
-from lil_lab.rng import MAIN, TrialStreams, substream
+from lil_lab.rng import MAIN, substream
 from lil_lab.spaces import SpaceSpec, norms
 
 
@@ -122,7 +122,7 @@ class TestRademacherProduct:
     def test_sample_is_the_int8_sign_rule(self, seed, index, scales, calls):
         # the signs of an int8 integers draw, read from the stream's 32-bit words
         dist = RademacherProduct(np.array(scales))
-        gen = TrialStreams(seed, MAIN).reused(index)
+        gen = substream(seed, MAIN, index)
         ref = substream(seed, MAIN, index)
         for n, pairs in calls:
             want = (ref.integers(0, 2, size=(n, dist.dim), dtype=np.int8) * 2 - 1) * dist.scales

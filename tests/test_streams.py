@@ -318,18 +318,31 @@ def test_trial_count_does_not_change_a_trial():
     assert np.array_equal(ratios(100), ratios(1100)[:100])
 
 
-def test_mc_verify_samples_a_group_per_call():
+@pytest.mark.parametrize("block, trials, groups, rows", [
+    # two passes of 20480 trials in 320 groups of 64 paths of 200 steps
+    (BLOCK, 20480, 320, [64 * 200] * 640),
+    # two passes of 100 trials, each its own group, in blocks of 150 and 50 steps
+    (150, 100, 100, ([150] * 100 + [50] * 100) * 2),
+], ids=["grouped", "block-streamed"])
+def test_mc_verify_samples_a_group_per_call(block, trials, groups, rows, monkeypatch):
+    # and makes each group's generator once, through rng.substream alone
+    monkeypatch.setattr(simulate, "BLOCK", block)
     dist = RademacherProduct(np.ones(5))
-    sample, rows = dist.sample, []
+    sample, substream, got, keys = dist.sample, rng.substream, [], []
 
     def counted(gen, n):
-        rows.append(n)
+        got.append(n)
         return sample(gen, n)
 
+    def keyed(*key):
+        keys.append(key)
+        return substream(*key)
+
     dist.sample = counted
-    mc_verify(dist, SpaceSpec(5, INF), 200, 20480, [10.0, 40.0], PARAMS, seed=3, kr_points=2)
-    # two passes of 20480 trials in groups of 64 paths of 200 steps
-    assert rows == [64 * 200] * 640
+    monkeypatch.setattr(rng, "substream", keyed)
+    mc_verify(dist, SpaceSpec(5, INF), 200, trials, [10.0, 40.0], PARAMS, seed=3, kr_points=2)
+    assert got == rows
+    assert keys == [(3, purpose, g) for purpose in (rng.PILOT, rng.MAIN) for g in range(groups)]
 
 
 @pytest.mark.parametrize("dist, space", [
@@ -389,17 +402,6 @@ def test_path_estimators_cut_into_blocks_keep_every_array(dim, monkeypatch):
         assert np.array_equal(a, b)
 
 
-def test_trial_streams_match_substream():
-    streams = rng.TrialStreams(5, rng.PILOT)
-    for trial in (0, 1, 1023, 2**40):
-        want = rng.substream(5, rng.PILOT, trial)
-        ref = (want.integers(0, 2, size=7), want.standard_normal(3), want.random(2))
-        for gen in (streams.fresh(trial), streams.reused(trial)):
-            got = (gen.integers(0, 2, size=7), gen.standard_normal(3), gen.random(2))
-            for a, b in zip(got, ref):
-                np.testing.assert_array_equal(a, b)
-
-
 class _HashWords(ISeedSequence):
     """numpy's SFC64 seeding, fed the SHA-256 digest of (tag, seed, *path) as its words."""
 
@@ -415,19 +417,12 @@ class _HashWords(ISeedSequence):
 
 
 def test_streams_are_numpy_sfc64_seeded_from_the_hash():
-    streams = rng.TrialStreams(5, rng.PILOT)
     for path in ((5, rng.PILOT, 0), (5, rng.PILOT, 1), (5, rng.PILOT, 1023), (5, rng.PILOT, 2**40), (7,)):
         want = np.random.SFC64(_HashWords(*path)).state
-        gens = [rng.substream(*path)]
-        if len(path) == 3:
-            gens += [streams.fresh(path[2]), streams.reused(path[2])]
-        for gen in gens:
-            state = gen.bit_generator.state
-            assert state["bit_generator"] == want["bit_generator"] == "SFC64"
-            assert np.array_equal(state["state"]["state"], want["state"]["state"])
-            assert (state["has_uint32"], state["uinteger"]) == (want["has_uint32"], want["uinteger"]) == (0, 0)
-            # leaves half a 64-bit word buffered, which the next re-seed must drop
-            gen.integers(0, 2**32, size=3, dtype=np.uint32)
+        state = rng.substream(*path).bit_generator.state
+        assert state["bit_generator"] == want["bit_generator"] == "SFC64"
+        assert np.array_equal(state["state"]["state"], want["state"]["state"])
+        assert (state["has_uint32"], state["uinteger"]) == (want["has_uint32"], want["uinteger"]) == (0, 0)
 
 
 @pytest.mark.parametrize("reducer, n, block", [
