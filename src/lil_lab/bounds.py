@@ -186,7 +186,10 @@ def maximal_tail_bound(x: float, data: MomentData) -> float:
     denom = 2.0 * data.lambda_n + (4.0 * data.mean_norm + 3.0 * x) * data.M
     if denom == 0.0:
         return 0.0
-    return math.exp(-x * x / denom)
+    ratio = x * x / denom
+    if math.isnan(ratio):  # x^2 and denom both past the float range: each term over x first
+        ratio = x / (2.0 * data.lambda_n / x + (4.0 * data.mean_norm / x + 3.0) * data.M)
+    return math.exp(-ratio)
 
 
 def split_tail_bound(y: float, params: BoundParams, data: MomentData) -> float:

@@ -113,9 +113,8 @@ def parse_space(text: str) -> SpaceSpec:
     bits = text.split(",")
     if len(bits) != 2:
         raise SpecError(f"space must be 'dim,p', got {text!r}")
-    p = math.inf if bits[1].strip() in ("inf", "oo") else float(bits[1])
     try:
-        return SpaceSpec(int(bits[0]), p)
+        return SpaceSpec(int(bits[0]), float(bits[1]))
     except ValueError as exc:
         raise SpecError(str(exc), {"space": text}) from None
 
@@ -172,20 +171,6 @@ def validate_spec(raw: dict) -> dict:
     return spec
 
 
-def _resolve_workers(spec: dict) -> int:
-    """--workers, else LIL_LAB_WORKERS, else the CPU count."""
-    env = os.environ.get("LIL_LAB_WORKERS")
-    if spec["workers"] is not None or not env:
-        return spec["workers"] or os.cpu_count() or 1
-    try:
-        workers = int(env)
-    except ValueError:
-        workers = 0
-    if workers < 1:
-        raise SpecError("LIL_LAB_WORKERS must be an integer of at least 1", {"LIL_LAB_WORKERS": env})
-    return workers
-
-
 def _parsed(parse, spec: dict, key: str, **kwargs):
     """`parse(spec[key])`, a ValueError turned into a SpecError naming the key."""
     try:
@@ -238,7 +223,7 @@ def _exec_constants(spec: dict) -> tuple[dict, dict, int]:
     c_seq = _parsed(slowvary.parse_cseq, spec, "c_seq") if spec["c_seq"] else None
     report = constants.constants_report(
         h, H_fn, c_seq=c_seq, dist=dist, space=space, tol=spec["tol"],
-        trials=spec["trials"], seed=spec["seed"], workers=_resolve_workers(spec),
+        trials=spec["trials"], seed=spec["seed"], workers=spec["workers"],
     )
     # from the numbers, not the JSON document, where inf is the string "inf"
     print(f"constants: c0 in [{report.c0.lo:.4g}, {report.c0.hi:.4g}], lambda={report.lam:.4g}")
@@ -273,7 +258,7 @@ def _exec_fn_verify(spec: dict) -> tuple[dict, object, int]:
     params = bounds.BoundParams(eta=spec["eta"], delta=spec["delta"], s=spec["s"])
     report = bounds.mc_verify(
         dist, space, n, spec["trials"], grid, params,
-        seed=spec["seed"], kr_points=spec["kr_points"], workers=_resolve_workers(spec),
+        seed=spec["seed"], kr_points=spec["kr_points"], workers=spec["workers"],
     )
     n_viol = sum(r.violation for r in report.rows)
     print(f"fn-verify: {len(report.rows)} rows, {n_viol} violations")
@@ -289,7 +274,7 @@ def _exec_lil_sim(spec: dict) -> tuple[dict, object, int]:
         N=spec["N"], checkpoints=simulate.geometric_checkpoints(spec["N"], spec["ratio"]),
         seed=spec["seed"], trials=spec["trials"],
     )
-    paths = simulate.run_path(dist, space, h, config, workers=_resolve_workers(spec))
+    paths = simulate.run_path(dist, space, h, config, workers=spec["workers"])
     est = simulate.limsup_estimate(paths, spec["tail_fraction"])
     print(f"lil-sim: tail-max median {est.median:.4g}, q10 {est.q10:.4g}, q90 {est.q90:.4g}")
     doc = {
@@ -452,8 +437,10 @@ def execute(spec: dict) -> int:
     spec = validate_spec(spec)
     row = SPECS[spec["kind"]]
     # The worker count never changes a result, so the artifact records none:
-    # runs at any --workers write the same bytes.
+    # runs at any --workers write the same bytes.  The executors get the
+    # count itself, --workers or else the CPU count.
     artifact = {"resolved_spec": {**spec, "workers": None}, "seed": spec["seed"], "provenance": _provenance()}
+    spec["workers"] = spec["workers"] or os.cpu_count() or 1
     # --out is made before the run, so an unusable one fails before any
     # work; a run that fails removes the directories made for it.
     made = _missing_dirs(spec["out"])

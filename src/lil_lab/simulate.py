@@ -511,8 +511,12 @@ def mean_norm_curve(dist, space: SpaceSpec, c_seq, n_grid, trials: int, seed: in
     points = _checkpoint_grid(n_grid)
     ratios, _, _ = _checkpoint_ratios(dist, c_seq, f"c_n = {c_seq.describe()}", seed, trials, _rng.CURVE,
                                       CheckpointNorms(space, points), workers)
-    mean = ratios.mean(axis=0)
-    se = ratios.std(axis=0, ddof=1) / math.sqrt(trials)
+    # Each column is taken over the power of two s at or below its largest
+    # |ratio|, which is exact, so sums and squares near the float range do
+    # not overflow (an inf or NaN column has s = 0.5 and stays inf or NaN).
+    s = np.ldexp(1.0, np.frexp(np.abs(ratios).max(axis=0))[1] - 1)
+    mean = s * (ratios / s).mean(axis=0)
+    se = s * (ratios / s).std(axis=0, ddof=1) / math.sqrt(trials)
     return MeanNormCurve(
         n_grid=points, mean=mean, se=se,
         ci_lo=mean - 1.96 * se, ci_hi=mean + 1.96 * se,

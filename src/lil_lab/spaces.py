@@ -316,13 +316,20 @@ class EmpiricalTSM:
         self._norms = sample_norms[order]
         self.max_norm = float(self._norms[-1])
         self.n_samples = arr.shape[0]
+        # Where N max_norm^2 could pass the float range, the rows are summed
+        # over 4^e for the power of two 2^e <= max_norm, which is exact, and
+        # `matrices` multiplies 4^e back in; elsewhere e = 0.
+        self._exp = 0
+        if math.sqrt(np.finfo(float).max / self.n_samples) < self.max_norm < math.inf:
+            self._exp = math.frexp(self.max_norm)[1] - 1
+        rows = np.ldexp(arr[order], -self._exp)
         # _prefix[k] sums the outer products of the k smallest samples, exactly
         # symmetric; _prefix[0] is the zero matrix.  The sums start from the
         # first product, not from 0 + it, which would turn a -0.0 into +0.0.
-        # (N + 1) d^2 floats, fine at the sample sizes this is used with
-        # (<= a few 1e4 samples, d <= 20).
+        # Both steps write into the stack, so it is the one (N, d, d) array.
         self._prefix = np.zeros((self.n_samples + 1, space.dim, space.dim))
-        np.cumsum(np.einsum("ni,nj->nij", arr[order], arr[order]), axis=0, out=self._prefix[1:])
+        np.einsum("ni,nj->nij", rows, rows, out=self._prefix[1:])
+        np.cumsum(self._prefix[1:], axis=0, out=self._prefix[1:])
 
     def extrapolated(self, ts):
         """True where t lies past the largest sample norm (elementwise)."""
@@ -330,7 +337,9 @@ class EmpiricalTSM:
 
     def matrices(self, ts) -> np.ndarray:
         """The truncated covariance at t, or the (k, d, d) stack at a 1-D grid of t."""
-        return self._prefix[np.searchsorted(self._norms, ts, side="right")] / self.n_samples
+        sums = self._prefix[np.searchsorted(self._norms, ts, side="right")]
+        with np.errstate(over="ignore"):  # a mean past the float range is inf
+            return np.ldexp(sums / self.n_samples, 2 * self._exp)
 
     values = _on_grid
     __call__ = _at_point

@@ -112,6 +112,12 @@ class TestBoundEvaluators:
         # once the bounded term dominates the decay is only exp(-x/(3M))
         assert vals[-1] < 1e-4
 
+    @pytest.mark.parametrize("x, M, want", [(1.7e308, 1.0, 0.0), (1e200, 1e200, math.exp(-1 / 3))])
+    def test_maximal_tail_where_x_squared_and_denominator_overflow(self, x, M, want):
+        # x^2 / denom would be inf / inf; it is x / (3M) there, up to terms far below one ulp
+        data = MomentData(n=5, M=M, lambda_n=1.0, mean_norm=2.0)
+        assert maximal_tail_bound(x, data) == pytest.approx(want, rel=1e-15)
+
     def test_split_bound_terms(self):
         params = BoundParams(eta=1.0, delta=1.0, s=3.0)
         data = MomentData(n=4, M=1.0, lambda_n=1.0, mean_norm=0.0)

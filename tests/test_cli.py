@@ -251,6 +251,11 @@ class TestParsers:
             cli.parse_space("2")
         with pytest.raises(cli.SpecError):
             cli.parse_space("0,2")
+        # p is read by `float` alone, so " inf" is l-inf and "oo" is no exponent
+        assert cli.parse_space("2, inf").norm_p == math.inf
+        with pytest.raises(cli.SpecError) as exc:
+            cli.parse_space("2,oo")
+        assert exc.value.context == {"space": "2,oo"}
 
     def test_grid(self):
         np.testing.assert_allclose(cli.parse_grid("1:100:5"), np.geomspace(1, 100, 5))
@@ -828,57 +833,50 @@ class TestExitCodes:
         err = json.loads(capsys.readouterr().err.strip())
         assert "overflowed" in err["message"]
 
-    @pytest.mark.parametrize("argv, env, code, context, message", [
+    @pytest.mark.parametrize("argv, code, context, message", [
         (["fn-verify", "--dist", "rademacher:scales=1e307", "--space", "1,2", "--n", "200", "--trials", "100",
-          "--workers", "1"], {}, "invalid_spec", {}, "partial sum overflowed near step 200"),
+          "--workers", "1"], "invalid_spec", {}, "partial sum overflowed near step 200"),
         (["fn-verify", "--dist", "rademacher:scales=1e307", "--space", "1,2", "--n", "200", "--trials", "100",
-          "--workers", "2"], {}, "invalid_spec", {}, "partial sum overflowed near step 200"),
+          "--workers", "2"], "invalid_spec", {}, "partial sum overflowed near step 200"),
         (["fn-verify", "--dist", "rademacher:scales=1e200", "--space", "1,2", "--n", "200", "--trials", "100",
-          "--workers", "1"], {}, "invalid_spec", {}, "pilot x^T x sum overflowed by step 200"),
+          "--workers", "1"], "invalid_spec", {}, "pilot x^T x sum overflowed by step 200"),
         (["fn-verify", "--dist", "rademacher:scales=1e200", "--space", "1,2", "--n", "200", "--trials", "100",
-          "--workers", "2"], {}, "invalid_spec", {}, "pilot x^T x sum overflowed by step 200"),
-        (["hclass", "--h", "2*(LL)^1", "--out", "{tmp}/file/sub"], {}, "io_error", {"path": "{tmp}/file/sub"},
+          "--workers", "2"], "invalid_spec", {}, "pilot x^T x sum overflowed by step 200"),
+        (["hclass", "--h", "2*(LL)^1", "--out", "{tmp}/file/sub"], "io_error", {"path": "{tmp}/file/sub"},
          "Not a directory"),
-        (["lil-sim", "--N", "100", "--trials", "2", "--workers", "0"], {}, "invalid_spec", {"workers": 0},
+        (["lil-sim", "--N", "100", "--trials", "2", "--workers", "0"], "invalid_spec", {"workers": 0},
          "workers must be at least 1"),
-        (["lil-sim", "--N", "100", "--trials", "2", "--workers", "-3"], {}, "invalid_spec", {"workers": -3},
+        (["lil-sim", "--N", "100", "--trials", "2", "--workers", "-3"], "invalid_spec", {"workers": -3},
          "workers must be at least 1"),
-        (["lil-sim", "--N", "100", "--trials", "2"], {"LIL_LAB_WORKERS": "0"}, "invalid_spec",
-         {"LIL_LAB_WORKERS": "0"}, "LIL_LAB_WORKERS must be an integer of at least 1"),
-        (["lil-sim", "--N", "100", "--trials", "2"], {"LIL_LAB_WORKERS": "abc"}, "invalid_spec",
-         {"LIL_LAB_WORKERS": "abc"}, "LIL_LAB_WORKERS must be an integer of at least 1"),
-        (["constants", "--h", "2*(LL)^1", "--dist", "gauss:dim=1,var=1", "--trials", "10"], {}, "invalid_spec", {},
+        (["constants", "--h", "2*(LL)^1", "--dist", "gauss:dim=1,var=1", "--trials", "10"], "invalid_spec", {},
          "need at least 30 trials for a CI, got 10"),
-        (["constants", "--h", "2*(LL)^1", "--dist", "gauss:dim=1,var=1", "--trials", "-5"], {}, "invalid_spec", {},
+        (["constants", "--h", "2*(LL)^1", "--dist", "gauss:dim=1,var=1", "--trials", "-5"], "invalid_spec", {},
          "need at least 30 trials for a CI, got -5"),
-        (["constants", "--h", "2*(LL)^1", "--trials", "100"], {}, "invalid_spec", {},
+        (["constants", "--h", "2*(LL)^1", "--trials", "100"], "invalid_spec", {},
          "trials = 100 asks for beta0, which needs a distribution and a space"),
-        (["fn-verify", "--n", "20", "--trials", "200", "--kr-points", "-3"], {}, "invalid_spec", {},
+        (["fn-verify", "--n", "20", "--trials", "200", "--kr-points", "-3"], "invalid_spec", {},
          "kr_points must be nonnegative, got -3"),
         # beta0's grid reaches n = 16383, where c_n = 1e300 n^2 is past the float range
         (["constants", "--h", "2*(LL)^1", "--H", "const:1", "--c-seq", "pow:2,1e300", "--dist", "gauss:dim=1,var=1",
-          "--space", "1,2", "--trials", "30"], {}, "invalid_spec", {},
+          "--space", "1,2", "--trials", "30"], "invalid_spec", {},
          "c_n = pow:2,1e+300 is not finite at checkpoint n = 16383, so no checkpoint ratio can be formed"),
-        (["hclass", "--h", "2*(LL)^1", "--tol", "-1"], {}, "invalid_spec", {}, "tol must be nonnegative, got -1"),
-        (["constants", "--H", "const:1"], {}, "invalid_spec", {}, "constants needs --h"),
-        (["fn-bound", "--n", "10"], {}, "invalid_spec", {}, "fn-bound needs --t"),
-        (["hclass", "--h", ""], {}, "invalid_spec", {}, "hclass needs --h"),
-        *((argv + ["--format", "csv"], {}, "invalid_spec", {"format": "csv"},
+        (["hclass", "--h", "2*(LL)^1", "--tol", "-1"], "invalid_spec", {}, "tol must be nonnegative, got -1"),
+        (["constants", "--H", "const:1"], "invalid_spec", {}, "constants needs --h"),
+        (["fn-bound", "--n", "10"], "invalid_spec", {}, "fn-bound needs --t"),
+        (["hclass", "--h", ""], "invalid_spec", {}, "hclass needs --h"),
+        *((argv + ["--format", "csv"], "invalid_spec", {"format": "csv"},
            "format 'csv' is written only by fn-verify and lil-sim") for argv in (
             ["hclass", "--h", "2*(LL)^1"], ["constants", "--h", "2*(LL)^1"], ["fn-bound", "--t", "5"], ["report"])),
     ], ids=["overflow-workers-1", "overflow-workers-2", "pilot-overflow-workers-1", "pilot-overflow-workers-2",
-            "out-below-a-file", "workers-0", "workers-negative",
-            "env-workers-0", "env-workers-not-a-number", "constants-trials-below-30", "constants-trials-negative",
-            "constants-trials-without-a-law", "fn-verify-kr-points-negative", "constants-beta0-c-n-overflows",
+            "out-below-a-file", "workers-0", "workers-negative", "constants-trials-below-30",
+            "constants-trials-negative", "constants-trials-without-a-law", "fn-verify-kr-points-negative",
+            "constants-beta0-c-n-overflows",
             "hclass-tol-negative", "constants-without-h", "fn-bound-without-t", "hclass-empty-h",
             "hclass-csv", "constants-csv", "fn-bound-csv", "report-csv"])
     @pytest.mark.filterwarnings("error::RuntimeWarning")
-    def test_failure_is_exit_2_one_json_line_and_no_artifact(self, tmp_path, monkeypatch, capfd,
-                                                             argv, env, code, context, message):
+    def test_failure_is_exit_2_one_json_line_and_no_artifact(self, tmp_path, capfd, argv, code, context, message):
         # captured at the file descriptors, so a pool worker's output counts too
         (tmp_path / "file").write_text("a regular file")
-        for name, value in env.items():
-            monkeypatch.setenv(name, value)
         argv = [a.format(tmp=tmp_path) for a in argv]
         if "--out" not in argv:
             argv += ["--out", str(tmp_path / "runs")]
@@ -1038,19 +1036,16 @@ class TestExitCodes:
         assert cli.main(["run", str(path), "--workers", "2"]) == 0
         assert path.read_bytes() == first
 
-    def test_workers_env_does_not_change_results(self, tmp_path, monkeypatch):
-        argv = [
-            "lil-sim", "--dist", "gauss:dim=1,var=1", "--space", "1,2",
-            "--h", "2*(LL)^1", "--N", "400", "--trials", "4",
-        ]
-        assert cli.main(argv + ["--out", str(tmp_path / "a")]) == 0
-        monkeypatch.setenv("LIL_LAB_WORKERS", "3")
-        assert cli.main(argv + ["--out", str(tmp_path / "b")]) == 0
-        a = json.loads((tmp_path / "a" / "sim.json").read_text())
-        b = json.loads((tmp_path / "b" / "sim.json").read_text())
-        assert a["resolved_spec"]["workers"] is None
-        assert b["resolved_spec"]["workers"] is None
-        assert a["ratios"] == b["ratios"]
+    @pytest.mark.parametrize("value", ["0", "abc"])
+    def test_a_workers_variable_in_the_environment_is_not_read(self, tmp_path, monkeypatch, value):
+        # the worker count is --workers or the CPU count, nothing else
+        argv = ["lil-sim", "--dist", "gauss:dim=1,var=1", "--space", "1,2", "--h", "2*(LL)^1",
+                "--N", "400", "--trials", "4", "--out", str(tmp_path)]
+        assert cli.main(argv) == 0
+        first = (tmp_path / "sim.json").read_bytes()
+        monkeypatch.setenv("LIL_LAB_WORKERS", value)
+        assert cli.main(argv) == 0
+        assert (tmp_path / "sim.json").read_bytes() == first
 
 
 def test_cli_import_leaves_the_process_pool_out(tmp_path):

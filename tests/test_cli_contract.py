@@ -40,6 +40,20 @@ _ROWS = {
                    2, "grid needs 0 < lo < hi < inf and points >= 2, got '1:inf:3'"),
     "empirical-count-negative": (["constants", "--h", "2*(LL)^1", "--H", "empirical:-5", "--dist", "gauss:dim=1,var=1"],
                                  2, "an empirical H needs at least one sample"),
+    # the grid's top point is the float max's neighbourhood: geomspace builds it without overflow
+    "t-grid-near-float-max": (["fn-verify", "--n", "5", "--trials", "100", "--t-grid", "1:1.7e308:3"], 0, None),
+    # squared ratios near 1e307 pass the float range, their std does not
+    "beta0-se-past-float-range": (["constants", "--h", "(LL)^0.9", "--H", "const:1", "--dist",
+                                   "gauss:dim=1,var=1e308", "--space", "1,inf", "--trials", "40"], 0, None),
+    # with c_n = 1e-153 sqrt(n) the ratios near 1e307 also sum past it
+    "beta0-mean-past-float-range": (["constants", "--h", "(LL)^0.9", "--H", "const:1", "--dist",
+                                     "gauss:dim=1,var=1e308", "--space", "1,inf", "--trials", "40",
+                                     "--c-seq", "pow:0.5,1e-153"], 0, None),
+    # N max_norm^2 passes the float range, the means of the outer products do not
+    "empirical-prefix-past-float-range": (["constants", "--h", "2*(LL)^1", "--H", "empirical:8", "--dist",
+                                           "point:v=1e154", "--space", "1,2"], 0, None),
+    "empirical-rademacher-1e154": (["constants", "--h", "2*(LL)^1", "--H", "empirical:64", "--dist",
+                                    "rademacher:scales=1e154;1e154", "--space", "2,2"], 0, None),
 }
 
 
@@ -76,7 +90,7 @@ def test_extreme_input_exits_by_the_contract(tmp_path, capfd, argv, exit_code, m
     (artifact,) = out.glob("*.json")
     report = json.loads(artifact.read_text())["report"]
     stray = list(_stray_nans(report))
-    if report["lambda"] == "inf":
+    if report.get("lambda") == "inf":
         stray.remove(("verdict_diagnostics", "ratio_vs_half_lambda2"))
     assert stray == []
 
@@ -96,6 +110,29 @@ def test_exponents_past_the_float_range_keep_the_c0_bracket(tmp_path):
     c0 = report["verdict_diagnostics"]["c0"]
     assert (report["c0_lo"], report["c0_hi"]) == (17660.375, 17660.390625)
     assert (c0["lo_verdict"], c0["hi_verdict"]) == ("INCONCLUSIVE", "CONVERGES")
+
+
+@pytest.mark.parametrize("row, lo_bound, hi_bound", [
+    ("beta0-se-past-float-range", 4e153, 8e153),
+    ("beta0-mean-past-float-range", 6e306, 1.1e307),
+])
+def test_beta0_and_its_interval_past_the_float_range_are_finite(tmp_path, row, lo_bound, hi_bound):
+    argv, _, _ = _ROWS[row]
+    assert cli.main([*argv, "--out", str(tmp_path)]) == 0
+    report = json.loads((tmp_path / "constants.json").read_text())["report"]
+    lo, hi = report["beta0_ci"]
+    assert lo_bound < lo < report["beta0"] < hi < hi_bound
+
+
+def test_empirical_h_past_the_float_range_is_the_laws_h(tmp_path):
+    argv, _, _ = _ROWS["empirical-prefix-past-float-range"]
+    got = []
+    for H in ("empirical:8", "dist"):
+        argv = [*argv[:4], H, *argv[5:]]
+        assert cli.main([*argv, "--out", str(tmp_path / H)]) == 0
+        report = json.loads((tmp_path / H / "constants.json").read_text())["report"]
+        got.append((report["sigma2"], report["lambda"]))
+    assert got == [(1e308, 9.508121560968832e153)] * 2
 
 
 def test_help_still_prints_usage_and_exits_0(capsys):

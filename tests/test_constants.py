@@ -485,7 +485,7 @@ def _pointwise(H, t: float) -> float:
         k = int(np.searchsorted(H._norms, t, side="right"))
         if k == 0:
             return 0.0
-        m = H._prefix[k] / H.n_samples
+        m = np.ldexp(H._prefix[k] / H.n_samples, 2 * H._exp)
         return dual_ball_sup(0.5 * (m + m.T), H.space)
     if isinstance(H, DistTSM):
         return dual_ball_sup(H.dist.truncated_cov(float(t), H.space), H.space)

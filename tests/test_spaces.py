@@ -272,6 +272,18 @@ class TestEmpiricalTSM:
         assert got.tobytes() == np.array(want).tobytes()
         assert got[:2].tobytes() == np.zeros(2).tobytes()
 
+    @pytest.mark.parametrize("p", [1.0, 2.0, math.inf])
+    def test_sums_past_the_float_range_keep_the_scaled_bits(self, p):
+        # at 2^510 x the prefix sums pass the float range and the means do not:
+        # they are summed over a power of two, so H's matrices are 2^1020 times x's
+        rows = np.random.default_rng(3).normal(size=(64, 2))
+        space = SpaceSpec(2, p)
+        ts = np.concatenate([[0.0], norms(rows, space)])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            big = EmpiricalTSM(np.ldexp(rows, 510), space).matrices(np.ldexp(ts, 510))
+        assert big.tobytes() == np.ldexp(EmpiricalTSM(rows, space).matrices(ts), 1020).tobytes()
+
     def test_dispatcher_accepts_samples_and_analytic_sources(self):
         rng = np.random.default_rng(10)
         draws = rng.normal(size=(400, 2))
