@@ -1,5 +1,6 @@
 """Chunked trial dispatch: a striped map run by the caller and W - 1 helpers.
 
+The caller cuts the work into chunks; nothing here knows a chunk's size.
 With W = min(workers, number of chunks) stripes, stripe w holds chunks
 w, w + W, w + 2W, ...  The caller runs stripe 0 itself; stripes 1..W-1
 run in forked children ("process") or on threads ("thread"), and a
@@ -25,12 +26,6 @@ import os
 import pickle
 import signal
 import threading
-
-CHUNK = 1024
-
-
-def chunk_ranges(total: int, size: int = CHUNK) -> list[tuple[int, int]]:
-    return [(lo, min(lo + size, total)) for lo in range(0, total, size)]
 
 
 def map_chunks(fn, args_list, workers: int, executor: str = "process") -> list:

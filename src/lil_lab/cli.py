@@ -124,7 +124,10 @@ def parse_grid(text: str) -> np.ndarray:
     bits = text.split(":")
     if len(bits) != 3:
         raise SpecError(f"grid must be 'lo:hi:points', got {text!r}", {"t_grid": text})
-    lo, hi, k = float(bits[0]), float(bits[1]), int(bits[2])
+    try:
+        lo, hi, k = float(bits[0]), float(bits[1]), int(bits[2])
+    except ValueError as exc:
+        raise SpecError(str(exc), {"t_grid": text}) from None
     if not (0 < lo < hi < math.inf and k >= 2):
         raise SpecError(f"grid needs 0 < lo < hi < inf and points >= 2, got {text!r}", {"t_grid": text})
     return np.geomspace(lo, hi, k)

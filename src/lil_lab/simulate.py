@@ -12,9 +12,10 @@ carries its per-trial state from one tile of a path to the next.  Every
 reducer that reads partial sums continues them through `path_sums`,
 which folds the steps on from the carried sum with `fold`, the one
 running-sum rule, and takes their norms with `spaces.norms`; the twin
-feeds the draws it drops to a `CheckpointNorms` of its own.  So each S_k
-is the sequential left fold of the draws, and every checkpoint norm,
-final norm and maximum has the bits of an uncut path whatever BLOCK is.
+is a `CheckpointNorms` that sums only the draws it drops, and the final
+norm is the norm of the carried S_n.  So each S_k is the sequential left
+fold of the draws, and every checkpoint norm, final norm and maximum has
+the bits of an uncut path whatever BLOCK is.
 Only the pilot, which needs S_n alone, sums each tile on its own, so its
 sums of a path cut into blocks differ from the uncut path's in the last
 bits.
@@ -24,7 +25,7 @@ SHA-256 hash; see `rng`): the unit of a stream is a fixed group of
 consecutive trials, and `rng.substream(seed, purpose, g)` makes group
 g's stream.  A path of at most BLOCK steps belongs to a group of G(n)
 trials, G(n) being the largest power of two <= max(1, TILE // n), capped
-at the chunk size; every longer path, whichever estimator asks for it,
+at CHUNK; every longer path, whichever estimator asks for it,
 has a group of one.  `stream_trials` has one loop for both: block by
 block of at most BLOCK steps, each group draws all its trials' steps of
 the block in one sample call, so a short path's group is one tile and a
@@ -35,10 +36,11 @@ the last trial or a chunk edge still draws in full, so a trial's draws
 are the same whatever else runs.
 
 `map_trials` cuts the trials into chunks whose size depends only on the
-path length and runs them in `workers` stripes: the caller runs one, and
-threads (block-streamed paths) or forked children (grouped ones) run the
-others (see `map_trials` for why); the chunks of several passes over the
-same trials share one submission, hence one set of stripes.
+path length (CHUNK trials, or about LONG_CHUNK increments) and runs them
+in `workers` stripes: the caller runs one, and threads (block-streamed
+paths) or forked children (grouped ones) run the others (see
+`map_trials` for why); the chunks of several passes over the same trials
+share one submission, hence one set of stripes.
 Float accumulations across trials stay left folds in a fixed order
 within a chunk, and chunk results are folded in chunk order, so results
 are bit-identical whatever the worker count, the executor, or the order
@@ -53,7 +55,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import rng as _rng
-from ._pool import CHUNK, chunk_ranges, map_chunks
+from ._pool import map_chunks
 from .slowvary import NormalizerSeq, SlowVaryFn, _csv_text
 from .spaces import SpaceSpec, norms
 
@@ -62,6 +64,9 @@ BLOCK = 65536
 
 #: Most increments in one stream group, which is one sample call (see group_size).
 TILE = 16384
+
+#: Trials per chunk of paths drawn in one sample call (see map_trials).
+CHUNK = 1024
 
 #: Increments per chunk of block-streamed trials (see map_trials).
 LONG_CHUNK = CHUNK * TILE
@@ -143,7 +148,7 @@ def map_trials(dist, n: int, seed: int, trials: int, passes, workers: int) -> li
         size, executor = CHUNK, "process"
     else:
         size, executor = max(1, LONG_CHUNK // n), "thread"
-    ranges = chunk_ranges(trials, size)
+    ranges = [(lo, min(lo + size, trials)) for lo in range(0, trials, size)]
     parts = map_chunks(
         stream_trials,
         [(dist, n, seed, purpose, lo, hi, reducer) for purpose, reducer in passes for lo, hi in ranges],
@@ -215,13 +220,6 @@ class CheckpointNorms:
         at = sums[:, self.points[j0:j1] - s0 - 1]
         self.out[k0 : k0 + b, j0:j1] = norms(at.reshape(-1, d), self.space).reshape(b, j1 - j0)
 
-    def hold(self, k0: int, b: int, s0: int, m: int) -> None:
-        """`tile` for b trials of m zero draws: the checkpoints in steps
-        s0 + 1, ..., s0 + m read the carry, which stays as it is."""
-        j0, j1 = np.searchsorted(self.points, (s0, s0 + m), side="right")
-        if j1 > j0:
-            self.out[k0 : k0 + b, j0:j1] = norms(self.carry[k0 : k0 + b], self.space)[:, None]
-
     def result(self) -> tuple[np.ndarray]:
         return (self.out,)
 
@@ -275,14 +273,18 @@ class _PilotMoments:
 
 
 class _FinalAndMax:
-    """Reducer: ||S_n|| and max_k ||S_k|| per trial, S_k from `path_sums`."""
+    """Reducer: ||S_n|| and max_k ||S_k|| per trial, S_k from `path_sums`.
+
+    ||S_n|| is the norm of the carry, which is S_n; a row's norm does not
+    depend on the rows taken with it, so it has the bits of the last step's
+    norm in the tile.
+    """
 
     def __init__(self, space: SpaceSpec):
         self.space = space
 
     def start(self, trials: int, dim: int) -> None:
         self.carry = np.zeros((trials, dim))
-        self.finals = np.empty(trials)
         self.maxes = np.zeros(trials)
 
     def tile(self, x: np.ndarray, k0: int, s0: int) -> None:
@@ -290,11 +292,10 @@ class _FinalAndMax:
         rows = slice(k0, k0 + b)
         partial = path_sums(x, self.carry[rows], s0 + m)
         pn = norms(partial.reshape(-1, d), self.space).reshape(b, m)
-        self.finals[rows] = pn[:, -1]
         np.maximum(self.maxes[rows], pn.max(axis=1), out=self.maxes[rows])
 
     def result(self):
-        return self.finals, self.maxes
+        return norms(self.carry, self.space), self.maxes
 
 
 def geometric_checkpoints(N: int, ratio: float = 1.3) -> tuple[int, ...]:
@@ -311,6 +312,10 @@ def geometric_checkpoints(N: int, ratio: float = 1.3) -> tuple[int, ...]:
 
 @dataclass(frozen=True)
 class PathConfig:
+    """`trials` paths of N steps each from `seed`.  N is the path length,
+    which also fixes the stream groups; the checkpoints, the geometric grid
+    up to N by default, only say where each path is read."""
+
     N: int
     checkpoints: tuple[int, ...] = ()
     seed: int = 0
@@ -349,7 +354,7 @@ def _checkpoint_grid(points) -> tuple[int, ...]:
     return tuple(int(p) for p in grid)
 
 
-def _checkpoint_ratios(dist, c_seq, label: str, seed: int, trials: int, purpose: int, reducer, workers: int):
+def _checkpoint_ratios(dist, c_seq, label: str, n: int, seed: int, trials: int, purpose: int, reducer, workers: int):
     """The one checkpoint-ratio rule of `run_path`, `truncated_path` and
     `mean_norm_curve`: (ratios, c_n at the checkpoints, chunk results).
 
@@ -357,10 +362,10 @@ def _checkpoint_ratios(dist, c_seq, label: str, seed: int, trials: int, purpose:
     in (`PathConfig`, `mean_norm_curve`).  Before any sampling this checks
     that c_n is finite and positive at each of them; a ValueError
     otherwise, naming c_n by `label` and the first bad checkpoint.  Then
-    `reducer` runs over `trials` paths up to the last checkpoint through
-    `map_trials`; the first item of each chunk result is its (trials,
-    checkpoints) norm matrix, and the ratios are those matrices, stacked,
-    over c_n.
+    `reducer` runs over `trials` paths of n steps, n being at least the
+    last checkpoint, through `map_trials`; the first item of each chunk
+    result is its (trials, checkpoints) norm matrix, and the ratios are
+    those matrices, stacked, over c_n.
     """
     points = reducer.points
     c_vals = np.asarray(c_seq.values(points.astype(float)))
@@ -369,7 +374,7 @@ def _checkpoint_ratios(dist, c_seq, label: str, seed: int, trials: int, purpose:
         j = int(np.argmin(ok))
         raise ValueError(f"{label} is {'not positive' if np.isfinite(c_vals[j]) else 'not finite'} at checkpoint "
                          f"n = {points[j]}, so no checkpoint ratio can be formed")
-    [parts] = map_trials(dist, int(points[-1]), seed, trials, [(purpose, reducer)], workers)
+    [parts] = map_trials(dist, n, seed, trials, [(purpose, reducer)], workers)
     return np.vstack([p[0] for p in parts]) / c_vals, c_vals, parts
 
 
@@ -377,7 +382,7 @@ def run_path(dist, space: SpaceSpec, h: SlowVaryFn, config: PathConfig, workers:
     """Simulate trials of S_n and record ||S_n||/a_n at the checkpoints."""
     reducer = CheckpointNorms(space, config.checkpoints)
     ratios, a_vals, _ = _checkpoint_ratios(dist, NormalizerSeq(h), f"a_n = psi(n) for h = {h.to_text()}",
-                                           config.seed, config.trials, _rng.MAIN, reducer, workers)
+                                           config.N, config.seed, config.trials, _rng.MAIN, reducer, workers)
     return PathResult(config.checkpoints, ratios, a_vals, config.seed)
 
 
@@ -386,12 +391,12 @@ def run_path(dist, space: SpaceSpec, h: SlowVaryFn, config: PathConfig, workers:
 # ---------------------------------------------------------------------------
 
 
-class TruncatedTwin:
+class TruncatedTwin(CheckpointNorms):
     """Reducer: S_n against its twin S'_n, which drops each draw with ||X_k|| > c_k.
 
-    S_n - S'_n is the partial sum of the dropped draws, which alone go to
-    a `CheckpointNorms` of the twin's own; a tile that drops nothing only
-    reads its checkpoints off the carry.  The result is the norms of
+    S_n - S'_n is the partial sum of the dropped draws, so the twin is the
+    `CheckpointNorms` of the dropped draws alone; a tile that drops nothing
+    only reads its checkpoints off the carry.  The result is the norms of
     S_n - S'_n at the checkpoints, which `truncated_path` divides by c_n,
     then the last dropped step, the drop count and the normalized gap
     beyond the last drop, one per trial.
@@ -404,13 +409,11 @@ class TruncatedTwin:
     """
 
     def __init__(self, space: SpaceSpec, c_seq, points):
-        self.space = space
+        super().__init__(space, points)
         self.c_seq = c_seq
-        self.points = np.asarray(points, dtype=np.int64)
 
     def start(self, trials: int, dim: int) -> None:
-        self.dropped = CheckpointNorms(self.space, self.points)
-        self.dropped.start(trials, dim)
+        super().start(trials, dim)
         self.last = np.zeros(trials, dtype=np.int64)
         self.count = np.zeros(trials, dtype=np.int64)
         self._span = self._levels = None
@@ -436,18 +439,20 @@ class TruncatedTwin:
             # step of each trial's last dropped draw
             last = s0 + m - np.argmax(cut[:, ::-1], axis=1)
             self.last[k0:k1] = np.where(cuts > 0, last, self.last[k0:k1])
-            self.dropped.tile(x * cut[..., None], k0, s0)
+            super().tile(x * cut[..., None], k0, s0)
         else:
             # a kept draw adds +-0.0, which leaves the carry (never -0.0,
             # as a dropped draw is nonzero) and every norm as they are
-            self.dropped.hold(k0, b, s0, m)
+            j0, j1 = np.searchsorted(self.points, (s0, s0 + m), side="right")
+            if j1 > j0:
+                self.out[k0:k1, j0:j1] = norms(self.carry[k0:k1], self.space)[:, None]
 
     def result(self):
-        delta = norms(self.dropped.carry, self.space)
+        delta = norms(self.carry, self.space)
         c_next = np.asarray(self.c_seq.values((self.last + 1).astype(float)))
         with np.errstate(divide="ignore", invalid="ignore"):
             gap_sup = np.where(c_next > 0, delta / c_next, np.where(delta == 0, 0.0, math.inf))
-        return self.dropped.out, self.last, self.count, gap_sup
+        return self.out, self.last, self.count, gap_sup
 
 
 @dataclass(frozen=True)
@@ -472,8 +477,8 @@ class TruncResult:
 def truncated_path(dist, space: SpaceSpec, c_seq, config: PathConfig, workers: int = 1) -> TruncResult:
     """Run S_n against its truncated twin S'_n (draws of norm above c_n dropped)."""
     points = config.checkpoints
-    gap_curve, _, parts = _checkpoint_ratios(dist, c_seq, f"c_n = {c_seq.describe()}", config.seed, config.trials,
-                                             _rng.MAIN, TruncatedTwin(space, c_seq, points), workers)
+    gap_curve, _, parts = _checkpoint_ratios(dist, c_seq, f"c_n = {c_seq.describe()}", config.N, config.seed,
+                                             config.trials, _rng.MAIN, TruncatedTwin(space, c_seq, points), workers)
     return TruncResult(
         checkpoints=points,
         gap_curve=gap_curve,
@@ -509,7 +514,7 @@ def mean_norm_curve(dist, space: SpaceSpec, c_seq, n_grid, trials: int, seed: in
     if trials < 30:
         raise ValueError(f"need at least 30 trials for a CI, got {trials}")
     points = _checkpoint_grid(n_grid)
-    ratios, _, _ = _checkpoint_ratios(dist, c_seq, f"c_n = {c_seq.describe()}", seed, trials, _rng.CURVE,
+    ratios, _, _ = _checkpoint_ratios(dist, c_seq, f"c_n = {c_seq.describe()}", points[-1], seed, trials, _rng.CURVE,
                                       CheckpointNorms(space, points), workers)
     # Each column is taken over the power of two s at or below its largest
     # |ratio|, which is exact, so sums and squares near the float range do

@@ -265,7 +265,7 @@ class TestParsers:
             cli.parse_grid("100:1:5")
         with pytest.raises(cli.SpecError):
             cli.parse_grid("0:1:5")
-        for text in ("1:inf:3", "1:1e309:3"):
+        for text in ("1:inf:3", "1:1e309:3", "a:b:3", "1:10:2.5"):
             with pytest.raises(cli.SpecError) as exc:
                 cli.parse_grid(text)
             assert exc.value.context == {"t_grid": text}

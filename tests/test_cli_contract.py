@@ -38,6 +38,8 @@ _ROWS = {
                              "--space", "1,2"], 0, None),
     "t-grid-inf": (["fn-verify", "--n", "5", "--trials", "100", "--t-grid", "1:inf:3"],
                    2, "grid needs 0 < lo < hi < inf and points >= 2, got '1:inf:3'"),
+    "t-grid-not-a-number": (["fn-verify", "--n", "5", "--trials", "100", "--t-grid", "a:b:3"],
+                            2, "could not convert string to float: 'a'"),
     "empirical-count-negative": (["constants", "--h", "2*(LL)^1", "--H", "empirical:-5", "--dist", "gauss:dim=1,var=1"],
                                  2, "an empirical H needs at least one sample"),
     # the grid's top point is the float max's neighbourhood: geomspace builds it without overflow

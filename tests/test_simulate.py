@@ -82,8 +82,26 @@ class TestRunPath:
         assert lines[1] == "trial,n,ratio"
         assert len(lines) == 2 + 2 * len(res.checkpoints)
 
+    def test_paths_have_n_steps_whatever_the_checkpoints(self):
+        # the path length, not the last checkpoint, fixes the stream groups
+        h, space = parse_slow_vary("2*(LL)^1"), SpaceSpec(1, 2.0)
+        short = run_path(Gaussian(1.0), space, h, PathConfig(N=1000, checkpoints=(10, 100), seed=4, trials=40))
+        full = run_path(Gaussian(1.0), space, h, PathConfig(N=1000, checkpoints=(10, 100, 1000), seed=4, trials=40))
+        np.testing.assert_array_equal(short.ratios, full.ratios[:, :2])
+
 
 class TestTruncatedPath:
+    def test_drops_are_counted_over_n_steps(self):
+        # 1e5 steps, of which the checkpoints read only the first 100
+        dist, space, c_seq = RadialPareto(1.2, 1), SpaceSpec(1, 2.0), parse_cseq("pow:0.7")
+        short = truncated_path(dist, space, c_seq, PathConfig(N=100000, checkpoints=(10, 100), trials=4, seed=1))
+        full = truncated_path(dist, space, c_seq,
+                              PathConfig(N=100000, checkpoints=(10, 100, 100000), trials=4, seed=1))
+        np.testing.assert_array_equal(short.trunc_count, full.trunc_count)
+        np.testing.assert_array_equal(short.last_trunc, full.last_trunc)
+        np.testing.assert_array_equal(short.gap_sup, full.gap_sup)
+        np.testing.assert_array_equal(short.gap_curve, full.gap_curve[:, :2])
+
     def test_twin_agrees_when_nothing_is_truncated(self):
         # a bounded law under a growing threshold never loses a draw
         cfg = PathConfig(N=512, seed=3, trials=20)

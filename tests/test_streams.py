@@ -32,11 +32,11 @@ import pytest
 from numpy.random.bit_generator import ISeedSequence
 
 from lil_lab import rng, simulate
-from lil_lab._pool import CHUNK
 from lil_lab.bounds import BoundParams, mc_verify
 from lil_lab.distributions import Gaussian, RademacherProduct, RadialPareto
 from lil_lab.simulate import (
     BLOCK,
+    CHUNK,
     TILE,
     CheckpointNorms,
     PathConfig,
@@ -226,6 +226,19 @@ def test_kernel_matches_reference(reducer, n, block, lo, hi, monkeypatch):
     dist = RadialPareto(1.5, reducer.space.dim)
     _same_result(stream_trials(dist, n, 9, rng.MAIN, lo, hi, reducer),
                  reference_stream_trials(dist, n, block, 9, rng.MAIN, lo, hi, reducer))
+
+
+@pytest.mark.parametrize("p", [1.0, 2.0, INF], ids=["l1", "l2", "linf"])
+@pytest.mark.parametrize("n, block", [(300, BLOCK), (230, 100)], ids=["grouped", "block-streamed"])
+def test_final_norms_are_the_last_checkpoint_norms(p, n, block, monkeypatch):
+    # _FinalAndMax takes ||S_n|| off its carried sums, CheckpointNorms off
+    # the last step of a tile: the same S_n, and a row's norm does not
+    # depend on the rows taken with it, so the two have the same bits.
+    monkeypatch.setattr(simulate, "BLOCK", block)
+    space, dist = SpaceSpec(3, p), RadialPareto(1.5, 3)
+    finals, _ = stream_trials(dist, n, 5, rng.MAIN, 37, 150, _FinalAndMax(space))
+    (norms_at_n,) = stream_trials(dist, n, 5, rng.MAIN, 37, 150, CheckpointNorms(space, (n,)))
+    assert finals.tobytes() == np.ascontiguousarray(norms_at_n[:, 0]).tobytes()
 
 
 @pytest.mark.parametrize("dim", [2, 5])
