@@ -37,13 +37,13 @@ Every grid is a read-only array built once at import (the probe points
 of `DEFAULT_PROBE`, `DEFAULT_X_GRID`, the sigma walk, the beta0 n grid);
 no stage takes a grid or a classifier setting, only the tolerance `tol`.
 
-H, the truncated weak second moment, comes from an H source: a callable
-that also evaluates a whole grid in one call, `values(ts)`, once per
-distinct point, and names its `route` ("model", "analytic" or
+H, the truncated weak second moment, comes from an H source: a
+callable that also evaluates a whole grid, as given, in one call,
+`values(ts)`, and names its `route` ("model", "analytic" or
 "empirical").  Every stage (c0, alpha0, lambda, the ratio curve, sigma)
 evaluates its grid in one `H_values` call, which also accepts a plain
-callable t -> H(t) and rejects a negative H; a bracket search builds its
-probe grid once and each probe only rescales the exponents.  The
+callable t -> H(t) and rejects a negative H; a bracket search builds
+its probe grid once and each probe only rescales the exponents.  The
 analytic and empirical sources (`DistTSM`, `EmpiricalTSM`) live in
 `lil_lab.spaces` and share one grid pipeline there.  The report's
 `verdict_diagnostics` name the route (`h_route`), the sample behind an
@@ -523,10 +523,10 @@ def sigma_compute(H_fn) -> SigmaResult:
 # Truncated-second-moment sources usable as H_fn.
 #
 # A source is a callable t -> H(t) that also evaluates a whole 1-D grid
-# in one call, `values(ts)`, at most once per distinct point, bit for bit
-# equal to calling it point by point.  Its `route` says where H comes
-# from: "model" (a formula chosen by hand, defined here), "analytic" (a
-# closed-form truncated covariance, `spaces.DistTSM`) or "empirical" (a
+# in one call, `values(ts)`, as given, bit for bit equal to calling it
+# point by point.  Its `route` says where H comes from: "model" (a
+# formula chosen by hand, defined here), "analytic" (a closed-form
+# truncated covariance, `spaces.DistTSM`) or "empirical" (a
 # frozen sample, `spaces.EmpiricalTSM`; such sources also carry
 # `n_samples`, `max_norm` and an `extrapolated(ts)` mask).  The analytic
 # and empirical sources differ only in their `matrices`: both take H on a

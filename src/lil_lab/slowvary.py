@@ -135,21 +135,16 @@ class SlowVaryFn:
     # -- algebra ------------------------------------------------------
 
     def __mul__(self, other) -> "SlowVaryFn":
-        if isinstance(other, SlowVaryFn):
-            return SlowVaryFn(
-                const=self.const * other.const,
-                log_pow=self.log_pow + other.log_pow,
-                loglog_pow=self.loglog_pow + other.loglog_pow,
-                exp_terms=self.exp_terms + other.exp_terms,
-            )
-        if isinstance(other, (int, float)):
-            return SlowVaryFn(
-                const=self.const * float(other),
-                log_pow=self.log_pow,
-                loglog_pow=self.loglog_pow,
-                exp_terms=self.exp_terms,
-            )
-        return NotImplemented
+        if isinstance(other, (int, float)):  # a number is the constant function
+            other = SlowVaryFn(const=other)
+        if not isinstance(other, SlowVaryFn):
+            return NotImplemented
+        return SlowVaryFn(
+            const=self.const * other.const,
+            log_pow=self.log_pow + other.log_pow,
+            loglog_pow=self.loglog_pow + other.loglog_pow,
+            exp_terms=self.exp_terms + other.exp_terms,
+        )
 
     __rmul__ = __mul__
 

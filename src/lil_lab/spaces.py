@@ -34,11 +34,11 @@ The two H sources that rest on a law live here: `DistTSM` (analytic),
 whose `matrices` are a law's closed-form truncated covariances, and
 `EmpiricalTSM`, whose `matrices` are prefix sums of a frozen sample
 sorted by norm.  Both evaluate a whole grid in one `values(ts)` call
-through one pipeline, `_on_grid`: the matrices at the distinct t, one
-stacked `dual_ball_sup` over the distinct matrices, scattered back onto
-the grid.  `trunc_cov_empirical` is a sample's `matrices` at one t.
-`truncated_second_moment` reads one point through them;
-`constants.parse_tsm` picks between them.
+through one pipeline, `_on_grid`: the matrices on the grid as given,
+one stacked `dual_ball_sup` over the bitwise-distinct matrices,
+scattered back onto the grid.  `trunc_cov_empirical` is a sample's
+`matrices` at one t.  `truncated_second_moment` reads one point through
+them; `constants.parse_tsm` picks between them.
 """
 from __future__ import annotations
 
@@ -248,21 +248,15 @@ def _at_point(source, t: float) -> float:
     return float(source.values(np.array([t], dtype=float))[0])
 
 
-def _distinct(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Bitwise-distinct entries along the first axis, and each entry's index among them."""
-    rows = np.ascontiguousarray(a, dtype=float).reshape(a.shape[0], math.prod(a.shape[1:]))
+def _on_grid(source, ts) -> np.ndarray:
+    """The one H pipeline, an H source's `values`: its `matrices` on the
+    1-D grid `ts` as given, one stacked dual-ball supremum over the
+    bitwise-distinct matrices, scattered back onto the grid."""
+    m = source.matrices(np.asarray(ts, dtype=float))
+    rows = np.ascontiguousarray(m, dtype=float).reshape(m.shape[0], math.prod(m.shape[1:]))
     keys = rows.view(np.dtype((np.void, rows.itemsize * rows.shape[1]))).reshape(-1)
     _, first, which = np.unique(keys, return_index=True, return_inverse=True)
-    return a[first], which
-
-
-def _on_grid(source, ts) -> np.ndarray:
-    """The one H pipeline, an H source's `values`: its `matrices` at the
-    distinct t of the 1-D grid `ts`, one stacked dual-ball supremum over
-    the distinct matrices, scattered back onto the grid."""
-    t_set, t_which = _distinct(np.asarray(ts, dtype=float))
-    m_set, m_which = _distinct(source.matrices(t_set))
-    return dual_ball_sup(m_set, source.space)[m_which][t_which]
+    return dual_ball_sup(m[first], source.space)[which]
 
 
 class DistTSM:

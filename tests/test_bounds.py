@@ -354,6 +354,17 @@ class TestHarness:
             mc_verify(dist, SpaceSpec(2, math.inf), n=20, trials=200, t_grid=np.array([4.0]),
                       params=BoundParams(eta=1.0, delta=1.0, s=50.0))
 
+    def test_l1_space_past_the_vertex_limit_fails_before_sampling(self, monkeypatch):
+        dist = RademacherProduct(np.ones(21))
+
+        def no_sampling(gen, n):
+            raise AssertionError("sampled before the space was checked")
+
+        monkeypatch.setattr(dist, "sample", no_sampling)
+        with pytest.raises(ValueError, match=r"^p=1 vertex enumeration limited to dim <= 20, got 21$"):
+            mc_verify(dist, SpaceSpec(21, 1.0), n=20, trials=200, t_grid=np.array([4.0]),
+                      params=BoundParams(eta=1.0, delta=1.0, s=3.0))
+
     def test_csv_text_shape(self):
         rep = mc_verify(
             RademacherProduct(np.ones(2)),

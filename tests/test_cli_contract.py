@@ -56,6 +56,13 @@ _ROWS = {
                                            "point:v=1e154", "--space", "1,2"], 0, None),
     "empirical-rademacher-1e154": (["constants", "--h", "2*(LL)^1", "--H", "empirical:64", "--dist",
                                     "rademacher:scales=1e154;1e154", "--space", "2,2"], 0, None),
+    # an l1 space's dual ball is the cube, whose sign vertices are enumerated: refused past
+    # d = 20, by fn-verify before it samples
+    "fn-verify-l1-past-vertex-limit": (["fn-verify", "--dist", "rademacher:dim=21", "--space", "21,1"],
+                                       2, "p=1 vertex enumeration limited to dim <= 20, got 21"),
+    "constants-l1-past-vertex-limit": (["constants", "--h", "2*(LL)^1", "--H", "empirical:64", "--dist",
+                                        "gauss:dim=21,var=1", "--space", "21,1"],
+                                       2, "p=1 vertex enumeration limited to dim <= 20, got 21"),
 }
 
 

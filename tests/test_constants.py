@@ -542,11 +542,11 @@ class TestHProtocol:
             ts = np.array([0.0, H.max_norm, 2 * H.max_norm])
             np.testing.assert_array_equal(H.extrapolated(ts), [False, False, True])
 
-    def test_analytic_source_evaluates_each_distinct_point_once(self, monkeypatch):
+    def test_analytic_source_evaluates_its_grid_in_one_call(self, monkeypatch):
         H = DistTSM(RademacherProduct(np.ones(2)), SpaceSpec(2, 1.0))
         seen = []
         orig = H.dist.truncated_cov
         monkeypatch.setattr(H.dist, "truncated_cov", lambda ts, space: seen.append(np.copy(ts)) or orig(ts, space))
         H.values(np.array([3.0, 0.5, 3.0, 0.5, 3.0]))
-        # one grid call, holding each distinct point once
-        assert len(seen) == 1 and sorted(seen[0].tolist()) == [0.5, 3.0]
+        # one grid call, holding the grid as given
+        assert len(seen) == 1 and seen[0].tolist() == [3.0, 0.5, 3.0, 0.5, 3.0]
