@@ -332,11 +332,11 @@ def mc_verify(
         raise ValueError("mc_verify needs a centered distribution")
     from . import rng
     from .simulate import _FinalAndMax, _PilotMoments, map_trials
-    from .spaces import dual_ball_sup
+    from .spaces import _check_dual_ball, dual_ball_sup
 
     # an overflowing C, or a p = 1 space past the vertex limit, fails before any sampling
     fn_constants(params.delta, params.eta, params.s)
-    dual_ball_sup(np.empty((0, space.dim, space.dim)), space)
+    _check_dual_ball(space)
 
     # both passes in one submission: the main pass reads nothing of the pilot's
     parts, main_parts = map_trials(

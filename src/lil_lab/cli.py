@@ -199,6 +199,14 @@ def _dist_and_space(spec: dict, need_dist: bool = True):
     return dist, space
 
 
+def _dual_ball_checked(spec: dict, space) -> None:
+    """Refuse, naming `--space`, a space whose dual-ball supremum is not
+    computed (p = 1 past the vertex limit), before any work."""
+    from .spaces import _check_dual_ball
+
+    _parsed(lambda _: _check_dual_ball(space), spec, "space")
+
+
 # ---------------------------------------------------------------------------
 # Scenario executors.  Each returns (artifact dict, extra files, exit code);
 # a kind with a CSV side file hands back, in place of the extra files, the
@@ -223,6 +231,8 @@ def _exec_constants(spec: dict) -> tuple[dict, dict, int]:
     h = _parsed(slowvary.parse_slow_vary, spec, "h")
     dist, space = _dist_and_space(spec, need_dist=False)
     H_fn = _parsed(constants.parse_tsm, spec, "H", dist=dist, space=space, seed=spec["seed"])
+    if hasattr(H_fn, "space"):  # a law-based H takes dual-ball suprema
+        _dual_ball_checked(spec, space)
     c_seq = _parsed(slowvary.parse_cseq, spec, "c_seq") if spec["c_seq"] else None
     report = constants.constants_report(
         h, H_fn, c_seq=c_seq, dist=dist, space=space, tol=spec["tol"],
@@ -256,6 +266,7 @@ def _exec_fn_verify(spec: dict) -> tuple[dict, object, int]:
     from . import bounds
 
     dist, space = _dist_and_space(spec)
+    _dual_ball_checked(spec, space)
     n = spec["n"]
     grid = parse_grid(spec["t_grid"]) if spec["t_grid"] else np.geomspace(0.5 * math.sqrt(n), 5 * math.sqrt(n), 20)
     params = bounds.BoundParams(eta=spec["eta"], delta=spec["delta"], s=spec["s"])

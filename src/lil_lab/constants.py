@@ -239,8 +239,8 @@ def series_classify(c: float, h: SlowVaryFn, H_fn) -> SeriesVerdict:
     one probe grid, built from log h(n).  Probe points with
     H(a_n) = 0 contribute nothing to the series; a tail that vanishes
     because H is 0 everywhere is CONVERGES, one where H is positive only
-    past the grid INCONCLUSIVE.  Inside `c0_compute`, `H_fn` is the
-    search's `_ProbeGrid` for this h.
+    past the grid INCONCLUSIVE.  `c0_compute` probes this series
+    through `alpha0_compute`.
     """
     return _classify("c", c, NormalizerSeq(h), H_fn)
 
@@ -338,19 +338,17 @@ def _finish_bracket(lo, hi, probes, note) -> Bracket:
 def c0_compute(h: SlowVaryFn, H_fn, tol: float = 0.02) -> Bracket:
     """Bracket the series threshold c0 = inf{c >= 0 : series converges}.
 
-    c0 is alpha0 along a_n = psi(n): the search builds the one probe grid
-    of `alpha0_compute` for `NormalizerSeq(h)`, so n_j, a_n and H(a_n) are
-    computed once per search, H in one call, and each probe's
-    `series_classify` only scales the exponents.
+    c0 is alpha0 along a_n = psi(n), and the search is `alpha0_compute`'s.
     """
-    grid = _ProbeGrid(NormalizerSeq(h), H_fn)
-    return _threshold_bracket(lambda c: series_classify(c, h, grid), tol)
+    return alpha0_compute(NormalizerSeq(h), H_fn, tol)
 
 
 def alpha0_compute(c_seq, H_fn, tol: float = 0.02) -> Bracket:
     """Bracket the divergence threshold alpha0 for a general c_n sequence.
 
-    As in `c0_compute`, n_j, c_n and H(c_n) are computed once per search.
+    The search builds its probe grid once, so n_j, c_n and H(c_n) are
+    computed once per search, H in one call, and each probe only scales
+    the exponents.
     """
     grid = _ProbeGrid(c_seq, H_fn)
     return _threshold_bracket(lambda a: alpha_series_classify(a, c_seq, grid), tol)
@@ -719,7 +717,9 @@ def constants_report(
 ) -> ConstantsReport:
     """Compute every constant the inputs allow and assemble one report.
 
-    alpha0 needs a c_n sequence.  beta0 is simulated whenever `trials` is
+    alpha0 needs a c_n sequence, a `NormalizerSeq` or a `PowerSeq`; its
+    block carries the verdicts of `check_normalizing_conditions`, which
+    refuses any other kind.  beta0 is simulated whenever `trials` is
     nonzero, which then needs a distribution and a space (ValueError
     otherwise; `simulate.mean_norm_curve` refuses fewer than 30 trials).
     q_used is the smallest grid q at which the membership classifier says
@@ -733,7 +733,7 @@ def constants_report(
     report writes every stage's result as the stage returned it; no value
     is kept past the report.
     """
-    from .slowvary import MEMBER, _tau_active, hq_classify
+    from .slowvary import MEMBER, _tau_active, check_normalizing_conditions, hq_classify
 
     c0 = c0_compute(h, H_fn, tol=tol)
     lam_res = lambda_compute(h, H_fn)
@@ -775,7 +775,10 @@ def constants_report(
         ),
     }
     if alpha0 is not None:
-        diagnostics["alpha0"] = alpha0.to_json_dict()
+        check = check_normalizing_conditions(c_seq)
+        diagnostics["alpha0"] = alpha0.to_json_dict() | {"normalizing_conditions": {
+            "root_growth": check.re_pass, "ratio_regular": check.ratio_regular, "rule": check.rule,
+        }}
     diagnostics.update(_route_diagnostics(h, H_fn, c_seq))
     return ConstantsReport(
         c0=c0,

@@ -651,73 +651,44 @@ def psi_inv_moment(
 
 
 # ---------------------------------------------------------------------------
-# Regularity checks for normalizing sequences c_n.
+# The normalizing conditions of a sequence c_n.
 # ---------------------------------------------------------------------------
-
-#: Minimum growth of c_n/sqrt(n) over the top two decades for the
-#: divergence half of the root-growth condition to count as satisfied.
-RE_GROWTH_MIN = 1.02
 
 
 @dataclass(frozen=True)
 class NormalizerCheck:
+    """The two conditions of the alpha0 route and the rule that decided them.
+
+    `re_pass` is root growth: c_n / sqrt(n) is nondecreasing
+    (`re_monotone`) and tends to infinity.  `ratio_regular` is: for every
+    eps > 0, c_n / c_m <= (1 + eps) n / m for all n > m >= some m_eps.
+    """
+
     re_pass: bool
     re_monotone: bool
-    re_growth_ratio: float
-    re_witness: int | None
-    reg_results: dict
-    n_max: int
+    ratio_regular: bool
+    rule: str
 
 
-def check_normalizing_conditions(c_seq, n_max: int = 10**6) -> NormalizerCheck:
-    """Numerical check of the root-growth and ratio-regularity conditions.
+def check_normalizing_conditions(c_seq) -> NormalizerCheck:
+    """Root growth and ratio regularity of c_n, by the exact rule of its kind.
 
-    Root growth: c_n / sqrt(n) must be nondecreasing and tend to infinity;
-    the divergence half is judged by growth over the top two decades of
-    the range, which a constant ratio (c_n = sqrt(n)) fails.
-
-    Ratio regularity: for eps in {0.1, 0.01} there must be a cutoff m_eps
-    with c_n/c_m <= (1+eps)(n/m) for all sampled m_eps <= m < n.
+    For c_n = C n^e, c_n / sqrt(n) = C n^(e - 1/2) is nondecreasing iff
+    e >= 1/2 and unbounded iff e > 1/2, and c_n / c_m = (n / m)^e is at
+    most n / m iff e <= 1.  For c_n = psi(n), c_n / sqrt(n) = sqrt(h(n))
+    is nondecreasing, since every factor of h is, and unbounded iff h is
+    not constant; by the Potter bounds h(n) / h(m) <= (1 + eps)^2 n / m
+    for large m, so c_n is ratio-regular.  Any other sequence raises
+    ValueError.
     """
-    if n_max < 100:
-        raise ValueError("n_max too small for a meaningful check")
-    n = np.arange(1, n_max + 1, dtype=float)
-    c = np.asarray(c_seq.values(n), dtype=float)
-    if c.shape != n.shape or np.any(~np.isfinite(c)) or np.any(c <= 0):
-        raise ValueError("sequence must be positive and finite on 1..n_max")
-    ratio = c / np.sqrt(n)
-    diffs = np.diff(ratio)
-    bad = np.where(diffs < -1e-12 * np.abs(ratio[:-1]))[0]
-    monotone = bad.size == 0
-    witness = int(bad[0] + 2) if bad.size else None
-    growth = float(ratio[-1] / ratio[max(0, n_max // 100 - 1)])
-    re_pass = monotone and growth >= RE_GROWTH_MIN
-
-    grid = np.unique(np.geomspace(8, n_max, 40).astype(int))
-    cg = np.asarray(c_seq.values(grid.astype(float)), dtype=float)
-    # every pair at once: entry (i, j) compares m = grid[i] with n = grid[j]
-    lhs = cg[None, :] / cg[:, None]
-    steps = grid[None, :] / grid[:, None]
-    reg_results = {}
-    for eps in (0.1, 0.01):
-        rhs = (1 + eps) * steps
-        bad = np.triu(lhs > rhs * (1 + 1e-12), 1)  # n > m only
-        # a cutoff is the first m that no later n violates; the last grid
-        # point has no successors to test against, so it cannot serve
-        clean = np.flatnonzero(~bad[:-1].any(axis=1))
-        stop = int(clean[0]) if clean.size else grid.size - 1
-        first = bad[:stop].argmax(axis=1)  # each earlier m's first violating n
-        reg_results[eps] = {
-            "pass": clean.size > 0,
-            "m_eps": int(grid[stop]) if clean.size else None,
-            "witnesses": [(int(grid[i]), int(grid[j]), float(lhs[i, j]), float(rhs[i, j]))
-                          for i, j in enumerate(first)],
-        }
-    return NormalizerCheck(
-        re_pass=re_pass,
-        re_monotone=monotone,
-        re_growth_ratio=growth,
-        re_witness=witness,
-        reg_results=reg_results,
-        n_max=int(n_max),
-    )
+    if isinstance(c_seq, PowerSeq):
+        e = c_seq.exponent
+        return NormalizerCheck(e > 0.5, e >= 0.5, e <= 1.0, "c_n = C n^e: root growth iff e > 1/2, "
+                               "c_n / sqrt(n) nondecreasing iff e >= 1/2, ratio-regular iff e <= 1")
+    if isinstance(c_seq, NormalizerSeq):
+        h = c_seq.h
+        return NormalizerCheck(bool(h.log_pow or h.loglog_pow or h.exp_terms), True, True,
+                               "c_n = sqrt(n h(n)): c_n / sqrt(n) = sqrt(h(n)) is nondecreasing, "
+                               "unbounded iff h is not constant, and ratio-regular (Potter bounds)")
+    raise ValueError("normalizing conditions are known for NormalizerSeq and PowerSeq, "
+                     f"got {type(c_seq).__name__}")

@@ -182,6 +182,13 @@ def trunc_cov_empirical(samples: np.ndarray, t: float, space: SpaceSpec) -> Trun
     return TruncatedCov(matrix=tsm.matrices(t), threshold=float(t), sample_count=tsm.n_samples)
 
 
+def _check_dual_ball(space: SpaceSpec) -> None:
+    """Refuse a space whose dual-ball supremum is not computed: p = 1 past
+    `VERTEX_ENUM_LIMIT`, where the 2^d sign vertices would be enumerated."""
+    if space.norm_p == 1.0 and space.dim > VERTEX_ENUM_LIMIT:
+        raise ValueError(f"p=1 vertex enumeration limited to dim <= {VERTEX_ENUM_LIMIT}, got {space.dim}")
+
+
 def dual_ball_sup(cov: TruncatedCov | np.ndarray, space: SpaceSpec):
     """sup of the quadratic form f^T M f over the dual unit ball of the space.
 
@@ -211,11 +218,8 @@ def dual_ball_sup(cov: TruncatedCov | np.ndarray, space: SpaceSpec):
         sup = eig[..., -1]
     elif p == math.inf:
         sup = np.diagonal(m, axis1=-2, axis2=-1).max(axis=-1)
-    elif space.dim > VERTEX_ENUM_LIMIT:
-        raise ValueError(
-            f"p=1 vertex enumeration limited to dim <= {VERTEX_ENUM_LIMIT}, got {space.dim}"
-        )
     else:
+        _check_dual_ball(space)
         sup = np.array([_sign_vertex_max(mi) for mi in m.reshape(-1, space.dim, space.dim)])
         sup = sup.reshape(m.shape[:-2])
     return float(sup) if m.ndim == 2 else sup

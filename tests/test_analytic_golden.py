@@ -15,8 +15,9 @@ of the sweep.  They were recorded from the membership check that took
 one tau at a time, before the taus shared their log-h calls.
 
 `PRE_ROUTE_DIGESTS` hash each report without the H route keys that
-`verdict_diagnostics` gained later; they are the digests recorded before
-those keys existed, so no older field can move unnoticed.
+`verdict_diagnostics` gained later, and without the alpha0 block's
+`normalizing_conditions`; they are the digests recorded before those
+keys existed, so no older field can move unnoticed.
 
 c6's H is empirical.  Both of its digests were recorded again when its
 sample moved from numpy's PCG64 to the versioned stream
@@ -45,6 +46,11 @@ sequence's own log(c_n^2 / n), `log_h`: the exponents of c0 are again
 c^2 h(n) / (2 H(a_n)), those of alpha0 c^2 exp(log_h) / (2 H(c_n)).
 Again only probe slopes moved; c1's and c8's digests are back to those
 recorded before c0 became alpha0 along psi.
+
+The three report digests with a c_n sequence (c2, c5, c7) were recorded
+again when the alpha0 block gained its `normalizing_conditions` entry;
+with that entry deleted, each hashes to its digest from before.  So
+`PRE_ROUTE_DIGESTS` leave it out, with the route keys.
 """
 
 import hashlib
@@ -56,7 +62,7 @@ import pytest
 from lil_lab.cli import parse_space
 from lil_lab.constants import alpha0_compute, c0_compute, constants_report, lambda_compute, parse_tsm
 from lil_lab.distributions import parse_dist
-from lil_lab.slowvary import NormalizerSeq, hq_classify, parse_cseq, parse_slow_vary
+from lil_lab.slowvary import NormalizerSeq, check_normalizing_conditions, hq_classify, parse_cseq, parse_slow_vary
 
 # name: (h, H, dist, space, c_seq)
 SCENARIOS = {
@@ -72,12 +78,12 @@ SCENARIOS = {
 
 REPORT_DIGESTS = {
     "c1-const": "9d37bd59f90674f3e6113ec7c53f3c84733d5b29fa9cced7ddf446dee2548ede",
-    "c2-const-cseq": "883af1d9bfdc3b53b3c8083ec1a247731c98a0dc80a1457a4d49056dcea08962",
+    "c2-const-cseq": "582d7b78ffbd814a88c5e3843b832ea72817c095989110c1867941cf35872e3f",
     "c3-llpow": "83bc503f6212f8ef2ddf63a56be6c3a20c7dc2695a2967938186920e1221b643",
     "c4-llpow": "a0a4ddc5c89514409557174570934bcc847e49ad14e2f7e7b485516b29d4d788",
-    "c5-dist-gauss1": "56e0e0b3cf41538aa7c28808ad0a2d565f4010797e368148cfa0cca1f0bd15e4",
+    "c5-dist-gauss1": "4207f1180ef469788a54df6abf47e09c52a0b2bf42b5886f8ee255402daa7c32",
     "c6-dist-gauss2": "fccbbe84c10e597abce842b102a98470f1975dbf4a474092b2153bd8a98e9b88",
-    "c7-dist-rademacher": "b274f5edb50b6ef1522970880e6a02bf9f2158e94fe0374348c28da4ab62536c",
+    "c7-dist-rademacher": "7cbaf332ef2f70be3120e72b875834e4c473f6aa477f96ec4f31a9c6e77aaadf",
     "c8-explog": "3acae49d609d4ae672ee9b71edce673412a36d6338b43d78dc6488cc136d58b9",
 }
 
@@ -160,6 +166,8 @@ def test_constants_report_without_route_keys_digest(name):
     assert set(ROUTE_KEYS) <= set(diag)
     for key in ROUTE_KEYS:
         del diag[key]
+    if SCENARIOS[name][4]:
+        del diag["alpha0"]["normalizing_conditions"]
     assert _digest(doc) == PRE_ROUTE_DIGESTS[name]
 
 
@@ -181,7 +189,17 @@ def test_c0_is_alpha0_along_psi(name):
     assert c0_compute(h, H_fn).to_json_dict() == alpha0_compute(NormalizerSeq(h), H_fn).to_json_dict()
     if SCENARIOS[name][4] == f"psi:{SCENARIOS[name][0]}":
         diag = _report(name)["verdict_diagnostics"]
+        del diag["alpha0"]["normalizing_conditions"]
         assert diag["c0"] == diag["alpha0"]
+
+
+@pytest.mark.parametrize("name, root_growth", [("c2-const-cseq", True), ("c5-dist-gauss1", True),
+                                               ("c7-dist-rademacher", False)])
+def test_alpha0_block_reads_the_normalizing_conditions(name, root_growth):
+    # c7's c_n = sqrt(n) breaks the route's root growth; its bracket is [524288, inf]
+    block = _report(name)["verdict_diagnostics"]["alpha0"]["normalizing_conditions"]
+    assert (block["root_growth"], block["ratio_regular"]) == (root_growth, True)
+    assert block["rule"] == check_normalizing_conditions(parse_cseq(SCENARIOS[name][4])).rule
 
 
 def test_route_keys_name_the_empirical_fallback():

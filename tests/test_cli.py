@@ -296,11 +296,15 @@ class TestArtifacts:
          {"tau", "verdict", "reason", "decay_exponent", "final_ratio"}),
         (_CONSTANTS, "constants.json", ("report", "verdict_diagnostics", "c0"), _BRACKET),
         (_CONSTANTS, "constants.json", ("report", "verdict_diagnostics", "c0", "probes", 0), {"c", "verdict", "slope"}),
-        (_CONSTANTS, "constants.json", ("report", "verdict_diagnostics", "alpha0"), _BRACKET),
+        (_CONSTANTS, "constants.json", ("report", "verdict_diagnostics", "alpha0"),
+         _BRACKET | {"normalizing_conditions"}),
         (_CONSTANTS, "constants.json", ("report", "verdict_diagnostics", "alpha0", "probes", 0),
          {"c", "verdict", "slope"}),
+        (_CONSTANTS, "constants.json", ("report", "verdict_diagnostics", "alpha0", "normalizing_conditions"),
+         {"root_growth", "ratio_regular", "rule"}),
     ], ids=["fn-bound-constants", "sim-limsup", "verify", "verify-data", "verify-pilot", "verify-params",
-            "verify-row", "hclass", "hclass-per-tau", "c0", "c0-probe", "alpha0", "alpha0-probe"])
+            "verify-row", "hclass", "hclass-per-tau", "c0", "c0-probe", "alpha0", "alpha0-probe",
+            "alpha0-normalizing-conditions"])
     def test_block_key_sets(self, tmp_path, argv, artifact, path, keys):
         assert cli.main([*argv, "--workers", "1", "--out", str(tmp_path)]) == 0
         node = json.loads((tmp_path / artifact).read_text())

@@ -2,7 +2,8 @@
 
 Each run either exits 0 and writes an artifact with no stray "nan", or
 exits 2 with exactly one `{code, message, context}` JSON line on stderr
-whose code is not `internal_error`.  A RuntimeWarning is an error here,
+whose code is not `internal_error` and whose context names the refused
+key, if any.  A RuntimeWarning is an error here,
 so a run that warns on its way to either exit fails its row.
 """
 
@@ -65,6 +66,22 @@ _ROWS = {
                                        2, "p=1 vertex enumeration limited to dim <= 20, got 21"),
 }
 
+# The `context` of each exit-2 row's error: the key it names, or none for
+# a failure of the run itself and for argparse's refusals.
+_CONTEXTS = {
+    "gauss-var-inf": {"dist": "gauss:dim=2,var=inf"},
+    "pareto-draws-overflow": {},
+    "argparse-value-like-a-flag": {},
+    "argparse-bad-float": {},
+    "point-nan": {"dist": "point:v=nan"},
+    "embedded-point-nan": {"dist": "embed:dim=2,axis=0,inner=(point:v=nan)"},
+    "t-grid-inf": {"t_grid": "1:inf:3"},
+    "t-grid-not-a-number": {"t_grid": "a:b:3"},
+    "empirical-count-negative": {"H": "empirical:-5"},
+    "fn-verify-l1-past-vertex-limit": {"space": "21,1"},
+    "constants-l1-past-vertex-limit": {"space": "21,1"},
+}
+
 
 def _stray_nans(doc, path=()):
     """Paths of "nan" strings, leaving out the two places a NaN is the answer:
@@ -82,9 +99,10 @@ def _stray_nans(doc, path=()):
         yield path
 
 
-@pytest.mark.parametrize("argv, exit_code, message", _ROWS.values(), ids=_ROWS.keys())
+@pytest.mark.parametrize("row", _ROWS)
 @pytest.mark.filterwarnings("error::RuntimeWarning")
-def test_extreme_input_exits_by_the_contract(tmp_path, capfd, argv, exit_code, message):
+def test_extreme_input_exits_by_the_contract(tmp_path, capfd, row):
+    argv, exit_code, message = _ROWS[row]
     out = tmp_path / "runs"
     assert cli.main([*argv, "--out", str(out)]) == exit_code
     err = capfd.readouterr().err
@@ -93,6 +111,7 @@ def test_extreme_input_exits_by_the_contract(tmp_path, capfd, argv, exit_code, m
         doc = json.loads(err)
         assert doc["code"] == "invalid_spec"
         assert doc["message"] == message
+        assert doc["context"] == _CONTEXTS[row]
         assert not out.exists()
         return
     assert err == ""

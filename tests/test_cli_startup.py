@@ -1,4 +1,4 @@
-"""`tools/cli_startup.py`: one timed fresh process and the modules it loaded."""
+"""`tools/cli_startup.py`: one timed fresh process, its faults and the modules it loaded."""
 
 import importlib.util
 from pathlib import Path
@@ -19,7 +19,8 @@ _spec.loader.exec_module(cli_startup)
 def test_a_subcommand_runs_once_and_loads_only_its_modules(capsys, subcommand, want):
     assert cli_startup.main(["--runs", "1", subcommand]) == 0
     header, row = capsys.readouterr().out.splitlines()
-    assert header.split() == ["subcommand", "median_ms", "peak_mb", "modules"]
-    name, ms, mb, *modules = row.split()
-    assert name == subcommand and float(ms) > 0 and float(mb) > 0
+    assert header.split() == ["subcommand", "median_ms", "peak_mb", "faults", "modules"]
+    name, ms, mb, faults, *modules = row.split()
+    assert name == subcommand and float(ms) > 0 and float(mb) > 0 and int(faults) > 0
     assert modules == want
+

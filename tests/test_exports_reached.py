@@ -10,8 +10,8 @@ object is not resolved by name, so the walk under-counts rather than
 over-counts what a subcommand uses.
 
 `UNREACHED` lists the exports no subcommand reaches, each with the
-reason it stays exported.  The list only shrinks: a listed export that a
-subcommand starts to reach fails here until it leaves the list, and a new
+reason it stays exported.  The list is kept exact: a listed export that a
+subcommand starts to reach fails here until it leaves the list, and an
 export that none reaches fails until it joins the list with its reason.
 """
 
@@ -25,8 +25,9 @@ _SRC = Path(lil_lab.__file__).resolve().parent
 UNREACHED = {
     "split_tail_bound": "the Gaussian-plus-linear split of the shifted maximal tail; fn-verify reports fn and kr rows",
     "truncated_path": "the truncated-twin path sampler, a library route with no subcommand yet",
-    "check_normalizing_conditions": "checks a c_n sequence against the paper's conditions; no subcommand asks",
     "psi_inv": "the inverse of psi in floats; the analytic route inverts in logs (`psi_inv_log`)",
+    "series_classify": "c0's series as a function of h, one classifier call along `NormalizerSeq(h)`; "
+                       "`c0_compute` probes it through `alpha0_compute`",
     "psi_inv_moment": "a Monte Carlo estimate of E psi^-1(||X||), the moment condition; no subcommand reports it",
     "trunc_cov_empirical": "a sample's truncated covariance at one t, the matrix behind an empirical H",
     "truncated_second_moment": "H at one point of a law or a sample, for library callers",

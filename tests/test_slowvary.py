@@ -31,32 +31,8 @@ from lil_lab.slowvary import (
 )
 
 
-def _loop_regularity(c_seq, n_max):
-    """The ratio-regularity results of `check_normalizing_conditions` as a
-    plain loop over the pairs m < n of its grid: the reference."""
-    grid = np.unique(np.geomspace(8, n_max, 40).astype(int))
-    cg = np.asarray(c_seq.values(grid.astype(float)), dtype=float)
-    out = {}
-    for eps in (0.1, 0.01):
-        ok_from, witnesses = None, []
-        for i in range(len(grid) - 1):
-            violated = False
-            for j in range(i + 1, len(grid)):
-                lhs = cg[j] / cg[i]
-                rhs = (1 + eps) * (grid[j] / grid[i])
-                if lhs > rhs * (1 + 1e-12):
-                    violated = True
-                    witnesses.append((int(grid[i]), int(grid[j]), float(lhs), float(rhs)))
-                    break
-            if not violated:
-                ok_from = int(grid[i])
-                break
-        out[eps] = {"pass": ok_from is not None, "m_eps": ok_from, "witnesses": witnesses}
-    return out
-
-
 class _Jump:
-    """sqrt(n), six times larger from n = 100 on: every m below the jump is irregular."""
+    """sqrt(n), six times larger from n = 100 on: a sequence of neither known kind."""
 
     def values(self, n):
         n = np.asarray(n, dtype=float)
@@ -64,7 +40,7 @@ class _Jump:
 
 
 class _Wiggle:
-    """n (2 + cos n): irregular at a cutoff that depends on eps."""
+    """n (2 + cos n): a sequence of neither known kind."""
 
     def values(self, n):
         n = np.asarray(n, dtype=float)
@@ -146,6 +122,19 @@ def normal_forms(draw):
         loglog_pow=draw(st.floats(0.0, 3.0)),
         exp_terms=tuple(terms),
     )
+
+
+@st.composite
+def cseq_specs(draw):
+    """Random `--c-seq` texts: pow:e,C around the rules' edges, or psi:h
+    for a normal form whose every exponent is 0 or well above it."""
+    if draw(st.booleans()):
+        e = draw(st.one_of(st.sampled_from([0.5, 1.0, 0.5 + 1e-9, 1.0 + 1e-9]), st.floats(0.05, 3.0)))
+        return f"pow:{e!r},{draw(st.floats(0.1, 10.0))!r}"
+    terms = draw(st.lists(st.tuples(st.floats(0.05, 2.0), st.floats(0.05, 0.95)), max_size=2))
+    h = SlowVaryFn(const=draw(st.floats(0.1, 10.0)), log_pow=draw(st.sampled_from([0.0, 0.5, 2.5])),
+                   loglog_pow=draw(st.sampled_from([0.0, 0.1, 1.0])), exp_terms=tuple(terms))
+    return f"psi:{h.to_text()}"
 
 
 class TestPsiAndInverse:
@@ -309,33 +298,38 @@ class TestSequences:
         with pytest.raises(ValueError):
             parse_cseq(bad)
 
-    def test_root_growth_check_separates_scales(self):
-        # c_n = sqrt(2 n LLn): passes both conditions
-        good = check_normalizing_conditions(NormalizerSeq(parse_slow_vary("2*(LL)^1")), n_max=10**5)
-        assert good.re_pass and good.re_monotone
-        assert all(r["pass"] for r in good.reg_results.values())
-        # c_n = n^0.4: the ratio to sqrt(n) decreases
-        sub = check_normalizing_conditions(parse_cseq("pow:0.4"), n_max=10**5)
-        assert not sub.re_pass and not sub.re_monotone
-        assert sub.re_witness is not None
-        # c_n = sqrt(n) exactly: monotone but not divergent
-        flat = check_normalizing_conditions(parse_cseq("pow:0.5"), n_max=10**5)
-        assert flat.re_monotone and not flat.re_pass
+    @pytest.mark.parametrize("spec, want", [
+        ("psi:2*(LL)^1", (True, True, True)),
+        ("psi:(LL)^0.1", (True, True, True)),  # the million-point scan saw too little growth
+        ("psi:1", (False, True, True)),
+        ("pow:0.4", (False, False, True)),
+        ("pow:0.5", (False, True, True)),
+        ("pow:0.6", (True, True, True)),
+        ("pow:1.2", (True, True, False)),
+    ])
+    def test_normalizing_conditions_verdict_table(self, spec, want):
+        check = check_normalizing_conditions(parse_cseq(spec))
+        assert (check.re_pass, check.re_monotone, check.ratio_regular) == want
 
-    @pytest.mark.parametrize("seq", [
-        NormalizerSeq(parse_slow_vary("2*(LL)^1")), parse_cseq("pow:0.5"), parse_cseq("pow:1.5"),
-        NormalizerSeq(parse_slow_vary("exp((L)^0.5)")), _Jump(), _Wiggle(),
-    ], ids=["psi-2LL", "pow-0.5", "pow-1.5", "psi-exp", "jump", "wiggle"])
-    def test_ratio_regularity_matches_the_pair_loop(self, seq):
-        got = check_normalizing_conditions(seq, n_max=10**5).reg_results
-        assert got == _loop_regularity(seq, 10**5)
-        assert repr(got) == repr(_loop_regularity(seq, 10**5))
+    @given(spec=cseq_specs())
+    @example(spec="psi:2*(LL)^1")
+    @example(spec="pow:0.4")
+    @example(spec="pow:0.5")
+    @settings(max_examples=80, deadline=None)
+    def test_normalizing_conditions_are_the_far_behaviour_of_log_h(self, spec):
+        # at log n = u < v far out, c_n / sqrt(n) = exp(log_h / 2) grows iff
+        # log_h does, and c_n / c_m <= n / m reads log_h(v) - log_h(u) <= v - u
+        seq = parse_cseq(spec)
+        u, v = 1e200, 2e200
+        lo, hi = seq.log_h(u), seq.log_h(v)
+        check = check_normalizing_conditions(seq)
+        assert (check.re_pass, check.re_monotone, check.ratio_regular) == (hi > lo, hi >= lo, hi - lo <= v - u)
+        assert check.rule.startswith("c_n = sqrt(n h(n))" if spec.startswith("psi:") else "c_n = C n^e")
 
-    def test_ratio_regularity_reports_witnesses(self):
-        # n^1.2 violates c_n/c_m <= (1+eps)(n/m) at every pair, with witnesses
-        res = check_normalizing_conditions(parse_cseq("pow:1.2"), n_max=10**5)
-        assert not res.reg_results[0.01]["pass"]
-        assert len(res.reg_results[0.01]["witnesses"]) > 0
+    @pytest.mark.parametrize("seq", [_Jump(), _Wiggle()], ids=["jump", "wiggle"])
+    def test_normalizing_conditions_refuse_other_sequences(self, seq):
+        with pytest.raises(ValueError, match="known for NormalizerSeq and PowerSeq, got _"):
+            check_normalizing_conditions(seq)
 
 
 class TestHqClassification:

@@ -55,9 +55,10 @@ def test_install_wraps_and_uninstall_restores(monkeypatch):
 @pytest.mark.parametrize("search", ["c0", "alpha0"])
 def test_every_bracket_probe_is_a_traced_classifier_call(monkeypatch, search):
     """Each probe of a search is exactly one traced `constants.series_classify`
-    span under the search's span, the endpoint verdicts are the probes'
-    verdicts at lo and hi (no endpoint is classified again), and the
-    INCONCLUSIVE probes are counted."""
+    span under the search's span (c0's search is `alpha0_compute`'s, in a
+    span under c0's), the endpoint verdicts are the probes' verdicts at lo
+    and hi (no endpoint is classified again), and the INCONCLUSIVE probes
+    are counted."""
     monkeypatch.syspath_prepend(str(PERFBENCH))
     from tracer import Tracer
 
@@ -72,7 +73,10 @@ def test_every_bracket_probe_is_a_traced_classifier_call(monkeypatch, search):
             br = constants.alpha0_compute(parse_cseq("psi:2*(LL)^1"), H)
     finally:
         tracer.uninstall()
-    [top] = [i for i, s in enumerate(tracer.spans) if s.name == f"constants.{search}_compute"]
+    names = [s.name for s in tracer.spans]
+    [top] = [i for i, name in enumerate(names) if name == "constants.alpha0_compute"]
+    if search == "c0":
+        assert tracer.spans[top].parent == names.index("constants.c0_compute")
     spans = [s for s in tracer.spans if s.name == "constants.series_classify"]
     assert all(s.parent == top for s in spans)
     assert len(spans) == len(br.probes)

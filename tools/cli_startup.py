@@ -9,7 +9,9 @@ process's own peak and the peak of its largest waited-for child, never
 their sum.  So for `fn-verify-w2`, whose second stripe runs in a forked
 child, `peak_mb` is whichever of the two peaked higher, while the
 benchmark's `peak_rss_mb` adds the child's peak to its parent's; the two
-figures differ for that row.  One untimed run before them lists the
+figures differ for that row.  `faults` is the median `ru_minflt` of
+the same rusage, the minor page faults of the process and its
+waited-for children together.  One untimed run before them lists the
 modules in `sys.modules` at exit (the CLI module itself runs as
 `__main__` and is not listed); where the environment lets Python write
 bytecode, that run also fills the cache.
@@ -18,7 +20,7 @@ bytecode, that run also fills the cache.
     python3 tools/cli_startup.py --runs 1 hclass # one subcommand, one run
 
 One row per subcommand: the median wall milliseconds, the median peak
-RSS in MB, then the modules.
+RSS in MB, the median minor page faults, then the modules.
 """
 
 import argparse
@@ -40,6 +42,9 @@ SUBCOMMANDS = {
     "fn-verify": ["fn-verify", "--trials", "200", "--n", "50", "--workers", "1"],
     # four chunks over the caller and one forked child: the cost of starting workers
     "fn-verify-w2": ["fn-verify", "--trials", "2048", "--n", "50", "--workers", "2"],
+    # the benchmark's mc-many-short call, in the caller alone
+    "fn-verify-many": ["fn-verify", "--dist", "rademacher:dim=5", "--space", "5,inf", "--n", "200",
+                       "--trials", "20480", "--workers", "1"],
     "lil-sim": ["lil-sim", "--N", "1000", "--trials", "50", "--workers", "1"],
     # paths longer than one block: streamed block by block in the caller
     "lil-sim-long": ["lil-sim", "--N", "200000", "--trials", "4", "--workers", "1"],
@@ -53,9 +58,9 @@ _LIST_MODULES = (
 )
 
 
-def measure(args: list[str], runs: int) -> tuple[float, float, list[str]]:
-    """(median wall ms and median peak RSS in MB over `runs` fresh processes,
-    `lil_lab` modules imported) of one subcommand."""
+def measure(args: list[str], runs: int) -> tuple[float, float, float, list[str]]:
+    """(median wall ms, median peak RSS in MB and median minor faults over
+    `runs` fresh processes, `lil_lab` modules imported) of one subcommand."""
     src = str(ROOT / "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     with tempfile.TemporaryDirectory() as out:
@@ -63,7 +68,7 @@ def measure(args: list[str], runs: int) -> tuple[float, float, list[str]]:
         listed = subprocess.run([sys.executable, "-c", _LIST_MODULES, *args], env=env, cwd=out,
                                 stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True, check=True)
         modules = listed.stderr.splitlines()[-1].split()
-        walls, peaks = [], []
+        walls, peaks, faults = [], [], []
         for _ in range(runs):
             start = time.perf_counter()
             proc = subprocess.Popen([sys.executable, "-m", "lil_lab.cli", *args], env=env, cwd=out,
@@ -74,7 +79,8 @@ def measure(args: list[str], runs: int) -> tuple[float, float, list[str]]:
             if proc.returncode:
                 raise subprocess.CalledProcessError(proc.returncode, proc.args)
             peaks.append(usage.ru_maxrss / 1024)  # KiB on Linux
-    return statistics.median(walls), statistics.median(peaks), modules
+            faults.append(usage.ru_minflt)
+    return statistics.median(walls), statistics.median(peaks), statistics.median(faults), modules
 
 
 def main(argv=None) -> int:
@@ -87,10 +93,10 @@ def main(argv=None) -> int:
     unknown = [name for name in args.names if name not in SUBCOMMANDS]
     if unknown:
         ap.error(f"unknown subcommand {unknown[0]!r}; choose from {', '.join(SUBCOMMANDS)}")
-    print(f"{'subcommand':<14}{'median_ms':>10}{'peak_mb':>9}  modules")
+    print(f"{'subcommand':<16}{'median_ms':>10}{'peak_mb':>9}{'faults':>9}  modules")
     for name in args.names or SUBCOMMANDS:
-        ms, mb, modules = measure(SUBCOMMANDS[name], args.runs)
-        print(f"{name:<14}{ms:>10.1f}{mb:>9.1f}  {' '.join(modules)}")
+        ms, mb, faults, modules = measure(SUBCOMMANDS[name], args.runs)
+        print(f"{name:<16}{ms:>10.1f}{mb:>9.1f}{faults:>9.0f}  {' '.join(modules)}")
     return 0
 
 
