@@ -64,9 +64,14 @@ class MomentData:
 
 
 def eps_from_delta(delta: float) -> float:
-    """Largest eps with (2+eps)(1+9eps)^2 <= 2+delta, by bisection."""
-    if delta <= 0:
-        raise ValueError("delta must be positive")
+    """Largest eps with (2+eps)(1+9eps)^2 <= 2+delta, by bisection.
+
+    The bisection stops at an absolute width of about 1e-13, so a delta up
+    to about 2e-12 leaves eps at 0: a ValueError naming delta, as is a
+    delta that is not positive and finite.
+    """
+    if not 0 < delta < math.inf:
+        raise ValueError(f"delta must be positive and finite, got {delta!r}")
     target = 2.0 + delta
 
     def f(e: float) -> float:
@@ -82,6 +87,8 @@ def eps_from_delta(delta: float) -> float:
             lo = mid
         else:
             hi = mid
+    if lo == 0:
+        raise ValueError(f"delta {delta!r} is too small: its epsilon bisects to 0")
     return lo
 
 
@@ -111,8 +118,6 @@ class BoundParams:
     def __post_init__(self) -> None:
         if not (0 < self.eta <= 1):
             raise ValueError("eta must lie in (0, 1]")
-        if self.delta <= 0:
-            raise ValueError("delta must be positive")
         if self.s <= 2:
             raise ValueError("s must exceed 2")
         object.__setattr__(self, "epsilon", eps_from_delta(self.delta))

@@ -34,7 +34,12 @@ line on stderr; `_guarded` is the one place that writes it.  The codes:
     invalid_spec       a bad input, or one past the float range:
                        `--workers 0`, `--t 1e400`, a partial sum that
                        overflows (`--dist rademacher:scales=1e307`),
-                       a flag the parser cannot read (`--q abc`)
+                       a flag the parser cannot read (`--q abc`);
+                       `context` names a refused spec value by its key:
+                       `--space 5` gives `{"space": "5"}`, and a normal
+                       form or sequence with a number that is not finite,
+                       `--h "(L)^1e400"` or `--c-seq pow:nan`, gives
+                       `{"h": "(L)^1e400"}` or `{"c_seq": "pow:nan"}`
     io_error           a file that cannot be read or written; `context`
                        names the path (`--out` below a regular file)
     missing_artifacts  `report` on a directory with no artifact in it
@@ -108,28 +113,24 @@ class SpecError(Exception):
 
 
 def parse_space(text: str) -> SpaceSpec:
+    """The `space` text 'dim,p'; a ValueError when it is not one."""
     from .spaces import SpaceSpec
 
     bits = text.split(",")
     if len(bits) != 2:
-        raise SpecError(f"space must be 'dim,p', got {text!r}")
-    try:
-        return SpaceSpec(int(bits[0]), float(bits[1]))
-    except ValueError as exc:
-        raise SpecError(str(exc), {"space": text}) from None
+        raise ValueError(f"space must be 'dim,p', got {text!r}")
+    return SpaceSpec(int(bits[0]), float(bits[1]))
 
 
 def parse_grid(text: str) -> np.ndarray:
-    """The `t_grid` text 'lo:hi:points': points geometric steps from lo to hi."""
+    """The `t_grid` text 'lo:hi:points': points geometric steps from lo to
+    hi; a ValueError when it is not one."""
     bits = text.split(":")
     if len(bits) != 3:
-        raise SpecError(f"grid must be 'lo:hi:points', got {text!r}", {"t_grid": text})
-    try:
-        lo, hi, k = float(bits[0]), float(bits[1]), int(bits[2])
-    except ValueError as exc:
-        raise SpecError(str(exc), {"t_grid": text}) from None
+        raise ValueError(f"grid must be 'lo:hi:points', got {text!r}")
+    lo, hi, k = float(bits[0]), float(bits[1]), int(bits[2])
     if not (0 < lo < hi < math.inf and k >= 2):
-        raise SpecError(f"grid needs 0 < lo < hi < inf and points >= 2, got {text!r}", {"t_grid": text})
+        raise ValueError(f"grid needs 0 < lo < hi < inf and points >= 2, got {text!r}")
     return np.geomspace(lo, hi, k)
 
 
@@ -175,7 +176,11 @@ def validate_spec(raw: dict) -> dict:
 
 
 def _parsed(parse, spec: dict, key: str, **kwargs):
-    """`parse(spec[key])`, a ValueError turned into a SpecError naming the key."""
+    """`parse(spec[key])`, a ValueError turned into a SpecError naming the key.
+
+    The one place a refused spec value gets its context: every parser of
+    a spec text raises a plain ValueError.
+    """
     try:
         return parse(spec[key], **kwargs)
     except ValueError as exc:
@@ -192,7 +197,7 @@ def _dist_and_space(spec: dict, need_dist: bool = True):
         from .distributions import parse_dist
 
         dist = _parsed(parse_dist, spec, "dist")
-    space = parse_space(spec["space"])
+    space = _parsed(parse_space, spec, "space")
     if dist is not None and dist.dim != space.dim:
         raise SpecError("distribution and space dimensions disagree",
                         {"dist_dim": dist.dim, "space_dim": space.dim})
@@ -267,8 +272,8 @@ def _exec_fn_verify(spec: dict) -> tuple[dict, object, int]:
 
     dist, space = _dist_and_space(spec)
     _dual_ball_checked(spec, space)
-    n = spec["n"]
-    grid = parse_grid(spec["t_grid"]) if spec["t_grid"] else np.geomspace(0.5 * math.sqrt(n), 5 * math.sqrt(n), 20)
+    n, root_n = spec["n"], math.sqrt(spec["n"])
+    grid = _parsed(parse_grid, spec, "t_grid") if spec["t_grid"] else np.geomspace(0.5 * root_n, 5 * root_n, 20)
     params = bounds.BoundParams(eta=spec["eta"], delta=spec["delta"], s=spec["s"])
     report = bounds.mc_verify(
         dist, space, n, spec["trials"], grid, params,

@@ -84,7 +84,8 @@ class SlowVaryFn:
     tuple of (coeff, beta) pairs for the exp(coeff * (Lt)^beta) factors.
     Instances are immutable; `*` multiplies two functions (or scales by a
     positive constant) and `**` raises to a positive power, both staying
-    inside the class.
+    inside the class.  Every number of the form must be finite: a NaN or
+    inf, given or reached by `*` or `**`, is a ValueError.
     """
 
     const: float = 1.0
@@ -93,17 +94,17 @@ class SlowVaryFn:
     exp_terms: tuple[tuple[float, float], ...] = ()
 
     def __post_init__(self) -> None:
-        if not (self.const > 0 and math.isfinite(self.const)):
+        if not 0 < self.const < math.inf:
             raise ValueError(f"constant factor must be positive and finite, got {self.const!r}")
-        if self.log_pow < 0 or self.loglog_pow < 0:
-            raise ValueError("exponents of (Lt)^r and (LLt)^p must be nonnegative")
+        if not (0 <= self.log_pow < math.inf and 0 <= self.loglog_pow < math.inf):
+            raise ValueError("exponents of (Lt)^r and (LLt)^p must be nonnegative and finite")
         merged: dict[float, float] = {}
         for coeff, beta in self.exp_terms:
-            if not (coeff > 0 and 0 < beta < 1):
-                raise ValueError(
-                    f"exp factor needs coeff > 0 and 0 < beta < 1, got ({coeff!r}, {beta!r})"
-                )
-            merged[beta] = merged.get(beta, 0.0) + float(coeff)
+            total = merged.get(beta, 0.0) + float(coeff)  # inf when a coeff or the sum is
+            if not (coeff > 0 and total < math.inf and 0 < beta < 1):
+                raise ValueError(f"exp factor needs coeff > 0, 0 < beta < 1 and a finite sum of "
+                                 f"coeffs per beta, got ({coeff!r}, {beta!r})")
+            merged[beta] = total
         canon = tuple(sorted((c, b) for b, c in merged.items()))
         object.__setattr__(self, "const", float(self.const))
         object.__setattr__(self, "log_pow", float(self.log_pow))
@@ -151,8 +152,12 @@ class SlowVaryFn:
     def __pow__(self, q: float) -> "SlowVaryFn":
         if not (q > 0 and math.isfinite(q)):
             raise ValueError("only positive finite powers keep the class closed")
+        try:
+            const = self.const**q
+        except OverflowError:  # past the float range: refused as not finite
+            const = math.inf
         return SlowVaryFn(
-            const=self.const**q,
+            const=const,
             log_pow=self.log_pow * q,
             loglog_pow=self.loglog_pow * q,
             exp_terms=tuple((c * q, b) for c, b in self.exp_terms),
@@ -453,11 +458,12 @@ class NormalizerSeq:
 
 
 class PowerSeq:
-    """c_n = coeff * n^exponent, e.g. sqrt(n) or n itself."""
+    """c_n = coeff * n^exponent, e.g. sqrt(n) or n itself; both numbers
+    must be positive and finite."""
 
     def __init__(self, exponent: float, coeff: float = 1.0):
-        if exponent <= 0 or coeff <= 0:
-            raise ValueError("PowerSeq needs positive exponent and coefficient")
+        if not (0 < exponent < math.inf and 0 < coeff < math.inf):
+            raise ValueError(f"PowerSeq needs a positive finite exponent and coeff, got {exponent!r} and {coeff!r}")
         self.exponent = float(exponent)
         self.coeff = float(coeff)
 

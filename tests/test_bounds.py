@@ -57,6 +57,15 @@ class TestEpsilonSolver:
         es = [eps_from_delta(d) for d in (0.1, 0.5, 1.0, 2.0, 8.0)]
         assert all(a < b for a, b in zip(es, es[1:]))
 
+    @pytest.mark.parametrize("delta", [1e-12, 2e-12, 1e-300, math.nan, math.inf, 0.0, -1.0])
+    def test_delta_whose_epsilon_is_not_positive_is_refused_by_name(self, delta):
+        # the bisection stops at an absolute width of 1e-13: eps would be 0 below about 2e-12
+        with pytest.raises(ValueError, match="delta"):
+            BoundParams(eta=1.0, delta=delta, s=3.0)
+
+    def test_delta_just_past_the_width_keeps_a_positive_epsilon(self):
+        assert eps_from_delta(3e-12) == 5.684341886080802e-14
+
 
 class TestAssembledConstants:
     def test_split_denominator_values(self):

@@ -247,28 +247,20 @@ class TestParsers:
         sp = cli.parse_space("5,inf")
         assert sp.dim == 5 and sp.norm_p == math.inf
         assert cli.parse_space("2,1").norm_p == 1.0
-        with pytest.raises(cli.SpecError):
+        with pytest.raises(ValueError):
             cli.parse_space("2")
-        with pytest.raises(cli.SpecError):
+        with pytest.raises(ValueError):
             cli.parse_space("0,2")
         # p is read by `float` alone, so " inf" is l-inf and "oo" is no exponent
         assert cli.parse_space("2, inf").norm_p == math.inf
-        with pytest.raises(cli.SpecError) as exc:
+        with pytest.raises(ValueError):
             cli.parse_space("2,oo")
-        assert exc.value.context == {"space": "2,oo"}
 
     def test_grid(self):
         np.testing.assert_allclose(cli.parse_grid("1:100:5"), np.geomspace(1, 100, 5))
-        with pytest.raises(cli.SpecError):
-            cli.parse_grid("1:100")
-        with pytest.raises(cli.SpecError):
-            cli.parse_grid("100:1:5")
-        with pytest.raises(cli.SpecError):
-            cli.parse_grid("0:1:5")
-        for text in ("1:inf:3", "1:1e309:3", "a:b:3", "1:10:2.5"):
-            with pytest.raises(cli.SpecError) as exc:
+        for text in ("1:100", "100:1:5", "0:1:5", "1:inf:3", "1:1e309:3", "a:b:3", "1:10:2.5"):
+            with pytest.raises(ValueError):
                 cli.parse_grid(text)
-            assert exc.value.context == {"t_grid": text}
 
 
 _VERIFY = ["fn-verify", "--dist", "rademacher:dim=2", "--space", "2,inf", "--n", "30", "--trials", "200"]

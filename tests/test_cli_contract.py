@@ -41,6 +41,28 @@ _ROWS = {
                    2, "grid needs 0 < lo < hi < inf and points >= 2, got '1:inf:3'"),
     "t-grid-not-a-number": (["fn-verify", "--n", "5", "--trials", "100", "--t-grid", "a:b:3"],
                             2, "could not convert string to float: 'a'"),
+    "t-grid-past-float-range": (["fn-verify", "--n", "5", "--trials", "100", "--t-grid", "1:1e309:3"],
+                                2, "grid needs 0 < lo < hi < inf and points >= 2, got '1:1e309:3'"),
+    "t-grid-fractional-points": (["fn-verify", "--n", "5", "--trials", "100", "--t-grid", "1:10:2.5"],
+                                 2, "invalid literal for int() with base 10: '2.5'"),
+    # p is read by `float` alone, so "oo" is no exponent
+    "space-p-not-a-number": (["fn-verify", "--space", "2,oo"], 2, "could not convert string to float: 'oo'"),
+    "space-without-p": (["fn-verify", "--space", "5"], 2, "space must be 'dim,p', got '5'"),
+    # a normal form or power sequence holds only finite numbers: refused by name before any stage
+    "h-log-power-past-float-range": (["constants", "--h", "(L)^1e400", "--H", "const:1"],
+                                     2, "exponents of (Lt)^r and (LLt)^p must be nonnegative and finite"),
+    "h-loglog-power-past-float-range": (["hclass", "--h", "(LL)^1e400"],
+                                        2, "exponents of (Lt)^r and (LLt)^p must be nonnegative and finite"),
+    "h-exp-coeff-past-float-range": (["constants", "--h", "exp(1e400*(L)^0.5)", "--H", "const:1"],
+                                     2, "exp factor needs coeff > 0, 0 < beta < 1 and a finite sum of coeffs "
+                                        "per beta, got (inf, 0.5)"),
+    "c-seq-exponent-nan": (["constants", "--h", "2*(LL)^1", "--H", "const:1", "--c-seq", "pow:nan"],
+                           2, "PowerSeq needs a positive finite exponent and coeff, got nan and 1.0"),
+    "c-seq-coeff-inf": (["constants", "--h", "2*(LL)^1", "--H", "const:1", "--c-seq", "pow:0.5,inf"],
+                        2, "PowerSeq needs a positive finite exponent and coeff, got 0.5 and inf"),
+    # the epsilon bisection stops at an absolute width of 1e-13
+    "fn-bound-delta-too-small": (["fn-bound", "--t", "10", "--delta", "1e-12", "--lambda-n", "1", "--m-bound", "1",
+                                  "--moment-s", "1"], 2, "delta 1e-12 is too small: its epsilon bisects to 0"),
     "empirical-count-negative": (["constants", "--h", "2*(LL)^1", "--H", "empirical:-5", "--dist", "gauss:dim=1,var=1"],
                                  2, "an empirical H needs at least one sample"),
     # the grid's top point is the float max's neighbourhood: geomspace builds it without overflow
@@ -77,6 +99,16 @@ _CONTEXTS = {
     "embedded-point-nan": {"dist": "embed:dim=2,axis=0,inner=(point:v=nan)"},
     "t-grid-inf": {"t_grid": "1:inf:3"},
     "t-grid-not-a-number": {"t_grid": "a:b:3"},
+    "t-grid-past-float-range": {"t_grid": "1:1e309:3"},
+    "t-grid-fractional-points": {"t_grid": "1:10:2.5"},
+    "space-p-not-a-number": {"space": "2,oo"},
+    "space-without-p": {"space": "5"},
+    "h-log-power-past-float-range": {"h": "(L)^1e400"},
+    "h-loglog-power-past-float-range": {"h": "(LL)^1e400"},
+    "h-exp-coeff-past-float-range": {"h": "exp(1e400*(L)^0.5)"},
+    "c-seq-exponent-nan": {"c_seq": "pow:nan"},
+    "c-seq-coeff-inf": {"c_seq": "pow:0.5,inf"},
+    "fn-bound-delta-too-small": {},
     "empirical-count-negative": {"H": "empirical:-5"},
     "fn-verify-l1-past-vertex-limit": {"space": "21,1"},
     "constants-l1-past-vertex-limit": {"space": "21,1"},

@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from lil_lab import slowvary
@@ -110,6 +110,82 @@ class TestParserAndAlgebra:
             SlowVaryFn.constant(0.0)
         with pytest.raises(ValueError):
             parse_slow_vary("-2*(LL)^1")
+
+
+# Any float, nan and +-inf among them, with the float range's edges and
+# ordinary values drawn often, so that both outcomes are common.
+_ANY = st.one_of(st.sampled_from([math.nan, math.inf, -math.inf, 0.0, -1.0, 5e-324, 1e308, 1.7e308]),
+                 st.floats(0.01, 10.0), st.floats())
+# Positive finite floats from the smallest subnormal to the float max:
+# products, sums and powers of them pass the range at both ends.
+_WIDE = st.one_of(st.sampled_from([5e-324, 1e-300, 1e300, 1.7e308]), st.floats(0.01, 10.0),
+                  st.floats(5e-324, 1.7e308))
+# Repeated betas, so that merged coefficients can sum past the float range.
+_BETA = st.one_of(st.sampled_from([0.25, 0.5]), st.floats(0.0, 1.0, exclude_min=True, exclude_max=True))
+
+
+def _in_range(const, log_pow, loglog_pow, exp_terms) -> bool:
+    """Whether these numbers are a normal form: each finite and in range,
+    the coefficients summed per beta included."""
+    sums = {}
+    for coeff, beta in exp_terms:
+        if not (coeff > 0 and 0 < beta < 1):
+            return False
+        sums[beta] = sums.get(beta, 0.0) + coeff
+    return (0 < const < math.inf and 0 <= log_pow < math.inf and 0 <= loglog_pow < math.inf
+            and all(total < math.inf for total in sums.values()))
+
+
+def _constructs(make, ok: bool) -> None:
+    if ok:
+        make()
+    else:
+        with pytest.raises(ValueError):
+            make()
+
+
+@st.composite
+def wide_forms(draw):
+    """Normal forms whose numbers span the whole positive float range."""
+    numbers = (draw(_WIDE), draw(st.just(0.0) | _WIDE), draw(st.just(0.0) | _WIDE),
+               tuple(draw(st.lists(st.tuples(_WIDE, _BETA), max_size=2))))
+    assume(_in_range(*numbers))  # two coefficients of one beta may sum past the range
+    return SlowVaryFn(*numbers)
+
+
+class TestNonFiniteNumbersRefused:
+    """A normal form, and a power sequence, is built exactly when every
+    number in it is finite and in range; any other is a ValueError."""
+
+    @given(const=_ANY, log_pow=_ANY, loglog_pow=_ANY,
+           exp_terms=st.lists(st.tuples(_ANY | _WIDE, _BETA | _ANY), max_size=3))
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    def test_fields(self, const, log_pow, loglog_pow, exp_terms):
+        _constructs(lambda: SlowVaryFn(const, log_pow, loglog_pow, tuple(exp_terms)),
+                    _in_range(const, log_pow, loglog_pow, exp_terms))
+
+    @given(a=wide_forms(), b=wide_forms())
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    def test_product(self, a, b):
+        _constructs(lambda: a * b, _in_range(a.const * b.const, a.log_pow + b.log_pow,
+                                             a.loglog_pow + b.loglog_pow, a.exp_terms + b.exp_terms))
+
+    @given(a=wide_forms(), q=_ANY | _WIDE)
+    @example(a=parse_slow_vary("10*(LL)^1"), q=400.0)  # 10.0 ** 400 raises OverflowError
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    def test_power(self, a, q):
+        try:
+            const = a.const**q
+        except OverflowError:
+            const = math.inf
+        ok = 0 < q < math.inf and _in_range(const, a.log_pow * q, a.loglog_pow * q,
+                                            [(c * q, beta) for c, beta in a.exp_terms])
+        _constructs(lambda: a**q, ok)
+
+    @given(exponent=_ANY, coeff=_ANY)
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    def test_power_sequence(self, exponent, coeff):
+        _constructs(lambda: PowerSeq(exponent, coeff), 0 < exponent < math.inf and 0 < coeff < math.inf)
 
 
 @st.composite
