@@ -12,6 +12,19 @@ __version__ = "0.1.0"
 #: The random-stream version (`rng`), recorded in each artifact's provenance.
 _STREAM = "lil-lab-stream-v3"
 
+
+class _ParamError(ValueError):
+    """A refused argument, named: `context` is {name: value}.
+
+    Each CLI spec key shares the name of the parameter it fills, so the
+    CLI writes this context for a refused spec value as it stands.
+    """
+
+    def __init__(self, message: str, name: str, value):
+        super().__init__(message)
+        self.context = {name: value}
+
+
 # Each submodule with the names the package exports from it.
 _EXPORTS = {
     "bounds": (

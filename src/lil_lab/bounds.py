@@ -25,6 +25,7 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
+from . import _ParamError
 from .slowvary import _csv_text, _json_fields, _json_real
 
 
@@ -47,7 +48,7 @@ class MomentData:
 
     def __post_init__(self) -> None:
         if self.n < 1:
-            raise ValueError("n must be at least 1")
+            raise _ParamError("n must be at least 1", "n", self.n)
         if self.M < 0 or self.lambda_n < 0 or self.mean_norm < 0:
             raise ValueError("M, lambda_n, mean_norm must be nonnegative")
         if not math.isfinite(self.lambda_n) or not math.isfinite(self.mean_norm):
@@ -60,7 +61,7 @@ class MomentData:
         if self.s is not None and self.s <= 2:
             raise ValueError("moment exponent s must exceed 2")
         if self.moment_s is not None and self.moment_s < 0:
-            raise ValueError("moment_s must be nonnegative")
+            raise _ParamError("moment_s must be nonnegative", "moment_s", self.moment_s)
 
 
 def eps_from_delta(delta: float) -> float:
@@ -71,7 +72,7 @@ def eps_from_delta(delta: float) -> float:
     delta that is not positive and finite.
     """
     if not 0 < delta < math.inf:
-        raise ValueError(f"delta must be positive and finite, got {delta!r}")
+        raise _ParamError(f"delta must be positive and finite, got {delta!r}", "delta", delta)
     target = 2.0 + delta
 
     def f(e: float) -> float:
@@ -88,7 +89,7 @@ def eps_from_delta(delta: float) -> float:
         else:
             hi = mid
     if lo == 0:
-        raise ValueError(f"delta {delta!r} is too small: its epsilon bisects to 0")
+        raise _ParamError(f"delta {delta!r} is too small: its epsilon bisects to 0", "delta", delta)
     return lo
 
 
@@ -117,9 +118,9 @@ class BoundParams:
 
     def __post_init__(self) -> None:
         if not (0 < self.eta <= 1):
-            raise ValueError("eta must lie in (0, 1]")
+            raise _ParamError("eta must lie in (0, 1]", "eta", self.eta)
         if self.s <= 2:
-            raise ValueError("s must exceed 2")
+            raise _ParamError("s must exceed 2", "s", self.s)
         object.__setattr__(self, "epsilon", eps_from_delta(self.delta))
 
 
@@ -225,7 +226,7 @@ def fuk_nagaev_bound(t: float, params: BoundParams, data: MomentData) -> float:
 def _fn_terms(t: float, params: BoundParams, data: MomentData) -> tuple[float, float, float, FnConstants]:
     """`fuk_nagaev_bound` with its parts: (bound, Gaussian term, polynomial term, constants)."""
     if t <= 0:
-        raise ValueError("t must be positive")
+        raise _ParamError("t must be positive", "t", t)
     if data.moment_s is None:
         raise ValueError("fuk_nagaev_bound needs moment_s and s in MomentData")
     if not math.isfinite(data.moment_s):
@@ -309,6 +310,8 @@ def mc_verify(
 ) -> VerifyReport:
     """Empirical falsification run against the bound evaluators.
 
+    The t points are `t_grid` or, for None, 20 geometric points from
+    sqrt(n) / 2 to 5 sqrt(n), built once n is known to be positive.
     A pilot pass (same number of trials, independent streams) estimates
     mean_norm, the weak variance, and the s-th moment, and rejects a
     distribution whose sample mean sits further than 5 standard errors
@@ -325,12 +328,13 @@ def mc_verify(
     uncut path, its pilot sums are folded block by block.
     """
     if trials < 100:
-        raise ValueError("trials too small for stable pilot estimates")
+        raise _ParamError("trials too small for stable pilot estimates", "trials", trials)
     if n < 1:
-        raise ValueError("n must be positive")
+        raise _ParamError("n must be positive", "n", n)
     if kr_points < 0:
-        raise ValueError(f"kr_points must be nonnegative, got {kr_points}")
-    tg = np.asarray(t_grid, dtype=float)
+        raise _ParamError(f"kr_points must be nonnegative, got {kr_points}", "kr_points", kr_points)
+    root_n = math.sqrt(n)
+    tg = np.geomspace(0.5 * root_n, 5 * root_n, 20) if t_grid is None else np.asarray(t_grid, dtype=float)
     if tg.size == 0 or np.any(tg <= 0):
         raise ValueError("t_grid must be positive")
     if not getattr(dist, "is_centered", False):

@@ -39,7 +39,10 @@ line on stderr; `_guarded` is the one place that writes it.  The codes:
                        `--space 5` gives `{"space": "5"}`, and a normal
                        form or sequence with a number that is not finite,
                        `--h "(L)^1e400"` or `--c-seq pow:nan`, gives
-                       `{"h": "(L)^1e400"}` or `{"c_seq": "pow:nan"}`
+                       `{"h": "(L)^1e400"}` or `{"c_seq": "pow:nan"}`;
+                       a number out of its range is named by the
+                       library parameter it fills, whose name is the
+                       key's: `--eta 2` gives `{"eta": 2.0}`
     io_error           a file that cannot be read or written; `context`
                        names the path (`--out` below a regular file)
     missing_artifacts  `report` on a directory with no artifact in it
@@ -60,7 +63,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from . import _STREAM, __version__
+from . import _STREAM, _ParamError, __version__
 
 
 class Key(NamedTuple):
@@ -272,11 +275,10 @@ def _exec_fn_verify(spec: dict) -> tuple[dict, object, int]:
 
     dist, space = _dist_and_space(spec)
     _dual_ball_checked(spec, space)
-    n, root_n = spec["n"], math.sqrt(spec["n"])
-    grid = _parsed(parse_grid, spec, "t_grid") if spec["t_grid"] else np.geomspace(0.5 * root_n, 5 * root_n, 20)
+    grid = _parsed(parse_grid, spec, "t_grid") if spec["t_grid"] else None
     params = bounds.BoundParams(eta=spec["eta"], delta=spec["delta"], s=spec["s"])
     report = bounds.mc_verify(
-        dist, space, n, spec["trials"], grid, params,
+        dist, space, spec["n"], spec["trials"], grid, params,
         seed=spec["seed"], kr_points=spec["kr_points"], workers=spec["workers"],
     )
     n_viol = sum(r.violation for r in report.rows)
@@ -289,6 +291,7 @@ def _exec_lil_sim(spec: dict) -> tuple[dict, object, int]:
 
     dist, space = _dist_and_space(spec)
     h = _parsed(slowvary.parse_slow_vary, spec, "h")
+    simulate._check_tail_fraction(spec["tail_fraction"])  # before any sampling
     config = simulate.PathConfig(
         N=spec["N"], checkpoints=simulate.geometric_checkpoints(spec["N"], spec["ratio"]),
         seed=spec["seed"], trials=spec["trials"],
@@ -499,6 +502,8 @@ def _guarded(command, *args) -> int:
         return command(*args)
     except SpecError as exc:
         err = exc
+    except _ParamError as exc:
+        err = SpecError(str(exc), exc.context)
     except OSError as exc:
         err = SpecError(str(exc), {"path": exc.filename}, code="io_error")
     except (ValueError, ArithmeticError) as exc:

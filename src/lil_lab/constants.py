@@ -58,6 +58,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import _ParamError
 from .slowvary import (
     INCONCLUSIVE, NormalizerSeq, SlowVaryFn, _centred, _json_fields, _json_real, _ols_slope, log_psi, psi_inv_log,
 )
@@ -294,7 +295,7 @@ _BISECT_CAP = 1e6
 def _threshold_bracket(classify, tol: float) -> Bracket:
     """Bisection on c of the converging-side decision of `classify`."""
     if not tol > 0:
-        raise ValueError("tol must be positive")
+        raise _ParamError("tol must be positive", "tol", tol)
     probes: list[tuple[float, str, float]] = []
 
     def side(cv: float) -> bool:

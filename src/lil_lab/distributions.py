@@ -170,7 +170,7 @@ class RademacherProduct:
         signs >>= 7
         signs |= 1
         x = signs.astype(np.float64).reshape(n, self.dim)
-        return x if self._unit else x * self.scales
+        return x if self._unit else np.multiply(x, self.scales, out=x)
 
     def norm_bound(self, space: SpaceSpec) -> float:
         return norm(self.scales, space)

@@ -54,6 +54,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import _ParamError
 from . import rng as _rng
 from ._pool import map_chunks
 from .slowvary import NormalizerSeq, SlowVaryFn, _csv_text
@@ -252,13 +253,9 @@ class _PilotMoments:
         b, m, d = x.shape
         rows = slice(k0, k0 + b)
         with np.errstate(over="ignore", invalid="ignore"):
-            if d == 1:
-                # the step axis is innermost: numpy sums it pairwise
-                self.sums[rows] += x.sum(axis=1)
-            else:
-                # the same step-by-step folds, each over a contiguous (d, b) row;
-                # a 2-D transpose is the cheaper copy
-                self.sums[rows] += np.ascontiguousarray(x.reshape(b, m * d).T).reshape(m, d, b).sum(axis=0).T
+            # at d = 1 the steps are innermost and numpy sums them pairwise; at d > 1
+            # einsum adds them step by step, each over a row of d, with no tile-sized copy
+            self.sums[rows] += x.sum(axis=1) if d == 1 else np.einsum("bmd->bd", x)
             finite_sums(self.sums[rows], s0 + m)
             # folded inside the stack: one (b, d, d) temporary, and m2 owns its memory
             self.m2 = fold(np.matmul(x.transpose(0, 2, 1), x), self.m2)[-1].copy()
@@ -301,9 +298,9 @@ class _FinalAndMax:
 def geometric_checkpoints(N: int, ratio: float = 1.3) -> tuple[int, ...]:
     """Strictly increasing checkpoint grid 1, 2, ... up to and including N."""
     if N < 1:
-        raise ValueError("N must be at least 1")
+        raise _ParamError("N must be at least 1", "N", N)
     if ratio <= 1:
-        raise ValueError("ratio must exceed 1")
+        raise _ParamError("ratio must exceed 1", "ratio", ratio)
     out = [1]
     while out[-1] < N:
         out.append(min(N, max(out[-1] + 1, math.ceil(ratio * out[-1]))))
@@ -322,8 +319,10 @@ class PathConfig:
     trials: int = 1
 
     def __post_init__(self) -> None:
-        if self.N < 1 or self.trials < 1:
-            raise ValueError("N and trials must be positive")
+        if self.N < 1:
+            raise _ParamError("N must be positive", "N", self.N)
+        if self.trials < 1:
+            raise _ParamError("trials must be positive", "trials", self.trials)
         cps = _checkpoint_grid(self.checkpoints or geometric_checkpoints(self.N))
         if max(cps) > self.N:
             raise ValueError("checkpoints must lie within [1, N]")
@@ -512,7 +511,7 @@ class MeanNormCurve:
 def mean_norm_curve(dist, space: SpaceSpec, c_seq, n_grid, trials: int, seed: int = 0, workers: int = 1) -> MeanNormCurve:
     """Estimate E||S_n||/c_n on a grid of n, one streamed pass per trial."""
     if trials < 30:
-        raise ValueError(f"need at least 30 trials for a CI, got {trials}")
+        raise _ParamError(f"need at least 30 trials for a CI, got {trials}", "trials", trials)
     points = _checkpoint_grid(n_grid)
     ratios, _, _ = _checkpoint_ratios(dist, c_seq, f"c_n = {c_seq.describe()}", points[-1], seed, trials, _rng.CURVE,
                                       CheckpointNorms(space, points), workers)
@@ -538,6 +537,11 @@ class LimsupEstimate:
     tail_fraction: float
 
 
+def _check_tail_fraction(tail_fraction: float) -> None:
+    if not (0 < tail_fraction <= 1):
+        raise _ParamError("tail_fraction must lie in (0, 1]", "tail_fraction", tail_fraction)
+
+
 def limsup_estimate(paths: PathResult, tail_fraction: float = 0.5) -> LimsupEstimate:
     """Per-trial maximum of the checkpoint ratios over the tail window.
 
@@ -545,8 +549,7 @@ def limsup_estimate(paths: PathResult, tail_fraction: float = 0.5) -> LimsupEsti
     aggregate numbers are the median and the [10%, 90%] quantiles of the
     per-trial maxima.
     """
-    if not (0 < tail_fraction <= 1):
-        raise ValueError("tail_fraction must lie in (0, 1]")
+    _check_tail_fraction(tail_fraction)
     K = paths.ratios.shape[1]
     w = max(1, math.ceil(tail_fraction * K))
     per_trial = paths.ratios[:, K - w :].max(axis=1)

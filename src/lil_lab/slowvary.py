@@ -41,6 +41,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import _ParamError
+
 #: Absolute bisection tolerance on log-scale arguments.
 LOG_BISECT_TOL = 1e-12
 
@@ -582,9 +584,9 @@ def hq_classify(h: SlowVaryFn, q: float, tol: float = 0.02) -> HqReport:
     scalar power 0.5 through sqrt, which a broadcast power need not match).
     """
     if not (0 <= q <= 1):
-        raise ValueError("q must lie in [0, 1]")
+        raise _ParamError("q must lie in [0, 1]", "q", q)
     if not tol >= 0:
-        raise ValueError(f"tol must be nonnegative, got {tol:g}")
+        raise _ParamError(f"tol must be nonnegative, got {tol:g}", "tol", tol)
     active = [tau for tau in DEFAULT_TAU_GRID if _tau_active(tau, q)]
     u = np.log(DEFAULT_T_GRID)  # log t; grids stay well inside float range
     lt = np.maximum(u, 1.0)

@@ -844,19 +844,19 @@ class TestExitCodes:
          "workers must be at least 1"),
         (["lil-sim", "--N", "100", "--trials", "2", "--workers", "-3"], "invalid_spec", {"workers": -3},
          "workers must be at least 1"),
-        (["constants", "--h", "2*(LL)^1", "--dist", "gauss:dim=1,var=1", "--trials", "10"], "invalid_spec", {},
+        (["constants", "--h", "2*(LL)^1", "--dist", "gauss:dim=1,var=1", "--trials", "10"], "invalid_spec", {"trials": 10},
          "need at least 30 trials for a CI, got 10"),
-        (["constants", "--h", "2*(LL)^1", "--dist", "gauss:dim=1,var=1", "--trials", "-5"], "invalid_spec", {},
+        (["constants", "--h", "2*(LL)^1", "--dist", "gauss:dim=1,var=1", "--trials", "-5"], "invalid_spec", {"trials": -5},
          "need at least 30 trials for a CI, got -5"),
         (["constants", "--h", "2*(LL)^1", "--trials", "100"], "invalid_spec", {},
          "trials = 100 asks for beta0, which needs a distribution and a space"),
-        (["fn-verify", "--n", "20", "--trials", "200", "--kr-points", "-3"], "invalid_spec", {},
+        (["fn-verify", "--n", "20", "--trials", "200", "--kr-points", "-3"], "invalid_spec", {"kr_points": -3},
          "kr_points must be nonnegative, got -3"),
         # beta0's grid reaches n = 16383, where c_n = 1e300 n^2 is past the float range
         (["constants", "--h", "2*(LL)^1", "--H", "const:1", "--c-seq", "pow:2,1e300", "--dist", "gauss:dim=1,var=1",
           "--space", "1,2", "--trials", "30"], "invalid_spec", {},
          "c_n = pow:2,1e+300 is not finite at checkpoint n = 16383, so no checkpoint ratio can be formed"),
-        (["hclass", "--h", "2*(LL)^1", "--tol", "-1"], "invalid_spec", {}, "tol must be nonnegative, got -1"),
+        (["hclass", "--h", "2*(LL)^1", "--tol", "-1"], "invalid_spec", {"tol": -1.0}, "tol must be nonnegative, got -1"),
         (["constants", "--H", "const:1"], "invalid_spec", {}, "constants needs --h"),
         (["fn-bound", "--n", "10"], "invalid_spec", {}, "fn-bound needs --t"),
         (["hclass", "--h", ""], "invalid_spec", {}, "hclass needs --h"),

@@ -11,7 +11,7 @@ import json
 
 import pytest
 
-from lil_lab import cli
+from lil_lab import cli, simulate
 
 _ROWS = {
     # a symmetric covariance near the float max: its halves are summed, so nothing overflows
@@ -86,6 +86,16 @@ _ROWS = {
     "constants-l1-past-vertex-limit": (["constants", "--h", "2*(LL)^1", "--H", "empirical:64", "--dist",
                                         "gauss:dim=21,var=1", "--space", "21,1"],
                                        2, "p=1 vertex enumeration limited to dim <= 20, got 21"),
+    # a scalar flag out of range, refused by the library parameter it fills
+    "fn-bound-eta-above-1": (["fn-bound", "--t", "10", "--eta", "2"], 2, "eta must lie in (0, 1]"),
+    "fn-verify-eta-above-1": (["fn-verify", "--eta", "2"], 2, "eta must lie in (0, 1]"),
+    "lil-sim-ratio-below-1": (["lil-sim", "--ratio", "0.5"], 2, "ratio must exceed 1"),
+    "lil-sim-tail-fraction-above-1": (["lil-sim", "--tail-fraction", "2"], 2, "tail_fraction must lie in (0, 1]"),
+    "fn-verify-kr-points-negative": (["fn-verify", "--kr-points", "-1"], 2, "kr_points must be nonnegative, got -1"),
+    "hclass-q-above-1": (["hclass", "--h", "2*(LL)^1", "--q", "1.5"], 2, "q must lie in [0, 1]"),
+    "constants-tol-0": (["constants", "--h", "2*(LL)^1", "--tol", "0"], 2, "tol must be positive"),
+    # refused before the default t grid is built from sqrt(n)
+    "fn-verify-n-0": (["fn-verify", "--n", "0"], 2, "n must be positive"),
 }
 
 # The `context` of each exit-2 row's error: the key it names, or none for
@@ -108,10 +118,18 @@ _CONTEXTS = {
     "h-exp-coeff-past-float-range": {"h": "exp(1e400*(L)^0.5)"},
     "c-seq-exponent-nan": {"c_seq": "pow:nan"},
     "c-seq-coeff-inf": {"c_seq": "pow:0.5,inf"},
-    "fn-bound-delta-too-small": {},
+    "fn-bound-delta-too-small": {"delta": 1e-12},
     "empirical-count-negative": {"H": "empirical:-5"},
     "fn-verify-l1-past-vertex-limit": {"space": "21,1"},
     "constants-l1-past-vertex-limit": {"space": "21,1"},
+    "fn-bound-eta-above-1": {"eta": 2.0},
+    "fn-verify-eta-above-1": {"eta": 2.0},
+    "lil-sim-ratio-below-1": {"ratio": 0.5},
+    "lil-sim-tail-fraction-above-1": {"tail_fraction": 2.0},
+    "fn-verify-kr-points-negative": {"kr_points": -1},
+    "hclass-q-above-1": {"q": 1.5},
+    "constants-tol-0": {"tol": 0.0},
+    "fn-verify-n-0": {"n": 0},
 }
 
 
@@ -193,6 +211,13 @@ def test_empirical_h_past_the_float_range_is_the_laws_h(tmp_path):
         report = json.loads((tmp_path / H / "constants.json").read_text())["report"]
         got.append((report["sigma2"], report["lambda"]))
     assert got == [(1e308, 9.508121560968832e153)] * 2
+
+
+def test_tail_fraction_is_refused_before_any_sampling(tmp_path, monkeypatch, capfd):
+    monkeypatch.setattr(simulate, "run_path", lambda *args, **kwargs: pytest.fail("lil-sim sampled its paths"))
+    argv, _, _ = _ROWS["lil-sim-tail-fraction-above-1"]
+    assert cli.main([*argv, "--out", str(tmp_path)]) == 2
+    assert json.loads(capfd.readouterr().err)["context"] == {"tail_fraction": 2.0}
 
 
 def test_help_still_prints_usage_and_exits_0(capsys):

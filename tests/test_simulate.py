@@ -1,11 +1,18 @@
 """Streaming partial-sum paths, truncated twins, and mean-norm curves."""
 
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+import lil_lab
 from lil_lab import simulate
 from lil_lab.bounds import BoundParams, mc_verify
 from lil_lab.distributions import Gaussian, PointMass, RadialPareto
@@ -314,6 +321,46 @@ class TestLongPathChunks:
                      workers=2)
 
 
+@st.composite
+def _tile_views(draw):
+    """(b, m, d) of a pilot tile of at most BLOCK draws, with a view's slicing:
+    the trials it skips, its step over the steps, and the coordinates it skips."""
+    d = draw(st.integers(2, 20))
+    m = draw(st.integers(1, BLOCK))
+    b = draw(st.integers(1, BLOCK // m))
+    step = draw(st.integers(1, 2)) if 2 * b * m <= BLOCK else 1
+    return b, m, d, draw(st.integers(0, 1)), step, draw(st.integers(0, 1))
+
+
+class TestPilotSums:
+    """The pilot's per-trial coordinate sums keep the bits of the step-by-step
+    fold over a transposed copy of the tile, kept here as the reference."""
+
+    @staticmethod
+    def reference(x: np.ndarray) -> np.ndarray:
+        b, m, d = x.shape
+        return np.ascontiguousarray(x.reshape(b, m * d).T).reshape(m, d, b).sum(axis=0).T
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(view=_tile_views(), decades=st.sampled_from([0, 3, 300]), seed=st.integers(0, 2**32 - 1))
+    @example(view=(1, BLOCK, 20, 0, 1, 0), decades=0, seed=0)
+    def test_two_tiles_sum_as_the_transposed_fold(self, view, decades, seed):
+        b, m, d, lead, step, extra = view
+        gen = np.random.default_rng(seed)
+        shape = (lead + b, step * m, d + extra)
+        pilot = simulate._PilotMoments(SpaceSpec(d, 2.0), 3.0)
+        pilot.start(b, d)
+        want = np.zeros((b, d))
+        for s0 in (0, m):
+            draws = np.power(10.0, gen.uniform(-decades, decades, shape))
+            draws *= gen.standard_normal(shape)
+            x = draws[lead:, ::step, extra:]
+            with np.errstate(over="ignore", invalid="ignore"):
+                pilot.tile(x, 0, s0)
+                want += self.reference(x)
+        assert pilot.sums.tobytes() == want.tobytes()
+
+
 class TestBoundedMemory:
     """A block-streamed path holds a few block-sized arrays, whatever N is."""
 
@@ -333,6 +380,30 @@ class TestBoundedMemory:
                                      t_grid=np.array([3.0]), params=params, workers=1)
         # a short run warms up the same modules in a fraction of the time
         assert self.peak_blocks(lambda: verify(BLOCK + 1), 1, warm=lambda: verify(200)) <= 4
+
+    # One 4,096 x 200 `mc_verify` at workers 1 in a fresh interpreter, after
+    # its modules are loaded: the minor page faults of the call alone.
+    _FAULTS = (
+        "import resource, sys; import numpy as np; "
+        "from lil_lab import bounds, cli, distributions, rng, simulate; "
+        "dist, space = distributions.parse_dist(sys.argv[1]), cli.parse_space(sys.argv[2]); "
+        "params = bounds.BoundParams(1.0, 1.0, 3.0); "
+        "before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt; "
+        "bounds.mc_verify(dist, space, 200, 4096, np.geomspace(7.0, 70.0, 20), params, workers=1); "
+        "print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)"
+    )
+
+    @pytest.mark.skipif(sys.platform != "linux", reason="glibc's heap trimming is what the budget guards against")
+    @pytest.mark.parametrize("dist", ["rademacher:dim=5", "rademacher:scales=1;2;3;4;5"])
+    def test_mc_verify_faults(self, dist):
+        # A second tile-sized array freed beside each tile lets glibc trim the
+        # heap top, which every next draw faults back in: about 14,000 faults
+        # (26,000 scaled) where the reused heap takes a few hundred.
+        src = str(Path(lil_lab.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        out = subprocess.run([sys.executable, "-c", self._FAULTS, dist, "5,inf"], env=env, capture_output=True,
+                             text=True, check=True)
+        assert int(out.stdout) <= 4000
 
     @staticmethod
     def peak_blocks(run, d: int, warm=None) -> float:

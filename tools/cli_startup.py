@@ -45,6 +45,9 @@ SUBCOMMANDS = {
     # the benchmark's mc-many-short call, in the caller alone
     "fn-verify-many": ["fn-verify", "--dist", "rademacher:dim=5", "--space", "5,inf", "--n", "200",
                        "--trials", "20480", "--workers", "1"],
+    # the same call for a scaled law, whose sampler scales each draw
+    "fn-verify-scaled": ["fn-verify", "--dist", "rademacher:scales=1;2;3;4;5", "--space", "5,inf", "--n", "200",
+                         "--trials", "20480", "--workers", "1"],
     "lil-sim": ["lil-sim", "--N", "1000", "--trials", "50", "--workers", "1"],
     # paths longer than one block: streamed block by block in the caller
     "lil-sim-long": ["lil-sim", "--N", "200000", "--trials", "4", "--workers", "1"],
